@@ -11,7 +11,6 @@ byte (nothing time- or host-dependent is ever written).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -20,9 +19,15 @@ import numpy as np
 
 from . import __version__
 from .bench import format_summary, results_csv, run_sweep
-from .dataset import ColumnSchema, holdout_split, load_csv, save_csv
+from .dataset import ColumnSchema, holdout_split, load_csv, read_csv_columns, save_csv
 from .effects import leaf_report_rows
-from .errors import DATA_ERRORS, ESTIMATION_ERRORS, CtivError, InputError
+from .errors import (
+    DATA_ERRORS,
+    ESTIMATION_ERRORS,
+    CtivError,
+    InputError,
+    ValidationError,
+)
 from .synth import design_spec, generate
 from .transform import AssignmentRegime, RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
@@ -181,36 +186,30 @@ def _add_predict_parser(sub) -> None:
 def _cmd_predict(args) -> int:
     tree = load_json(Path(args.tree).read_text(encoding="utf-8"))
     names = list(tree.feature_names)
-    with Path(args.input).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{args.input}: empty file, no header row") from None
+
+    def choose(header: list[str]) -> list[str]:
         missing = [c for c in names if c not in header]
         if missing:
             raise InputError(
                 f"{args.input}: missing feature columns {missing}; the tree "
                 f"expects {len(names)} features {names}")
-        pos = [header.index(c) for c in names]
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            try:
-                rows.append([float(row[j]) for j in pos])
-            except (ValueError, IndexError):
-                raise InputError(
-                    f"{args.input}: bad feature values at data row {i}") from None
-    out_lines = ["leaf_id,itt_hat,cace_hat,cace_se"]
-    if rows:
-        x = np.asarray(rows, dtype=np.float64)
-        ids = tree.assign_leaves(x)
-        leaf_map = tree.leaf_map
-        for leaf_id in ids:
-            est = leaf_map[int(leaf_id)]
-            out_lines.append(f"{est.leaf_id},{est.itt_hat!r},"
-                             f"{est.cace_hat!r},{est.cace_se!r}")
-    _write(Path(args.output), "\n".join(out_lines) + "\n")
-    print(f"wrote {len(out_lines) - 1} predictions to {args.output}")
+        return names
+
+    _, x = read_csv_columns(args.input, choose)
+    finite = np.isfinite(x)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValidationError(
+            f"{args.input}: non-finite value {float(x[row, col])!r} for feature "
+            f"'{names[col]}' at data row {row + 1}")
+    text = "leaf_id,itt_hat,cace_hat,cace_se\n"
+    if x.shape[0]:
+        line = {est.leaf_id: f"{est.leaf_id},{est.itt_hat!r},"
+                             f"{est.cace_hat!r},{est.cace_se!r}\n"
+                for est in tree.leaves()}
+        text += "".join(map(line.__getitem__, tree.assign_leaves(x).tolist()))
+    _write(Path(args.output), text)
+    print(f"wrote {x.shape[0]} predictions to {args.output}")
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ save/load round trip reproduces the dataset bit for bit.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +134,106 @@ def _parse_cell(raw: str, column: str, row_number: int) -> float:
         ) from None
 
 
+# data lines numpy parses at a time; bounds the text held in memory
+_READ_LINES = 8192
+# rows save_csv formats at a time; each row's cells are Python strings
+_WRITE_ROWS = 1024
+_BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
+
+
+def _read_header(reader, path: Path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, no header row") from None
+    return [h.strip() for h in header]
+
+
+def _numpy_rows(lines, width: int, cols: list[int],
+                binary: tuple[int, ...]) -> np.ndarray | None:
+    """One chunk of data lines parsed by numpy, or None if it is irregular.
+
+    A regular chunk has no quote, exactly ``width - 1`` commas per line, no
+    line longer than csv's field limit and no blank line, and its 0/1
+    columns hold only 0 and 1. Any other chunk, and any ValueError, is left
+    to the per-cell parser, which also words every error message.
+    """
+    if ('"' in "".join(lines)
+            or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or any(map(_BLANK_LINES.__contains__, lines))
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    # comments=None: numpy would cut text at '#'. The blank lines numpy
+    # would skip, csv.reader reports as rows of 0 cells (excluded above).
+    block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                       usecols=cols, ndmin=2)
+    flags = block[:, list(binary)]
+    if not ((flags == 0.0) | (flags == 1.0)).all():
+        return None
+    return block
+
+
+def _reference_rows(path: Path, columns: list[str],
+                    binary: tuple[int, ...]) -> np.ndarray:
+    """Per-cell parse of every data row; the reference for values and errors.
+
+    A row's 0/1 columns are checked as soon as the last of them is parsed.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
+        idx = [header.index(c) for c in columns]
+        check_at = max(binary, default=-1)
+        rows = []
+        for i, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
+            values = []
+            for k, (j, name) in enumerate(zip(idx, columns)):
+                values.append(_parse_cell(row[j], name, i))
+                if k == check_at:
+                    for b in binary:
+                        if values[b] not in (0.0, 1.0):
+                            raise ValidationError(
+                                f"{path}: column '{columns[b]}' must be 0/1 "
+                                f"but data row {i} has {values[b]:g}")
+            rows.append(values)
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
+
+
+def read_csv_columns(path: str | Path,
+                     choose: Callable[[list[str]], list[str]],
+                     binary: tuple[int, ...] = ()) -> tuple[list[str], np.ndarray]:
+    """The columns ``choose(header)`` names, as a float matrix with one row
+    per data row.
+
+    ``choose`` gets the stripped header and returns the column names to
+    read, raising if the header does not fit. ``binary`` are positions in
+    that list whose cells must be 0 or 1. Regular text is parsed by numpy,
+    a chunk of lines at a time; any other file is re-read cell by cell.
+    Row numbers in error messages are 1-based over data rows.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = _read_header(csv.reader(fh), path)
+        columns = choose(header)
+        cols = [header.index(c) for c in columns]
+        blocks = []
+        regular = True
+        try:
+            while regular and (lines := list(islice(fh, _READ_LINES))):
+                blocks.append(_numpy_rows(lines, len(header), cols, binary))
+                regular = blocks[-1] is not None
+        except ValueError:
+            regular = False
+    if not regular:
+        return columns, _reference_rows(path, columns, binary)
+    if not blocks:
+        return columns, np.empty((0, len(columns)))
+    return columns, np.concatenate(blocks)
+
+
 def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset.
 
@@ -139,13 +241,8 @@ def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset
     is row 0).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        header = [h.strip() for h in header]
+
+    def choose(header: list[str]) -> list[str]:
         for role, col in (("y", schema.y_col), ("w", schema.w_col), ("z", schema.z_col)):
             if col not in header:
                 raise SchemaError(f"{path}: missing required {role} column '{col}'")
@@ -159,30 +256,17 @@ def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset
                     raise SchemaError(f"{path}: missing feature column '{col}'")
         if not feature_cols:
             raise SchemaError(f"{path}: no feature columns remain")
-        pos = {c: header.index(c) for c in header}
-        y_rows, w_rows, z_rows, x_rows = [], [], [], []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
-            y_rows.append(_parse_cell(row[pos[schema.y_col]], schema.y_col, i))
-            w_val = _parse_cell(row[pos[schema.w_col]], schema.w_col, i)
-            z_val = _parse_cell(row[pos[schema.z_col]], schema.z_col, i)
-            for name, val in ((schema.w_col, w_val), (schema.z_col, z_val)):
-                if val not in (0.0, 1.0):
-                    raise ValidationError(
-                        f"{path}: column '{name}' must be 0/1 but data row {i} has {val:g}")
-            w_rows.append(int(w_val))
-            z_rows.append(int(z_val))
-            x_rows.append([_parse_cell(row[pos[c]], c, i) for c in feature_cols])
-    if not y_rows:
+        return [schema.y_col, schema.w_col, schema.z_col, *feature_cols]
+
+    columns, data = read_csv_columns(path, choose, binary=(1, 2))
+    if data.shape[0] == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
     return Dataset(
-        covariates=np.asarray(x_rows, dtype=np.float64),
-        z=np.asarray(z_rows, dtype=np.int8),
-        w=np.asarray(w_rows, dtype=np.int8),
-        y=np.asarray(y_rows, dtype=np.float64),
-        feature_names=tuple(feature_cols),
+        covariates=np.ascontiguousarray(data[:, 3:]),
+        z=data[:, 2].astype(np.int8),
+        w=data[:, 1].astype(np.int8),
+        y=np.ascontiguousarray(data[:, 0]),
+        feature_names=tuple(columns[3:]),
     )
 
 
@@ -190,21 +274,23 @@ def save_csv(ds: Dataset, path: str | Path,
              extra_columns: dict[str, np.ndarray] | None = None) -> None:
     """Write a dataset as CSV (columns: y, w, z, features, extras).
 
-    Floats are written with ``repr`` so a reload reproduces every bit.
+    Floats are written with ``repr`` so a reload reproduces every bit. The
+    bytes are those ``csv.writer`` writes: CRLF line ends, arms as 0/1.
     """
     path = Path(path)
     extras = extra_columns or {}
     for name, col in extras.items():
         if len(col) != ds.n_units:
             raise InputError(f"extra column '{name}' has wrong length")
+    # .tolist() gives Python ints for the arms and Python floats, whose str
+    # is their repr; numpy 2 writes repr(np.float64(0.1)) as 'np.float64(0.1)'
+    columns = [ds.y, ds.w, ds.z, *ds.covariates.T]
+    columns += [np.asarray(col, dtype=np.float64) for col in extras.values()]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "w", "z", *ds.feature_names, *extras.keys()])
-        for i in range(ds.n_units):
-            row = [repr(float(ds.y[i])), int(ds.w[i]), int(ds.z[i])]
-            row += [repr(float(v)) for v in ds.covariates[i]]
-            row += [repr(float(extras[name][i])) for name in extras]
-            writer.writerow(row)
+        csv.writer(fh).writerow(["y", "w", "z", *ds.feature_names, *extras.keys()])
+        for start in range(0, ds.n_units, _WRITE_ROWS):
+            cells = [map(str, col[start:start + _WRITE_ROWS].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def holdout_split(ds: Dataset | int,

@@ -25,6 +25,7 @@ from .dataset import Dataset, SplitIndices, trim_by_propensity
 from .effects import LeafEstimate, estimate_leaf, overall_cace
 from .errors import (
     AggregationError,
+    EmptyArmError,
     EmptyDatasetError,
     EstimationError,
     GrowthError,
@@ -119,47 +120,55 @@ class PruningPath:
 
 # --- growth ---
 
-def _best_split_for_feature(x_col, y, d, e, min_leaf, min_arm):
+def _stable_order(col: np.ndarray) -> np.ndarray:
+    """``np.argsort(col, kind="stable")``, from a faster unstable sort.
+
+    Ties come back in index order by sorting the unique key
+    ``run * n + index``, where ``run`` numbers the runs of equal values.
+    ``col`` must hold no NaN, as no Dataset does.
+    """
+    order = np.argsort(col)
+    xs = col[order]
+    new_run = xs[1:] != xs[:-1]
+    if new_run.all():
+        return order
+    run = np.concatenate(([0], np.cumsum(new_run)))
+    key = run * col.size + order
+    key.sort()
+    return key % col.size
+
+
+def _best_split(xs, sums, min_leaf, min_arm):
     """Best (gain, threshold) cutting one feature, or None.
 
-    gain is the unnormalised sum n_left*tau_left^2 + n_right*tau_right^2
-    over candidate cuts at midpoints between consecutive distinct
-    values; candidates violating leaf-size or arm-count floors are
-    discarded. Ties prefer the lowest threshold.
+    ``xs`` is the feature over a node's rows in stable sorted order, and
+    ``sums`` holds wt*y, wt, wc*y, wc and d over the same rows (it is
+    overwritten). gain is the unnormalised sum
+    n_left*tau_left^2 + n_right*tau_right^2 over candidate cuts at
+    midpoints between consecutive distinct values; candidates violating
+    leaf-size or arm-count floors are discarded. Ties prefer the lowest
+    threshold.
     """
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
+    n = xs.size
     cuts = np.flatnonzero(xs[:-1] < xs[1:])
+    # only a window of cuts meets the leaf-size floor; the cuts outside it
+    # could never be the first valid maximum, so they are dropped unscored
+    cuts = cuts[np.searchsorted(cuts, min_leaf - 1):
+                np.searchsorted(cuts, n - min_leaf)]
     if cuts.size == 0:
         return None
-    yo = y[order]
-    do = d[order].astype(np.float64)
-    eo = e[order]
-    wt = do / eo
-    wc = (1.0 - do) / (1.0 - eo)
-    c_wty = np.cumsum(wt * yo)
-    c_wt = np.cumsum(wt)
-    c_wcy = np.cumsum(wc * yo)
-    c_wc = np.cumsum(wc)
-    c_n1 = np.cumsum(do)
-    n = xs.size
+    np.cumsum(sums, axis=1, out=sums)
+    left = sums.take(cuts, axis=1)
+    right = sums[:, -1:] - left
     n_left = cuts + 1
     n_right = n - n_left
-    n1_left = c_n1[cuts]
-    n1_right = c_n1[-1] - n1_left
-    n0_left = n_left - n1_left
-    n0_right = n_right - n1_right
-    valid = (
-        (n_left >= min_leaf) & (n_right >= min_leaf)
-        & (n1_left >= min_arm) & (n0_left >= min_arm)
-        & (n1_right >= min_arm) & (n0_right >= min_arm)
-    )
+    valid = ((left[4] >= min_arm) & (n_left - left[4] >= min_arm)
+             & (right[4] >= min_arm) & (n_right - right[4] >= min_arm))
     if not valid.any():
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau_left = c_wty[cuts] / c_wt[cuts] - c_wcy[cuts] / c_wc[cuts]
-        tau_right = ((c_wty[-1] - c_wty[cuts]) / (c_wt[-1] - c_wt[cuts])
-                     - (c_wcy[-1] - c_wcy[cuts]) / (c_wc[-1] - c_wc[cuts]))
+        tau_left = left[0] / left[1] - left[2] / left[3]
+        tau_right = right[0] / right[1] - right[2] / right[3]
         gain = n_left * tau_left ** 2 + n_right * tau_right ** 2
     gain = np.where(valid, gain, -np.inf)
     best = int(np.argmax(gain))         # argmax takes the first max -> lowest threshold
@@ -167,27 +176,45 @@ def _best_split_for_feature(x_col, y, d, e, min_leaf, min_arm):
     return float(gain[best]), threshold
 
 
-def _grow_node(x, y, d, e, depth, cfg, min_leaf):
-    n = y.size
-    n1 = int(d.sum())
-    tau = leaf_weighted_itt(y, d, e)
-    node = TreeNode(n=n, n1=n1, n0=n - n1, tau=float(tau))
-    if depth >= cfg.max_depth:
-        return node
+def _grow_node(frame, rows, orders, depth):
+    """Grow the subtree on ``rows`` (ascending); ``orders`` holds, per
+    feature, the same rows in stable sorted order."""
+    cols, sums, d, mark, cfg, min_leaf = frame
+    wty, wt, wcy, wc = sums[:4]
+    m = rows.size
+    n1 = int(d[rows].sum())
+    if n1 in (0, m):
+        # a cut at a midpoint that rounds to the upper value sends that
+        # value left, so a child can miss the arm counts the scan checked
+        raise EmptyArmError("leaf needs at least one unit in each arm")
+    tau = (float(wty[rows].sum() / wt[rows].sum())
+           - float(wcy[rows].sum() / wc[rows].sum()))
+    node = TreeNode(n=m, n1=n1, n0=m - n1, tau=tau)
+    if (depth >= cfg.max_depth or m < 2 * min_leaf
+            or min(n1, m - n1) < 2 * cfg.min_arm_count):
+        return node                     # no cut can satisfy the floors
     best = None
-    for f in range(x.shape[1]):
-        cand = _best_split_for_feature(x[:, f], y, d, e, min_leaf,
-                                       cfg.min_arm_count)
+    for f, order in enumerate(orders):
+        cand = _best_split(cols[f][order], sums.take(order, axis=1),
+                           min_leaf, cfg.min_arm_count)
         if cand is not None and (best is None or cand[0] > best[1]):
             best = (f, cand[0], cand[1])
     if best is None:
         return node
-    feature, gain, threshold = best[0], best[1], best[2]
-    if gain <= n * tau * tau:
+    feature, gain, threshold = best
+    if gain <= m * tau * tau:
         return node                     # no strict heterogeneity improvement
-    mask = x[:, feature] <= threshold
-    left = _grow_node(x[mask], y[mask], d[mask], e[mask], depth + 1, cfg, min_leaf)
-    right = _grow_node(x[~mask], y[~mask], d[~mask], e[~mask], depth + 1, cfg, min_leaf)
+    goes_left = cols[feature][rows] <= threshold
+    left_orders, right_orders = [], []
+    if depth + 1 < cfg.max_depth:
+        mark[rows] = goes_left
+        for order in orders:
+            side = mark[order]
+            left_orders.append(order.compress(side))
+            right_orders.append(order.compress(~side))
+    orders.clear()                      # the parent's orders are not needed again
+    left = _grow_node(frame, rows[goes_left], left_orders, depth + 1)
+    right = _grow_node(frame, rows[~goes_left], right_orders, depth + 1)
     return replace(node, feature=int(feature), threshold=float(threshold),
                    left=left, right=right)
 
@@ -197,6 +224,11 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
 
     The regime must be resolved against exactly these units (constant
     share or per-unit probabilities).
+
+    Each feature is sorted once (the CART presort); a node's per-feature
+    orders are its parent's, filtered stably, so they equal a stable sort
+    of the node's own rows and the split scan sums in the same order as a
+    per-node sort would. A node's tau sums its rows in row order.
     """
     n = train.n_units
     d = (train.w if regime.splits_on_receipt else train.z).astype(np.int64)
@@ -206,7 +238,17 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
     if min(n1, n - n1) < cfg.min_arm_count:
         raise GrowthError(
             f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
-    return _grow_node(train.covariates, train.y, d, e, 0, cfg, min_leaf)
+    # validates d and e for every node at once: a node's rows are a subset
+    leaf_weighted_itt(train.y, d, e)
+    df = d.astype(np.float64)
+    wt = df / e
+    wc = (1.0 - df) / (1.0 - e)
+    sums = np.stack([wt * train.y, wt, wc * train.y, wc, df])
+    cols = train.covariates.T
+    # int32 halves the memory the orders take
+    orders = [_stable_order(col).astype(np.int32) for col in cols]
+    frame = (cols, sums, d, np.empty(n, dtype=bool), cfg, min_leaf)
+    return _grow_node(frame, np.arange(n), orders, 0)
 
 
 # --- pruning ---
@@ -544,18 +586,37 @@ def _node_to_dict(node: TreeNode) -> dict:
     return out
 
 
-def _node_from_dict(data: dict) -> TreeNode:
-    est = None
-    if data.get("estimate") is not None:
-        est = LeafEstimate(**data["estimate"])
-    if "left" in data:
+_BRANCH_KEYS = ("feature", "threshold", "left", "right")
+
+
+def _node_from_dict(data: dict, n_features: int) -> TreeNode:
+    if not isinstance(data, dict):
+        raise ValidationError(f"tree node is a {type(data).__name__}, not an object")
+    branch = [key in data for key in _BRANCH_KEYS]
+    if all(branch) and "estimate" not in data:
+        feature, threshold = data["feature"], data["threshold"]
+        if (not isinstance(feature, int) or isinstance(feature, bool)
+                or not 0 <= feature < n_features):
+            raise ValidationError(
+                f"node {data['node_id']}: feature index {feature!r} is not one "
+                f"of the {n_features} features")
+        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+            raise ValidationError(
+                f"node {data['node_id']}: threshold {threshold!r} is not a number")
         return TreeNode(
             n=data["n"], n1=data["n1"], n0=data["n0"], tau=data["tau"],
-            feature=data["feature"], threshold=data["threshold"],
-            left=_node_from_dict(data["left"]),
-            right=_node_from_dict(data["right"]),
+            feature=feature, threshold=threshold,
+            left=_node_from_dict(data["left"], n_features),
+            right=_node_from_dict(data["right"], n_features),
             node_id=data["node_id"],
         )
+    if any(branch) or "estimate" not in data:
+        raise ValidationError(
+            f"node {data.get('node_id')!r} is neither a leaf (an estimate only) "
+            f"nor an internal node ({', '.join(_BRANCH_KEYS)}, no estimate)")
+    est = None
+    if data["estimate"] is not None:
+        est = LeafEstimate(**data["estimate"])
     return TreeNode(n=data["n"], n1=data["n1"], n0=data["n0"], tau=data["tau"],
                     node_id=data["node_id"], estimate=est)
 
@@ -603,8 +664,20 @@ def load_json(text: str) -> CausalTree:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from None
-    if payload.get("format") != "ctiv-tree":
+    if not isinstance(payload, dict) or payload.get("format") != "ctiv-tree":
         raise ValidationError("not a serialised tree (missing format marker)")
+    if payload.get("version") != 1:
+        raise ValidationError(
+            f"unsupported tree version {payload.get('version')!r}; expected 1")
+    try:
+        return _tree_from_payload(payload)
+    except KeyError as exc:
+        raise ValidationError(f"serialised tree lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed serialised tree: {exc}") from None
+
+
+def _tree_from_payload(payload: dict) -> CausalTree:
     meta = payload["meta"]
     prop = None
     if meta["propensity"] is not None:
@@ -616,9 +689,12 @@ def load_json(text: str) -> CausalTree:
             ridge_lambda=p["ridge_lambda"], converged=p["converged"],
             iterations=p["iterations"],
         )
+    names = tuple(meta["feature_names"])
+    if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
+        raise ValidationError("feature_names must be distinct strings")
     return CausalTree(
-        root=_node_from_dict(payload["tree"]),
-        feature_names=tuple(meta["feature_names"]),
+        root=_node_from_dict(payload["tree"], len(names)),
+        feature_names=names,
         regime_kind=RegimeKind(meta["regime"]),
         alpha=meta["alpha"],
         p_hat=meta["p_hat"],

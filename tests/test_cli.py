@@ -252,3 +252,58 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+def _one_feature_tree(tmp_path, capsys):
+    data = tmp_path / "d1.csv"
+    run(capsys, "simulate", "--design", "1", "--n", "800", "--seed", "2",
+        "--out", str(data))
+    fit_dir = tmp_path / "fit"
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime",
+                       "iv-randomized", "--features", "x1",
+                       "--out-dir", str(fit_dir), "--seed", "2")
+    assert code == EXIT_OK, err
+    return fit_dir / "tree.json"
+
+
+@pytest.mark.parametrize("text, row, value", [
+    ("x1\nnan\ninf\n", 1, "nan"),
+    ("x1\n0.5\ninf\n", 2, "inf"),
+    ("x1\r\n0.5\r\n1\r\n-Infinity\r\n", 3, "-inf"),
+])
+def test_predict_rejects_non_finite_features(tmp_path, capsys, text, row, value):
+    tree = _one_feature_tree(tmp_path, capsys)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", "--tree", str(tree),
+                       "--input", str(bad), "--output", str(out))
+    assert code == EXIT_DATA
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert f"non-finite value {value} for feature 'x1' at data row {row}" in payload["message"]
+    assert not out.exists()
+
+
+def test_predict_malformed_tree_exit_data(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"format":"ctiv-tree"}')
+    data = tmp_path / "x.csv"
+    data.write_text("x1\n0.5\n")
+    code, _, err = run(capsys, "predict", "--tree", str(tree),
+                       "--input", str(data), "--output", str(tmp_path / "p.csv"))
+    assert code == EXIT_DATA
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_predict_reports_bad_cell(tmp_path, capsys):
+    tree = _one_feature_tree(tmp_path, capsys)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,label\n0.5,a\n,b\n")
+    code, _, err = run(capsys, "predict", "--tree", str(tree),
+                       "--input", str(bad), "--output", str(tmp_path / "p.csv"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {
+        "error": "MissingValueError",
+        "message": "blank value for column 'x1' at data row 2"}

@@ -1,0 +1,407 @@
+"""The fast paths against the reference implementations they replace.
+
+- Growth: the presorted split search against the per-node stable argsort
+  it replaced, which is kept below verbatim as the reference.
+- ``_stable_order`` against ``np.argsort(kind="stable")``.
+- The chunked numpy CSV reader against the per-cell parser: the same
+  values bit for bit, or the same error.
+- The chunked CSV writer against the per-row ``csv.writer`` loop.
+"""
+
+import csv
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import ctiv.dataset
+from ctiv import (
+    CausalTree,
+    ColumnSchema,
+    Dataset,
+    GrowthConfig,
+    RegimeKind,
+    design_spec,
+    export_json,
+    generate,
+    grow,
+    load_csv,
+    save_csv,
+)
+from ctiv.dataset import read_csv_columns
+from ctiv.errors import CtivError, GrowthError
+from ctiv.transform import AssignmentRegime, leaf_weighted_itt
+from ctiv.tree import TreeNode, _stable_order
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# --- reference growth: a stable argsort of every feature at every node ---
+
+def ref_best_split_for_feature(x_col, y, d, e, min_leaf, min_arm):
+    order = np.argsort(x_col, kind="stable")
+    xs = x_col[order]
+    cuts = np.flatnonzero(xs[:-1] < xs[1:])
+    if cuts.size == 0:
+        return None
+    yo = y[order]
+    do = d[order].astype(np.float64)
+    eo = e[order]
+    wt = do / eo
+    wc = (1.0 - do) / (1.0 - eo)
+    c_wty = np.cumsum(wt * yo)
+    c_wt = np.cumsum(wt)
+    c_wcy = np.cumsum(wc * yo)
+    c_wc = np.cumsum(wc)
+    c_n1 = np.cumsum(do)
+    n = xs.size
+    n_left = cuts + 1
+    n_right = n - n_left
+    n1_left = c_n1[cuts]
+    n1_right = c_n1[-1] - n1_left
+    n0_left = n_left - n1_left
+    n0_right = n_right - n1_right
+    valid = (
+        (n_left >= min_leaf) & (n_right >= min_leaf)
+        & (n1_left >= min_arm) & (n0_left >= min_arm)
+        & (n1_right >= min_arm) & (n0_right >= min_arm)
+    )
+    if not valid.any():
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau_left = c_wty[cuts] / c_wt[cuts] - c_wcy[cuts] / c_wc[cuts]
+        tau_right = ((c_wty[-1] - c_wty[cuts]) / (c_wt[-1] - c_wt[cuts])
+                     - (c_wcy[-1] - c_wcy[cuts]) / (c_wc[-1] - c_wc[cuts]))
+        gain = n_left * tau_left ** 2 + n_right * tau_right ** 2
+    gain = np.where(valid, gain, -np.inf)
+    best = int(np.argmax(gain))
+    threshold = float((xs[cuts[best]] + xs[cuts[best] + 1]) / 2.0)
+    return float(gain[best]), threshold
+
+
+def ref_grow_node(x, y, d, e, depth, cfg, min_leaf):
+    n = y.size
+    n1 = int(d.sum())
+    tau = leaf_weighted_itt(y, d, e)
+    node = TreeNode(n=n, n1=n1, n0=n - n1, tau=float(tau))
+    if depth >= cfg.max_depth:
+        return node
+    best = None
+    for f in range(x.shape[1]):
+        cand = ref_best_split_for_feature(x[:, f], y, d, e, min_leaf,
+                                          cfg.min_arm_count)
+        if cand is not None and (best is None or cand[0] > best[1]):
+            best = (f, cand[0], cand[1])
+    if best is None:
+        return node
+    feature, gain, threshold = best[0], best[1], best[2]
+    if gain <= n * tau * tau:
+        return node
+    mask = x[:, feature] <= threshold
+    left = ref_grow_node(x[mask], y[mask], d[mask], e[mask], depth + 1, cfg, min_leaf)
+    right = ref_grow_node(x[~mask], y[~mask], d[~mask], e[~mask], depth + 1, cfg, min_leaf)
+    return replace(node, feature=int(feature), threshold=float(threshold),
+                   left=left, right=right)
+
+
+def ref_grow(train, regime, cfg):
+    n = train.n_units
+    d = (train.w if regime.splits_on_receipt else train.z).astype(np.int64)
+    e = regime.unit_probabilities(n)
+    min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
+    n1 = int(d.sum())
+    if min(n1, n - n1) < cfg.min_arm_count:
+        raise GrowthError(
+            f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
+    return ref_grow_node(train.covariates, train.y, d, e, 0, cfg, min_leaf)
+
+
+def tree_json(grower, ds, regime, cfg):
+    """export_json of the grown tree, or the error growth raised."""
+    try:
+        root = grower(ds, regime, cfg)
+    except CtivError as exc:
+        return type(exc).__name__, str(exc)
+    tree = CausalTree(
+        root=root, feature_names=ds.feature_names, regime_kind=regime.kind,
+        alpha=0.0, p_hat=regime.p_hat, propensity=None, adjust_covariates=False,
+        n_input=ds.n_units, n_trimmed=0, n_train=ds.n_units, n_validation=0,
+        n_omega=ds.n_units, seed=0, max_depth=cfg.max_depth,
+        min_leaf_fraction=cfg.min_leaf_fraction, min_arm_count=cfg.min_arm_count)
+    return export_json(tree)
+
+
+def regime_for(kind, ds, e, p):
+    if kind is RegimeKind.IV_RANDOMIZED:
+        return AssignmentRegime(kind, p_hat=p)
+    return AssignmentRegime(kind, e_hat=e[:ds.n_units])
+
+
+# small integers, both zeros and a half: many ties, and -0.0 == 0.0. The
+# two floats just above 1.0 are adjacent, and their midpoint rounds to the
+# upper one, so a cut between them sends the upper value left.
+ONE_UP = float(np.nextafter(1.0, 2.0))
+TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, ONE_UP,
+                              float(np.nextafter(ONE_UP, 2.0)), 2.0, 3.0])
+
+
+@st.composite
+def tie_heavy_fits(draw):
+    n = draw(st.integers(8, 70))
+    k = draw(st.integers(1, 4))
+    x = draw(hnp.arrays(np.float64, (n, k), elements=TIE_VALUES))
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, k - 1))] = draw(TIE_VALUES)    # a constant column
+    y = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        TIE_VALUES, st.floats(-5.0, 5.0, allow_subnormal=False))))
+    z = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
+    w = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
+    e = draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 0.95)))
+    p = draw(st.floats(0.05, 0.95))
+    kind = draw(st.sampled_from(list(RegimeKind)))
+    ds = Dataset(covariates=x, z=z, w=w, y=y,
+                 feature_names=tuple(f"x{j}" for j in range(k)))
+    regime = regime_for(kind, ds, e, p)
+    cfg = GrowthConfig(regime=regime, max_depth=draw(st.integers(1, 4)),
+                       min_leaf_fraction=draw(st.sampled_from([0.02, 0.1, 0.25])),
+                       min_arm_count=draw(st.integers(1, 3)))
+    return ds, regime, cfg
+
+
+@SETTINGS
+@given(tie_heavy_fits())
+def test_grow_matches_reference_on_tie_heavy_data(case):
+    ds, regime, cfg = case
+    assert tree_json(grow, ds, regime, cfg) == tree_json(ref_grow, ds, regime, cfg)
+
+
+@pytest.mark.parametrize("design", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", list(RegimeKind))
+def test_grow_matches_reference_on_designs(design, kind):
+    sample = generate(design_spec(design, 1500, seed=40 + design))
+    ds = sample.dataset
+    e = np.random.default_rng(design).uniform(0.1, 0.9, ds.n_units)
+    regime = regime_for(kind, ds, e, 0.5)
+    for rounded in (False, True):
+        data = ds
+        if rounded:     # ties on every feature
+            data = Dataset(np.round(ds.covariates, 1), ds.z, ds.w, ds.y,
+                           ds.feature_names)
+        cfg = GrowthConfig(regime=regime, max_depth=5, min_leaf_fraction=0.02,
+                           min_arm_count=5)
+        assert (tree_json(grow, data, regime, cfg)
+                == tree_json(ref_grow, data, regime, cfg))
+
+
+@pytest.mark.parametrize("upper_arms", [[1, 0] * 4, [1, 1]])
+def test_cut_whose_midpoint_rounds_to_the_upper_value(upper_arms):
+    # the best cut lies between the adjacent floats ONE_UP and two_up, and
+    # their midpoint rounds to two_up: its rows go left with the ONE_UP rows.
+    # When the rows above are all treated, the right child has no controls.
+    two_up = float(np.nextafter(ONE_UP, 2.0))
+    x = [ONE_UP] * 8 + [two_up] * 8 + [3.0] * len(upper_arms)
+    d = np.array([1, 0] * 8 + upper_arms)
+    y = d * np.where(np.asarray(x) > ONE_UP, 4.0, 0.0)
+    ds = Dataset(covariates=np.array(x)[:, None], z=d, w=d, y=y, feature_names=("x1",))
+    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED, p_hat=0.5)
+    cfg = GrowthConfig(regime=regime, max_depth=1, min_leaf_fraction=0.05,
+                       min_arm_count=1)
+    got = tree_json(grow, ds, regime, cfg)
+    assert got == tree_json(ref_grow, ds, regime, cfg)
+    if len(upper_arms) == 2:
+        assert got == ("EmptyArmError", "leaf needs at least one unit in each arm")
+    else:
+        root = grow(ds, regime, cfg)
+        assert root.threshold == two_up and root.left.n == 16
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, st.integers(0, 300), elements=st.one_of(
+    TIE_VALUES, st.floats(allow_nan=False))))
+def test_stable_order_is_stable_argsort(col):
+    assert np.array_equal(_stable_order(col), np.argsort(col, kind="stable"))
+
+
+# --- the CSV reader ---
+
+# cell texts that numpy or the per-cell parser may read differently, or
+# reject: each must come out as the per-cell parser has it
+ODD_CELLS = ["", " ", "  1.5 ", "\t2", "1_000", "nan", "-inf", "Infinity",
+             "#", "1#2", '"3"', '"1,5"', "abc", "0x10", "1e400", "-0.0", " 1",
+             "١", "2.0", "0.5"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV with columns y, w, z, x1, x2, label, irregular at random places."""
+    n = draw(st.integers(0, 12))
+    rows = []
+    for _ in range(n):
+        cells = [repr(draw(st.floats(-1e3, 1e3))),
+                 draw(st.sampled_from(["0", "1", "1.0", "-0"])),
+                 draw(st.sampled_from(["0", "1"])),
+                 repr(draw(st.floats(allow_nan=False, allow_infinity=False))),
+                 repr(draw(TIE_VALUES)),
+                 draw(st.sampled_from(["a", "b#c", "", "1"]))]
+        rows.append(cells)
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        if len(rows[i]) < 5:
+            continue                    # a blank or shortened row already
+        mutation = draw(st.sampled_from(["cell", "extra", "missing", "blank", "arm"]))
+        if mutation == "cell":
+            rows[i][draw(st.integers(0, 4))] = draw(st.sampled_from(ODD_CELLS))
+        elif mutation == "extra":
+            rows[i].append("1")
+        elif mutation == "missing":
+            rows[i].pop()
+        elif mutation == "blank":
+            rows.insert(i, [])
+        else:
+            rows[i][draw(st.integers(1, 2))] = draw(st.sampled_from(["2", "0.5", "nan"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["y,w,z,x1,x2,label"] + [",".join(r) for r in rows]
+    text = end.join(lines)
+    if draw(st.booleans()):
+        text += end
+    return text
+
+
+def outcome(read):
+    """What ``read()`` returns, or the error it raises, comparable exactly."""
+    try:
+        result = read()
+    except CtivError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, Dataset):
+        return (result.feature_names, result.covariates.tobytes(), result.y.tobytes(),
+                result.w.tobytes(), result.z.tobytes())
+    return result[0], result[1].shape, result[1].tobytes()
+
+
+def reference(read):
+    """``read()`` with the numpy path switched off: per-cell parsing only."""
+    with mock.patch.object(ctiv.dataset, "_numpy_rows", return_value=None):
+        return outcome(read)
+
+
+@SETTINGS
+@given(csv_texts(), st.sampled_from([1, 2, 8192]))
+def test_fast_reader_matches_per_cell_parser(text, chunk):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        reads = [
+            lambda: load_csv(path, ColumnSchema(feature_cols=("x1", "x2"))),
+            lambda: load_csv(path),     # label is a feature: non-numeric
+            lambda: read_csv_columns(path, lambda header: ["x2", "x1"]),
+        ]
+        with mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
+            for read in reads:
+                assert outcome(read) == reference(read)
+
+
+HEADER = "y,w,z,x1,x2,label"
+CSV_CASES = {
+    "lf": f"{HEADER}\n1.5,1,0,0.25,-3,a\n2,0,1,1e-5,4,b\n",
+    "crlf": f"{HEADER}\r\n1.5,1,0,0.25,-3,a\r\n2,0,1,1e-5,4,b\r\n",
+    "cr": f"{HEADER}\r1.5,1,0,0.25,-3,a\r2,0,1,1e-5,4,b\r",
+    "no final newline": f"{HEADER}\n1.5,1,0,0.25,-3,a\n2,0,1,1e-5,4,b",
+    "blank line": f"{HEADER}\n1.5,1,0,0.25,-3,a\n\n2,0,1,1e-5,4,b\n",
+    "quoted cell": f'{HEADER}\n1.5,1,0,"0.25",-3,a\n',
+    "quoted label": f'{HEADER}\n1.5,1,0,0.25,-3,"a"\n',
+    # csv.reader joins the two lines into one row of 11 cells
+    "quoted newline": f'{HEADER}\n1,1,0,5,6,"a\nb",1,0,7,8,9\n',
+    "extra cell": f"{HEADER}\n1.5,1,0,0.25,-3,a,7\n",
+    "missing cell": f"{HEADER}\n1.5,1,0,0.25,-3\n",
+    "surrounding spaces": f"{HEADER}\n 1.5 ,1, 0 ,\t0.25,-3 ,a\n",
+    "underscore": f"{HEADER}\n1_000,1,0,0.25,-3,a\n",
+    "nan": f"{HEADER}\nnan,1,0,0.25,-3,a\n",
+    "nan arm": f"{HEADER}\n1.5,nan,0,0.25,-3,a\n",
+    "hash in last used column": f"{HEADER}\n1.5,1,0,0.25,1#2,a\n",
+    "hash in label": f"{HEADER}\n1.5,1,0,0.25,-3,#a\n",
+    "text label": f"{HEADER}\n1.5,1,0,0.25,-3,abc\n2,0,1,1e-5,4,d e\n",
+    "non-binary arm": f"{HEADER}\n1.5,1,0,0.25,-3,a\n1.5,2,0,x,-3,a\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_fast_reader_cases(tmp_path, case):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CSV_CASES[case].encode("utf-8"))
+    reads = [
+        lambda: load_csv(path, ColumnSchema(feature_cols=("x1", "x2"))),
+        lambda: load_csv(path),
+        lambda: read_csv_columns(path, lambda header: ["x2", "x1"]),
+    ]
+    for read in reads:
+        assert outcome(read) == reference(read)
+
+
+@pytest.mark.parametrize("text", ["x1\n1\n\n2\n", "x1\r\n1\r\n\r\n", "x1\n\n", "x1\n 3\n"])
+def test_fast_reader_single_column(tmp_path, text):
+    path = tmp_path / "one.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def read():
+        return read_csv_columns(path, lambda header: ["x1"])
+
+    assert outcome(read) == reference(read)
+
+
+def test_regular_csv_takes_the_numpy_path(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("y,w,z,x1,label\r\n1.5,1,0,-0.0,a#b\r\n2,0,1,3e-5,c\n-1,1,1,7,d",
+                    encoding="utf-8")
+    schema = ColumnSchema(feature_cols=("x1",))
+    expected = reference(lambda: load_csv(path, schema))
+    with mock.patch.object(ctiv.dataset, "_reference_rows",
+                           side_effect=AssertionError("per-cell parser used")):
+        assert outcome(lambda: load_csv(path, schema)) == expected
+    assert np.signbit(load_csv(path, schema).covariates[0, 0])
+
+
+# --- the CSV writer ---
+
+def ref_save_csv(ds, path, extra_columns):
+    """The per-row csv.writer loop save_csv replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "w", "z", *ds.feature_names, *extra_columns.keys()])
+        for i in range(ds.n_units):
+            row = [repr(float(ds.y[i])), int(ds.w[i]), int(ds.z[i])]
+            row += [repr(float(v)) for v in ds.covariates[i]]
+            row += [repr(float(extra_columns[name][i])) for name in extra_columns]
+            writer.writerow(row)
+
+
+FLOATS = st.one_of(TIE_VALUES, st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([1e16, 1e-5, 1e-4, 5e-324, 0.1, 123456789.0]))
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 3), st.data())
+def test_save_csv_matches_csv_writer(n, k, data):
+    ds = Dataset(
+        covariates=data.draw(hnp.arrays(np.float64, (n, k), elements=FLOATS)),
+        z=data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1))),
+        w=data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1))),
+        y=data.draw(hnp.arrays(np.float64, n, elements=FLOATS)),
+        feature_names=tuple(f"x,{j}" if j == 1 else f"x{j}" for j in range(k)))
+    extras = {"true_cate": data.draw(hnp.arrays(np.float64, n, elements=FLOATS)),
+              "count": np.arange(n)}
+    with mock.patch.object(ctiv.dataset, "_WRITE_ROWS", data.draw(st.sampled_from([1, 7, 1024]))), \
+            tempfile.TemporaryDirectory() as d:
+        save_csv(ds, Path(d) / "fast.csv", extra_columns=extras)
+        ref_save_csv(ds, Path(d) / "ref.csv", extras)
+        assert (Path(d) / "fast.csv").read_bytes() == (Path(d) / "ref.csv").read_bytes()

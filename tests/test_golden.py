@@ -1,0 +1,95 @@
+"""Golden bytes: sha256 of every CLI artefact, pinned against the reference
+implementation (per-cell CSV parse and write, per-node argsort growth).
+
+The rerun tests elsewhere compare two runs of the same code, so they cannot
+see a change that alters output bytes consistently. These digests can. The
+tied fit reads covariates rounded to one decimal, so many rows share a value
+(and some are -0.0): that exercises the stable ordering of equal values in
+the split search.
+"""
+
+import csv
+import hashlib
+
+import pytest
+
+from ctiv.cli import EXIT_OK, main
+
+FEATURES = ",".join(f"x{i}" for i in range(1, 11))
+
+SIMULATE_CSV = "82a348978fe17d2dbbb939e6b776414d9747f9b913da726d23dd62590ac9e06f"
+ROUNDED_CSV = "c0f30dbefd0ecf89adf2997da6cea52b87e1a0ea5fdc47c81ab670eb40451f57"
+
+# (input, regime, extra fit flags) -> artefact digests
+FITS = {
+    "iv": ("sample.csv", "iv-unconfounded", (), {
+        "tree.json": "5400601e2fdace66cddea32baa5cc316e3c9a4b7af81dc7cf0e13b3c0f135f5c",
+        "tree.dot": "d74966bc9f331d56cb108891d3155b42c97e8d9da5f650905c8cbb9567c27172",
+        "leaf_report.csv": "617686fe5f2de0445732c177b13034960fba05e4544dfd48d22d9ad6b2cda339",
+        "predict.csv": "02b358053bb0a4190766a7a90218bd7b9f086b6ee5774a19f9c3f9b134ab49ba",
+    }),
+    "ct": ("sample.csv", "ct", ("--alpha", "0"), {
+        "tree.json": "a4b77c061758f021ad7bf45aa91706069d505b7ad509f52fc684e126a159ead5",
+        "tree.dot": "9a928dc58b33d8bd25c0f3f9ef823b44f04895960913f0c9fb0afea67c5ecd7b",
+        "leaf_report.csv": "0f7d0f1231569c5768156825de3b67eed50fb74f3519419b8538eeef8ffc212c",
+        "predict.csv": "3802aa2d8bda2e2116f196f23d25a4524eedd7702000a02b162cbce9b00cb643",
+    }),
+    "tied": ("rounded.csv", "iv-unconfounded", ("--alpha", "0"), {
+        "tree.json": "2251b01a866a2dd6067871711bfa777c6a734fd08582b20f89cdb9f8406f9d98",
+        "tree.dot": "64500ac864c30b46a0f3613528bbd42aa7b62b558d3d9d339e3be1b5536804ea",
+        "leaf_report.csv": "e916ae52dbaecba42d71958dfd1d86b6218807572cc5df95ec8550cbabd11d23",
+        "predict.csv": "095eccefdcce470e990ba7e2d70175ce863edfba95f66bc5f34bd35f541d819d",
+    }),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def cli(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_OK, err
+
+
+def write_rounded(src, dst):
+    """Copy of ``src`` with every x column rounded to one decimal."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    lines = [",".join(header)]
+    for row in rows[1:]:
+        lines.append(",".join(
+            repr(round(float(cell), 1)) if name.startswith("x") else cell
+            for name, cell in zip(header, row)))
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    code = main(["simulate", "--design", "2", "--n", "3000", "--seed", "0",
+                 "--out", str(d / "sample.csv")])
+    assert code == EXIT_OK
+    write_rounded(d / "sample.csv", d / "rounded.csv")
+    return d
+
+
+def test_simulate_bytes(inputs):
+    assert sha256(inputs / "sample.csv") == SIMULATE_CSV
+    assert sha256(inputs / "rounded.csv") == ROUNDED_CSV
+
+
+@pytest.mark.parametrize("tag", sorted(FITS))
+def test_fit_and_predict_bytes(inputs, tmp_path, capsys, tag):
+    source, regime, extra, digests = FITS[tag]
+    out = tmp_path / tag
+    cli(capsys, "fit", "--input", str(inputs / source), "--regime", regime,
+        "--features", FEATURES, "--max-depth", "4",
+        "--min-leaf-fraction", "0.02", "--seed", "0", "--out-dir", str(out),
+        *extra)
+    cli(capsys, "predict", "--tree", str(out / "tree.json"),
+        "--input", str(inputs / source), "--output", str(out / "predict.csv"))
+    got = {name: sha256(out / name) for name in digests}
+    assert got == digests

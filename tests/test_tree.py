@@ -1,5 +1,6 @@
 """Growing, pruning, holdout selection and the fitted-tree artifact."""
 
+import json
 import math
 
 import numpy as np
@@ -532,3 +533,59 @@ def test_load_json_rejects_garbage():
         load_json("not json at all {")
     with pytest.raises(ValidationError):
         load_json('{"format": "something-else", "version": 1}')
+
+
+def _tree_payload():
+    sample = generate(design_spec(2, 800, seed=37))
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=37)
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+                       max_depth=2, min_leaf_fraction=0.1, min_arm_count=10,
+                       alpha_override=0.0)
+    payload = json.loads(export_json(fit_ctiv(sample.dataset, cfg, split, seed=37)))
+    assert "left" in payload["tree"]
+    return payload
+
+
+def _first_leaf(payload):
+    node = payload["tree"]
+    while "left" in node:
+        node = node["left"]
+    return node
+
+
+def _broken(edit):
+    payload = _tree_payload()
+    edit(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda p: p.pop("meta"), "lacks key 'meta'"),
+    (lambda p: p["meta"].pop("regime"), "lacks key 'regime'"),
+    (lambda p: p["tree"].pop("n"), "lacks key 'n'"),
+    (lambda p: p.update(version=2), "version 2"),
+    (lambda p: p.pop("version"), "version None"),
+    (lambda p: p["tree"].update(feature=10), "feature index 10"),
+    (lambda p: p["tree"].update(feature=-1), "feature index -1"),
+    (lambda p: p["tree"].update(feature=True), "feature index True"),
+    (lambda p: p["tree"].update(threshold="0.5"), "threshold '0.5'"),
+    (lambda p: p["tree"].pop("right"), "neither a leaf"),
+    (lambda p: p["tree"].update(estimate=None), "neither a leaf"),
+    (lambda p: _first_leaf(p).pop("estimate"), "neither a leaf"),
+    (lambda p: _first_leaf(p).update(feature=0), "neither a leaf"),
+    (lambda p: p["tree"].update(left=[]), "not an object"),
+    (lambda p: p["meta"].update(regime="other"), "malformed"),
+    (lambda p: p["meta"].update(feature_names=["x1", "x1"]), "distinct"),
+])
+def test_load_json_validates_structure(edit, match):
+    from ctiv.errors import ValidationError
+    with pytest.raises(ValidationError, match=match):
+        load_json(_broken(edit))
+
+
+def test_load_json_format_marker_only():
+    from ctiv.errors import ValidationError
+    with pytest.raises(ValidationError, match="version"):
+        load_json('{"format": "ctiv-tree"}')
+    with pytest.raises(ValidationError, match="format marker"):
+        load_json("[1, 2]")
