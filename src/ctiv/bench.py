@@ -91,14 +91,8 @@ def _cell_seed(base_seed: int, label: str, n: int, rep: int) -> int:
 
 def _sample_for(label: str, n_total: int, seed: int) -> SyntheticSample:
     if label.startswith("s"):
-        scenario = int(label[1:])
-        if scenario == 1:
-            spec = design_spec(2, n_total, seed, target_cor_wz=0.5, scenario=1)
-        else:
-            spec = design_spec(2, n_total, seed, scenario=2)
-    else:
-        spec = design_spec(int(label), n_total, seed)
-    return generate(spec)
+        return generate(design_spec(2, n_total, seed, scenario=int(label[1:])))
+    return generate(design_spec(int(label), n_total, seed))
 
 
 def run_cell(label: str, n: int, rep: int, base_seed: int = 0,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +21,7 @@ import numpy as np
 from . import __version__
 from .bench import format_summary, results_csv, run_sweep
 from .dataset import ColumnSchema, holdout_split, load_csv, read_csv_columns, save_csv
-from .effects import leaf_report_rows
-from .errors import (
-    DATA_ERRORS,
-    ESTIMATION_ERRORS,
-    CtivError,
-    InputError,
-    ValidationError,
-)
+from .errors import CtivError, EstimationError, InputError, ValidationError
 from .synth import design_spec, generate
 from .transform import AssignmentRegime, RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
@@ -138,21 +132,13 @@ def _cmd_fit(args) -> int:
     out = Path(args.out_dir)
     _write(out / "tree.json", export_json(tree))
     _write(out / "tree.dot", export_dot(tree))
-    rows = leaf_report_rows(tree.leaves())
+    leaves = tree.leaves()
     report = "node_id,n,itt_hat,pi_c_hat,cace_hat,cace_se,first_stage_f\n"
-    for row in rows:
-        report += ",".join([
-            str(row["node_id"]), str(row["n"]), repr(row["itt_hat"]),
-            repr(row["pi_c_hat"]), repr(row["cace_hat"]), repr(row["cace_se"]),
-            repr(row["first_stage_f"]),
-        ]) + "\n"
+    for est in leaves:
+        report += (f"{est.leaf_id},{est.n},{est.itt_hat!r},{est.pi_c_hat!r},"
+                   f"{est.cace_hat!r},{est.cace_se!r},{est.first_stage_f!r}\n")
     _write(out / "leaf_report.csv", report)
-    config = _resolved_config(args, [
-        "input", "regime", "y_col", "w_col", "z_col", "features", "max_depth",
-        "min_leaf_fraction", "min_arm_count", "alpha", "ridge", "trim_lo",
-        "trim_hi", "train_frac", "val_frac", "tsls_covariates", "seed",
-        "out_dir",
-    ])
+    config = _resolved_config(args)
     config["resolved"] = {
         "alpha": tree.alpha,
         "n_input": tree.n_input,
@@ -166,13 +152,13 @@ def _cmd_fit(args) -> int:
     print(f"fitted {args.regime} tree: {tree.root.n_leaves()} leaves, "
           f"alpha={tree.alpha:.6g}, trimmed {tree.n_trimmed}/{tree.n_input}")
     print(f"overall CACE (complier-weighted): {tree.overall_cace:.4f}")
-    weak = [est.leaf_id for est in tree.leaves() if est.weak_instrument]
+    weak = [est.leaf_id for est in leaves if est.weak_instrument]
     if weak:
         print(f"weak-instrument leaves (first-stage F < 10): {weak}")
-    for row in rows:
-        print(f"  node {row['node_id']}: n={row['n']} itt={row['itt_hat']:.4f} "
-              f"pi_c={row['pi_c_hat']:.4f} cace={row['cace_hat']:.4f} "
-              f"se={row['cace_se']:.4f} F={row['first_stage_f']:.1f}")
+    for est in leaves:
+        print(f"  node {est.leaf_id}: n={est.n} itt={est.itt_hat:.4f} "
+              f"pi_c={est.pi_c_hat:.4f} cace={est.cace_hat:.4f} "
+              f"se={est.cace_se:.4f} F={est.first_stage_f:.1f}")
     return EXIT_OK
 
 
@@ -184,7 +170,11 @@ def _add_predict_parser(sub) -> None:
 
 
 def _cmd_predict(args) -> int:
-    tree = load_json(Path(args.tree).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.tree).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{args.tree}: not UTF-8 text ({exc.reason})") from None
+    tree = load_json(text)
     names = list(tree.feature_names)
 
     def choose(header: list[str]) -> list[str]:
@@ -228,30 +218,14 @@ def _add_simulate_parser(sub) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    kwargs = {}
-    if args.cor_wz is not None:
-        kwargs["target_cor_wz"] = args.cor_wz
-    if args.cor_weta is not None:
-        kwargs["target_cor_weta"] = args.cor_weta
-    if args.scenario is not None:
-        if args.scenario == 1:
-            kwargs.setdefault("target_cor_wz", 0.5)
-        spec = design_spec(2, args.n, args.seed, scenario=args.scenario, **kwargs)
-    else:
-        spec = design_spec(args.design, args.n, args.seed, **kwargs)
+    # a scenario is a twist on design 2
+    spec = design_spec(args.design or 2, args.n, args.seed, args.cor_wz,
+                       args.cor_weta, args.scenario)
     sample = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(sample.dataset, out, extra_columns={"true_cate": sample.true_cate})
-    sidecar = {
-        "design_id": spec.design_id,
-        "scenario": spec.scenario,
-        "n": spec.n,
-        "seed": spec.seed,
-        "k": spec.k,
-        "error_dist": spec.error_dist,
-        "target_cor_wz": spec.target_cor_wz,
-        "target_cor_weta": spec.target_cor_weta,
+    sidecar = asdict(spec) | {
         "realized_cor_wz": sample.realized_cor_wz,
         "realized_cor_weta": sample.realized_cor_weta,
         "true_cate_column": "true_cate",
@@ -300,10 +274,7 @@ def _cmd_bench(args) -> int:
     out = Path(args.out_dir)
     _write(out / "results.csv", results_csv(results))
     _write(out / "summary.txt", summary)
-    config = _resolved_config(args, [
-        "designs", "sizes", "seeds", "base_seed", "max_depth",
-        "min_leaf_fraction", "min_arm_count", "workers", "out_dir",
-    ])
+    config = _resolved_config(args)
     config["resolved"] = {"designs": designs, "sizes": sizes,
                           "n_cells": len(results) + len(failures),
                           "n_failures": len(failures)}
@@ -316,9 +287,9 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _resolved_config(args, keys: list[str]) -> dict:
-    return {"command": args.command, "version": __version__,
-            "options": {k: getattr(args, k) for k in keys}}
+def _resolved_config(args) -> dict:
+    options = {k: v for k, v in vars(args).items() if k != "command"}
+    return {"command": args.command, "version": __version__, "options": options}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,10 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _emit_error("UsageError", str(exc))
         return EXIT_USAGE
-    except DATA_ERRORS as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_DATA
-    except ESTIMATION_ERRORS as exc:
+    except EstimationError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_ESTIMATION
     except CtivError as exc:

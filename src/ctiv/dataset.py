@@ -146,6 +146,8 @@ def _read_header(reader, path: Path) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, no header row") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: header row: {exc}") from None
     return [h.strip() for h in header]
 
 
@@ -185,20 +187,24 @@ def _reference_rows(path: Path, columns: list[str],
         idx = [header.index(c) for c in columns]
         check_at = max(binary, default=-1)
         rows = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
-            values = []
-            for k, (j, name) in enumerate(zip(idx, columns)):
-                values.append(_parse_cell(row[j], name, i))
-                if k == check_at:
-                    for b in binary:
-                        if values[b] not in (0.0, 1.0):
-                            raise ValidationError(
-                                f"{path}: column '{columns[b]}' must be 0/1 "
-                                f"but data row {i} has {values[b]:g}")
-            rows.append(values)
+        try:
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise ValidationError(f"{path}: data row {i} has {len(row)} "
+                                          f"cells, expected {len(header)}")
+                values = []
+                for k, (j, name) in enumerate(zip(idx, columns)):
+                    values.append(_parse_cell(row[j], name, i))
+                    if k == check_at:
+                        for b in binary:
+                            if values[b] not in (0.0, 1.0):
+                                raise ValidationError(
+                                    f"{path}: column '{columns[b]}' must be 0/1 "
+                                    f"but data row {i} has {values[b]:g}")
+                rows.append(values)
+        except csv.Error as exc:        # e.g. a cell over csv's field size limit
+            raise ValidationError(
+                f"{path}: data row {len(rows) + 1}: {exc}") from None
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
 
 
@@ -212,23 +218,27 @@ def read_csv_columns(path: str | Path,
     read, raising if the header does not fit. ``binary`` are positions in
     that list whose cells must be 0 or 1. Regular text is parsed by numpy,
     a chunk of lines at a time; any other file is re-read cell by cell.
-    Row numbers in error messages are 1-based over data rows.
+    Row numbers in error messages are 1-based over data rows. A file that
+    is not UTF-8 raises ValidationError.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = _read_header(csv.reader(fh), path)
-        columns = choose(header)
-        cols = [header.index(c) for c in columns]
-        blocks = []
-        regular = True
-        try:
-            while regular and (lines := list(islice(fh, _READ_LINES))):
-                blocks.append(_numpy_rows(lines, len(header), cols, binary))
-                regular = blocks[-1] is not None
-        except ValueError:
-            regular = False
-    if not regular:
-        return columns, _reference_rows(path, columns, binary)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = _read_header(csv.reader(fh), path)
+            columns = choose(header)
+            cols = [header.index(c) for c in columns]
+            blocks = []
+            regular = True
+            try:
+                while regular and (lines := list(islice(fh, _READ_LINES))):
+                    blocks.append(_numpy_rows(lines, len(header), cols, binary))
+                    regular = blocks[-1] is not None
+            except ValueError:          # UnicodeDecodeError included
+                regular = False
+        if not regular:
+            return columns, _reference_rows(path, columns, binary)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not blocks:
         return columns, np.empty((0, len(columns)))
     return columns, np.concatenate(blocks)

@@ -267,18 +267,3 @@ def overall_cace(leaves: list[LeafEstimate]) -> float:
     values = np.array([leaf.cace_hat for leaf in leaves])
     return float((values * weights).sum() / total)
 
-
-def leaf_report_rows(leaves: list[LeafEstimate]) -> list[dict]:
-    """Rows for the standard leaf report (dicts keyed by column name)."""
-    return [
-        {
-            "node_id": leaf.leaf_id,
-            "n": leaf.n,
-            "itt_hat": leaf.itt_hat,
-            "pi_c_hat": leaf.pi_c_hat,
-            "cace_hat": leaf.cace_hat,
-            "cace_se": leaf.cace_se,
-            "first_stage_f": leaf.first_stage_f,
-        }
-        for leaf in sorted(leaves, key=lambda le: le.leaf_id)
-    ]

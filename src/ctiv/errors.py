@@ -70,16 +70,3 @@ class NoCompliersError(EstimationError):
 class AggregationError(EstimationError):
     """A weighted aggregate has no mass to average over."""
 
-
-DATA_ERRORS = (
-    SchemaError,
-    ValidationError,
-    MissingValueError,
-    InputError,
-    DomainError,
-    SplitError,
-    EmptyDatasetError,
-    CalibrationError,
-)
-
-ESTIMATION_ERRORS = (EstimationError,)

@@ -99,12 +99,20 @@ _ERROR_BY_DESIGN = {1: "normal", 2: "normal", 3: "exponential",
 
 
 def design_spec(design_id: int, n: int, seed: int,
-                target_cor_wz: float = DEFAULT_COR_WZ,
-                target_cor_weta: float = DEFAULT_COR_WETA,
+                target_cor_wz: float | None = None,
+                target_cor_weta: float | None = None,
                 scenario: int | None = None) -> DesignSpec:
-    """Fill in the derived fields (covariate count, noise family)."""
+    """Fill in the derived fields (covariate count, noise family).
+
+    A target left at None takes its default: Cor(W,Z) 0.5 under
+    scenario 1 (the weak instrument) and 0.65 otherwise, Cor(W,eta) 0.5.
+    """
     if design_id not in _ERROR_BY_DESIGN:
         raise InputError(f"design_id must be 1..5, got {design_id}")
+    if target_cor_wz is None:
+        target_cor_wz = 0.5 if scenario == 1 else DEFAULT_COR_WZ
+    if target_cor_weta is None:
+        target_cor_weta = DEFAULT_COR_WETA
     return DesignSpec(
         design_id=design_id,
         n=n,
@@ -216,10 +224,6 @@ def generate_robustness(scenario: int, n: int, seed: int) -> SyntheticSample:
     scenario 2 adds a direct assignment effect for units with X10 >= 0.
     The true receipt effect is unchanged in both.
     """
-    if scenario == 1:
-        spec = design_spec(2, n, seed, target_cor_wz=0.5, scenario=1)
-    elif scenario == 2:
-        spec = design_spec(2, n, seed, scenario=2)
-    else:
+    if scenario not in (1, 2):
         raise InputError(f"scenario must be 1 or 2, got {scenario}")
-    return generate(spec)
+    return generate(design_spec(2, n, seed, scenario=scenario))

@@ -97,11 +97,6 @@ class TreeNode:
             return 1
         return self.left.n_leaves() + self.right.n_leaves()
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 @dataclass(frozen=True)
 class PathElement:
@@ -253,20 +248,28 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
 
 # --- pruning ---
 
-def _leaf_score_sum(node: TreeNode) -> float:
-    """Sum of n * tau^2 over the leaves below (or at) this node."""
+def _subtree_price(node: TreeNode, n_train: int) -> tuple[float, int, float]:
+    """(score sum, leaf count, own price) of the subtree at ``node``.
+
+    The score sum adds n * tau^2 over its leaves; the own price is the
+    score per training unit that collapsing the node into a leaf gives
+    up, per leaf removed (infinite at a leaf).
+    """
     if node.is_leaf:
-        return node.n * node.tau * node.tau
-    return _leaf_score_sum(node.left) + _leaf_score_sum(node.right)
+        return node.n * node.tau * node.tau, 1, math.inf
+    left_sum, left_leaves, _ = _subtree_price(node.left, n_train)
+    right_sum, right_leaves, _ = _subtree_price(node.right, n_train)
+    score, leaves = left_sum + right_sum, left_leaves + right_leaves
+    gain = (score - node.n * node.tau * node.tau) / n_train
+    return score, leaves, gain / (leaves - 1)
 
 
 def _weakest_alpha(node: TreeNode, n_train: int) -> float:
     """Smallest collapse price over all internal nodes of this subtree."""
     if node.is_leaf:
         return math.inf
-    gain = (_leaf_score_sum(node) - node.n * node.tau * node.tau) / n_train
-    own = gain / (node.n_leaves() - 1)
-    return min(own, _weakest_alpha(node.left, n_train),
+    return min(_subtree_price(node, n_train)[2],
+               _weakest_alpha(node.left, n_train),
                _weakest_alpha(node.right, n_train))
 
 
@@ -274,8 +277,7 @@ def _collapse_at_or_below(node: TreeNode, price: float, n_train: int) -> TreeNod
     """Collapse, top-down, every internal node whose price is <= price."""
     if node.is_leaf:
         return node
-    gain = (_leaf_score_sum(node) - node.n * node.tau * node.tau) / n_train
-    if gain / (node.n_leaves() - 1) <= price:
+    if _subtree_price(node, n_train)[2] <= price:
         return replace(node, feature=None, threshold=None, left=None, right=None)
     return replace(node,
                    left=_collapse_at_or_below(node.left, price, n_train),
@@ -307,19 +309,19 @@ def prune_path(root: TreeNode, n_train: int) -> PruningPath:
 
 # --- alpha selection on a holdout sample ---
 
-def _predict_tau(root: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-
-    def rec(node: TreeNode, idx: np.ndarray) -> None:
+def _leaf_rows(root: TreeNode, x: np.ndarray):
+    """Yield (full-binary id, leaf, row indices) for every leaf of the
+    tree, left to right; a row of ``x`` goes left when its value of the
+    split feature is <= the threshold."""
+    stack = [(1, root, np.arange(x.shape[0]))]
+    while stack:
+        node_id, node, rows = stack.pop()
         if node.is_leaf:
-            out[idx] = node.tau
-            return
-        goes_left = x[idx, node.feature] <= node.threshold
-        rec(node.left, idx[goes_left])
-        rec(node.right, idx[~goes_left])
-
-    rec(root, np.arange(x.shape[0]))
-    return out
+            yield node_id, node, rows
+            continue
+        goes_left = x[rows, node.feature] <= node.threshold
+        stack.append((2 * node_id + 1, node.right, rows[~goes_left]))
+        stack.append((2 * node_id, node.left, rows[goes_left]))
 
 
 def holdout_loss(root: TreeNode, validation: Dataset,
@@ -329,7 +331,9 @@ def holdout_loss(root: TreeNode, validation: Dataset,
     d = validation.w if regime.splits_on_receipt else validation.z
     e = regime.unit_probabilities(n)
     y_star = transformed_outcome(validation.y, d, e)
-    tau = _predict_tau(root, validation.covariates)
+    tau = np.empty(n)
+    for _, leaf, rows in _leaf_rows(root, validation.covariates):
+        tau[rows] = leaf.tau
     if not np.isfinite(tau).all():
         raise EstimationError("a validation unit reached a leaf without an effect")
     return float(-np.mean((y_star - tau) ** 2))
@@ -419,16 +423,8 @@ class CausalTree:
             raise InputError(
                 f"expected (N, {len(self.feature_names)}) covariates, got {x.shape}")
         out = np.empty(x.shape[0], dtype=np.int64)
-
-        def rec(node: TreeNode, idx: np.ndarray) -> None:
-            if node.is_leaf:
-                out[idx] = node.node_id
-                return
-            goes_left = x[idx, node.feature] <= node.threshold
-            rec(node.left, idx[goes_left])
-            rec(node.right, idx[~goes_left])
-
-        rec(self.root, np.arange(x.shape[0]))
+        for _, leaf, rows in _leaf_rows(self.root, x):
+            out[rows] = leaf.node_id
         return out
 
     @property
@@ -441,26 +437,21 @@ class CausalTree:
         if x.shape != (len(self.feature_names),):
             raise InputError(
                 f"expected {len(self.feature_names)} features, got {x.shape}")
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
+        node = next(leaf for _, leaf, rows in _leaf_rows(self.root, x[None, :])
+                    if rows.size)
         if node.estimate is None:
             raise EstimationError(f"leaf {node.node_id} has no estimate")
         return node.estimate
 
 
-def _assign_ids_and_estimates(node, node_id, unit_idx, frame, adjust):
-    x, y, z, w, e, regime = frame
+def _numbered(node: TreeNode, node_id: int,
+              estimates: dict[int, LeafEstimate]) -> TreeNode:
+    """The subtree with full-binary ids and, at its leaves, ``estimates``."""
     if node.is_leaf:
-        est = estimate_leaf(node_id, y[unit_idx], z[unit_idx], w[unit_idx],
-                            x[unit_idx], regime, e[unit_idx], adjust)
-        return replace(node, node_id=node_id, estimate=est)
-    goes_left = x[unit_idx, node.feature] <= node.threshold
-    left = _assign_ids_and_estimates(node.left, 2 * node_id,
-                                     unit_idx[goes_left], frame, adjust)
-    right = _assign_ids_and_estimates(node.right, 2 * node_id + 1,
-                                      unit_idx[~goes_left], frame, adjust)
-    return replace(node, node_id=node_id, left=left, right=right)
+        return replace(node, node_id=node_id, estimate=estimates[node_id])
+    return replace(node, node_id=node_id,
+                   left=_numbered(node.left, 2 * node_id, estimates),
+                   right=_numbered(node.right, 2 * node_id + 1, estimates))
 
 
 def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
@@ -492,11 +483,9 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
 
     model: PropensityModel | None = None
     p_hat: float | None = None
-    if kind is RegimeKind.CT:
-        model = fit_logistic(ds.covariates, ds.w, ridge_lambda=ridge_lambda)
-        e_all = model.predict_many(ds.covariates)
-    elif kind is RegimeKind.IV_UNCONFOUNDED:
-        model = fit_logistic(ds.covariates, ds.z, ridge_lambda=ridge_lambda)
+    if kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
+        split_on = ds.w if kind is RegimeKind.CT else ds.z
+        model = fit_logistic(ds.covariates, split_on, ridge_lambda=ridge_lambda)
         e_all = model.predict_many(ds.covariates)
     elif kind is RegimeKind.IV_RANDOMIZED:
         p_hat = estimate_constant_p(ds.z)
@@ -535,10 +524,14 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     full = grow(omega_ds, omega_regime, cfg)
     final = prune_at_alpha(full, alpha, omega_ds.n_units)
 
-    frame = (omega_ds.covariates, omega_ds.y, omega_ds.z, omega_ds.w,
-             omega_regime.unit_probabilities(omega_ds.n_units), omega_regime)
-    final = _assign_ids_and_estimates(final, 1, np.arange(omega_ds.n_units),
-                                      frame, adjust)
+    x, e = omega_ds.covariates, omega_regime.unit_probabilities(omega_ds.n_units)
+    estimates = {
+        node_id: estimate_leaf(node_id, omega_ds.y[rows], omega_ds.z[rows],
+                               omega_ds.w[rows], x[rows], omega_regime, e[rows],
+                               adjust)
+        for node_id, _, rows in _leaf_rows(final, x)
+    }
+    final = _numbered(final, 1, estimates)
 
     tree = CausalTree(
         root=final,
@@ -589,69 +582,66 @@ def _node_to_dict(node: TreeNode) -> dict:
 _BRANCH_KEYS = ("feature", "threshold", "left", "right")
 
 
-def _node_from_dict(data: dict, n_features: int) -> TreeNode:
+def _node_from_dict(data: dict, n_features: int, node_id: int = 1) -> TreeNode:
+    """Rebuild the subtree whose root must carry full-binary id ``node_id``."""
     if not isinstance(data, dict):
         raise ValidationError(f"tree node is a {type(data).__name__}, not an object")
+    if data["node_id"] != node_id or isinstance(data["node_id"], bool):
+        raise ValidationError(
+            f"node {data['node_id']!r} should have id {node_id}: the root is 1 "
+            f"and the children of k are 2k and 2k+1")
     branch = [key in data for key in _BRANCH_KEYS]
     if all(branch) and "estimate" not in data:
         feature, threshold = data["feature"], data["threshold"]
         if (not isinstance(feature, int) or isinstance(feature, bool)
                 or not 0 <= feature < n_features):
             raise ValidationError(
-                f"node {data['node_id']}: feature index {feature!r} is not one "
+                f"node {node_id}: feature index {feature!r} is not one "
                 f"of the {n_features} features")
         if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
             raise ValidationError(
-                f"node {data['node_id']}: threshold {threshold!r} is not a number")
+                f"node {node_id}: threshold {threshold!r} is not a number")
         return TreeNode(
             n=data["n"], n1=data["n1"], n0=data["n0"], tau=data["tau"],
             feature=feature, threshold=threshold,
-            left=_node_from_dict(data["left"], n_features),
-            right=_node_from_dict(data["right"], n_features),
-            node_id=data["node_id"],
+            left=_node_from_dict(data["left"], n_features, 2 * node_id),
+            right=_node_from_dict(data["right"], n_features, 2 * node_id + 1),
+            node_id=node_id,
         )
     if any(branch) or "estimate" not in data:
         raise ValidationError(
-            f"node {data.get('node_id')!r} is neither a leaf (an estimate only) "
+            f"node {node_id} is neither a leaf (an estimate only) "
             f"nor an internal node ({', '.join(_BRANCH_KEYS)}, no estimate)")
     est = None
     if data["estimate"] is not None:
         est = LeafEstimate(**data["estimate"])
+        if est.leaf_id != node_id:
+            raise ValidationError(
+                f"leaf {node_id} holds the estimate of leaf {est.leaf_id!r}")
     return TreeNode(n=data["n"], n1=data["n1"], n0=data["n0"], tau=data["tau"],
-                    node_id=data["node_id"], estimate=est)
+                    node_id=node_id, estimate=est)
+
+
+# CausalTree fields that tree.json's "meta" holds under the same name, as is
+_META_FIELDS = ("alpha", "p_hat", "adjust_covariates", "n_input", "n_trimmed",
+                "n_train", "n_validation", "n_omega", "seed", "max_depth",
+                "min_leaf_fraction", "min_arm_count", "overall_cace")
 
 
 def export_json(tree: CausalTree) -> str:
     """Canonical JSON for a fitted tree; stable byte for byte."""
     prop = None
     if tree.propensity is not None:
-        prop = {
-            "intercept": tree.propensity.intercept,
-            "coefficients": [float(c) for c in tree.propensity.coefficients],
-            "ridge_lambda": tree.propensity.ridge_lambda,
-            "converged": tree.propensity.converged,
-            "iterations": tree.propensity.iterations,
-        }
+        prop = asdict(tree.propensity)
+        prop["coefficients"] = [float(c) for c in tree.propensity.coefficients]
     payload = {
         "format": "ctiv-tree",
         "version": 1,
         "meta": {
             "feature_names": list(tree.feature_names),
             "regime": tree.regime_kind.value,
-            "alpha": tree.alpha,
-            "p_hat": tree.p_hat,
             "propensity": prop,
-            "adjust_covariates": tree.adjust_covariates,
-            "n_input": tree.n_input,
-            "n_trimmed": tree.n_trimmed,
-            "n_train": tree.n_train,
-            "n_validation": tree.n_validation,
-            "n_omega": tree.n_omega,
-            "seed": tree.seed,
-            "max_depth": tree.max_depth,
-            "min_leaf_fraction": tree.min_leaf_fraction,
-            "min_arm_count": tree.min_arm_count,
-            "overall_cace": tree.overall_cace,
+            **{name: getattr(tree, name) for name in _META_FIELDS},
         },
         "tree": _node_to_dict(tree.root),
     }
@@ -684,11 +674,7 @@ def _tree_from_payload(payload: dict) -> CausalTree:
         p = meta["propensity"]
         coefs = np.asarray(p["coefficients"], dtype=np.float64)
         coefs.setflags(write=False)
-        prop = PropensityModel(
-            intercept=p["intercept"], coefficients=coefs,
-            ridge_lambda=p["ridge_lambda"], converged=p["converged"],
-            iterations=p["iterations"],
-        )
+        prop = PropensityModel(**{**p, "coefficients": coefs})
     names = tuple(meta["feature_names"])
     if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
         raise ValidationError("feature_names must be distinct strings")
@@ -696,20 +682,8 @@ def _tree_from_payload(payload: dict) -> CausalTree:
         root=_node_from_dict(payload["tree"], len(names)),
         feature_names=names,
         regime_kind=RegimeKind(meta["regime"]),
-        alpha=meta["alpha"],
-        p_hat=meta["p_hat"],
         propensity=prop,
-        adjust_covariates=meta["adjust_covariates"],
-        n_input=meta["n_input"],
-        n_trimmed=meta["n_trimmed"],
-        n_train=meta["n_train"],
-        n_validation=meta["n_validation"],
-        n_omega=meta["n_omega"],
-        seed=meta["seed"],
-        max_depth=meta["max_depth"],
-        min_leaf_fraction=meta["min_leaf_fraction"],
-        min_arm_count=meta["min_arm_count"],
-        overall_cace=meta["overall_cace"],
+        **{name: meta[name] for name in _META_FIELDS},
     )
 
 

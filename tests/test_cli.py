@@ -307,3 +307,93 @@ def test_predict_reports_bad_cell(tmp_path, capsys):
     assert json.loads(err) == {
         "error": "MissingValueError",
         "message": "blank value for column 'x1' at data row 2"}
+
+
+def _late_byte_csv(path):
+    # the bad byte sits past the first 8 KiB, which the header read decodes
+    lines = ["y,w,z,x1"] + [f"{i},{i % 2},{i // 2 % 2},0.5" for i in range(2000)]
+    path.write_bytes("\n".join(lines).encode() + b"\xe9\n")
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("fit", "header"), ("fit", "late"), ("predict", "header"),
+    ("predict", "late"), ("predict", "tree"),
+])
+def test_non_utf8_file_exit_data(tmp_path, capsys, command, bad):
+    path = tmp_path / ("tree.json" if bad == "tree" else "bad.csv")
+    if bad == "late":
+        _late_byte_csv(path)
+    elif bad == "header":
+        path.write_bytes(b"y,w,z,x\xe91\n1,1,0,0.5\n")
+    else:
+        path.write_bytes(b'{"format": "ctiv-tree\xe9"}')
+    if command == "fit":
+        argv = ["fit", "--input", str(path), "--regime", "ct",
+                "--out-dir", str(tmp_path / "o")]
+    else:
+        tree = path if bad == "tree" else _one_feature_tree(tmp_path, capsys)
+        data = tmp_path / "x.csv"
+        data.write_text("x1\n0.5\n")
+        argv = ["predict", "--tree", str(tree),
+                "--input", str(data if bad == "tree" else path),
+                "--output", str(tmp_path / "p.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith(f"{path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("big_row", [1, 2])
+def test_cell_over_csv_field_limit_exit_data(tmp_path, capsys, big_row):
+    # the oversized cell is in a column that is not read
+    rows = ["1,1,0,0.5,a", "0,0,1,0.2,b"]
+    rows[big_row - 1] = rows[big_row - 1][:-1] + "x" * 200_000
+    data = tmp_path / "big.csv"
+    data.write_text("y,w,z,x1,big\n" + "\n".join(rows) + "\n")
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       "--features", "x1", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith(f"{data}: data row {big_row}: field larger")
+
+
+def test_simulate_scenario_one_explicit_target(tmp_path, capsys):
+    out = tmp_path / "s1.csv"
+    code, _, err = run(capsys, "simulate", "--scenario", "1", "--cor-wz", "0.6",
+                       "--n", "300", "--seed", "1", "--out", str(out))
+    assert code == EXIT_OK, err
+    meta = json.loads((tmp_path / "s1.csv.meta.json").read_text())
+    assert meta["target_cor_wz"] == 0.6 and meta["scenario"] == 1
+
+
+def test_recorded_key_sets(tmp_path, capsys):
+    data = tmp_path / "d1.csv"
+    code, _, err = run(capsys, "simulate", "--design", "1", "--n", "600",
+                       "--seed", "4", "--out", str(data))
+    assert code == EXIT_OK, err
+    assert set(json.loads((tmp_path / "d1.csv.meta.json").read_text())) == {
+        "design_id", "scenario", "n", "seed", "k", "error_dist",
+        "target_cor_wz", "target_cor_weta", "realized_cor_wz",
+        "realized_cor_weta", "true_cate_column"}
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime",
+                       "iv-randomized", "--features", "x1",
+                       "--out-dir", str(tmp_path / "fit"))
+    assert code == EXIT_OK, err
+    fit_cfg = json.loads((tmp_path / "fit" / "run.json").read_text())
+    assert fit_cfg["command"] == "fit"
+    assert set(fit_cfg["options"]) == {
+        "input", "regime", "y_col", "w_col", "z_col", "features", "max_depth",
+        "min_leaf_fraction", "min_arm_count", "alpha", "ridge", "trim_lo",
+        "trim_hi", "train_frac", "val_frac", "tsls_covariates", "seed",
+        "out_dir"}
+    code, _, err = run(capsys, "bench", "--designs", "1", "--sizes", "300",
+                       "--seeds", "1", "--out-dir", str(tmp_path / "bench"))
+    assert code == EXIT_OK, err
+    bench_cfg = json.loads((tmp_path / "bench" / "run.json").read_text())
+    assert bench_cfg["command"] == "bench"
+    assert set(bench_cfg["options"]) == {
+        "designs", "sizes", "seeds", "base_seed", "max_depth",
+        "min_leaf_fraction", "min_arm_count", "workers", "out_dir"}

@@ -6,6 +6,8 @@
 - The chunked numpy CSV reader against the per-cell parser: the same
   values bit for bit, or the same error.
 - The chunked CSV writer against the per-row ``csv.writer`` loop.
+- The one leaf router, behind ``assign_leaves``, ``predict_leaf`` and
+  ``holdout_loss``, against a walk down the tree one row at a time.
 """
 
 import csv
@@ -27,6 +29,7 @@ from ctiv import (
     ColumnSchema,
     Dataset,
     GrowthConfig,
+    LeafEstimate,
     RegimeKind,
     design_spec,
     export_json,
@@ -37,8 +40,8 @@ from ctiv import (
 )
 from ctiv.dataset import read_csv_columns
 from ctiv.errors import CtivError, GrowthError
-from ctiv.transform import AssignmentRegime, leaf_weighted_itt
-from ctiv.tree import TreeNode, _stable_order
+from ctiv.transform import AssignmentRegime, leaf_weighted_itt, transformed_outcome
+from ctiv.tree import TreeNode, _stable_order, holdout_loss
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -405,3 +408,61 @@ def test_save_csv_matches_csv_writer(n, k, data):
         save_csv(ds, Path(d) / "fast.csv", extra_columns=extras)
         ref_save_csv(ds, Path(d) / "ref.csv", extras)
         assert (Path(d) / "fast.csv").read_bytes() == (Path(d) / "ref.csv").read_bytes()
+
+
+# --- leaf routing: every router against a walk down the tree per row ---
+
+# thresholds and point coordinates share this grid, so points land exactly
+# on thresholds
+GRID = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+
+
+def walk(node, row):
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node
+
+
+@st.composite
+def routed_trees(draw):
+    def node(node_id, depth):
+        if depth == 4 or not draw(st.booleans()):
+            tau = node_id / 8.0
+            est = LeafEstimate(node_id, 2, 1, 1, tau, 0.0, 0.0, 1.0, tau, 1.0,
+                               1.0, 20.0, True)
+            return TreeNode(n=2, n1=1, n0=1, tau=tau, node_id=node_id,
+                            estimate=est)
+        return TreeNode(n=4, n1=2, n0=2, tau=0.0,
+                        feature=draw(st.integers(0, 1)),
+                        threshold=draw(st.sampled_from(GRID)),
+                        left=node(2 * node_id, depth + 1),
+                        right=node(2 * node_id + 1, depth + 1),
+                        node_id=node_id)
+
+    root = node(1, 0)
+    n = draw(st.integers(1, 40))
+    x = draw(hnp.arrays(np.float64, (n, 2), elements=st.one_of(
+        st.sampled_from(GRID), st.floats(-2.0, 2.0))))
+    y = draw(hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    d = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
+    return root, x, y, d
+
+
+@SETTINGS
+@given(routed_trees())
+def test_leaf_routing_matches_per_row_walk(case):
+    root, x, y, d = case
+    tree = CausalTree(
+        root=root, feature_names=("x1", "x2"),
+        regime_kind=RegimeKind.IV_RANDOMIZED, alpha=0.0, p_hat=0.5,
+        propensity=None, adjust_covariates=False, n_input=len(y), n_trimmed=0,
+        n_train=len(y), n_validation=0, n_omega=len(y), seed=0, max_depth=4,
+        min_leaf_fraction=0.1, min_arm_count=1)
+    leaves = [walk(root, row) for row in x]
+    assert tree.assign_leaves(x).tolist() == [leaf.node_id for leaf in leaves]
+    assert [tree.predict_leaf(row) for row in x] == [leaf.estimate for leaf in leaves]
+    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED, p_hat=0.5)
+    validation = Dataset(covariates=x, z=d, w=d, y=y, feature_names=("x1", "x2"))
+    y_star = transformed_outcome(y, d, regime.unit_probabilities(len(y)))
+    tau = np.array([leaf.tau for leaf in leaves])
+    assert holdout_loss(root, validation, regime) == float(-np.mean((y_star - tau) ** 2))

@@ -137,6 +137,15 @@ def test_scenario_labels():
     assert design_spec(2, 10, 0, scenario=2).label == "s2"
 
 
+def test_scenario_one_weakens_the_instrument_unless_told_otherwise():
+    assert design_spec(2, 10, 0).target_cor_wz == 0.65
+    assert design_spec(2, 10, 0, scenario=1).target_cor_wz == 0.5
+    assert design_spec(2, 10, 0, scenario=2).target_cor_wz == 0.65
+    explicit = design_spec(2, 10, 0, target_cor_wz=0.6, scenario=1)
+    assert explicit.target_cor_wz == 0.6
+    assert explicit.target_cor_weta == 0.5
+
+
 def test_coefficients_hit_targets_analytically():
     a, b, c, t = latent_receipt_coefficients(0.65, 0.50)
     assert a == pytest.approx(2 * t, abs=1e-15)

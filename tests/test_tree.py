@@ -576,6 +576,9 @@ def _broken(edit):
     (lambda p: p["tree"].update(left=[]), "not an object"),
     (lambda p: p["meta"].update(regime="other"), "malformed"),
     (lambda p: p["meta"].update(feature_names=["x1", "x1"]), "distinct"),
+    (lambda p: _first_leaf(p).update(node_id=999), "node 999 should have id 4"),
+    (lambda p: _first_leaf(p)["estimate"].update(leaf_id=999),
+     "leaf 4 holds the estimate of leaf 999"),
 ])
 def test_load_json_validates_structure(edit, match):
     from ctiv.errors import ValidationError
