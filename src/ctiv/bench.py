@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from io import StringIO
 from typing import NamedTuple
@@ -148,7 +149,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
 
     Failing cells are recorded (label, n, rep, error) and skipped.
     ``workers > 1`` fans cells out to processes; per-cell seeds make the
-    results identical either way.
+    results identical either way. ``progress(label, n, rep)`` is called
+    as each cell's outcome arrives, in cell order.
     """
     if n_seeds < 1:
         raise InputError("n_seeds must be >= 1")
@@ -156,20 +158,13 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
              for label in designs for n in sizes for rep in range(n_seeds)]
     results: list[BenchResult] = []
     failures: list[dict] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell_args, cells, chunksize=1))
-    else:
-        outcomes = []
-        for args in cells:
-            outcomes.append(_run_cell_args(args))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # Executor.map's default chunksize of 1 sends the cells one at a time
+        outcomes = (pool.map if pool else map)(_run_cell_args, cells)
+        for args, outcome in zip(cells, outcomes):
+            (results if isinstance(outcome, BenchResult) else failures).append(outcome)
             if progress:
-                progress(args[0], args[1], args[2])
-    for outcome in outcomes:
-        if isinstance(outcome, BenchResult):
-            results.append(outcome)
-        else:
-            failures.append(outcome)
+                progress(*args[:3])
     return results, failures
 
 

@@ -23,14 +23,8 @@ from .errors import (
     SchemaError,
     SplitError,
     ValidationError,
+    require_binary,
 )
-
-
-def _as_binary(values: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if not np.isin(arr, (0, 1)).all():
-        raise ValidationError(f"{name} must contain only 0/1 values")
-    return arr.astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +49,8 @@ class Dataset:
         y = np.asarray(self.y, dtype=np.float64)
         if y.shape != (n,) or not np.isfinite(y).all():
             raise ValidationError("y must be a finite length-N vector")
-        z = _as_binary(np.asarray(self.z), "z")
-        w = _as_binary(np.asarray(self.w), "w")
+        z = require_binary(self.z, "z").astype(np.int8)
+        w = require_binary(self.w, "w").astype(np.int8)
         if z.shape != (n,) or w.shape != (n,):
             raise InputError("z and w must be length-N vectors")
         names = tuple(str(c) for c in self.feature_names)

@@ -20,9 +20,9 @@ from .errors import (
     EstimationError,
     InputError,
     NoCompliersError,
-    ValidationError,
+    require_binary,
 )
-from .transform import AssignmentRegime, RegimeKind, leaf_weighted_itt
+from .transform import AssignmentRegime, leaf_weighted_itt
 
 WEAK_F_THRESHOLD = 10.0
 
@@ -62,13 +62,6 @@ class TslsFit:
     covariate_adjusted: bool
 
 
-def _check_binary(arr: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(arr)
-    if not np.isin(a, (0, 1)).all():
-        raise ValidationError(f"{name} must be 0/1")
-    return a.astype(np.float64)
-
-
 def compliance_shares(z: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
     """(always-taker, never-taker, complier) shares from one leaf.
 
@@ -76,8 +69,8 @@ def compliance_shares(z: np.ndarray, w: np.ndarray) -> tuple[float, float, float
     among assigned, pi_c = the assigned/unassigned receipt contrast.
     The three add to 1 by construction.
     """
-    z = _check_binary(z, "z")
-    w = _check_binary(w, "w")
+    z = require_binary(z, "z").astype(np.float64)
+    w = require_binary(w, "w").astype(np.float64)
     if z.shape != w.shape or z.ndim != 1:
         raise InputError("z and w must be aligned vectors")
     assigned = z == 1.0
@@ -110,8 +103,8 @@ def tsls_leaf(y: np.ndarray, w: np.ndarray, z: np.ndarray,
     z-contrast in w (the Wald estimate) up to float rounding.
     """
     y = np.asarray(y, dtype=np.float64)
-    w = _check_binary(w, "w")
-    z = _check_binary(z, "z")
+    w = require_binary(w, "w").astype(np.float64)
+    z = require_binary(z, "z").astype(np.float64)
     if not (y.shape == w.shape == z.shape) or y.ndim != 1:
         raise InputError("y, w, z must be aligned vectors")
     n = y.shape[0]
@@ -186,7 +179,7 @@ def neyman_variance(treated_y: np.ndarray, control_y: np.ndarray) -> float:
 def test_leaf_ate(y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     """Difference of receipt-arm means plus its variance, on held-out units."""
     y = np.asarray(y, dtype=np.float64)
-    w = _check_binary(w, "w")
+    w = require_binary(w, "w").astype(np.float64)
     if y.shape != w.shape or y.ndim != 1:
         raise InputError("y and w must be aligned vectors")
     treated = w == 1.0
@@ -206,21 +199,16 @@ def estimate_leaf(leaf_id: int, y: np.ndarray, z: np.ndarray, w: np.ndarray,
     the standard error and the first-stage F. A nonpositive complier
     share or a failed TSLS flags the leaf instead of raising.
     """
-    z_arr = np.asarray(z)
     w_arr = np.asarray(w)
-    d = w_arr if regime.splits_on_receipt else z_arr
+    # the split indicator is also the instrument; for a plain causal tree
+    # receipt doubles as assignment, so compliance is trivially full
+    d = regime.indicator(w_arr, np.asarray(z))
     itt = leaf_weighted_itt(y, d, e)
-    if regime.splits_on_receipt:
-        # receipt doubles as assignment: compliance is trivially full
-        pi_at, pi_nt, pi_c = compliance_shares(w_arr, w_arr)
-        inst = w_arr
-    else:
-        pi_at, pi_nt, pi_c = compliance_shares(z_arr, w_arr)
-        inst = z_arr
+    pi_at, pi_nt, pi_c = compliance_shares(d, w_arr)
     compliers_ok = pi_c > 0.0
-    cace = itt / pi_c if compliers_ok else float("nan")
+    cace = cace_ratio(itt, pi_c) if compliers_ok else float("nan")
     try:
-        fit = tsls_leaf(y, w_arr, inst, covariates=covariates,
+        fit = tsls_leaf(y, w_arr, d, covariates=covariates,
                         adjust_covariates=adjust_covariates)
         cace_se, first_f = fit.se_gamma, fit.first_stage_f
     except EstimationError:
@@ -240,7 +228,7 @@ def estimate_leaf(leaf_id: int, y: np.ndarray, z: np.ndarray, w: np.ndarray,
         pi_at_hat=float(pi_at),
         pi_nt_hat=float(pi_nt),
         pi_c_hat=float(pi_c),
-        cace_hat=float(cace) if compliers_ok else float("nan"),
+        cace_hat=float(cace),
         cace_se=float(cace_se),
         neyman_var=float(nvar),
         first_stage_f=float(first_f),

@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its two shared checks.
 
 Errors split into two families: data problems (bad input files, schema
 mismatches, degenerate splits) and estimation problems (separation,
 empty arms, rank deficiency). The CLI maps the families to distinct
-exit codes.
+exit codes. ``require_binary`` is the package's one 0/1 check
+(ValidationError), ``require_probabilities`` its one check for values
+strictly inside (0, 1) (DomainError).
 """
+
+import numpy as np
 
 
 class CtivError(Exception):
@@ -70,3 +74,19 @@ class NoCompliersError(EstimationError):
 class AggregationError(EstimationError):
     """A weighted aggregate has no mass to average over."""
 
+
+def require_binary(values, name: str) -> np.ndarray:
+    """``values`` as an array, once every entry is 0 or 1."""
+    arr = np.asarray(values)
+    if not np.isin(arr, (0, 1)).all():
+        raise ValidationError(f"{name} must be 0/1")
+    return arr
+
+
+def require_probabilities(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array, once every entry lies strictly inside
+    (0, 1); NaN does not."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not ((arr > 0.0) & (arr < 1.0)).all():
+        raise DomainError(f"{name} must lie strictly inside (0, 1)")
+    return arr

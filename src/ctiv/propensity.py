@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import InputError, SeparationError, ValidationError
+from .errors import InputError, SeparationError, require_binary
 
 PROB_CLAMP = 1e-12
 
@@ -35,8 +35,7 @@ class PropensityModel:
         if x.shape != self.coefficients.shape:
             raise InputError(
                 f"expected {self.coefficients.shape[0]} features, got {x.shape}")
-        eta = self.intercept + float(x @ self.coefficients)
-        return float(np.clip(expit(eta), PROB_CLAMP, 1.0 - PROB_CLAMP))
+        return float(self.predict_many(x[None, :])[0])
 
     def predict_many(self, covariates: np.ndarray) -> np.ndarray:
         """Probabilities for each row of a covariate matrix."""
@@ -83,9 +82,7 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
     lab = np.asarray(labels)
     if lab.shape != (x.shape[0],):
         raise InputError("labels must be a length-N vector")
-    if not np.isin(lab, (0, 1)).all():
-        raise ValidationError("labels must be 0/1")
-    lab = lab.astype(np.float64)
+    lab = require_binary(lab, "labels").astype(np.float64)
     if ridge_lambda < 0:
         raise InputError("ridge_lambda must be nonnegative")
     if ridge_lambda == 0.0 and (lab.min() == lab.max()):
@@ -145,6 +142,4 @@ def estimate_constant_p(z: np.ndarray) -> float:
     arr = np.asarray(z)
     if arr.size == 0:
         raise InputError("z is empty")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValidationError("z must be 0/1")
-    return float(arr.mean())
+    return float(require_binary(arr, "z").mean())

@@ -16,8 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, EmptyArmError, InputError
-from .propensity import PropensityModel
+from .errors import (
+    DomainError,
+    EmptyArmError,
+    InputError,
+    require_binary,
+    require_probabilities,
+)
 
 
 class RegimeKind(str, Enum):
@@ -41,21 +46,25 @@ class AssignmentRegime:
     kind: RegimeKind
     p_hat: float | None = None
     e_hat: np.ndarray | None = None
-    model: PropensityModel | None = None
 
     def __post_init__(self):
         if self.p_hat is not None and not (0.0 < self.p_hat < 1.0):
             raise DomainError(f"p_hat must lie in (0, 1), got {self.p_hat}")
         if self.e_hat is not None:
-            e = np.asarray(self.e_hat, dtype=np.float64)
-            if e.ndim != 1 or not ((e > 0.0) & (e < 1.0)).all():
-                raise DomainError("e_hat must be a vector inside (0, 1)")
+            e = require_probabilities(self.e_hat, "e_hat")
+            if e.ndim != 1:
+                raise DomainError("e_hat must be a vector")
             e.setflags(write=False)
             object.__setattr__(self, "e_hat", e)
 
     @property
     def splits_on_receipt(self) -> bool:
         return self.kind is RegimeKind.CT
+
+    def indicator(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The indicator this regime splits and weights on: receipt ``w``
+        for a plain causal tree, assignment ``z`` otherwise."""
+        return w if self.splits_on_receipt else z
 
     def unit_probabilities(self, n: int) -> np.ndarray:
         """Length-n probability vector for the units this regime was fit on."""
@@ -78,11 +87,8 @@ def transformed_outcome(y, d, e):
     """
     y = np.asarray(y, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if not ((e > 0.0) & (e < 1.0)).all():
-        raise DomainError("e must lie strictly inside (0, 1)")
-    if not np.isin(d, (0.0, 1.0)).all():
-        raise InputError("d must be 0/1")
+    e = require_probabilities(e, "e")
+    require_binary(d, "d")
     out = y * (d - e) / ((1.0 - e) * e)
     return float(out) if out.ndim == 0 else out
 
@@ -99,10 +105,8 @@ def leaf_weighted_itt(y: np.ndarray, d: np.ndarray, e) -> float:
     e = np.broadcast_to(np.asarray(e, dtype=np.float64), y.shape)
     if y.shape != d.shape:
         raise InputError("y and d must be aligned")
-    if not np.isin(d, (0.0, 1.0)).all():
-        raise InputError("d must be 0/1")
-    if not ((e > 0.0) & (e < 1.0)).all():
-        raise DomainError("e must lie strictly inside (0, 1)")
+    require_binary(d, "d")
+    require_probabilities(e, "e")
     assigned = d == 1.0
     if not assigned.any() or assigned.all():
         raise EmptyArmError("leaf needs at least one unit in each arm")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class GrowthConfig:
             raise InputError("min_leaf_fraction must lie in (0, 0.5]")
         if self.min_arm_count < 1:
             raise InputError("min_arm_count must be >= 1")
-        if self.alpha_override is not None and self.alpha_override < 0:
+        if self.alpha_override is not None and not self.alpha_override >= 0:  # or NaN
             raise InputError("alpha_override must be nonnegative")
 
 
@@ -93,9 +93,19 @@ class TreeNode:
         return self.left is None
 
     def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
+        return sum(node.is_leaf for node in _preorder(self))
+
+
+def _preorder(root: TreeNode):
+    """Yield every node of the subtree: a node, then its left subtree,
+    then its right subtree."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 @dataclass(frozen=True)
@@ -226,7 +236,7 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
     per-node sort would. A node's tau sums its rows in row order.
     """
     n = train.n_units
-    d = (train.w if regime.splits_on_receipt else train.z).astype(np.int64)
+    d = regime.indicator(train.w, train.z).astype(np.int64)
     e = regime.unit_probabilities(n)
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     n1 = int(d.sum())
@@ -248,29 +258,24 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
 
 # --- pruning ---
 
-def _subtree_price(node: TreeNode, n_train: int) -> tuple[float, int, float]:
-    """(score sum, leaf count, own price) of the subtree at ``node``.
+def _subtree_price(node: TreeNode,
+                   n_train: int) -> tuple[float, int, float, float]:
+    """(score sum, leaf count, own price, weakest price) of the subtree at
+    ``node``.
 
     The score sum adds n * tau^2 over its leaves; the own price is the
     score per training unit that collapsing the node into a leaf gives
-    up, per leaf removed (infinite at a leaf).
+    up, per leaf removed; the weakest price is the smallest own price in
+    the subtree. Both prices are infinite at a leaf.
     """
     if node.is_leaf:
-        return node.n * node.tau * node.tau, 1, math.inf
-    left_sum, left_leaves, _ = _subtree_price(node.left, n_train)
-    right_sum, right_leaves, _ = _subtree_price(node.right, n_train)
+        return node.n * node.tau * node.tau, 1, math.inf, math.inf
+    left_sum, left_leaves, _, left_weakest = _subtree_price(node.left, n_train)
+    right_sum, right_leaves, _, right_weakest = _subtree_price(node.right, n_train)
     score, leaves = left_sum + right_sum, left_leaves + right_leaves
     gain = (score - node.n * node.tau * node.tau) / n_train
-    return score, leaves, gain / (leaves - 1)
-
-
-def _weakest_alpha(node: TreeNode, n_train: int) -> float:
-    """Smallest collapse price over all internal nodes of this subtree."""
-    if node.is_leaf:
-        return math.inf
-    return min(_subtree_price(node, n_train)[2],
-               _weakest_alpha(node.left, n_train),
-               _weakest_alpha(node.right, n_train))
+    price = gain / (leaves - 1)
+    return score, leaves, price, min(price, left_weakest, right_weakest)
 
 
 def _collapse_at_or_below(node: TreeNode, price: float, n_train: int) -> TreeNode:
@@ -296,13 +301,13 @@ def prune_path(root: TreeNode, n_train: int) -> PruningPath:
         raise InputError("n_train must be positive")
     elements = [PathElement(0.0, root, root.n_leaves())]
     current = root
-    while not current.is_leaf:
-        price = _weakest_alpha(current, n_train)
+    weakest = _subtree_price(root, n_train)[3]
+    while weakest < math.inf:
+        price = weakest
         # collapsing can expose ancestors at the same price; sweep until clear
-        while True:
+        while weakest <= price:
             current = _collapse_at_or_below(current, price, n_train)
-            if current.is_leaf or _weakest_alpha(current, n_train) > price:
-                break
+            weakest = _subtree_price(current, n_train)[3]
         elements.append(PathElement(float(price), current, current.n_leaves()))
     return PruningPath(tuple(elements), n_train)
 
@@ -328,7 +333,7 @@ def holdout_loss(root: TreeNode, validation: Dataset,
                  regime: AssignmentRegime) -> float:
     """Negative mean squared gap between transformed outcomes and leaf effects."""
     n = validation.n_units
-    d = validation.w if regime.splits_on_receipt else validation.z
+    d = regime.indicator(validation.w, validation.z)
     e = regime.unit_probabilities(n)
     y_star = transformed_outcome(validation.y, d, e)
     tau = np.empty(n)
@@ -366,15 +371,12 @@ def select_alpha(path: PruningPath, validation: Dataset,
 
 
 def prune_at_alpha(root: TreeNode, alpha: float, n_train: int) -> TreeNode:
-    """Subtree the cost-complexity path selects at a fixed alpha."""
-    if alpha < 0:
+    """Subtree the cost-complexity path selects at a fixed alpha: the last
+    path element whose threshold is <= alpha (NaN is rejected)."""
+    if not alpha >= 0:
         raise InputError("alpha must be nonnegative")
     path = prune_path(root, n_train)
-    chosen = path.elements[0].root
-    for element in path.elements:
-        if element.alpha_threshold <= alpha:
-            chosen = element.root
-    return chosen
+    return [el.root for el in path.elements if el.alpha_threshold <= alpha][-1]
 
 
 # --- the fitted artifact ---
@@ -403,17 +405,11 @@ class CausalTree:
 
     def leaves(self) -> list[LeafEstimate]:
         found: list[LeafEstimate] = []
-
-        def rec(node: TreeNode) -> None:
+        for node in _preorder(self.root):
             if node.is_leaf:
                 if node.estimate is None:
                     raise EstimationError(f"leaf {node.node_id} has no estimate")
                 found.append(node.estimate)
-            else:
-                rec(node.left)
-                rec(node.right)
-
-        rec(self.root)
         return sorted(found, key=lambda est: est.leaf_id)
 
     def assign_leaves(self, covariates: np.ndarray) -> np.ndarray:
@@ -437,11 +433,7 @@ class CausalTree:
         if x.shape != (len(self.feature_names),):
             raise InputError(
                 f"expected {len(self.feature_names)} features, got {x.shape}")
-        node = next(leaf for _, leaf, rows in _leaf_rows(self.root, x[None, :])
-                    if rows.size)
-        if node.estimate is None:
-            raise EstimationError(f"leaf {node.node_id} has no estimate")
-        return node.estimate
+        return self.leaf_map[self.assign_leaves(x[None, :])[0]]
 
 
 def _numbered(node: TreeNode, node_id: int,
@@ -484,8 +476,8 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     model: PropensityModel | None = None
     p_hat: float | None = None
     if kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
-        split_on = ds.w if kind is RegimeKind.CT else ds.z
-        model = fit_logistic(ds.covariates, split_on, ridge_lambda=ridge_lambda)
+        model = fit_logistic(ds.covariates, cfg.regime.indicator(ds.w, ds.z),
+                             ridge_lambda=ridge_lambda)
         e_all = model.predict_many(ds.covariates)
     elif kind is RegimeKind.IV_RANDOMIZED:
         p_hat = estimate_constant_p(ds.z)
@@ -504,8 +496,8 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
 
     def regime_for(positions: np.ndarray) -> AssignmentRegime:
         if kind is RegimeKind.IV_RANDOMIZED:
-            return AssignmentRegime(kind, p_hat=p_hat, model=model)
-        return AssignmentRegime(kind, e_hat=e_kept[positions], model=model)
+            return AssignmentRegime(kind, p_hat=p_hat)
+        return AssignmentRegime(kind, e_hat=e_kept[positions])
 
     if cfg.alpha_override is None:
         if val_pos.size == 0:
@@ -531,10 +523,13 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
                                adjust)
         for node_id, _, rows in _leaf_rows(final, x)
     }
-    final = _numbered(final, 1, estimates)
-
-    tree = CausalTree(
-        root=final,
+    ok = [estimates[k] for k in sorted(estimates) if estimates[k].compliers_ok]
+    try:
+        overall = overall_cace(ok)
+    except AggregationError:
+        overall = float("nan")
+    return CausalTree(
+        root=_numbered(final, 1, estimates),
         feature_names=ds.feature_names,
         regime_kind=kind,
         alpha=float(alpha),
@@ -550,13 +545,8 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
         max_depth=cfg.max_depth,
         min_leaf_fraction=cfg.min_leaf_fraction,
         min_arm_count=cfg.min_arm_count,
+        overall_cace=overall,
     )
-    ok = [est for est in tree.leaves() if est.compliers_ok]
-    try:
-        overall = overall_cace(ok) if ok else float("nan")
-    except AggregationError:
-        overall = float("nan")
-    return replace(tree, overall_cace=overall)
 
 
 # --- serialisation ---
@@ -581,6 +571,24 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 _BRANCH_KEYS = ("feature", "threshold", "left", "right")
 
+# JSON value types by field annotation: (Python types, name in errors);
+# NaN is a float, so a failed estimate's NaN fields load
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "bool": (bool, "true or false")}
+_NODE_TYPES = {"n": "int", "n1": "int", "n0": "int", "tau": "float"}
+_ESTIMATE_TYPES = {f.name: f.type for f in fields(LeafEstimate)}
+
+
+def _typed(record: dict, types: dict[str, str], where: str) -> dict:
+    """The ``types`` keys of ``record``, once each value has the JSON type
+    its annotation names; a bool is never an integer or a number."""
+    for key, annotation in types.items():
+        kind, name = _JSON_TYPES[annotation]
+        value = record[key]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ValidationError(f"{where}: {key} {value!r} is not {name}")
+    return {key: record[key] for key in types}
+
 
 def _node_from_dict(data: dict, n_features: int, node_id: int = 1) -> TreeNode:
     """Rebuild the subtree whose root must carry full-binary id ``node_id``."""
@@ -590,24 +598,20 @@ def _node_from_dict(data: dict, n_features: int, node_id: int = 1) -> TreeNode:
         raise ValidationError(
             f"node {data['node_id']!r} should have id {node_id}: the root is 1 "
             f"and the children of k are 2k and 2k+1")
+    counts = _typed(data, _NODE_TYPES, f"node {node_id}")
     branch = [key in data for key in _BRANCH_KEYS]
     if all(branch) and "estimate" not in data:
-        feature, threshold = data["feature"], data["threshold"]
+        feature = data["feature"]
         if (not isinstance(feature, int) or isinstance(feature, bool)
                 or not 0 <= feature < n_features):
             raise ValidationError(
                 f"node {node_id}: feature index {feature!r} is not one "
                 f"of the {n_features} features")
-        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-            raise ValidationError(
-                f"node {node_id}: threshold {threshold!r} is not a number")
         return TreeNode(
-            n=data["n"], n1=data["n1"], n0=data["n0"], tau=data["tau"],
-            feature=feature, threshold=threshold,
+            **counts, **_typed(data, {"threshold": "float"}, f"node {node_id}"),
+            feature=feature, node_id=node_id,
             left=_node_from_dict(data["left"], n_features, 2 * node_id),
-            right=_node_from_dict(data["right"], n_features, 2 * node_id + 1),
-            node_id=node_id,
-        )
+            right=_node_from_dict(data["right"], n_features, 2 * node_id + 1))
     if any(branch) or "estimate" not in data:
         raise ValidationError(
             f"node {node_id} is neither a leaf (an estimate only) "
@@ -615,11 +619,11 @@ def _node_from_dict(data: dict, n_features: int, node_id: int = 1) -> TreeNode:
     est = None
     if data["estimate"] is not None:
         est = LeafEstimate(**data["estimate"])
+        _typed(vars(est), _ESTIMATE_TYPES, f"leaf {node_id}")
         if est.leaf_id != node_id:
             raise ValidationError(
                 f"leaf {node_id} holds the estimate of leaf {est.leaf_id!r}")
-    return TreeNode(n=data["n"], n1=data["n1"], n0=data["n0"], tau=data["tau"],
-                    node_id=node_id, estimate=est)
+    return TreeNode(**counts, node_id=node_id, estimate=est)
 
 
 # CausalTree fields that tree.json's "meta" holds under the same name, as is
@@ -675,9 +679,11 @@ def _tree_from_payload(payload: dict) -> CausalTree:
         coefs = np.asarray(p["coefficients"], dtype=np.float64)
         coefs.setflags(write=False)
         prop = PropensityModel(**{**p, "coefficients": coefs})
-    names = tuple(meta["feature_names"])
-    if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
-        raise ValidationError("feature_names must be distinct strings")
+    names = meta["feature_names"]
+    if (not isinstance(names, list) or not all(isinstance(name, str) for name in names)
+            or len(set(names)) != len(names)):
+        raise ValidationError("feature_names must be a list of distinct strings")
+    names = tuple(names)
     return CausalTree(
         root=_node_from_dict(payload["tree"], len(names)),
         feature_names=names,
@@ -693,10 +699,8 @@ def export_dot(tree: CausalTree) -> str:
         "digraph causal_tree {",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    total = tree.n_omega
-
-    def rec(node: TreeNode) -> None:
-        share = 100.0 * node.n / total
+    for node in _preorder(tree.root):
+        share = 100.0 * node.n / tree.n_omega
         label = f"ITT = {node.tau:.3f}\\n{share:.1f}%"
         if not node.is_leaf:
             name = tree.feature_names[node.feature]
@@ -705,9 +709,5 @@ def export_dot(tree: CausalTree) -> str:
         if not node.is_leaf:
             lines.append(f"  {node.node_id} -> {node.left.node_id};")
             lines.append(f"  {node.node_id} -> {node.right.node_id};")
-            rec(node.left)
-            rec(node.right)
-
-    rec(tree.root)
     lines.append("}")
     return "\n".join(lines) + "\n"

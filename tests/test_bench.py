@@ -207,6 +207,16 @@ def test_results_csv_round_trip():
     assert int(parsed[0]["n_excluded_ctiv"]) == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_progress_reports_each_cell_in_order(workers):
+    seen = []
+    results, failures = run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5,
+                                  workers=workers,
+                                  progress=lambda *cell: seen.append(cell))
+    assert seen == [("1", 300, 0), ("1", 300, 1), ("2", 300, 0), ("2", 300, 1)]
+    assert len(results) + len(failures) == 4
+
+
 def test_parallel_sweep_matches_serial():
     serial, _ = run_sweep(["1"], [300], n_seeds=2, base_seed=5, workers=1)
     parallel, _ = run_sweep(["1"], [300], n_seeds=2, base_seed=5, workers=2)

@@ -170,6 +170,34 @@ def test_usage_errors(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("argv, word", [
+    (("fit", "--max-depth", "0"), "max_depth"),
+    (("fit", "--min-leaf-fraction", "0.9"), "min_leaf_fraction"),
+    (("fit", "--alpha", "-1"), "alpha_override"),
+    (("fit", "--alpha", "nan"), "alpha_override"),
+    (("fit", "--min-arm-count", "0"), "min_arm_count"),
+    (("fit", "--ridge", "-1"), "ridge_lambda"),
+    (("fit", "--trim-lo", "0.9", "--trim-hi", "0.1"), "trim bounds"),
+    (("bench", "--seeds", "0"), "n_seeds"),
+    (("simulate", "--n", "5"), "n must be"),
+    (("simulate", "--cor-wz", "1.5"), "target_cor_wz"),
+])
+def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
+    # the library owns the range checks: its InputError is a data error
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200, full_compliance=False)
+    base = {
+        "fit": ["--input", str(data), "--regime", "ct", "--out-dir", str(tmp_path / "o")],
+        "bench": ["--designs", "2", "--sizes", "300", "--out-dir", str(tmp_path / "b")],
+        "simulate": ["--design", "2", "--n", "400", "--out", str(tmp_path / "s.csv")],
+    }
+    code, _, err = run(capsys, argv[0], *base[argv[0]], *argv[1:])
+    assert code == EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "InputError" and word in payload["message"]
+
+
 def test_predict_round_trip(tmp_path, capsys):
     data = tmp_path / "d2.csv"
     run(capsys, "simulate", "--design", "2", "--n", "1500", "--seed", "8",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctiv import leaf_weighted_itt, transformed_outcome
-from ctiv.errors import DomainError, EmptyArmError
+from ctiv.errors import DomainError, EmptyArmError, ValidationError
 
 
 def test_transform_closed_forms():
@@ -31,6 +31,12 @@ def test_transform_domain_error():
         transformed_outcome(1.0, 1, 0.0)
     with pytest.raises(DomainError):
         transformed_outcome(1.0, 0, 1.0)
+
+
+@pytest.mark.parametrize("estimator", [transformed_outcome, leaf_weighted_itt])
+def test_non_binary_indicator_is_validation_error(estimator):
+    with pytest.raises(ValidationError, match="d must be 0/1"):
+        estimator(np.ones(4), np.array([0.0, 1.0, 0.5, 1.0]), 0.5)
 
 
 def test_weighted_itt_constant_e_is_mean_difference():

@@ -259,6 +259,24 @@ def test_prune_collapses_noise_split_first():
     assert two_leaf[0].root.feature == 0
 
 
+def test_prune_path_resweeps_an_ancestor_exposed_at_the_same_price():
+    # once node 4 goes at 0.465, node 2 and the root tie at 0.785 in exact
+    # arithmetic, but the root's price rounds one ulp above node 2's; only
+    # a second sweep at 0.785 collapses it, so no threshold repeats
+    def leaf(n, tau):
+        return TreeNode(n=n, n1=1, n0=n - 1, tau=tau)
+
+    def split(n, tau, left, right):
+        return TreeNode(n=n, n1=1, n0=n - 1, tau=tau, feature=0, threshold=0.0,
+                        left=left, right=right)
+
+    node4 = split(8, 0.7, leaf(2, 2.0), leaf(6, -0.5))
+    root = split(12, 0.3, split(10, -0.5, node4, leaf(2, 2.0)), leaf(2, 2.0))
+    path = prune_path(root, 12)
+    assert [el.n_leaves for el in path.elements] == [4, 3, 1]
+    assert [el.alpha_threshold for el in path.elements] == [0.0, 0.465, 0.785]
+
+
 def test_prune_at_alpha_reproduces_path():
     ds = staircase_ds()
     cfg = GrowthConfig(regime=HALF, max_depth=2, min_leaf_fraction=0.1,
@@ -579,6 +597,22 @@ def _broken(edit):
     (lambda p: _first_leaf(p).update(node_id=999), "node 999 should have id 4"),
     (lambda p: _first_leaf(p)["estimate"].update(leaf_id=999),
      "leaf 4 holds the estimate of leaf 999"),
+    (lambda p: _first_leaf(p).update(n="many"), "node 4: n 'many' is not an integer"),
+    (lambda p: p["tree"].update(n1=3.0), r"node 1: n1 3\.0 is not an integer"),
+    (lambda p: p["tree"].update(n0=True), "node 1: n0 True is not an integer"),
+    (lambda p: p["tree"].update(tau="0.5"), "node 1: tau '0.5' is not a number"),
+    (lambda p: p["tree"].update(tau=False), "node 1: tau False is not a number"),
+    (lambda p: _first_leaf(p)["estimate"].update(itt_hat="abc"),
+     "leaf 4: itt_hat 'abc' is not a number"),
+    (lambda p: _first_leaf(p)["estimate"].update(cace_se=None),
+     "leaf 4: cace_se None is not a number"),
+    (lambda p: _first_leaf(p)["estimate"].update(n=12.5),
+     r"leaf 4: n 12\.5 is not an integer"),
+    (lambda p: _first_leaf(p)["estimate"].update(first_stage_f=True),
+     "leaf 4: first_stage_f True is not a number"),
+    (lambda p: _first_leaf(p)["estimate"].update(compliers_ok=1),
+     "leaf 4: compliers_ok 1 is not true or false"),
+    (lambda p: p["meta"].update(feature_names="x1"), "must be a list"),
 ])
 def test_load_json_validates_structure(edit, match):
     from ctiv.errors import ValidationError
