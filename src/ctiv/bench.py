@@ -11,6 +11,7 @@ relative gap (mse_ct - mse_ctiv) / mse_ct in percent.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -61,11 +62,11 @@ def evaluate_mse(tree: CausalTree, test_covariates: np.ndarray,
     if truth.shape != (np.asarray(test_covariates).shape[0],):
         raise InputError("true_cate must align with test rows")
     ids = tree.assign_leaves(test_covariates)
-    effect_by_id = {
-        leaf_id: (est.itt_hat if effect_kind == "ate" else est.cace_hat)
-        for leaf_id, est in tree.leaf_map.items()
-    }
-    effects = np.array([effect_by_id[i] for i in ids])
+    leaves = tree.leaves()  # sorted by leaf id
+    leaf_ids = np.array([est.leaf_id for est in leaves])
+    leaf_effects = np.array([est.itt_hat if effect_kind == "ate" else est.cace_hat
+                             for est in leaves], dtype=np.float64)
+    effects = leaf_effects[np.searchsorted(leaf_ids, ids)]
     usable = np.isfinite(effects)
     n_excluded = int((~usable).sum())
     if not usable.any():
@@ -140,6 +141,14 @@ def _run_cell_args(args) -> BenchResult | dict:
                 "error": type(exc).__name__, "message": str(exc)}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; all of them where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
               base_seed: int = 0, max_depth: int = 2,
               min_leaf_fraction: float = 0.1, min_arm_count: int = 10,
@@ -148,14 +157,18 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     """All cells of designs x sizes x replicates.
 
     Failing cells are recorded (label, n, rep, error) and skipped.
-    ``workers > 1`` fans cells out to processes; per-cell seeds make the
-    results identical either way. ``progress(label, n, rep)`` is called
-    as each cell's outcome arrives, in cell order.
+    ``workers > 1`` fans cells out to processes, at most one per cell;
+    per-cell seeds make the results identical either way.
+    ``progress(label, n, rep)`` is called as each cell's outcome arrives,
+    in cell order.
     """
     if n_seeds < 1:
         raise InputError("n_seeds must be >= 1")
+    if workers < 1:
+        raise InputError("workers must be >= 1")
     cells = [(label, n, rep, base_seed, max_depth, min_leaf_fraction, min_arm_count)
              for label in designs for n in sizes for rep in range(n_seeds)]
+    workers = min(workers, len(cells))
     results: list[BenchResult] = []
     failures: list[dict] = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import format_summary, results_csv, run_sweep
+from .bench import format_summary, results_csv, run_sweep, usable_cpus
 from .dataset import ColumnSchema, holdout_split, load_csv, read_csv_columns, save_csv
 from .errors import CtivError, EstimationError, InputError, ValidationError
 from .synth import design_spec, generate
@@ -248,7 +248,9 @@ def _add_bench_parser(sub) -> None:
     p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--min-leaf-fraction", type=float, default=0.1)
     p.add_argument("--min-arm-count", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes to run cells in (default: one per usable "
+                        "CPU); progress lines are printed only with one")
     p.add_argument("--out-dir", default=".")
 
 
@@ -265,11 +267,13 @@ def _cmd_bench(args) -> int:
     def progress(label, n, rep):
         print(f"  done design {label} n={n} rep {rep}", flush=True)
 
+    # run.json keeps --workers as given: the default count is host-dependent
+    workers = usable_cpus() if args.workers is None else args.workers
     results, failures = run_sweep(
         designs, sizes, args.seeds, base_seed=args.base_seed,
         max_depth=args.max_depth, min_leaf_fraction=args.min_leaf_fraction,
-        min_arm_count=args.min_arm_count, workers=args.workers,
-        progress=progress if args.workers == 1 else None)
+        min_arm_count=args.min_arm_count, workers=workers,
+        progress=progress if workers == 1 else None)
     summary = format_summary(results) if results else "no successful cells\n"
     out = Path(args.out_dir)
     _write(out / "results.csv", results_csv(results))

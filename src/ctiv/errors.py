@@ -78,7 +78,7 @@ class AggregationError(EstimationError):
 def require_binary(values, name: str) -> np.ndarray:
     """``values`` as an array, once every entry is 0 or 1."""
     arr = np.asarray(values)
-    if not np.isin(arr, (0, 1)).all():
+    if not np.all((arr == 0) | (arr == 1)):
         raise ValidationError(f"{name} must be 0/1")
     return arr
 

@@ -446,6 +446,22 @@ def _numbered(node: TreeNode, node_id: int,
                    right=_numbered(node.right, 2 * node_id + 1, estimates))
 
 
+def _split_masks(split: SplitIndices, n_units: int) -> tuple[np.ndarray, np.ndarray]:
+    """Train and validation membership as boolean masks over the units,
+    once every index is in range and no unit is in both."""
+    parts = [np.asarray(idx, dtype=np.int64)
+             for idx in (split.train, split.validation, split.test)]
+    for name, arr in zip(("train", "validation", "test"), parts):
+        if arr.size and (arr.min() < 0 or arr.max() >= n_units):
+            raise SplitError(f"{name} indices out of range")
+    in_train, in_val = np.zeros((2, n_units), dtype=bool)
+    in_train[parts[0]] = True
+    in_val[parts[1]] = True
+    if in_train[parts[1]].any():
+        raise SplitError("train and validation indices overlap")
+    return in_train, in_val
+
+
 def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
              *, ridge_lambda: float = 1e-6, trim_lo: float = 0.1,
              trim_hi: float = 0.9,
@@ -463,15 +479,10 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     ``adjust_covariates=None`` resolves to True exactly for the
     unconfounded-assignment regime.
     """
+    if not ridge_lambda >= 0.0:
+        raise InputError("ridge_lambda must be nonnegative")
     kind = cfg.regime.kind
-    tr = np.asarray(split.train, dtype=np.int64)
-    va = np.asarray(split.validation, dtype=np.int64)
-    if np.intersect1d(tr, va).size:
-        raise SplitError("train and validation indices overlap")
-    for name, idx in (("train", tr), ("validation", va), ("test", split.test)):
-        arr = np.asarray(idx, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= ds.n_units):
-            raise SplitError(f"{name} indices out of range")
+    in_train, in_val = _split_masks(split, ds.n_units)
 
     model: PropensityModel | None = None
     p_hat: float | None = None
@@ -487,8 +498,8 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
 
     trimmed, kept = trim_by_propensity(ds, e_all, trim_lo, trim_hi)
     e_kept = e_all[kept]
-    train_pos = np.flatnonzero(np.isin(kept, tr))
-    val_pos = np.flatnonzero(np.isin(kept, va))
+    train_pos = np.flatnonzero(in_train[kept])
+    val_pos = np.flatnonzero(in_val[kept])
     if train_pos.size == 0:
         raise EmptyDatasetError("no training units survive trimming")
     adjust = (kind is RegimeKind.IV_UNCONFOUNDED
@@ -510,7 +521,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     else:
         alpha = float(cfg.alpha_override)
 
-    omega_pos = np.union1d(train_pos, val_pos)
+    omega_pos = np.flatnonzero((in_train | in_val)[kept])
     omega_ds = trimmed.subset(omega_pos)
     omega_regime = regime_for(omega_pos)
     full = grow(omega_ds, omega_regime, cfg)
@@ -574,9 +585,13 @@ _BRANCH_KEYS = ("feature", "threshold", "left", "right")
 # JSON value types by field annotation: (Python types, name in errors);
 # NaN is a float, so a failed estimate's NaN fields load
 _JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "float | None": ((int, float, type(None)), "a number or null"),
                "bool": (bool, "true or false")}
 _NODE_TYPES = {"n": "int", "n1": "int", "n0": "int", "tau": "float"}
 _ESTIMATE_TYPES = {f.name: f.type for f in fields(LeafEstimate)}
+# the propensity record's coefficients are checked one number per feature
+_PROPENSITY_TYPES = {f.name: f.type for f in fields(PropensityModel)
+                     if f.name != "coefficients"}
 
 
 def _typed(record: dict, types: dict[str, str], where: str) -> dict:
@@ -630,6 +645,7 @@ def _node_from_dict(data: dict, n_features: int, node_id: int = 1) -> TreeNode:
 _META_FIELDS = ("alpha", "p_hat", "adjust_covariates", "n_input", "n_trimmed",
                 "n_train", "n_validation", "n_omega", "seed", "max_depth",
                 "min_leaf_fraction", "min_arm_count", "overall_cace")
+_META_TYPES = {f.name: f.type for f in fields(CausalTree) if f.name in _META_FIELDS}
 
 
 def export_json(tree: CausalTree) -> str:
@@ -673,23 +689,30 @@ def load_json(text: str) -> CausalTree:
 
 def _tree_from_payload(payload: dict) -> CausalTree:
     meta = payload["meta"]
-    prop = None
-    if meta["propensity"] is not None:
-        p = meta["propensity"]
-        coefs = np.asarray(p["coefficients"], dtype=np.float64)
-        coefs.setflags(write=False)
-        prop = PropensityModel(**{**p, "coefficients": coefs})
     names = meta["feature_names"]
     if (not isinstance(names, list) or not all(isinstance(name, str) for name in names)
             or len(set(names)) != len(names)):
         raise ValidationError("feature_names must be a list of distinct strings")
     names = tuple(names)
+    prop = None
+    if meta["propensity"] is not None:
+        p = meta["propensity"]
+        _typed(p, _PROPENSITY_TYPES, "propensity")
+        coefs = p["coefficients"]
+        if not isinstance(coefs, list) or len(coefs) != len(names):
+            raise ValidationError(
+                f"propensity: coefficients must be a list of {len(names)} numbers")
+        _typed(dict(zip(names, coefs)), dict.fromkeys(names, "float"),
+               "propensity coefficients")
+        coefs = np.asarray(coefs, dtype=np.float64)
+        coefs.setflags(write=False)
+        prop = PropensityModel(**{**p, "coefficients": coefs})
     return CausalTree(
         root=_node_from_dict(payload["tree"], len(names)),
         feature_names=names,
         regime_kind=RegimeKind(meta["regime"]),
         propensity=prop,
-        **{name: meta[name] for name in _META_FIELDS},
+        **_typed(meta, _META_TYPES, "meta"),
     )
 
 

@@ -3,9 +3,12 @@
 import csv
 import io
 import math
+import os
 
 import numpy as np
 import pytest
+
+import ctiv.bench
 
 from ctiv import (
     BenchResult,
@@ -215,6 +218,26 @@ def test_sweep_progress_reports_each_cell_in_order(workers):
                                   progress=lambda *cell: seen.append(cell))
     assert seen == [("1", 300, 0), ("1", 300, 1), ("2", 300, 0), ("2", 300, 1)]
     assert len(results) + len(failures) == 4
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert ctiv.bench.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert ctiv.bench.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ctiv.bench.usable_cpus() == 1
+
+
+def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
+    started = []
+    real = ctiv.bench.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.bench, "ProcessPoolExecutor",
+                        lambda n: started.append(n) or real(n))
+    run_sweep(["1"], [300], n_seeds=1, workers=4)
+    run_sweep(["1"], [300], n_seeds=2, workers=4)
+    assert started == [2]
 
 
 def test_parallel_sweep_matches_serial():

@@ -181,6 +181,8 @@ def test_usage_errors(tmp_path, capsys):
     (("bench", "--seeds", "0"), "n_seeds"),
     (("simulate", "--n", "5"), "n must be"),
     (("simulate", "--cor-wz", "1.5"), "target_cor_wz"),
+    (("bench", "--workers", "0"), "workers must be >= 1"),
+    (("bench", "--workers", "-3"), "workers must be >= 1"),
 ])
 def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
     # the library owns the range checks: its InputError is a data error
@@ -196,6 +198,20 @@ def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
     assert err.count("\n") == 1 and "Traceback" not in err
     payload = json.loads(err)
     assert payload["error"] == "InputError" and word in payload["message"]
+
+
+@pytest.mark.parametrize("regime", ["ct", "iv-unconfounded", "iv-randomized"])
+@pytest.mark.parametrize("ridge", ["-1", "nan"])
+def test_out_of_range_ridge_is_rejected_in_every_regime(tmp_path, capsys, regime, ridge):
+    # iv-randomized never fits a propensity model, so it needs its own check
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200, full_compliance=False)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", regime,
+                       "--ridge", ridge, "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "InputError",
+                               "message": "ridge_lambda must be nonnegative"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_predict_round_trip(tmp_path, capsys):
@@ -274,6 +290,37 @@ def test_bench_small_run(tmp_path, capsys):
         "--out-dir", str(out2))
     assert (out / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
+
+
+def test_bench_bytes_do_not_depend_on_workers(tmp_path, capsys):
+    grid = ("--designs", "1,s1", "--sizes", "300", "--seeds", "2")
+    outs = {}
+    for workers in (None, "1", "2"):
+        out = tmp_path / f"w{workers}"
+        flags = () if workers is None else ("--workers", workers)
+        code, stdout, err = run(capsys, "bench", *grid, *flags, "--out-dir", str(out))
+        assert code == EXIT_OK, err
+        # progress lines only from a serial run
+        assert ("done design" in stdout) == (workers == "1")
+        outs[workers] = out
+    configs = {}
+    for workers, out in outs.items():
+        for name in ("results.csv", "summary.txt"):
+            assert (out / name).read_bytes() == (outs["1"] / name).read_bytes()
+        cfg = json.loads((out / "run.json").read_text())
+        assert cfg["options"].pop("workers") == (None if workers is None else int(workers))
+        cfg["options"].pop("out_dir")
+        configs[workers] = cfg
+    assert configs[None] == configs["1"] == configs["2"]
+
+
+def test_bench_default_on_one_cpu_is_serial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("ctiv.cli.usable_cpus", lambda: 1)
+    code, stdout, err = run(capsys, "bench", "--designs", "1", "--sizes", "300",
+                            "--seeds", "2", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    assert stdout.count("done design") == 2
+    assert json.loads((tmp_path / "run.json").read_text())["options"]["workers"] is None
 
 
 def test_version_flag(capsys):

@@ -7,7 +7,10 @@
   values bit for bit, or the same error.
 - The chunked CSV writer against the per-row ``csv.writer`` loop.
 - The one leaf router, behind ``assign_leaves``, ``predict_leaf`` and
-  ``holdout_loss``, against a walk down the tree one row at a time.
+  ``holdout_loss``, against a walk down the tree one row at a time; and
+  ``evaluate_mse``'s gather of leaf effects against a per-row lookup.
+- ``fit_ctiv``'s boolean split masks against the ``isin``/``union1d``
+  positions they replaced, and its split checks.
 """
 
 import csv
@@ -32,16 +35,18 @@ from ctiv import (
     LeafEstimate,
     RegimeKind,
     design_spec,
+    evaluate_mse,
     export_json,
+    fit_ctiv,
     generate,
     grow,
     load_csv,
     save_csv,
 )
-from ctiv.dataset import read_csv_columns
-from ctiv.errors import CtivError, GrowthError
+from ctiv.dataset import SplitIndices, read_csv_columns
+from ctiv.errors import CtivError, GrowthError, SplitError
 from ctiv.transform import AssignmentRegime, leaf_weighted_itt, transformed_outcome
-from ctiv.tree import TreeNode, _stable_order, holdout_loss
+from ctiv.tree import TreeNode, _split_masks, _stable_order, holdout_loss
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -466,3 +471,62 @@ def test_leaf_routing_matches_per_row_walk(case):
     y_star = transformed_outcome(y, d, regime.unit_probabilities(len(y)))
     tau = np.array([leaf.tau for leaf in leaves])
     assert holdout_loss(root, validation, regime) == float(-np.mean((y_star - tau) ** 2))
+
+
+@SETTINGS
+@given(routed_trees(), st.sampled_from(["ate", "cace"]))
+def test_evaluate_mse_matches_per_row_lookup(case, effect_kind):
+    root, x, y, _ = case
+    tree = CausalTree(
+        root=root, feature_names=("x1", "x2"),
+        regime_kind=RegimeKind.IV_RANDOMIZED, alpha=0.0, p_hat=0.5,
+        propensity=None, adjust_covariates=False, n_input=len(y), n_trimmed=0,
+        n_train=len(y), n_validation=0, n_omega=len(y), seed=0, max_depth=4,
+        min_leaf_fraction=0.1, min_arm_count=1)
+    field = "itt_hat" if effect_kind == "ate" else "cace_hat"
+    effects = np.array([getattr(walk(root, row).estimate, field) for row in x])
+    got = evaluate_mse(tree, x, y, effect_kind)
+    assert got.mse == float(np.mean((y - effects) ** 2))
+    assert (got.n_used, got.n_excluded) == (len(y), 0)
+
+
+# --- split positions: boolean masks against the set operations they replaced ---
+
+@SETTINGS
+@given(st.integers(1, 30), st.data())
+def test_split_masks_match_set_operations(n, data):
+    def indices(lo, hi):
+        return np.array(data.draw(st.lists(st.integers(lo, hi), max_size=n)),
+                        dtype=np.int64)
+
+    in_range = data.draw(st.booleans())
+    lo, hi = (0, n - 1) if in_range else (-3, n + 2)
+    tr, va, te = indices(lo, hi), indices(lo, hi), indices(lo, hi)
+    kept = np.flatnonzero(data.draw(hnp.arrays(bool, n)))
+    split = SplitIndices(train=tr, validation=va, test=te)
+    bad = [name for name, arr in zip(("train", "validation", "test"), (tr, va, te))
+           if arr.size and (arr.min() < 0 or arr.max() >= n)]
+    if bad:
+        # range first: a negative index must not wrap around into a mask
+        with pytest.raises(SplitError, match=f"{bad[0]} indices out of range"):
+            _split_masks(split, n)
+    elif np.intersect1d(tr, va).size:
+        with pytest.raises(SplitError, match="overlap"):
+            _split_masks(split, n)
+    else:
+        in_train, in_val = _split_masks(split, n)
+        train_pos = np.flatnonzero(np.isin(kept, tr))
+        val_pos = np.flatnonzero(np.isin(kept, va))
+        assert np.flatnonzero(in_train[kept]).tolist() == train_pos.tolist()
+        assert np.flatnonzero(in_val[kept]).tolist() == val_pos.tolist()
+        assert np.flatnonzero((in_train | in_val)[kept]).tolist() == \
+            np.union1d(train_pos, val_pos).tolist()
+
+
+def test_split_with_both_faults_reports_the_range_first():
+    sample = generate(design_spec(2, 200, seed=3))
+    split = SplitIndices(train=np.array([0, 1, -1]), validation=np.array([1, 2]),
+                         test=np.array([], dtype=np.int64))
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED))
+    with pytest.raises(SplitError, match="train indices out of range"):
+        fit_ctiv(sample.dataset, cfg, split, seed=3)

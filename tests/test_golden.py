@@ -5,7 +5,9 @@ The rerun tests elsewhere compare two runs of the same code, so they cannot
 see a change that alters output bytes consistently. These digests can. The
 tied fit reads covariates rounded to one decimal, so many rows share a value
 (and some are -0.0): that exercises the stable ordering of equal values in
-the split search.
+the split search. The bench digests were taken from a serial sweep with
+``np.isin`` as the 0/1 check, set operations for the split positions and a
+per-row lookup of leaf effects; any worker count must reproduce them.
 """
 
 import csv
@@ -40,6 +42,13 @@ FITS = {
         "leaf_report.csv": "e916ae52dbaecba42d71958dfd1d86b6218807572cc5df95ec8550cbabd11d23",
         "predict.csv": "095eccefdcce470e990ba7e2d70175ce863edfba95f66bc5f34bd35f541d819d",
     }),
+}
+
+
+# `ctiv bench --designs 1-5,s1,s2 --sizes 300,600 --seeds 2`
+BENCH = {
+    "results.csv": "53d88028f412843d2368bc761a8cc080220714e6c60a7ba1ddd8487b2ae90bfc",
+    "summary.txt": "7b483eac5cd9fed4aa4bb8c308aa97077ed4e8089374cd6062a311156eb0a01d",
 }
 
 
@@ -93,3 +102,9 @@ def test_fit_and_predict_bytes(inputs, tmp_path, capsys, tag):
         "--input", str(inputs / source), "--output", str(out / "predict.csv"))
     got = {name: sha256(out / name) for name in digests}
     assert got == digests
+
+
+def test_bench_bytes(tmp_path, capsys):
+    cli(capsys, "bench", "--designs", "1-5,s1,s2", "--sizes", "300,600",
+        "--seeds", "2", "--out-dir", str(tmp_path))
+    assert {name: sha256(tmp_path / name) for name in BENCH} == BENCH

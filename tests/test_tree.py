@@ -564,6 +564,19 @@ def _tree_payload():
     return payload
 
 
+# a well-typed propensity record for the 10 features of _tree_payload
+_PROPENSITY = {"intercept": 0.1, "coefficients": [0.0] * 10, "ridge_lambda": 1e-6,
+               "converged": True, "iterations": 4}
+
+
+def test_load_json_accepts_a_propensity_record():
+    payload = _tree_payload()
+    payload["meta"]["propensity"] = _PROPENSITY
+    tree = load_json(json.dumps(payload))
+    assert tree.propensity.iterations == 4
+    assert list(tree.propensity.coefficients) == [0.0] * 10
+
+
 def _first_leaf(payload):
     node = payload["tree"]
     while "left" in node:
@@ -613,6 +626,25 @@ def _broken(edit):
     (lambda p: _first_leaf(p)["estimate"].update(compliers_ok=1),
      "leaf 4: compliers_ok 1 is not true or false"),
     (lambda p: p["meta"].update(feature_names="x1"), "must be a list"),
+    (lambda p: p["meta"].update(alpha="abc"), "meta: alpha 'abc' is not a number"),
+    (lambda p: p["meta"].update(n_omega="x"), "meta: n_omega 'x' is not an integer"),
+    (lambda p: p["meta"].update(p_hat=[1]), r"meta: p_hat \[1\] is not a number or null"),
+    (lambda p: p["meta"].update(seed=1.5), r"meta: seed 1\.5 is not an integer"),
+    (lambda p: p["meta"].update(adjust_covariates=0),
+     "meta: adjust_covariates 0 is not true or false"),
+    (lambda p: p["meta"].update(overall_cace=None),
+     "meta: overall_cace None is not a number"),
+    (lambda p: p["meta"].update(propensity=_PROPENSITY | {"iterations": "3"}),
+     "propensity: iterations '3' is not an integer"),
+    (lambda p: p["meta"].update(propensity=_PROPENSITY | {"converged": 1}),
+     "propensity: converged 1 is not true or false"),
+    (lambda p: p["meta"].update(propensity=_PROPENSITY | {"coefficients": ["1"] * 10}),
+     "propensity coefficients: x1 '1' is not a number"),
+    (lambda p: p["meta"].update(propensity=_PROPENSITY | {"coefficients": [True] * 10}),
+     "propensity coefficients: x1 True is not a number"),
+    (lambda p: p["meta"].update(propensity=_PROPENSITY | {"coefficients": [1.0]}),
+     "coefficients must be a list of 10 numbers"),
+    (lambda p: p["meta"].update(propensity=[1]), "malformed serialised tree: list"),
 ])
 def test_load_json_validates_structure(edit, match):
     from ctiv.errors import ValidationError
