@@ -11,9 +11,6 @@ relative gap (mse_ct - mse_ctiv) / mse_ct in percent.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from io import StringIO
 from typing import NamedTuple
@@ -22,6 +19,7 @@ import numpy as np
 
 from .dataset import holdout_split
 from .errors import CtivError, EstimationError, InputError
+from .parallel import fan_out, usable_cpus  # usable_cpus: re-exported
 from .synth import SyntheticSample, design_spec, generate
 from .transform import AssignmentRegime, RegimeKind
 from .tree import CausalTree, GrowthConfig, fit_ctiv
@@ -141,14 +139,6 @@ def _run_cell_args(args) -> BenchResult | dict:
                 "error": type(exc).__name__, "message": str(exc)}
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on; all of them where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
               base_seed: int = 0, max_depth: int = 2,
               min_leaf_fraction: float = 0.1, min_arm_count: int = 10,
@@ -157,7 +147,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     """All cells of designs x sizes x replicates.
 
     Failing cells are recorded (label, n, rep, error) and skipped.
-    ``workers > 1`` fans cells out to processes, at most one per cell;
+    ``workers > 1`` fans cells out to that many processes, at most one
+    per cell (see ``parallel.fan_out``);
     per-cell seeds make the results identical either way.
     ``progress(label, n, rep)`` is called as each cell's outcome arrives,
     in cell order.
@@ -168,12 +159,10 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
         raise InputError("workers must be >= 1")
     cells = [(label, n, rep, base_seed, max_depth, min_leaf_fraction, min_arm_count)
              for label in designs for n in sizes for rep in range(n_seeds)]
-    workers = min(workers, len(cells))
     results: list[BenchResult] = []
     failures: list[dict] = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        # Executor.map's default chunksize of 1 sends the cells one at a time
-        outcomes = (pool.map if pool else map)(_run_cell_args, cells)
+    # a lone cell runs here: a worker would only add a start-up
+    with fan_out(_run_cell_args, cells, workers if len(cells) > 1 else 1) as outcomes:
         for args, outcome in zip(cells, outcomes):
             (results if isinstance(outcome, BenchResult) else failures).append(outcome)
             if progress:

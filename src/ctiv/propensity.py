@@ -83,7 +83,7 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
     if lab.shape != (x.shape[0],):
         raise InputError("labels must be a length-N vector")
     lab = require_binary(lab, "labels").astype(np.float64)
-    if ridge_lambda < 0:
+    if not ridge_lambda >= 0:          # NaN included
         raise InputError("ridge_lambda must be nonnegative")
     if ridge_lambda == 0.0 and (lab.min() == lab.max()):
         raise SeparationError(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ctiv.bench
+import ctiv.parallel
 
 from ctiv import (
     BenchResult,
@@ -232,9 +233,9 @@ def test_usable_cpus_reads_the_affinity_set(monkeypatch):
 
 def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
     started = []
-    real = ctiv.bench.ProcessPoolExecutor
-    monkeypatch.setattr(ctiv.bench, "ProcessPoolExecutor",
-                        lambda n: started.append(n) or real(n))
+    real = ctiv.parallel.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        lambda n, **kw: started.append(n) or real(n, **kw))
     run_sweep(["1"], [300], n_seeds=1, workers=4)
     run_sweep(["1"], [300], n_seeds=2, workers=4)
     assert started == [2]

@@ -1,10 +1,18 @@
 """End-to-end command line behavior: files written, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ctiv.dataset
 from ctiv import Dataset, save_csv
 from ctiv.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main
 
@@ -472,3 +480,113 @@ def test_recorded_key_sets(tmp_path, capsys):
     assert set(bench_cfg["options"]) == {
         "designs", "sizes", "seeds", "base_seed", "max_depth",
         "min_leaf_fraction", "min_arm_count", "workers", "out_dir"}
+
+
+# --- fuzz: malformed CSV and tree.json through main, shares forced small ---
+
+FUZZ = settings(max_examples=50, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+CSV_BYTES = [b"", b",", b"\n", b"\r", b"\r\n", b'"', b"\xff", b"\xc3", b"nan",
+             b"inf", b"2", b"-", b"e", b" ", b"#", b"x", b"\x00", b"1e999"]
+JSON_BYTES = [b"", b"{", b"}", b"[", b"]", b",", b":", b'"', b"null", b"-1",
+              b"1e999", b"NaN", b"true", b"\xff", b"0", b'"x"']
+JSON_VALUES = [None, True, -1, 0, 2, 0.5, -1e308, float("nan"), "x", "", [],
+               {}, [1, 2], {"a": 1}]
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A simulated CSV and the tree fitted on it, as bytes and text."""
+    d = tmp_path_factory.mktemp("fuzz")
+    assert main(["simulate", "--design", "2", "--n", "300", "--seed", "3",
+                 "--out", str(d / "s.csv")]) == EXIT_OK
+    assert main(["fit", "--input", str(d / "s.csv"), "--regime", "iv-randomized",
+                 "--min-leaf-fraction", "0.2", "--out-dir", str(d / "fit")]) == EXIT_OK
+    return (d / "s.csv").read_bytes(), (d / "fit" / "tree.json").read_text()
+
+
+def byte_edits(pieces):
+    """Up to four (where, insert, cut) edits, and the share of bytes kept."""
+    return st.tuples(
+        st.lists(st.tuples(st.floats(0, 1), st.sampled_from(pieces),
+                           st.integers(0, 3)), max_size=4),
+        st.one_of(st.just(1.0), st.floats(0, 1)))
+
+
+def edited(data: bytes, edits) -> bytes:
+    changes, kept = edits
+    for where, insert, cut in changes:
+        i = int(where * len(data))
+        data = data[:i] + insert + data[i + cut:]
+    return data[:int(kept * len(data))]
+
+
+@st.composite
+def tree_edits(draw, text):
+    """tree.json with one value replaced or removed, then edited as bytes."""
+    doc = json.loads(text)
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        items = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            walk(child, path + [key])
+
+    walk(doc, [])
+    path = draw(st.sampled_from(paths[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        parent[path[-1]] = draw(st.sampled_from(JSON_VALUES))
+    elif isinstance(parent, dict):
+        del parent[path[-1]]
+    return edited(json.dumps(doc).encode(), draw(byte_edits(JSON_BYTES)))
+
+
+def fuzz_main(*argv):
+    """main(argv) with CSV text cut into shares of 64 bytes or more: the
+    exit code and stderr, once main returned without raising."""
+    err = io.StringIO()
+    with mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
+                             usable_cpus=mock.Mock(return_value=3)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_ESTIMATION)
+    if code != EXIT_OK:
+        assert err.endswith("\n") and len(err.splitlines()) == 1
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+@FUZZ
+@given(st.data())
+def test_fit_on_malformed_csv_exits_cleanly(fitted, data):
+    csv_bytes, _ = fitted
+    regime = data.draw(st.sampled_from(["ct", "iv-randomized", "iv-unconfounded"]))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "in.csv"
+        path.write_bytes(edited(csv_bytes, data.draw(byte_edits(CSV_BYTES))))
+        assert_clean_exit(*fuzz_main("fit", "--input", str(path), "--regime", regime,
+                                     "--min-leaf-fraction", "0.2",
+                                     "--out-dir", str(Path(d) / "o")))
+
+
+@FUZZ
+@given(st.data())
+def test_predict_on_malformed_csv_or_tree_exits_cleanly(fitted, data):
+    csv_bytes, tree_text = fitted
+    with tempfile.TemporaryDirectory() as d:
+        tree, path = Path(d) / "tree.json", Path(d) / "in.csv"
+        tree.write_bytes(data.draw(st.one_of(st.just(tree_text.encode()),
+                                             tree_edits(tree_text))))
+        path.write_bytes(edited(csv_bytes, data.draw(byte_edits(CSV_BYTES))))
+        assert_clean_exit(*fuzz_main("predict", "--tree", str(tree),
+                                     "--input", str(path),
+                                     "--output", str(Path(d) / "p.csv")))

@@ -4,8 +4,11 @@
   it replaced, which is kept below verbatim as the reference.
 - ``_stable_order`` against ``np.argsort(kind="stable")``.
 - The chunked numpy CSV reader against the per-cell parser: the same
-  values bit for bit, or the same error.
-- The chunked CSV writer against the per-row ``csv.writer`` loop.
+  values bit for bit, or the same error. With the share size patched
+  small, tiny files are cut into byte spans that forked workers parse,
+  and must read exactly as in one process.
+- The chunked CSV writer against the per-row ``csv.writer`` loop, and
+  its output with several shares against its output with one.
 - The one leaf router, behind ``assign_leaves``, ``predict_leaf`` and
   ``holdout_loss``, against a walk down the tree one row at a time; and
   ``evaluate_mse``'s gather of leaf effects against a per-row lookup.
@@ -15,6 +18,8 @@
 
 import csv
 import math
+import os
+import subprocess
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ctiv.dataset
+import ctiv.parallel
 from ctiv import (
     CausalTree,
     ColumnSchema,
@@ -44,12 +50,14 @@ from ctiv import (
     save_csv,
 )
 from ctiv.dataset import SplitIndices, read_csv_columns
-from ctiv.errors import CtivError, GrowthError, SplitError
+from ctiv.errors import CtivError, GrowthError, SplitError, ValidationError
 from ctiv.transform import AssignmentRegime, leaf_weighted_itt, transformed_outcome
 from ctiv.tree import TreeNode, _split_masks, _stable_order, holdout_loss
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+# each example forks workers, so fewer of them
+SHARE_SETTINGS = settings(SETTINGS, max_examples=40)
 
 
 # --- reference growth: a stable argsort of every feature at every node ---
@@ -303,19 +311,22 @@ def reference(read):
         return outcome(read)
 
 
+def reads(path):
+    return [
+        lambda: load_csv(path, ColumnSchema(feature_cols=("x1", "x2"))),
+        lambda: load_csv(path),     # label is a feature: non-numeric
+        lambda: read_csv_columns(path, lambda header: ["x2", "x1"]),
+    ]
+
+
 @SETTINGS
 @given(csv_texts(), st.sampled_from([1, 2, 8192]))
 def test_fast_reader_matches_per_cell_parser(text, chunk):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        reads = [
-            lambda: load_csv(path, ColumnSchema(feature_cols=("x1", "x2"))),
-            lambda: load_csv(path),     # label is a feature: non-numeric
-            lambda: read_csv_columns(path, lambda header: ["x2", "x1"]),
-        ]
         with mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
-            for read in reads:
+            for read in reads(path):
                 assert outcome(read) == reference(read)
 
 
@@ -347,12 +358,7 @@ CSV_CASES = {
 def test_fast_reader_cases(tmp_path, case):
     path = tmp_path / "data.csv"
     path.write_bytes(CSV_CASES[case].encode("utf-8"))
-    reads = [
-        lambda: load_csv(path, ColumnSchema(feature_cols=("x1", "x2"))),
-        lambda: load_csv(path),
-        lambda: read_csv_columns(path, lambda header: ["x2", "x1"]),
-    ]
-    for read in reads:
+    for read in reads(path):
         assert outcome(read) == reference(read)
 
 
@@ -379,6 +385,199 @@ def test_regular_csv_takes_the_numpy_path(tmp_path):
     assert np.signbit(load_csv(path, schema).covariates[0, 0])
 
 
+def many_shares():
+    """CSV text over 64 bytes cut into up to three shares, the later ones
+    handled by forked workers."""
+    return mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
+                               usable_cpus=mock.Mock(return_value=3))
+
+
+@SHARE_SETTINGS
+@given(csv_texts(), st.sampled_from([1, 2, 8192]))
+def test_reader_reads_the_same_with_several_shares(text, chunk):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
+            for read in reads(path):
+                expected = outcome(read)
+                with many_shares():
+                    assert outcome(read) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_reader_cases_with_several_shares(tmp_path, case):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CSV_CASES[case].encode("utf-8"))
+    for read in reads(path):
+        expected = reference(read)
+        with many_shares():
+            assert outcome(read) == expected
+
+
+def late_fault_csv(row: bytes, header: bytes = HEADER.encode()) -> tuple[bytes, int]:
+    """60 regular rows with ``row`` in place of the 58th, and where it starts."""
+    rows = [f"{i / 4!r},{i % 2},{i // 2 % 2},{i / 7!r},{-i},a\n".encode()
+            for i in range(60)]
+    rows[57] = row
+    head = header + b"\n" + b"".join(rows[:57])
+    return head + b"".join(rows[57:]), len(head)
+
+
+LATE_FAULTS = {
+    "irregular row": late_fault_csv(b"1,1,0,2,3,a,7\n"),
+    "non-UTF-8 byte": late_fault_csv(b"1,1,0,2,3,\xff\n"),
+    "non-0/1 arm": late_fault_csv(b"1,2,0,2,3,a\n"),
+    "CR-only line end": late_fault_csv(b"1,1,0,2,3,a\r"),
+    "blank line": late_fault_csv(b"\n"),
+    "quoted multi-line cell": late_fault_csv(b'1,1,0,2,3,"a\nb"\n'),
+    "quoted multi-line header": late_fault_csv(b"1,1,0,2,3,a\n",
+                                               b'y,w,z,x1,x2,"lab\nel"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_FAULTS))
+def test_fault_in_a_later_share_reads_as_the_per_cell_parser(tmp_path, case):
+    text, fault_at = LATE_FAULTS[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    with many_shares():
+        # the header is UTF-8; a bad byte in the first block read would
+        # otherwise fail the header read before the spans are known
+        with path.open(newline="", encoding="utf-8", errors="replace") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            spans = ctiv.dataset._data_spans(path, fh, reader.line_num)
+        assert len(spans) == 3 and fault_at >= spans[2][0]
+        for read in reads(path):
+            assert outcome(read) == reference(read)
+
+
+@pytest.mark.parametrize("header", [HEADER.encode(), b'y,w,z,x1,x2,"lab\nel"'])
+@pytest.mark.parametrize("chunk", [1, 8192])
+def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, chunk):
+    text, _ = late_fault_csv(b"1,1,0,2,3,a\r\n", header)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    schema = ColumnSchema(feature_cols=("x1", "x2"))
+    expected = reference(lambda: load_csv(path, schema))
+    with many_shares(), mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            spans = ctiv.dataset._data_spans(path, fh, reader.line_num)
+        assert len(spans) == 3
+        assert spans[0][0] == len(header) + 1
+        assert all(text[start - 1:start] == b"\n" for start, _ in spans)
+        with mock.patch.object(ctiv.dataset, "_reference_rows",
+                               side_effect=AssertionError("per-cell parser used")):
+            assert outcome(lambda: load_csv(path, schema)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    f"{HEADER}\n" + "".join(f"{i},1,0,{i},2,a\n" for i in range(20)) + "7,0,1,8,9,b",
+    f"{HEADER}\n",
+    HEADER,
+])
+def test_unterminated_and_header_only_files_with_several_shares(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for read in reads(path):
+        expected = reference(read)
+        with many_shares():
+            assert outcome(read) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_piped_csv_reads_as_the_file(tmp_path):
+    text, _ = late_fault_csv(b"1,1,0,2,3,a\n")
+    path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
+    path.write_bytes(text)
+    os.mkfifo(fifo)
+    schema = ColumnSchema(feature_cols=("x1", "x2"))
+    with many_shares():
+        expected = outcome(lambda: load_csv(path, schema))
+        writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
+        try:
+            assert outcome(lambda: load_csv(fifo, schema)) == expected
+        finally:
+            writer.wait(30)
+
+
+def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    pools = []
+    real = ctiv.parallel.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        lambda n, **kw: pools.append(n) or real(n, **kw))
+    ds = generate(design_spec(2, 100, 0)).dataset
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(LATE_FAULTS["non-0/1 arm"][0])
+    real_rows = ctiv.dataset._write_rows
+    real_share = ctiv.dataset._write_share
+
+    def rows_failing_in_workers(fh, columns, span):
+        if span[0]:
+            raise OSError("disk full")
+        real_rows(fh, columns, span)
+
+    def share_beside_the_output(columns, tmp, span):
+        assert Path(tmp).parent == tmp_path
+        return real_share(columns, tmp, span)
+
+    with many_shares():
+        with mock.patch.object(ctiv.dataset, "_write_share", share_beside_the_output):
+            save_csv(ds, tmp_path / "good.csv")
+        assert load_csv(tmp_path / "good.csv").equals(ds)
+        with pytest.raises(ValidationError, match="data row 58"):
+            load_csv(bad, ColumnSchema(feature_cols=("x1", "x2")))
+        with mock.patch.object(ctiv.dataset, "_write_rows", rows_failing_in_workers), \
+                pytest.raises(OSError, match="disk full"):
+            save_csv(ds, tmp_path / "failed.csv")
+    assert pools == [2, 2, 2, 2]
+    assert list(scratch.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.csv", "failed.csv", "good.csv", "tmp"]
+
+
+@pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
+def test_two_cpus_fork_one_worker_for_the_second_share(tmp_path, monkeypatch):
+    pools = []
+    real = ctiv.parallel.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        lambda n, **kw: pools.append(n) or real(n, **kw))
+    ds = generate(design_spec(2, 100, 0)).dataset
+    save_csv(ds, tmp_path / "one.csv")
+    with mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
+                             usable_cpus=mock.Mock(return_value=2)):
+        save_csv(ds, tmp_path / "two.csv")
+        assert load_csv(tmp_path / "two.csv").equals(ds)
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert pools == [1, 1]
+
+
+def test_a_dead_worker_leaves_its_share_to_this_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    sample = generate(design_spec(2, 100, 0))
+    extras = {"true_cate": sample.true_cate}
+    save_csv(sample.dataset, tmp_path / "one.csv", extra_columns=extras)
+    expected = outcome(lambda: load_csv(tmp_path / "one.csv"))
+    die = lambda *args: os._exit(1)     # as if killed from outside
+    write = mock.Mock(wraps=ctiv.dataset._write_csv)
+    read = mock.Mock(wraps=ctiv.dataset._read_columns)
+    with many_shares(), mock.patch.multiple(ctiv.dataset, _write_share=die, _parse_share=die,
+                                            _write_csv=write, _read_columns=read):
+        save_csv(sample.dataset, tmp_path / "several.csv", extra_columns=extras)
+        assert outcome(lambda: load_csv(tmp_path / "several.csv")) == expected
+    # each call broke its pool, then did all the work in this process
+    for call in (write, read):
+        assert [c.kwargs["parallel"] for c in call.call_args_list] == [True, False]
+    assert (tmp_path / "several.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "several.csv"]
+
+
 # --- the CSV writer ---
 
 def ref_save_csv(ds, path, extra_columns):
@@ -397,22 +596,41 @@ FLOATS = st.one_of(TIE_VALUES, st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([1e16, 1e-5, 1e-4, 5e-324, 0.1, 123456789.0]))
 
 
-@SETTINGS
-@given(st.integers(1, 40), st.integers(1, 3), st.data())
-def test_save_csv_matches_csv_writer(n, k, data):
+@st.composite
+def datasets_with_extras(draw):
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 3))
     ds = Dataset(
-        covariates=data.draw(hnp.arrays(np.float64, (n, k), elements=FLOATS)),
-        z=data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1))),
-        w=data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1))),
-        y=data.draw(hnp.arrays(np.float64, n, elements=FLOATS)),
+        covariates=draw(hnp.arrays(np.float64, (n, k), elements=FLOATS)),
+        z=draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1))),
+        w=draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1))),
+        y=draw(hnp.arrays(np.float64, n, elements=FLOATS)),
         feature_names=tuple(f"x,{j}" if j == 1 else f"x{j}" for j in range(k)))
-    extras = {"true_cate": data.draw(hnp.arrays(np.float64, n, elements=FLOATS)),
+    extras = {"true_cate": draw(hnp.arrays(np.float64, n, elements=FLOATS)),
               "count": np.arange(n)}
-    with mock.patch.object(ctiv.dataset, "_WRITE_ROWS", data.draw(st.sampled_from([1, 7, 1024]))), \
+    return ds, extras
+
+
+@SETTINGS
+@given(datasets_with_extras(), st.sampled_from([1, 7, 1024]))
+def test_save_csv_matches_csv_writer(case, write_rows):
+    ds, extras = case
+    with mock.patch.object(ctiv.dataset, "_WRITE_ROWS", write_rows), \
             tempfile.TemporaryDirectory() as d:
         save_csv(ds, Path(d) / "fast.csv", extra_columns=extras)
         ref_save_csv(ds, Path(d) / "ref.csv", extras)
         assert (Path(d) / "fast.csv").read_bytes() == (Path(d) / "ref.csv").read_bytes()
+
+
+@SHARE_SETTINGS
+@given(datasets_with_extras(), st.sampled_from([1, 7, 1024]))
+def test_save_csv_bytes_do_not_depend_on_shares(case, write_rows):
+    ds, extras = case
+    with mock.patch.object(ctiv.dataset, "_WRITE_ROWS", write_rows), \
+            tempfile.TemporaryDirectory() as d:
+        save_csv(ds, Path(d) / "one.csv", extra_columns=extras)
+        with many_shares():
+            save_csv(ds, Path(d) / "several.csv", extra_columns=extras)
+        assert (Path(d) / "several.csv").read_bytes() == (Path(d) / "one.csv").read_bytes()
 
 
 # --- leaf routing: every router against a walk down the tree per row ---

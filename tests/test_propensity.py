@@ -92,6 +92,13 @@ def test_one_class_without_ridge_errors():
         fit_logistic(np.zeros((5, 1)), np.ones(5), ridge_lambda=0.0)
 
 
+@pytest.mark.parametrize("ridge", [-1.0, float("nan")])
+def test_out_of_range_ridge_is_an_input_error(ridge):
+    x = np.random.default_rng(0).normal(size=(40, 2))
+    with pytest.raises(InputError, match="ridge_lambda must be nonnegative"):
+        fit_logistic(x, np.arange(40) % 2, ridge_lambda=ridge)
+
+
 def test_one_class_with_ridge_is_fine():
     model = fit_logistic(np.zeros((5, 1)), np.ones(5), ridge_lambda=1e-6)
     assert model.predict(np.zeros(1)) > 0.99
