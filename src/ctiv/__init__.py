@@ -35,7 +35,6 @@ from .effects import (
     estimate_leaf,
     neyman_variance,
     overall_cace,
-    test_leaf_ate,
     tsls_leaf,
 )
 from .errors import CtivError
@@ -45,7 +44,6 @@ from .synth import (
     SyntheticSample,
     design_spec,
     generate,
-    generate_robustness,
 )
 from .transform import (
     AssignmentRegime,
@@ -100,7 +98,6 @@ __all__ = [
     "fit_ctiv",
     "format_summary",
     "generate",
-    "generate_robustness",
     "grow",
     "holdout_split",
     "leaf_weighted_itt",
@@ -116,7 +113,6 @@ __all__ = [
     "run_sweep",
     "save_csv",
     "select_alpha",
-    "test_leaf_ate",
     "transformed_outcome",
     "trim_by_propensity",
     "tsls_leaf",

@@ -27,7 +27,6 @@ from .tree import CausalTree, GrowthConfig, fit_ctiv
 
 class MseEvaluation(NamedTuple):
     mse: float
-    n_used: int
     n_excluded: int
 
 
@@ -70,7 +69,7 @@ def evaluate_mse(tree: CausalTree, test_covariates: np.ndarray,
     if not usable.any():
         raise EstimationError("every test unit fell in a leaf without an effect")
     mse = float(np.mean((truth[usable] - effects[usable]) ** 2))
-    return MseEvaluation(mse=mse, n_used=int(usable.sum()), n_excluded=n_excluded)
+    return MseEvaluation(mse=mse, n_excluded=n_excluded)
 
 
 def relative_gap(mse_ct: float, mse_ctiv: float) -> float:

@@ -13,12 +13,11 @@ import io
 import os
 import shutil
 import tempfile
-from collections.abc import Callable, Iterator
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -178,45 +177,47 @@ def _numpy_rows(lines, width: int, cols: list[int],
         return None
     # comments=None: numpy would cut text at '#'. The blank lines numpy
     # would skip, csv.reader reports as rows of 0 cells (excluded above).
-    block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                       usecols=cols, ndmin=2)
+    try:
+        block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                           usecols=cols, ndmin=2)
+    except ValueError:
+        return None
     flags = block[:, list(binary)]
     if not ((flags == 0.0) | (flags == 1.0)).all():
         return None
     return block
 
 
-def _reference_rows(path: Path, columns: list[str],
-                    binary: tuple[int, ...]) -> np.ndarray:
-    """Per-cell parse of every data row; the reference for values and errors.
+def _reference_rows(rows: Iterator[list[str]], path: Path, header: list[str],
+                    columns: list[str], binary: tuple[int, ...],
+                    done: int) -> np.ndarray:
+    """Per-cell parse of the data rows ``rows`` yields, numbered from
+    ``done + 1``; the reference for values and errors.
 
     A row's 0/1 columns are checked as soon as the last of them is parsed.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        idx = [header.index(c) for c in columns]
-        check_at = max(binary, default=-1)
-        rows = []
-        try:
-            for i, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise ValidationError(f"{path}: data row {i} has {len(row)} "
-                                          f"cells, expected {len(header)}")
-                values = []
-                for k, (j, name) in enumerate(zip(idx, columns)):
-                    values.append(_parse_cell(row[j], name, i))
-                    if k == check_at:
-                        for b in binary:
-                            if values[b] not in (0.0, 1.0):
-                                raise ValidationError(
-                                    f"{path}: column '{columns[b]}' must be 0/1 "
-                                    f"but data row {i} has {values[b]:g}")
-                rows.append(values)
-        except csv.Error as exc:        # e.g. a cell over csv's field size limit
-            raise ValidationError(
-                f"{path}: data row {len(rows) + 1}: {exc}") from None
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    idx = [header.index(c) for c in columns]
+    check_at = max(binary, default=-1)
+    parsed = []
+    try:
+        for i, row in enumerate(rows, start=done + 1):
+            if len(row) != len(header):
+                raise ValidationError(f"{path}: data row {i} has {len(row)} "
+                                      f"cells, expected {len(header)}")
+            values = []
+            for k, (j, name) in enumerate(zip(idx, columns)):
+                values.append(_parse_cell(row[j], name, i))
+                if k == check_at:
+                    for b in binary:
+                        if values[b] not in (0.0, 1.0):
+                            raise ValidationError(
+                                f"{path}: column '{columns[b]}' must be 0/1 "
+                                f"but data row {i} has {values[b]:g}")
+            parsed.append(values)
+    except csv.Error as exc:            # e.g. a cell over csv's field size limit
+        raise ValidationError(
+            f"{path}: data row {done + len(parsed) + 1}: {exc}") from None
+    return np.asarray(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
 
 
 def _share_count(text_bytes: int) -> int:
@@ -245,10 +246,8 @@ def _shares(work: Callable, spans: list, tmp_dir: Path | None = None) -> Iterato
         yield results
 
 
-def _data_spans(path: Path, fh, header_lines: int,
-                parallel: bool = True) -> list[tuple[int, int | None]]:
-    """Byte spans ``(start, stop)`` of the data rows, one per share, or
-    just one unless ``parallel``.
+def _data_spans(path: Path, fh, header_lines: int) -> list[tuple[int, int | None]]:
+    """Byte spans ``(start, stop)`` of the data rows, one per share.
 
     ``fh`` is ``path`` open as text, just past its header of
     ``header_lines`` lines, and stays there. Every span after the first
@@ -258,7 +257,7 @@ def _data_spans(path: Path, fh, header_lines: int,
     buffers), is the one span ``(0, None)``: all that ``fh`` has left.
     """
     size = os.fstat(fh.fileno()).st_size
-    shares = _share_count(size) if parallel else 1
+    shares = _share_count(size)
     if shares == 1:
         return [(0, None)]
     fh.seek(0)
@@ -275,27 +274,47 @@ def _data_spans(path: Path, fh, header_lines: int,
     return list(zip(cuts, cuts[1:] + [None]))
 
 
+def _lines_then(lines: list[str], exc: Exception) -> Iterator[str]:
+    """``lines``, then ``exc`` raised."""
+    yield from lines
+    raise exc
+
+
 def _parse_span(width: int, cols: list[int], binary: tuple[int, ...], fh,
-                span: tuple[int, int | None]) -> list[np.ndarray] | None:
+                span: tuple[int, int | None]) -> tuple[list[np.ndarray], Iterable[str] | None]:
     """The data lines of ``span``, read from ``fh`` (open as text at the
     span's start) ``_READ_LINES`` at a time, each chunk parsed by
-    ``_numpy_rows``; None once a chunk is irregular or not UTF-8."""
+    ``_numpy_rows``: (blocks, None).
+
+    Once a chunk is irregular, it returns the blocks before it and the
+    rest of ``fh``'s lines from that chunk's first one on. Text that is
+    not UTF-8 ends a chunk: its rest is the chunk's lines decoded before
+    it, then the UnicodeDecodeError.
+    """
     start, stop = span
     left = None if stop is None else stop - start
     blocks = []
-    try:
-        while (left is None or left > 0) and (lines := list(islice(fh, _READ_LINES))):
-            if left is not None:
-                # the span ends at a line end; lines past it belong to the next
-                left -= len("".join(lines).encode("utf-8"))
-                while left < 0:
-                    left += len(lines.pop().encode("utf-8"))
-            blocks.append(_numpy_rows(lines, width, cols, binary))
-            if blocks[-1] is None:
-                return None
-    except ValueError:                  # UnicodeDecodeError included
-        return None
-    return blocks
+    while left is None or left > 0:
+        lines = []
+        try:
+            for line in islice(fh, _READ_LINES):
+                lines.append(line)
+        except UnicodeDecodeError as exc:
+            return blocks, _lines_then(lines, exc)
+        if not lines:
+            break
+        ours = len(lines)
+        if left is not None:
+            # the span ends at a line end; lines past it belong to the next
+            left -= len("".join(lines).encode("utf-8"))
+            while left < 0:
+                ours -= 1
+                left += len(lines[ours].encode("utf-8"))
+        block = _numpy_rows(lines[:ours], width, cols, binary)
+        if block is None:
+            return blocks, chain(lines, fh)
+        blocks.append(block)
+    return blocks, None
 
 
 def _parse_share(parse: Callable, path: Path, tmp: str,
@@ -305,8 +324,8 @@ def _parse_share(parse: Callable, path: Path, tmp: str,
     with path.open("rb") as fb:
         fb.seek(span[0])
         with io.TextIOWrapper(fb, encoding="utf-8", newline="") as fh:
-            blocks = parse(fh, span)
-    if blocks is None:
+            blocks, rest = parse(fh, span)
+    if rest is not None:
         return None
     part = os.path.join(tmp, f"{span[0]}.npy")
     np.save(part, np.concatenate(blocks))
@@ -322,42 +341,39 @@ def read_csv_columns(path: str | Path,
     ``choose`` gets the stripped header and returns the column names to
     read, raising if the header does not fit. ``binary`` are positions in
     that list whose cells must be 0 or 1. Regular text is parsed by numpy,
-    a chunk of lines at a time; any other file is re-read cell by cell.
-    A large file is cut into byte spans that forked workers parse at the
-    same time as this process parses the first; the workers' values pass
-    through ``.npy`` files in the system's temporary directory. Row
-    numbers in error messages are 1-based over data rows. A file that is
-    not UTF-8 raises ValidationError.
+    a chunk of lines at a time; from the first irregular chunk on, the
+    rows are parsed cell by cell from the same open file, so a pipe reads
+    as a file does. A large file is cut into byte spans that forked
+    workers parse at the same time as this process parses the first; the
+    workers' values pass through ``.npy`` files in the system's temporary
+    directory, and an irregular span sends the whole file to the per-cell
+    parser. Row numbers in error messages are 1-based over data rows. A
+    file that is not UTF-8 raises ValidationError.
     """
     path = Path(path)
     try:
-        try:
-            return _read_columns(path, choose, binary, parallel=True)
-        except BrokenProcessPool:
-            # a worker died (killed from outside, say): read it all here
-            return _read_columns(path, choose, binary, parallel=False)
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = _read_header(reader, path)
+            columns = choose(header)
+            parse = partial(_parse_span, len(header),
+                            [header.index(c) for c in columns], binary)
+            spans = _data_spans(path, fh, reader.line_num)
+            with _shares(partial(_parse_share, parse, path), spans) as parts:
+                blocks, rest = parse(fh, spans[0])
+                parts = list(parts)
+                if rest is None and None not in parts:
+                    blocks += map(np.load, parts)
+                elif rest is None:      # a later span is irregular: start over
+                    fh.seek(0)
+                    next(reader)
+                    blocks, rest = [], fh
+            if rest is not None:
+                done = sum(map(len, blocks))
+                blocks.append(_reference_rows(csv.reader(rest), path, header,
+                                              columns, binary, done))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _read_columns(path: Path, choose: Callable[[list[str]], list[str]],
-                  binary: tuple[int, ...], parallel: bool) -> tuple[list[str], np.ndarray]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        columns = choose(header)
-        parse = partial(_parse_span, len(header),
-                        [header.index(c) for c in columns], binary)
-        spans = _data_spans(path, fh, reader.line_num, parallel)
-        with _shares(partial(_parse_share, parse, path), spans) as parts:
-            blocks = parse(fh, spans[0])
-            parts = list(parts)
-            if blocks is not None and None not in parts:
-                blocks += map(np.load, parts)
-            else:
-                blocks = None
-    if blocks is None:
-        return columns, _reference_rows(path, columns, binary)
     if not blocks:
         return columns, np.empty((0, len(columns)))
     return columns, np.concatenate(blocks)
@@ -434,17 +450,8 @@ def save_csv(ds: Dataset, path: str | Path,
     columns = [ds.y, ds.w, ds.z, *ds.covariates.T]
     columns += [np.asarray(col, dtype=np.float64) for col in extras.values()]
     header = ["y", "w", "z", *ds.feature_names, *extras.keys()]
-    try:
-        _write_csv(path, header, columns, parallel=True)
-    except BrokenProcessPool:
-        # a worker died (killed from outside, say): write it all here
-        _write_csv(path, header, columns, parallel=False)
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
-               parallel: bool) -> None:
-    n = len(columns[0])
-    shares = _share_count(n * len(columns) * _CELL_BYTES) if parallel else 1
+    n = ds.n_units
+    shares = _share_count(n * len(columns) * _CELL_BYTES)
     bounds = sorted({n * i // shares for i in range(shares + 1)})
     spans = list(zip(bounds, bounds[1:]))
     with path.open("w", newline="", encoding="utf-8") as fh:

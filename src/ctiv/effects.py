@@ -59,7 +59,6 @@ class TslsFit:
     pi1_hat: float           # first-stage coefficient on the instrument
     se_gamma: float
     first_stage_f: float
-    covariate_adjusted: bool
 
 
 def compliance_shares(z: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
@@ -92,15 +91,14 @@ def cace_ratio(itt_hat: float, pi_c_hat: float) -> float:
 
 
 def tsls_leaf(y: np.ndarray, w: np.ndarray, z: np.ndarray,
-              covariates: np.ndarray | None = None,
-              adjust_covariates: bool = False) -> TslsFit:
+              covariates: np.ndarray | None = None) -> TslsFit:
     """Two-stage least squares of y on w, instrumented by z.
 
-    Both stages carry an intercept. With ``adjust_covariates`` the
-    covariate columns enter both stages additively. Standard errors
-    assume homoskedastic residuals. With binary z/w and no covariates
-    the coefficient on w equals the ratio of the z-contrast in y to the
-    z-contrast in w (the Wald estimate) up to float rounding.
+    Both stages carry an intercept. Given ``covariates``, their columns
+    enter both stages additively. Standard errors assume homoskedastic
+    residuals. With binary z/w and no covariates the coefficient on w
+    equals the ratio of the z-contrast in y to the z-contrast in w (the
+    Wald estimate) up to float rounding.
     """
     y = np.asarray(y, dtype=np.float64)
     w = require_binary(w, "w").astype(np.float64)
@@ -112,15 +110,13 @@ def tsls_leaf(y: np.ndarray, w: np.ndarray, z: np.ndarray,
     if not assigned.any() or assigned.all():
         raise EmptyArmError("both assignment arms must be nonempty")
 
-    if adjust_covariates:
-        if covariates is None:
-            raise InputError("adjust_covariates=True requires covariates")
+    if covariates is None:
+        exog = np.ones((n, 1))
+    else:
         x = np.asarray(covariates, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != n:
             raise InputError("covariates must be (N, K)")
         exog = np.hstack([np.ones((n, 1)), x])
-    else:
-        exog = np.ones((n, 1))
     inst = np.hstack([exog[:, :1], z[:, None], exog[:, 1:]])   # [1, z, X]
     design = np.hstack([exog[:, :1], w[:, None], exog[:, 1:]])  # [1, w, X]
     p = inst.shape[1]
@@ -162,7 +158,6 @@ def tsls_leaf(y: np.ndarray, w: np.ndarray, z: np.ndarray,
         pi1_hat=pi1,
         se_gamma=se_gamma,
         first_stage_f=first_stage_f,
-        covariate_adjusted=bool(adjust_covariates),
     )
 
 
@@ -174,19 +169,6 @@ def neyman_variance(treated_y: np.ndarray, control_y: np.ndarray) -> float:
         raise EstimationError(
             "each arm needs at least two units for a variance estimate")
     return float(t.var(ddof=1) / t.size + c.var(ddof=1) / c.size)
-
-
-def test_leaf_ate(y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Difference of receipt-arm means plus its variance, on held-out units."""
-    y = np.asarray(y, dtype=np.float64)
-    w = require_binary(w, "w").astype(np.float64)
-    if y.shape != w.shape or y.ndim != 1:
-        raise InputError("y and w must be aligned vectors")
-    treated = w == 1.0
-    if not treated.any() or treated.all():
-        raise EmptyArmError("both receipt arms must be nonempty")
-    ate = float(y[treated].mean() - y[~treated].mean())
-    return ate, neyman_variance(y[treated], y[~treated])
 
 
 def estimate_leaf(leaf_id: int, y: np.ndarray, z: np.ndarray, w: np.ndarray,
@@ -208,8 +190,7 @@ def estimate_leaf(leaf_id: int, y: np.ndarray, z: np.ndarray, w: np.ndarray,
     compliers_ok = pi_c > 0.0
     cace = cace_ratio(itt, pi_c) if compliers_ok else float("nan")
     try:
-        fit = tsls_leaf(y, w_arr, d, covariates=covariates,
-                        adjust_covariates=adjust_covariates)
+        fit = tsls_leaf(y, w_arr, d, covariates if adjust_covariates else None)
         cace_se, first_f = fit.se_gamma, fit.first_stage_f
     except EstimationError:
         cace_se, first_f = float("nan"), float("nan")

@@ -19,8 +19,10 @@ import os
 import sys
 import threading
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from functools import partial
 
 
 def usable_cpus() -> int:
@@ -55,6 +57,15 @@ def _run_task(task):
     return _task_fn(task)
 
 
+def _result(fn: Callable, task, future):
+    """The task's result from its worker, or ``fn(task)`` run here when a
+    worker died (killed from outside, say) before the task was done."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return fn(task)
+
+
 @contextmanager
 def fan_out(fn: Callable, tasks: Sequence, workers: int) -> Iterator[Iterator]:
     """Yield an iterator over ``fn(task)`` for each task, in task order.
@@ -64,16 +75,23 @@ def fan_out(fn: Callable, tasks: Sequence, workers: int) -> Iterator[Iterator]:
     spawned elsewhere, which take the next task as they finish one, so a
     lone task still goes to a worker while the caller does other work;
     leaving the block waits for them, and a task's exception is raised
-    when the iterator reaches its result. A worker that dies raises
-    ``BrokenProcessPool`` there instead. With one worker, each task runs
-    in this process when the iterator reaches it.
+    when the iterator reaches its result. A worker that dies breaks the
+    pool: every task not finished by then runs in this process when the
+    iterator reaches it. With one worker, each task runs in this process
+    when the iterator reaches it.
     """
     if workers > 1 and tasks:
         method = "fork" if fork_is_safe() else "spawn"
         with ProcessPoolExecutor(min(workers, len(tasks)),
                                  mp_context=multiprocessing.get_context(method),
                                  initializer=_adopt, initargs=(fn,)) as pool:
-            # Executor.map's default chunksize of 1 sends one task at a time
-            yield pool.map(_run_task, tasks)
+            futures = []
+            for task in tasks:
+                try:
+                    futures.append(pool.submit(_run_task, task))
+                except BrokenProcessPool as exc:    # a worker died already
+                    futures.append(Future())
+                    futures[-1].set_exception(exc)
+            yield map(partial(_result, fn), tasks, futures)
     else:
         yield map(fn, tasks)

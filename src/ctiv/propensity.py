@@ -29,14 +29,6 @@ class PropensityModel:
     converged: bool
     iterations: int
 
-    def predict(self, x: np.ndarray) -> float:
-        """Probability for a single covariate vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.coefficients.shape:
-            raise InputError(
-                f"expected {self.coefficients.shape[0]} features, got {x.shape}")
-        return float(self.predict_many(x[None, :])[0])
-
     def predict_many(self, covariates: np.ndarray) -> np.ndarray:
         """Probabilities for each row of a covariate matrix."""
         x = np.asarray(covariates, dtype=np.float64)

@@ -215,15 +215,3 @@ def generate(spec: DesignSpec) -> SyntheticSample:
         y_if_treated=y1,
         y_if_untreated=y0,
     )
-
-
-def generate_robustness(scenario: int, n: int, seed: int) -> SyntheticSample:
-    """Robustness twists on design 2.
-
-    Scenario 1 halves instrument strength (Cor(W,Z) target 0.5);
-    scenario 2 adds a direct assignment effect for units with X10 >= 0.
-    The true receipt effect is unchanged in both.
-    """
-    if scenario not in (1, 2):
-        raise InputError(f"scenario must be 1 or 2, got {scenario}")
-    return generate(design_spec(2, n, seed, scenario=scenario))

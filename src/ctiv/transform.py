@@ -57,14 +57,10 @@ class AssignmentRegime:
             e.setflags(write=False)
             object.__setattr__(self, "e_hat", e)
 
-    @property
-    def splits_on_receipt(self) -> bool:
-        return self.kind is RegimeKind.CT
-
     def indicator(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The indicator this regime splits and weights on: receipt ``w``
         for a plain causal tree, assignment ``z`` otherwise."""
-        return w if self.splits_on_receipt else z
+        return w if self.kind is RegimeKind.CT else z
 
     def unit_probabilities(self, n: int) -> np.ndarray:
         """Length-n probability vector for the units this regime was fit on."""

@@ -112,7 +112,6 @@ def _preorder(root: TreeNode):
 class PathElement:
     alpha_threshold: float
     root: TreeNode
-    n_leaves: int
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class PruningPath:
     """Nested subtrees from the full tree down to the bare root."""
 
     elements: tuple[PathElement, ...]
-    n_train: int
 
 
 # --- growth ---
@@ -258,58 +256,57 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
 
 # --- pruning ---
 
-def _subtree_price(node: TreeNode,
-                   n_train: int) -> tuple[float, int, float, float]:
-    """(score sum, leaf count, own price, weakest price) of the subtree at
-    ``node``.
+def _pruned(node: TreeNode, price: float, n_train: int):
+    """One bottom-up pass over the subtree at ``node``.
 
-    The score sum adds n * tau^2 over its leaves; the own price is the
-    score per training unit that collapsing the node into a leaf gives
-    up, per leaf removed; the weakest price is the smallest own price in
-    the subtree. Both prices are infinite at a leaf.
+    Returns the score sum and leaf count of the subtree as given, then
+    the subtree with every node collapsed whose own price on the subtree
+    as given is <= ``price``, with that result's score sum, leaf count
+    and weakest price. The score sum adds n * tau^2 over the leaves; a
+    node's own price is the score per training unit that collapsing it
+    into a leaf gives up, per leaf removed; the weakest price is the
+    smallest own price in the subtree, infinite at a leaf. A node is
+    priced on its children as given, not as collapsed: at tied prices
+    the two can differ in the last bit.
     """
+    own = node.n * node.tau * node.tau
     if node.is_leaf:
-        return node.n * node.tau * node.tau, 1, math.inf, math.inf
-    left_sum, left_leaves, _, left_weakest = _subtree_price(node.left, n_train)
-    right_sum, right_leaves, _, right_weakest = _subtree_price(node.right, n_train)
-    score, leaves = left_sum + right_sum, left_leaves + right_leaves
-    gain = (score - node.n * node.tau * node.tau) / n_train
-    price = gain / (leaves - 1)
-    return score, leaves, price, min(price, left_weakest, right_weakest)
-
-
-def _collapse_at_or_below(node: TreeNode, price: float, n_train: int) -> TreeNode:
-    """Collapse, top-down, every internal node whose price is <= price."""
-    if node.is_leaf:
-        return node
-    if _subtree_price(node, n_train)[2] <= price:
-        return replace(node, feature=None, threshold=None, left=None, right=None)
-    return replace(node,
-                   left=_collapse_at_or_below(node.left, price, n_train),
-                   right=_collapse_at_or_below(node.right, price, n_train))
+        return own, 1, node, own, 1, math.inf
+    l_score, l_leaves, left, l_kept, l_kept_leaves, l_weakest = \
+        _pruned(node.left, price, n_train)
+    r_score, r_leaves, right, r_kept, r_kept_leaves, r_weakest = \
+        _pruned(node.right, price, n_train)
+    score, leaves = l_score + r_score, l_leaves + r_leaves
+    if (score - own) / n_train / (leaves - 1) <= price:
+        leaf = replace(node, feature=None, threshold=None, left=None, right=None)
+        return score, leaves, leaf, own, 1, math.inf
+    kept, kept_leaves = l_kept + r_kept, l_kept_leaves + r_kept_leaves
+    kept_price = (kept - own) / n_train / (kept_leaves - 1)
+    if left is not node.left or right is not node.right:
+        node = replace(node, left=left, right=right)
+    return score, leaves, node, kept, kept_leaves, min(kept_price, l_weakest, r_weakest)
 
 
 def prune_path(root: TreeNode, n_train: int) -> PruningPath:
     """Weakest-link cost-complexity path.
 
-    Element zero is the full tree at threshold 0; each later element
-    records the smallest alpha at which its subtree becomes optimal.
-    Thresholds increase strictly and leaf counts decrease strictly down
-    to the bare root.
+    Element zero, at threshold 0, is the tree with every node collapsed
+    that gives up no score: the full tree, unless a split was grown on
+    rounding noise. Each later element records the smallest alpha at
+    which its subtree becomes optimal. Thresholds increase strictly and
+    leaf counts decrease strictly down to the bare root.
     """
     if n_train < 1:
         raise InputError("n_train must be positive")
-    elements = [PathElement(0.0, root, root.n_leaves())]
-    current = root
-    weakest = _subtree_price(root, n_train)[3]
-    while weakest < math.inf:
-        price = weakest
+    elements = []
+    current, weakest, price = root, -math.inf, 0.0
+    while price < math.inf:
         # collapsing can expose ancestors at the same price; sweep until clear
         while weakest <= price:
-            current = _collapse_at_or_below(current, price, n_train)
-            weakest = _subtree_price(current, n_train)[3]
-        elements.append(PathElement(float(price), current, current.n_leaves()))
-    return PruningPath(tuple(elements), n_train)
+            _, _, current, _, _, weakest = _pruned(current, price, n_train)
+        elements.append(PathElement(float(price), current))
+        price = weakest
+    return PruningPath(tuple(elements))
 
 
 # --- alpha selection on a holdout sample ---
@@ -426,14 +423,6 @@ class CausalTree:
     @property
     def leaf_map(self) -> dict[int, LeafEstimate]:
         return {est.leaf_id: est for est in self.leaves()}
-
-    def predict_leaf(self, x: np.ndarray) -> LeafEstimate:
-        """Estimate attached to the leaf containing one covariate vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (len(self.feature_names),):
-            raise InputError(
-                f"expected {len(self.feature_names)} features, got {x.shape}")
-        return self.leaf_map[self.assign_leaves(x[None, :])[0]]
 
 
 def _numbered(node: TreeNode, node_id: int,

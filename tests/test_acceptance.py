@@ -23,7 +23,6 @@ from ctiv import (
     export_json,
     fit_ctiv,
     generate,
-    generate_robustness,
     grow,
     holdout_split,
     leaf_weighted_itt,
@@ -306,7 +305,7 @@ def test_synthetic_calibration_windows(capsys):
         s = generate(design_spec(design_id, 5000, seed=110 + design_id))
         worst = max(worst, abs(s.realized_cor_wz - 0.65),
                     abs(s.realized_cor_weta - 0.50))
-    weak = generate_robustness(1, 5000, seed=116)
+    weak = generate(design_spec(2, 5000, seed=116, scenario=1))
     worst = max(worst, abs(weak.realized_cor_wz - 0.5),
                 abs(weak.realized_cor_weta - 0.50))
     ok = worst <= 0.05

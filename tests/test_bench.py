@@ -62,7 +62,7 @@ def test_evaluate_mse_perfect_tree():
     truth = np.array([-1.0, -1.0, 1.0, 1.0])
     got = evaluate_mse(tree, x, truth, "cace")
     assert got.mse == 0.0
-    assert got.n_used == 4 and got.n_excluded == 0
+    assert got.n_excluded == 0
 
 
 def test_evaluate_mse_constant_shift():
@@ -88,7 +88,7 @@ def test_evaluate_mse_excludes_undefined_leaves():
     x = np.array([[-1.0], [-2.0], [1.0], [2.0], [3.0]])
     truth = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
     got = evaluate_mse(tree, x, truth, "cace")
-    assert got.n_excluded == 2 and got.n_used == 3
+    assert got.n_excluded == 2
     assert got.mse == pytest.approx(1.0 / 3.0, abs=1e-12)
     # the receipt-side reading still uses all rows
     assert evaluate_mse(tree, x, truth, "ate").n_excluded == 0
@@ -245,3 +245,20 @@ def test_parallel_sweep_matches_serial():
     serial, _ = run_sweep(["1"], [300], n_seeds=2, base_seed=5, workers=1)
     parallel, _ = run_sweep(["1"], [300], n_seeds=2, base_seed=5, workers=2)
     assert serial == parallel
+
+
+@pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
+def test_sweep_finishes_the_cells_of_a_dead_worker(monkeypatch):
+    this, ran_here = os.getpid(), []
+    real = ctiv.bench.run_cell
+
+    def run_cell(*args):
+        if os.getpid() != this:
+            os._exit(1)                 # as if killed from outside
+        ran_here.append(args[:3])
+        return real(*args)
+
+    serial = run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5, workers=1)
+    monkeypatch.setattr(ctiv.bench, "run_cell", run_cell)
+    assert run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5, workers=2) == serial
+    assert ran_here == [(label, 300, rep) for label in "12" for rep in range(2)]

@@ -14,7 +14,6 @@ from ctiv import (
     tsls_leaf,
 )
 from ctiv.effects import LeafEstimate
-from ctiv.effects import test_leaf_ate as held_out_leaf_ate
 from ctiv.errors import (
     AggregationError,
     EmptyArmError,
@@ -126,9 +125,7 @@ def test_tsls_recovers_known_effect_with_se():
 def test_tsls_covariate_adjusted_runs():
     sample = generate(design_spec(2, 3000, seed=13))
     ds = sample.dataset
-    fit = tsls_leaf(ds.y, ds.w, ds.z, covariates=ds.covariates,
-                    adjust_covariates=True)
-    assert fit.covariate_adjusted
+    fit = tsls_leaf(ds.y, ds.w, ds.z, covariates=ds.covariates)
     assert abs(fit.gamma_hat - sample.true_cate.mean()) < 4 * fit.se_gamma
     # adjusting for the additive baseline shrinks residual noise
     plain = tsls_leaf(ds.y, ds.w, ds.z)
@@ -142,7 +139,7 @@ def test_tsls_rank_deficient_errors():
     w = (rng.random(n) < 0.2 + 0.6 * z).astype(int)
     x = np.ones((n, 1))  # collinear with the intercept
     with pytest.raises(EstimationError):
-        tsls_leaf(rng.normal(size=n), w, z, covariates=x, adjust_covariates=True)
+        tsls_leaf(rng.normal(size=n), w, z, covariates=x)
 
 
 def test_tsls_no_first_stage_errors():
@@ -178,27 +175,8 @@ def test_neyman_needs_two_per_arm():
         neyman_variance(np.array([1.0]), np.array([1.0, 2.0]))
 
 
-def test_held_out_ate_value():
-    # arm means 2 and 1; each arm has ddof-1 variance 2 and 0
-    ate, var = held_out_leaf_ate(np.array([3.0, 1.0, 1.0, 1.0]),
-                             np.array([1, 1, 0, 0]))
-    assert ate == pytest.approx(1.0, abs=1e-15)
-    assert var == pytest.approx(2.0 / 2 + 0.0 / 2, abs=1e-15)
-
-
-def test_held_out_ate_identical_arms():
-    ate, var = held_out_leaf_ate(np.array([2.0, 2.0, 2.0, 2.0]),
-                             np.array([1, 1, 0, 0]))
-    assert ate == 0.0 and var == 0.0
-
-
-def test_held_out_ate_empty_arm():
-    with pytest.raises(EmptyArmError):
-        held_out_leaf_ate(np.ones(3), np.array([1, 1, 1]))
-
-
-def test_held_out_ate_variance_calibrated():
-    # reported variance should track the sampling variance of the estimate
+def test_neyman_variance_calibrated():
+    # the variance should track the sampling variance of the arm contrast
     rng = np.random.default_rng(14)
     reps, n = 5000, 60
     estimates = np.empty(reps)
@@ -208,7 +186,9 @@ def test_held_out_ate_variance_calibrated():
         if w.min() == w.max():
             w[:2] = [0, 1]
         y = rng.normal(size=n) + 0.8 * w
-        estimates[r], reported[r] = held_out_leaf_ate(y, w)
+        treated, control = y[w == 1], y[w == 0]
+        estimates[r] = treated.mean() - control.mean()
+        reported[r] = neyman_variance(treated, control)
     empirical = estimates.var(ddof=1)
     assert abs(reported.mean() - empirical) / empirical < 0.15
 

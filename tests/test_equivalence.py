@@ -3,20 +3,23 @@
 - Growth: the presorted split search against the per-node stable argsort
   it replaced, which is kept below verbatim as the reference.
 - ``_stable_order`` against ``np.argsort(kind="stable")``.
+- The one-pass pruning sweep against the two walks it replaced, one that
+  prices a subtree and one that collapses top-down, kept below verbatim.
 - The chunked numpy CSV reader against the per-cell parser: the same
   values bit for bit, or the same error. With the share size patched
   small, tiny files are cut into byte spans that forked workers parse,
   and must read exactly as in one process.
 - The chunked CSV writer against the per-row ``csv.writer`` loop, and
   its output with several shares against its output with one.
-- The one leaf router, behind ``assign_leaves``, ``predict_leaf`` and
-  ``holdout_loss``, against a walk down the tree one row at a time; and
-  ``evaluate_mse``'s gather of leaf effects against a per-row lookup.
+- The one leaf router, behind ``assign_leaves`` and ``holdout_loss``,
+  against a walk down the tree one row at a time; and ``evaluate_mse``'s
+  gather of leaf effects against a per-row lookup.
 - ``fit_ctiv``'s boolean split masks against the ``isin``/``union1d``
   positions they replaced, and its split checks.
 """
 
 import csv
+import itertools
 import math
 import os
 import subprocess
@@ -47,6 +50,7 @@ from ctiv import (
     generate,
     grow,
     load_csv,
+    prune_path,
     save_csv,
 )
 from ctiv.dataset import SplitIndices, read_csv_columns
@@ -130,7 +134,7 @@ def ref_grow_node(x, y, d, e, depth, cfg, min_leaf):
 
 def ref_grow(train, regime, cfg):
     n = train.n_units
-    d = (train.w if regime.splits_on_receipt else train.z).astype(np.int64)
+    d = (train.w if regime.kind is RegimeKind.CT else train.z).astype(np.int64)
     e = regime.unit_probabilities(n)
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     n1 = int(d.sum())
@@ -244,6 +248,92 @@ def test_cut_whose_midpoint_rounds_to_the_upper_value(upper_arms):
     TIE_VALUES, st.floats(allow_nan=False))))
 def test_stable_order_is_stable_argsort(col):
     assert np.array_equal(_stable_order(col), np.argsort(col, kind="stable"))
+
+
+# --- pruning: one pass per sweep against the two walks it replaced ---
+
+def ref_subtree_price(node, n_train):
+    """(score sum, leaf count, own price, weakest price) of the subtree at
+    ``node``."""
+    if node.is_leaf:
+        return node.n * node.tau * node.tau, 1, math.inf, math.inf
+    left_sum, left_leaves, _, left_weakest = ref_subtree_price(node.left, n_train)
+    right_sum, right_leaves, _, right_weakest = ref_subtree_price(node.right, n_train)
+    score, leaves = left_sum + right_sum, left_leaves + right_leaves
+    gain = (score - node.n * node.tau * node.tau) / n_train
+    price = gain / (leaves - 1)
+    return score, leaves, price, min(price, left_weakest, right_weakest)
+
+
+def ref_collapse_at_or_below(node, price, n_train):
+    """Collapse, top-down, every internal node whose price is <= price."""
+    if node.is_leaf:
+        return node
+    if ref_subtree_price(node, n_train)[2] <= price:
+        return replace(node, feature=None, threshold=None, left=None, right=None)
+    return replace(node,
+                   left=ref_collapse_at_or_below(node.left, price, n_train),
+                   right=ref_collapse_at_or_below(node.right, price, n_train))
+
+
+def ref_prune_path(root, n_train):
+    """The old sweep, from the subtree it leaves at price 0: the path's
+    element zero now collapses every node that gives up no score."""
+    while ref_subtree_price(root, n_train)[3] <= 0.0:
+        root = ref_collapse_at_or_below(root, 0.0, n_train)
+    elements = [(0.0, root)]
+    current = root
+    weakest = ref_subtree_price(root, n_train)[3]
+    while weakest < math.inf:
+        price = weakest
+        while weakest <= price:
+            current = ref_collapse_at_or_below(current, price, n_train)
+            weakest = ref_subtree_price(current, n_train)[3]
+        elements.append((float(price), current))
+    return elements
+
+
+@st.composite
+def priced_trees(draw):
+    """A tree of up to depth 6 and its n_train. A node's effect is one of
+    a few values, the n-weighted mean of its children's, or the one that
+    prices it at the weakest price below it: prices tie often, exactly or
+    to the last bit."""
+    n_train = draw(st.sampled_from([1, 7, 50]))
+    taus = st.sampled_from([-1.0, -0.5, 0.0, 0.1, 0.3, 0.5, 1.0])
+
+    def node(depth):
+        """(node, score sum, leaf count, weakest price) of a new subtree."""
+        if depth == 6 or not draw(st.booleans()):
+            n, tau = draw(st.sampled_from([1, 2, 3, 4, 8])), draw(taus)
+            return TreeNode(n=n, n1=n, n0=0, tau=tau), n * tau * tau, 1, math.inf
+        left, l_score, l_leaves, l_weakest = node(depth + 1)
+        right, r_score, r_leaves, r_weakest = node(depth + 1)
+        n, score, leaves = left.n + right.n, l_score + r_score, l_leaves + r_leaves
+        weakest = min(l_weakest, r_weakest)
+        tied = score - weakest * n_train * (leaves - 1)
+        how = draw(st.sampled_from(["value", "mean", "tie"]))
+        if how == "tie" and 0.0 <= tied < math.inf:
+            tau = math.sqrt(tied / n)
+        elif how == "mean":
+            tau = (left.n * left.tau + right.n * right.tau) / n
+        else:
+            tau = draw(taus)
+        price = (score - n * tau * tau) / n_train / (leaves - 1)
+        tree = TreeNode(n=n, n1=n, n0=0, tau=tau, feature=draw(st.integers(0, 2)),
+                        threshold=draw(TIE_VALUES), left=left, right=right)
+        return tree, score, leaves, min(price, weakest)
+
+    return node(0)[0], n_train
+
+
+@settings(SETTINGS, max_examples=500)
+@given(priced_trees())
+def test_prune_path_matches_the_two_walk_sweep(case):
+    root, n_train = case
+    path = prune_path(root, n_train)
+    assert [(el.alpha_threshold, el.root) for el in path.elements] \
+        == ref_prune_path(root, n_train)
 
 
 # --- the CSV reader ---
@@ -490,18 +580,25 @@ def test_unterminated_and_header_only_files_with_several_shares(tmp_path, text):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
 def test_piped_csv_reads_as_the_file(tmp_path):
-    text, _ = late_fault_csv(b"1,1,0,2,3,a\n")
+    # a fault sends the rest of a pipe, which cannot be read twice, to the
+    # per-cell parser; with 8-line chunks, after numpy has read the first rows
+    cases = {**LATE_FAULTS, "regular": late_fault_csv(b"1,1,0,2,3,a\n"),
+             "quoted number": late_fault_csv(b'1,1,0,"7",3,a\n')}
     path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
-    path.write_bytes(text)
     os.mkfifo(fifo)
     schema = ColumnSchema(feature_cols=("x1", "x2"))
-    with many_shares():
-        expected = outcome(lambda: load_csv(path, schema))
-        writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
-        try:
-            assert outcome(lambda: load_csv(fifo, schema)) == expected
-        finally:
-            writer.wait(30)
+    for (case, (text, _)), chunk in itertools.product(sorted(cases.items()), [8, 8192]):
+        path.write_bytes(text)
+        with many_shares(), mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
+            expected = outcome(lambda: load_csv(path, schema))
+            writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
+            try:
+                got = str(outcome(lambda: load_csv(fifo, schema)))
+                assert got.replace(str(fifo), str(path)) == str(expected), (case, chunk)
+            finally:
+                writer.wait(30)
+        if case == "quoted number":
+            assert load_csv(path, schema).covariates[57, 0] == 7.0
 
 
 def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
@@ -558,22 +655,30 @@ def test_two_cpus_fork_one_worker_for_the_second_share(tmp_path, monkeypatch):
     assert pools == [1, 1]
 
 
+@pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
 def test_a_dead_worker_leaves_its_share_to_this_process(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     sample = generate(design_spec(2, 100, 0))
     extras = {"true_cate": sample.true_cate}
     save_csv(sample.dataset, tmp_path / "one.csv", extra_columns=extras)
     expected = outcome(lambda: load_csv(tmp_path / "one.csv"))
-    die = lambda *args: os._exit(1)     # as if killed from outside
-    write = mock.Mock(wraps=ctiv.dataset._write_csv)
-    read = mock.Mock(wraps=ctiv.dataset._read_columns)
-    with many_shares(), mock.patch.multiple(ctiv.dataset, _write_share=die, _parse_share=die,
-                                            _write_csv=write, _read_columns=read):
+    this, ran_here = os.getpid(), []
+
+    def dies_in_a_worker(real):
+        def share(*args):
+            if os.getpid() != this:
+                os._exit(1)             # as if killed from outside
+            ran_here.append(real.__name__)
+            return real(*args)
+        return share
+
+    with many_shares(), mock.patch.multiple(
+            ctiv.dataset, _write_share=dies_in_a_worker(ctiv.dataset._write_share),
+            _parse_share=dies_in_a_worker(ctiv.dataset._parse_share)):
         save_csv(sample.dataset, tmp_path / "several.csv", extra_columns=extras)
         assert outcome(lambda: load_csv(tmp_path / "several.csv")) == expected
-    # each call broke its pool, then did all the work in this process
-    for call in (write, read):
-        assert [c.kwargs["parallel"] for c in call.call_args_list] == [True, False]
+    # both shares after the first came back to this process, in each call
+    assert ran_here == ["_write_share"] * 2 + ["_parse_share"] * 2
     assert (tmp_path / "several.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "several.csv"]
 
@@ -683,7 +788,7 @@ def test_leaf_routing_matches_per_row_walk(case):
         min_leaf_fraction=0.1, min_arm_count=1)
     leaves = [walk(root, row) for row in x]
     assert tree.assign_leaves(x).tolist() == [leaf.node_id for leaf in leaves]
-    assert [tree.predict_leaf(row) for row in x] == [leaf.estimate for leaf in leaves]
+    assert [tree.leaf_map[i] for i in tree.assign_leaves(x)] == [leaf.estimate for leaf in leaves]
     regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED, p_hat=0.5)
     validation = Dataset(covariates=x, z=d, w=d, y=y, feature_names=("x1", "x2"))
     y_star = transformed_outcome(y, d, regime.unit_probabilities(len(y)))
@@ -705,7 +810,7 @@ def test_evaluate_mse_matches_per_row_lookup(case, effect_kind):
     effects = np.array([getattr(walk(root, row).estimate, field) for row in x])
     got = evaluate_mse(tree, x, y, effect_kind)
     assert got.mse == float(np.mean((y - effects) ** 2))
-    assert (got.n_used, got.n_excluded) == (len(y), 0)
+    assert got.n_excluded == 0
 
 
 # --- split positions: boolean masks against the set operations they replaced ---

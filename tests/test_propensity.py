@@ -24,14 +24,14 @@ def test_predict_closed_forms():
     model = fit_logistic(x, np.array([1, 1, 1, 0]), ridge_lambda=1e-6)
     # intercept solves mean p = 3/4 -> logit(0.75) = ln 3
     assert model.intercept == pytest.approx(np.log(3.0), abs=1e-4)
-    assert model.predict(np.zeros(1)) == pytest.approx(0.75, abs=1e-4)
+    assert model.predict_many(np.zeros((1, 1)))[0] == pytest.approx(0.75, abs=1e-4)
 
 
 def test_predict_logistic_value():
     from ctiv.propensity import PropensityModel
     model = PropensityModel(intercept=0.0, coefficients=np.array([1.0]),
                             ridge_lambda=0.0, converged=True, iterations=0)
-    assert model.predict(np.array([-2.0])) == pytest.approx(1.0 / (1.0 + np.e ** 2))
+    assert model.predict_many(np.array([[-2.0]]))[0] == pytest.approx(1.0 / (1.0 + np.e ** 2))
 
 
 def test_fit_matches_independent_optimizer():
@@ -101,7 +101,7 @@ def test_out_of_range_ridge_is_an_input_error(ridge):
 
 def test_one_class_with_ridge_is_fine():
     model = fit_logistic(np.zeros((5, 1)), np.ones(5), ridge_lambda=1e-6)
-    assert model.predict(np.zeros(1)) > 0.99
+    assert model.predict_many(np.zeros((1, 1)))[0] > 0.99
 
 
 def test_nonfinite_covariates_error():
@@ -141,13 +141,13 @@ def test_predict_clamps_extremes():
     from ctiv.propensity import PropensityModel
     model = PropensityModel(intercept=500.0, coefficients=np.array([0.0]),
                             ridge_lambda=0.0, converged=True, iterations=0)
-    assert model.predict(np.zeros(1)) == 1.0 - 1e-12
+    assert model.predict_many(np.zeros((1, 1)))[0] == 1.0 - 1e-12
 
 
 def test_predict_dimension_mismatch():
     model = fit_logistic(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
     with pytest.raises(InputError):
-        model.predict(np.zeros(3))
+        model.predict_many(np.zeros((1, 3)))
 
 
 def test_constant_p():

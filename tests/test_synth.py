@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ctiv import design_spec, generate, generate_robustness
+from ctiv import design_spec, generate
 from ctiv.errors import CalibrationError, InputError
 from ctiv.synth import (
     CALIBRATION_CHECK_MIN_N,
@@ -70,7 +70,7 @@ def test_calibration_window(design_id):
 
 
 def test_weak_instrument_scenario_calibration():
-    weak = generate_robustness(1, 20_000, seed=43)
+    weak = generate(design_spec(2, 20_000, seed=43, scenario=1))
     assert abs(weak.realized_cor_wz - 0.5) <= CORRELATION_TOLERANCE
     strong = generate(design_spec(2, 20_000, seed=43))
     assert weak.realized_cor_wz < strong.realized_cor_wz
@@ -116,7 +116,7 @@ def test_reproducible_and_seed_sensitive():
 
 def test_scenario2_paired_with_design2():
     plain = generate(design_spec(2, 3000, seed=49))
-    twisted = generate_robustness(2, 3000, seed=49)
+    twisted = generate(design_spec(2, 3000, seed=49, scenario=2))
     x = plain.dataset.covariates
     assert np.array_equal(twisted.dataset.covariates, x)
     assert np.array_equal(twisted.dataset.z, plain.dataset.z)
@@ -169,7 +169,7 @@ def test_bad_design_and_scenario_ids():
     with pytest.raises(InputError):
         design_spec(6, 100, 1)
     with pytest.raises(InputError):
-        generate_robustness(3, 100, 1)
+        design_spec(2, 100, 1, scenario=3)
 
 
 def test_small_samples_skip_calibration_gate():

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctiv import (
     CausalTree,
@@ -23,11 +26,14 @@ from ctiv import (
     prune_path,
 )
 from ctiv.dataset import SplitIndices
-from ctiv.errors import GrowthError, InputError, SplitError
+from ctiv.errors import CtivError, GrowthError, InputError, SplitError
 from ctiv.transform import AssignmentRegime, leaf_weighted_itt
 from ctiv.tree import PathElement, PruningPath, TreeNode, holdout_loss, select_alpha
 
 HALF = AssignmentRegime(RegimeKind.IV_RANDOMIZED, p_hat=0.5)
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
 
 
 def make_ds(x, d, y):
@@ -217,15 +223,61 @@ def test_prune_path_shape():
     assert not root.is_leaf
     path = prune_path(root, n)
     alphas = [el.alpha_threshold for el in path.elements]
-    leaves = [el.n_leaves for el in path.elements]
+    leaves = [el.root.n_leaves() for el in path.elements]
     assert alphas[0] == 0.0
     assert all(b > a for a, b in zip(alphas, alphas[1:]))
     assert all(b < a for a, b in zip(leaves, leaves[1:]))
     assert leaves[0] == root.n_leaves()
     assert leaves[-1] == 1
     assert path.elements[-1].root.is_leaf
-    for el in path.elements:
-        assert el.root.n_leaves() == el.n_leaves
+
+
+@st.composite
+def grown_trees(draw):
+    """A tree grown on a small sample whose values repeat, and its n."""
+    n = draw(st.integers(20, 80))
+    values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+    x = draw(hnp.arrays(np.float64, (n, 2), elements=values))
+    d = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
+    y = draw(hnp.arrays(np.float64, n, elements=st.one_of(values, st.floats(-3.0, 3.0))))
+    cfg = GrowthConfig(regime=HALF, max_depth=draw(st.integers(1, 4)),
+                       min_leaf_fraction=0.05, min_arm_count=1)
+    try:
+        return grow(make_ds(x, d, y), HALF, cfg), n
+    except CtivError:
+        reject()
+
+
+@SETTINGS
+@given(grown_trees())
+def test_prune_path_thresholds_rise_and_leaf_counts_fall(case):
+    root, n = case
+    path = prune_path(root, n)
+    alphas = [el.alpha_threshold for el in path.elements]
+    leaves = [el.root.n_leaves() for el in path.elements]
+    assert alphas[0] == 0.0 and leaves[0] <= root.n_leaves() and leaves[-1] == 1
+    assert all(b > a for a, b in zip(alphas, alphas[1:]))
+    assert all(b < a for a, b in zip(leaves, leaves[1:]))
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_splits_on_rounding_noise_leave_no_threshold_at_or_below_zero(seed):
+    # with a constant outcome every contrast is zero up to rounding, and a
+    # split can gain on that noise alone, at a price <= 0. Element zero of
+    # the path drops such splits; a negative threshold made fit_ctiv fail,
+    # in select_alpha's square root (seed 9) or as a negative alpha (seed 0)
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 0.0, 1.0], size=(200, 2))
+    d = rng.integers(0, 2, 200)
+    ds = make_ds(x, d, np.full(200, 1.8483852144648822))
+    cfg = GrowthConfig(regime=HALF, max_depth=3, min_leaf_fraction=0.05,
+                       min_arm_count=1)
+    alphas = [el.alpha_threshold for el in prune_path(grow(ds, HALF, cfg), 200).elements]
+    assert alphas[0] == 0.0 and all(b > a for a, b in zip(alphas, alphas[1:]))
+    iv = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=3,
+                      min_leaf_fraction=0.05, min_arm_count=1)
+    tree = fit_ctiv(ds, iv, holdout_split(ds, (0.5, 0.5, 0.0), seed=seed), seed=seed)
+    assert tree.alpha == 0.0
 
 
 def test_prune_path_depth1_alpha_closed_form():
@@ -254,7 +306,7 @@ def test_prune_collapses_noise_split_first():
                        min_arm_count=5)
     root = grow(ds, HALF, cfg)
     path = prune_path(root, n)
-    two_leaf = [el for el in path.elements if el.n_leaves == 2]
+    two_leaf = [el for el in path.elements if el.root.n_leaves() == 2]
     assert len(two_leaf) == 1
     assert two_leaf[0].root.feature == 0
 
@@ -273,7 +325,7 @@ def test_prune_path_resweeps_an_ancestor_exposed_at_the_same_price():
     node4 = split(8, 0.7, leaf(2, 2.0), leaf(6, -0.5))
     root = split(12, 0.3, split(10, -0.5, node4, leaf(2, 2.0)), leaf(2, 2.0))
     path = prune_path(root, 12)
-    assert [el.n_leaves for el in path.elements] == [4, 3, 1]
+    assert [el.root.n_leaves() for el in path.elements] == [4, 3, 1]
     assert [el.alpha_threshold for el in path.elements] == [0.0, 0.465, 0.785]
 
 
@@ -286,14 +338,14 @@ def test_prune_at_alpha_reproduces_path():
     assert len(path.elements) >= 2
     for el in path.elements:
         chosen = prune_at_alpha(root, el.alpha_threshold, ds.n_units)
-        assert chosen.n_leaves() == el.n_leaves
+        assert chosen.n_leaves() == el.root.n_leaves()
     # between two thresholds the earlier subtree still applies
     if len(path.elements) >= 2:
         t0, t1 = (path.elements[0].alpha_threshold,
                   path.elements[1].alpha_threshold)
         mid = (t0 + t1) / 2.0
         assert prune_at_alpha(root, mid, ds.n_units).n_leaves() \
-            == path.elements[0].n_leaves
+            == path.elements[0].root.n_leaves()
 
 
 def test_holdout_loss_matches_direct_computation():
@@ -340,7 +392,7 @@ def test_select_alpha_matches_oracle_scan():
         q = -np.mean((y_star - tau) ** 2)
         if q >= best_q:
             best_k, best_q = k, q
-    assert subtree.n_leaves() == path.elements[best_k].n_leaves
+    assert subtree.n_leaves() == path.elements[best_k].root.n_leaves()
     t_k = path.elements[best_k].alpha_threshold
     if best_k == len(path.elements) - 1 or t_k == 0.0:
         assert alpha == t_k
@@ -356,9 +408,7 @@ def test_select_alpha_tie_prefers_fewer_leaves():
     root = grow(ds, HALF, cfg)
     # duplicate subtree: both elements score identically, so the later
     # (conventionally smaller) one must win
-    fake = PruningPath(elements=(PathElement(0.0, root, 2),
-                                 PathElement(0.5, root, 2)),
-                       n_train=ds.n_units)
+    fake = PruningPath(elements=(PathElement(0.0, root), PathElement(0.5, root)))
     alpha, _ = select_alpha(fake, ds, HALF)
     assert alpha == 0.5
 
@@ -396,8 +446,8 @@ def test_fit_design1_recovers_informative_split():
     tree = fit_ctiv(sample.dataset, cfg, split, seed=27)
     assert not tree.root.is_leaf
     assert tree.root.feature == 0
-    low = tree.predict_leaf(np.array([-0.6])).cace_hat
-    high = tree.predict_leaf(np.array([0.6])).cace_hat
+    low, high = (tree.leaf_map[i].cace_hat
+                 for i in tree.assign_leaves(np.array([[-0.6], [0.6]])))
     assert low < high
 
 
@@ -500,6 +550,23 @@ def test_leaf_partition_covers_everything():
     for leaf_id, est in tree.leaf_map.items():
         assert int((omega_ids[np.concatenate([split.train, split.validation])]
                     == leaf_id).sum()) == est.n
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(1, 5), st.sampled_from(list(RegimeKind)), st.integers(1, 4),
+       st.integers(0, 2 ** 16), st.booleans())
+def test_json_round_trip_of_random_fits(design, kind, depth, seed, pruned_at_zero):
+    sample = generate(design_spec(design, 400, seed))
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=seed)
+    cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=depth,
+                       min_leaf_fraction=0.05, min_arm_count=5,
+                       alpha_override=0.0 if pruned_at_zero else None)
+    try:
+        tree = fit_ctiv(sample.dataset, cfg, split, seed)
+    except CtivError:
+        reject()
+    text = export_json(tree)
+    assert export_json(load_json(text)) == text
 
 
 def test_json_round_trip_bit_identical():
