@@ -77,10 +77,11 @@ def fan_out(fn: Callable, tasks: Sequence, workers: int) -> Iterator[Iterator]:
     leaving the block waits for them, and a task's exception is raised
     when the iterator reaches its result. A worker that dies breaks the
     pool: every task not finished by then runs in this process when the
-    iterator reaches it. With one worker, each task runs in this process
-    when the iterator reaches it.
+    iterator reaches it. With one worker, or inside a worker of another
+    ``fan_out`` (which so never starts grandchildren), each task runs in
+    this process when the iterator reaches it.
     """
-    if workers > 1 and tasks:
+    if workers > 1 and tasks and _task_fn is None:
         method = "fork" if fork_is_safe() else "spawn"
         with ProcessPoolExecutor(min(workers, len(tasks)),
                                  mp_context=multiprocessing.get_context(method),

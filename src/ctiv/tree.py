@@ -33,6 +33,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
+from .parallel import fan_out, fork_is_safe, usable_cpus
 from .propensity import PropensityModel, estimate_constant_p, fit_logistic
 from .transform import (
     AssignmentRegime,
@@ -182,7 +183,7 @@ def _best_split(xs, sums, min_leaf, min_arm):
 def _grow_node(frame, rows, orders, depth):
     """Grow the subtree on ``rows`` (ascending); ``orders`` holds, per
     feature, the same rows in stable sorted order."""
-    cols, sums, d, mark, cfg, min_leaf = frame
+    cols, sums, d, mark, cfg, min_leaf, noise = frame
     wty, wt, wcy, wc = sums[:4]
     m = rows.size
     n1 = int(d[rows].sum())
@@ -205,8 +206,8 @@ def _grow_node(frame, rows, orders, depth):
     if best is None:
         return node
     feature, gain, threshold = best
-    if gain <= m * tau * tau:
-        return node                     # no strict heterogeneity improvement
+    if gain - m * tau * tau <= m * noise:
+        return node                     # no improvement beyond rounding
     goes_left = cols[feature][rows] <= threshold
     left_orders, right_orders = [], []
     if depth + 1 < cfg.max_depth:
@@ -250,7 +251,11 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
     cols = train.covariates.T
     # int32 halves the memory the orders take
     orders = [_stable_order(col).astype(np.int32) for col in cols]
-    frame = (cols, sums, d, np.empty(n, dtype=bool), cfg, min_leaf)
+    # the split scan's gain and a node's m * tau^2 are summed in different
+    # orders, so with no effect anywhere they still differ by rounding at
+    # the outcome's scale, up to about this much per unit
+    noise = 1024 * np.finfo(np.float64).eps * float(np.abs(train.y).max()) ** 2
+    frame = (cols, sums, d, np.empty(n, dtype=bool), cfg, min_leaf, noise)
     return _grow_node(frame, np.arange(n), orders, 0)
 
 
@@ -451,6 +456,15 @@ def _split_masks(split: SplitIndices, n_units: int) -> tuple[np.ndarray, np.ndar
     return in_train, in_val
 
 
+# pooled rows above which fit_ctiv grows the holdout tree in a forked
+# worker beside the pooled one. Timed on design-2 fits, one process
+# against two on a 2-CPU host (medians of 11, alternating): two win from
+# about 10,000 rows at depth 4 and 15,000 at depth 2 (20,000: 213 ms
+# against 184, and 121 against 109); below that the worker's 30-40 ms
+# start costs more than it saves
+_OVERLAP_ROWS = 20_000
+
+
 def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
              *, ridge_lambda: float = 1e-6, trim_lo: float = 0.1,
              trim_hi: float = 0.9,
@@ -464,6 +478,14 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     5. price complexity on the validation rows (unless overridden);
     6. re-grow on train+validation and prune at the chosen alpha;
     7. attach per-leaf effect estimates computed on train+validation.
+
+    Step 6's growth does not need alpha. Above ``_OVERLAP_ROWS`` pooled
+    rows, with more than one usable CPU and where forking is safe, steps
+    3-5 run in a forked worker (see ``parallel.fan_out``, which also keeps
+    them in this process inside another worker) while this process grows
+    step 6's tree. Only alpha comes back, and a float pickles exactly, so
+    the tree is the same at any CPU count; an error in steps 3-5 wins over
+    one from step 6's growth, as when they run first.
 
     ``adjust_covariates=None`` resolves to True exactly for the
     unconfounded-assignment regime.
@@ -499,21 +521,26 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
             return AssignmentRegime(kind, p_hat=p_hat)
         return AssignmentRegime(kind, e_hat=e_kept[positions])
 
-    if cfg.alpha_override is None:
-        if val_pos.size == 0:
-            raise EmptyDatasetError("no validation units survive trimming")
-        train_ds = trimmed.subset(train_pos)
-        train_tree = grow(train_ds, regime_for(train_pos), cfg)
-        path = prune_path(train_tree, train_ds.n_units)
-        alpha, _ = select_alpha(path, trimmed.subset(val_pos),
-                                regime_for(val_pos))
-    else:
-        alpha = float(cfg.alpha_override)
-
+    if cfg.alpha_override is None and val_pos.size == 0:
+        raise EmptyDatasetError("no validation units survive trimming")
     omega_pos = np.flatnonzero((in_train | in_val)[kept])
     omega_ds = trimmed.subset(omega_pos)
     omega_regime = regime_for(omega_pos)
-    full = grow(omega_ds, omega_regime, cfg)
+
+    def holdout_alpha(_) -> float:
+        train_ds = trimmed.subset(train_pos)
+        path = prune_path(grow(train_ds, regime_for(train_pos), cfg), train_ds.n_units)
+        return select_alpha(path, trimmed.subset(val_pos), regime_for(val_pos))[0]
+
+    # steps 3-5 run when their result is read, here or in a worker; read in
+    # finally, their error wins over the pooled grow's, as if they ran first
+    overlap = omega_pos.size > _OVERLAP_ROWS and usable_cpus() > 1 and fork_is_safe()
+    tasks = [None] if cfg.alpha_override is None else []
+    with fan_out(holdout_alpha, tasks, 2 if overlap else 1) as alphas:
+        try:
+            full = grow(omega_ds, omega_regime, cfg)
+        finally:
+            alpha = next(alphas, cfg.alpha_override)
     final = prune_at_alpha(full, alpha, omega_ds.n_units)
 
     x, e = omega_ds.covariates, omega_regime.unit_probabilities(omega_ds.n_units)

@@ -15,6 +15,8 @@ import hashlib
 
 import pytest
 
+import ctiv.parallel
+import ctiv.tree
 from ctiv.cli import EXIT_OK, main
 
 FEATURES = ",".join(f"x{i}" for i in range(1, 11))
@@ -102,6 +104,19 @@ def test_fit_and_predict_bytes(inputs, tmp_path, capsys, tag):
         "--input", str(inputs / source), "--output", str(out / "predict.csv"))
     got = {name: sha256(out / name) for name in digests}
     assert got == digests
+
+
+@pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
+def test_iv_fit_bytes_with_the_holdout_tree_grown_in_a_worker(
+        inputs, tmp_path, capsys, monkeypatch):
+    pools = []
+    real = ctiv.parallel.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        lambda n, **kw: pools.append(n) or real(n, **kw))
+    monkeypatch.setattr(ctiv.tree, "_OVERLAP_ROWS", 0)
+    monkeypatch.setattr(ctiv.tree, "usable_cpus", lambda: 2)
+    test_fit_and_predict_bytes(inputs, tmp_path, capsys, "iv")
+    assert pools == [1]                 # the CSV text is too small to share
 
 
 def test_bench_bytes(tmp_path, capsys):

@@ -43,6 +43,18 @@ def test_fan_out_sends_a_lone_task_to_a_worker():
         assert os.getpid() not in set(pids)
 
 
+@needs_fork
+def test_a_fan_out_inside_a_worker_runs_its_tasks_in_that_worker():
+    # a sweep cell's fit, say, forks no grandchildren
+    def cell(_):
+        with fan_out(lambda _: os.getpid(), [0, 1], 2) as inner:
+            return os.getpid(), list(inner)
+
+    with fan_out(cell, [0], 2) as results:
+        [(worker, inner)] = list(results)
+    assert worker != os.getpid() and inner == [worker, worker]
+
+
 def test_one_worker_runs_each_task_in_process_when_its_result_is_read():
     seen = []
     with fan_out(lambda i: seen.append(i) or os.getpid(), [0, 1], 1) as pids:

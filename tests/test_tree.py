@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ctiv.parallel
+import ctiv.tree
 from ctiv import (
     CausalTree,
     Dataset,
@@ -272,12 +275,15 @@ def test_splits_on_rounding_noise_leave_no_threshold_at_or_below_zero(seed):
     ds = make_ds(x, d, np.full(200, 1.8483852144648822))
     cfg = GrowthConfig(regime=HALF, max_depth=3, min_leaf_fraction=0.05,
                        min_arm_count=1)
-    alphas = [el.alpha_threshold for el in prune_path(grow(ds, HALF, cfg), 200).elements]
+    root = grow(ds, HALF, cfg)
+    alphas = [el.alpha_threshold for el in prune_path(root, 200).elements]
     assert alphas[0] == 0.0 and all(b > a for a, b in zip(alphas, alphas[1:]))
     iv = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=3,
                       min_leaf_fraction=0.05, min_arm_count=1)
     tree = fit_ctiv(ds, iv, holdout_split(ds, (0.5, 0.5, 0.0), seed=seed), seed=seed)
     assert tree.alpha == 0.0
+    # and growth refuses a split that gains only rounding
+    assert root.n_leaves() == 1 and tree.root.n_leaves() == 1
 
 
 def test_prune_path_depth1_alpha_closed_form():
@@ -507,6 +513,111 @@ def test_fit_rejects_out_of_range_split():
     cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED))
     with pytest.raises(SplitError):
         fit_ctiv(sample.dataset, cfg, bad, seed=31)
+
+
+# --- the holdout side in a worker ---
+
+needs_fork = pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
+
+
+@pytest.fixture
+def overlapped(monkeypatch):
+    """Every fit grows its holdout side in a forked worker, as on two CPUs
+    above the cutoff; the list holds the size of each pool started."""
+    pools = []
+    real = ctiv.parallel.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        lambda n, **kw: pools.append(n) or real(n, **kw))
+    monkeypatch.setattr(ctiv.tree, "_OVERLAP_ROWS", 0)
+    monkeypatch.setattr(ctiv.tree, "usable_cpus", lambda: 2)
+    return pools
+
+
+def one_and_two_processes(fit, overlapped, monkeypatch):
+    """``fit()``'s outcome in one process, then with the overlap: its
+    export or its error's class and message."""
+    def outcome():
+        try:
+            return export_json(fit())
+        except CtivError as exc:
+            return type(exc), str(exc)
+
+    with monkeypatch.context() as serial:
+        serial.setattr(ctiv.tree, "usable_cpus", lambda: 1)
+        one = outcome()
+    assert overlapped == []
+    return one, outcome()
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", list(RegimeKind))
+def test_overlapped_fit_matches_the_one_process_fit(kind, overlapped, monkeypatch):
+    sample = generate(design_spec(2, 3000, seed=38))
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=38)
+    cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=4,
+                       min_leaf_fraction=0.02, min_arm_count=10)
+    one, two = one_and_two_processes(
+        lambda: fit_ctiv(sample.dataset, cfg, split, seed=38), overlapped, monkeypatch)
+    assert two == one and isinstance(one, str)
+    assert overlapped == [1]
+
+
+def arms_mostly_in_validation():
+    """400 units with 100 assigned, only 5 of them in the training half."""
+    rng = np.random.default_rng(39)
+    z = np.zeros(400, dtype=np.int64)
+    z[:5] = 1
+    z[200:295] = 1
+    ds = make_ds(rng.normal(size=(400, 2)), z, rng.normal(size=400) + z)
+    return ds, SplitIndices(train=np.arange(200), validation=np.arange(200, 400),
+                            test=np.arange(0))
+
+
+@needs_fork
+@pytest.mark.parametrize("min_arm", [10, 101])     # the pooled grow fails too at 101
+def test_overlapped_fit_raises_the_holdout_sides_error(min_arm, overlapped, monkeypatch):
+    ds, split = arms_mostly_in_validation()
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+                       min_arm_count=min_arm)
+    one, two = one_and_two_processes(
+        lambda: fit_ctiv(ds, cfg, split, seed=39), overlapped, monkeypatch)
+    assert one == (GrowthError, f"root has arm counts (5, 195); need >= {min_arm} each")
+    assert two == one
+    assert overlapped == [1]
+
+
+@needs_fork
+def test_overlapped_fit_survives_a_dead_worker(overlapped, monkeypatch):
+    sample = generate(design_spec(2, 1500, seed=40))
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=40)
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_UNCONFOUNDED),
+                       max_depth=3, min_leaf_fraction=0.05)
+    this, ran_here, real = os.getpid(), [], ctiv.tree.select_alpha
+
+    def select_alpha(*args):
+        if os.getpid() != this:
+            os._exit(1)                 # as if killed from outside
+        ran_here.append(True)
+        return real(*args)
+
+    def fit():
+        return fit_ctiv(sample.dataset, cfg, split, seed=40)
+
+    one, _ = one_and_two_processes(fit, overlapped, monkeypatch)
+    overlapped.clear()
+    monkeypatch.setattr(ctiv.tree, "select_alpha", select_alpha)
+    assert export_json(fit()) == one
+    assert overlapped == [1] and ran_here == [True]
+
+
+@needs_fork
+def test_alpha_override_starts_no_pool(overlapped):
+    sample = generate(design_spec(2, 800, seed=41))
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=41)
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+                       alpha_override=0.01)
+    assert fit_ctiv(sample.dataset, cfg, split, seed=41).alpha == 0.01
+    assert overlapped == []
 
 
 def simple_tree():
