@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import holdout_split
 from .errors import CtivError, EstimationError, InputError
-from .parallel import fan_out, usable_cpus  # usable_cpus: re-exported
+from .parallel import fan_out
 from .synth import SyntheticSample, design_spec, generate
 from .transform import AssignmentRegime, RegimeKind
 from .tree import CausalTree, GrowthConfig, fit_ctiv

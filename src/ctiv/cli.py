@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import format_summary, results_csv, run_sweep, usable_cpus
+from .bench import format_summary, results_csv, run_sweep
 from .dataset import ColumnSchema, holdout_split, load_csv, read_csv_columns, save_csv
 from .errors import CtivError, EstimationError, InputError, ValidationError
+from .parallel import usable_cpus
 from .synth import design_spec, generate
 from .transform import AssignmentRegime, RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json

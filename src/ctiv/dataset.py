@@ -11,10 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-import shutil
-import tempfile
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
@@ -137,17 +134,17 @@ def _parse_cell(raw: str, column: str, row_number: int) -> float:
 
 # data lines numpy parses at a time; bounds the text held in memory
 _READ_LINES = 8192
-# rows save_csv formats at a time; each row's cells are Python strings
+# rows save_csv formats at a time: the text a worker hands back at once
 _WRITE_ROWS = 1024
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
 # least CSV text a share holds, so text under twice this stays in one
-# process. Timed on design-2 files, one share against two on a 2-CPU
+# process. Timed on design-2 files, one process against two on a 2-CPU
 # host (medians of 15, alternating): save_csv gains from about 1.2 MiB
-# (2.1 MiB: 169 ms against 125) and load_csv from about 2 to 2.8 MiB
+# (2.1 MiB: 161 ms against 123) and load_csv from about 2 to 2.8 MiB
 # (2.8 MiB: 96 ms against 87); below that a worker costs more than it saves
 _SHARE_BYTES = 1 << 20
-# bytes save_csv writes per cell when it sizes its shares: a float's repr
-# is 17 to 24 characters
+# bytes save_csv writes per cell when it counts its workers: a float's
+# repr is 17 to 24 characters
 _CELL_BYTES = 20
 
 
@@ -221,29 +218,11 @@ def _reference_rows(rows: Iterator[list[str]], path: Path, header: list[str],
 
 
 def _share_count(text_bytes: int) -> int:
-    """Shares to cut ``text_bytes`` of CSV text into: one per usable CPU,
-    each of at least ``_SHARE_BYTES``, where forking is safe; else one."""
+    """Processes to share ``text_bytes`` of CSV text: one per usable CPU,
+    each with at least ``_SHARE_BYTES``, where forking is safe; else one."""
     if not fork_is_safe():
         return 1
     return max(1, min(usable_cpus(), text_bytes // _SHARE_BYTES))
-
-
-@contextmanager
-def _shares(work: Callable, spans: list, tmp_dir: Path | None = None) -> Iterator[Iterator]:
-    """Yield ``work(tmp, span)`` for each span after the first, in order.
-
-    Forked workers run them (see ``parallel.fan_out``) while the caller
-    takes the first span itself, inside the block. ``tmp`` is a
-    temporary directory for the workers' output files, made in
-    ``tmp_dir`` (the system's temporary directory if None); it is
-    removed, with everything in it, when the block ends.
-    """
-    if len(spans) == 1:
-        yield iter(())
-        return
-    with tempfile.TemporaryDirectory(prefix=".ctiv-", dir=tmp_dir) as tmp, \
-            fan_out(partial(work, tmp), spans[1:], len(spans)) as results:
-        yield results
 
 
 def _data_spans(path: Path, fh, header_lines: int) -> list[tuple[int, int | None]]:
@@ -317,19 +296,15 @@ def _parse_span(width: int, cols: list[int], binary: tuple[int, ...], fh,
     return blocks, None
 
 
-def _parse_share(parse: Callable, path: Path, tmp: str,
-                 span: tuple[int, int | None]) -> str | None:
-    """A worker's share: ``parse`` of the span, saved to a ``.npy`` file
-    in ``tmp``. Returns its path, or None if the span is irregular."""
+def _parse_share(parse: Callable, path: Path,
+                 span: tuple[int, int | None]) -> np.ndarray | None:
+    """A worker's share: ``parse`` of the span as one array, or None if
+    the span is irregular."""
     with path.open("rb") as fb:
         fb.seek(span[0])
         with io.TextIOWrapper(fb, encoding="utf-8", newline="") as fh:
             blocks, rest = parse(fh, span)
-    if rest is not None:
-        return None
-    part = os.path.join(tmp, f"{span[0]}.npy")
-    np.save(part, np.concatenate(blocks))
-    return part
+    return np.concatenate(blocks) if rest is None else None
 
 
 def read_csv_columns(path: str | Path,
@@ -343,12 +318,12 @@ def read_csv_columns(path: str | Path,
     that list whose cells must be 0 or 1. Regular text is parsed by numpy,
     a chunk of lines at a time; from the first irregular chunk on, the
     rows are parsed cell by cell from the same open file, so a pipe reads
-    as a file does. A large file is cut into byte spans that forked
-    workers parse at the same time as this process parses the first; the
-    workers' values pass through ``.npy`` files in the system's temporary
-    directory, and an irregular span sends the whole file to the per-cell
-    parser. Row numbers in error messages are 1-based over data rows. A
-    file that is not UTF-8 raises ValidationError.
+    as a file does. A large file is cut into byte spans: this process
+    parses the first from its open file while forked workers parse the
+    others and hand their arrays back (see ``parallel.fan_out``); an
+    irregular span sends the whole file to the per-cell parser. Row
+    numbers in error messages are 1-based over data rows. A file that is
+    not UTF-8 raises ValidationError.
     """
     path = Path(path)
     try:
@@ -359,15 +334,16 @@ def read_csv_columns(path: str | Path,
             parse = partial(_parse_span, len(header),
                             [header.index(c) for c in columns], binary)
             spans = _data_spans(path, fh, reader.line_num)
-            with _shares(partial(_parse_share, parse, path), spans) as parts:
+            with fan_out(partial(_parse_share, parse, path), spans[1:],
+                         len(spans)) as parts:
                 blocks, rest = parse(fh, spans[0])
                 parts = list(parts)
-                if rest is None and None not in parts:
-                    blocks += map(np.load, parts)
-                elif rest is None:      # a later span is irregular: start over
-                    fh.seek(0)
-                    next(reader)
-                    blocks, rest = [], fh
+            if rest is None and not any(part is None for part in parts):
+                blocks += parts
+            elif rest is None:          # a later span is irregular: start over
+                fh.seek(0)
+                next(reader)
+                blocks, rest = [], fh
             if rest is not None:
                 done = sum(map(len, blocks))
                 blocks.append(_reference_rows(csv.reader(rest), path, header,
@@ -415,19 +391,10 @@ def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset
     )
 
 
-def _write_rows(fh, columns: list[np.ndarray], span: tuple[int, int]) -> None:
-    for start in range(*span, _WRITE_ROWS):
-        stop = min(start + _WRITE_ROWS, span[1])
-        cells = [map(str, col[start:stop].tolist()) for col in columns]
-        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-
-
-def _write_share(columns: list[np.ndarray], tmp: str, span: tuple[int, int]) -> str:
-    """A worker's share: the span's rows written to a file in ``tmp``."""
-    part = os.path.join(tmp, f"{span[0]}.csv")
-    with open(part, "w", newline="", encoding="utf-8") as fh:
-        _write_rows(fh, columns, span)
-    return part
+def _format_rows(columns: list[np.ndarray], piece: tuple[int, int]) -> str:
+    """The CSV text of rows ``piece[0]`` to ``piece[1]``."""
+    cells = [map(str, col[slice(*piece)].tolist()) for col in columns]
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def save_csv(ds: Dataset, path: str | Path,
@@ -436,9 +403,9 @@ def save_csv(ds: Dataset, path: str | Path,
 
     Floats are written with ``repr`` so a reload reproduces every bit. The
     bytes are those ``csv.writer`` writes: CRLF line ends, arms as 0/1.
-    Large datasets are cut into row spans that forked workers format at
-    the same time as this process writes the first, each into a
-    temporary file beside a regular output file.
+    Rows are formatted ``_WRITE_ROWS`` at a time, by forked workers when
+    the text is large (see ``parallel.fan_out``), while this process
+    writes each piece in order.
     """
     path = Path(path)
     extras = extra_columns or {}
@@ -451,22 +418,12 @@ def save_csv(ds: Dataset, path: str | Path,
     columns += [np.asarray(col, dtype=np.float64) for col in extras.values()]
     header = ["y", "w", "z", *ds.feature_names, *extras.keys()]
     n = ds.n_units
-    shares = _share_count(n * len(columns) * _CELL_BYTES)
-    bounds = sorted({n * i // shares for i in range(shares + 1)})
-    spans = list(zip(bounds, bounds[1:]))
+    pieces = [(start, min(start + _WRITE_ROWS, n)) for start in range(0, n, _WRITE_ROWS)]
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        # the workers' files, together about (shares - 1) / shares of the
-        # output, go on its own filesystem where it is a regular file
-        # (resolve: /dev/stdout may name one) in a directory open to us
-        real = path.resolve()
-        beside = real.parent if real.is_file() and os.access(real.parent, os.W_OK) else None
-        with _shares(partial(_write_share, columns), spans, beside) as parts:
-            _write_rows(fh, columns, spans[0])
-            fh.flush()                  # the text layer's bytes go first
-            for part in parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)  # a bounded buffer at a time
+        with fan_out(partial(_format_rows, columns), pieces,
+                     _share_count(n * len(columns) * _CELL_BYTES)) as texts:
+            fh.writelines(texts)
 
 
 def holdout_split(ds: Dataset | int,
@@ -480,6 +437,8 @@ def holdout_split(ds: Dataset | int,
     """
     n = ds if isinstance(ds, int) else ds.n_units
     f_tr, f_va, f_te = fractions
+    if not np.isfinite(fractions).all():     # NaN passes every test below
+        raise SplitError("fractions must be finite")
     if min(f_tr, f_va, f_te) < 0 or abs(f_tr + f_va + f_te - 1.0) > 1e-9:
         raise SplitError("fractions must be nonnegative and sum to 1")
     if f_tr <= 0:

@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import sys
 import threading
+from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -75,24 +76,26 @@ def fan_out(fn: Callable, tasks: Sequence, workers: int) -> Iterator[Iterator]:
     spawned elsewhere, which take the next task as they finish one, so a
     lone task still goes to a worker while the caller does other work;
     leaving the block waits for them, and a task's exception is raised
-    when the iterator reaches its result. A worker that dies breaks the
-    pool: every task not finished by then runs in this process when the
-    iterator reaches it. With one worker, or inside a worker of another
-    ``fan_out`` (which so never starts grandchildren), each task runs in
-    this process when the iterator reaches it.
+    when the iterator reaches its result. Results come back through the
+    pool's pipe and are not kept here once handed out. A worker that dies
+    breaks the pool: every task not finished by then runs in this process
+    when the iterator reaches it. With one worker, or inside a worker of
+    another ``fan_out`` (which so never starts grandchildren), each task
+    runs in this process when the iterator reaches it.
     """
     if workers > 1 and tasks and _task_fn is None:
         method = "fork" if fork_is_safe() else "spawn"
         with ProcessPoolExecutor(min(workers, len(tasks)),
                                  mp_context=multiprocessing.get_context(method),
                                  initializer=_adopt, initargs=(fn,)) as pool:
-            futures = []
+            futures = deque()
             for task in tasks:
                 try:
                     futures.append(pool.submit(_run_task, task))
                 except BrokenProcessPool as exc:    # a worker died already
                     futures.append(Future())
                     futures[-1].set_exception(exc)
-            yield map(partial(_result, fn), tasks, futures)
+            # each future leaves the deque as its result is handed out
+            yield map(partial(_result, fn), tasks, iter(futures.popleft, None))
     else:
         yield map(fn, tasks)

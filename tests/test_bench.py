@@ -221,16 +221,6 @@ def test_sweep_progress_reports_each_cell_in_order(workers):
     assert len(results) + len(failures) == 4
 
 
-def test_usable_cpus_reads_the_affinity_set(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert ctiv.bench.usable_cpus() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert ctiv.bench.usable_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert ctiv.bench.usable_cpus() == 1
-
-
 def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
     started = []
     real = ctiv.parallel.ProcessPoolExecutor

@@ -208,6 +208,18 @@ def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
     assert payload["error"] == "InputError" and word in payload["message"]
 
 
+@pytest.mark.parametrize("option", ["--train-frac", "--val-frac"])
+def test_nan_split_fraction_exit_data(tmp_path, capsys, option):
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200, full_compliance=False)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       option, "nan", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "SplitError",
+                               "message": "fractions must be finite"}
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("regime", ["ct", "iv-unconfounded", "iv-randomized"])
 @pytest.mark.parametrize("ridge", ["-1", "nan"])
 def test_out_of_range_ridge_is_rejected_in_every_regime(tmp_path, capsys, regime, ridge):

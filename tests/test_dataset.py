@@ -148,6 +148,15 @@ def test_holdout_zero_test_fraction_ok():
 def test_holdout_bad_fractions():
     with pytest.raises(SplitError):
         holdout_split(10, (0.5, 0.6, 0.0), seed=0)
+
+
+@pytest.mark.parametrize("fractions", [(float("nan"), 0.5, 0.5),
+                                       (0.5, float("nan"), 0.5),
+                                       (float("inf"), 0.5, -float("inf"))])
+def test_holdout_non_finite_fractions(fractions):
+    # NaN passes every comparison: it used to give an empty train part
+    with pytest.raises(SplitError, match="finite"):
+        holdout_split(100, fractions, seed=0)
     with pytest.raises(SplitError):
         holdout_split(10, (0.0, 0.5, 0.5), seed=0)
 

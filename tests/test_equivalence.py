@@ -30,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -107,7 +107,7 @@ def ref_best_split_for_feature(x_col, y, d, e, min_leaf, min_arm):
     return float(gain[best]), threshold
 
 
-def ref_grow_node(x, y, d, e, depth, cfg, min_leaf):
+def ref_grow_node(x, y, d, e, depth, cfg, min_leaf, noise):
     n = y.size
     n1 = int(d.sum())
     tau = leaf_weighted_itt(y, d, e)
@@ -123,11 +123,13 @@ def ref_grow_node(x, y, d, e, depth, cfg, min_leaf):
     if best is None:
         return node
     feature, gain, threshold = best[0], best[1], best[2]
-    if gain <= n * tau * tau:
+    if gain - n * tau * tau <= n * noise:
         return node
     mask = x[:, feature] <= threshold
-    left = ref_grow_node(x[mask], y[mask], d[mask], e[mask], depth + 1, cfg, min_leaf)
-    right = ref_grow_node(x[~mask], y[~mask], d[~mask], e[~mask], depth + 1, cfg, min_leaf)
+    left = ref_grow_node(x[mask], y[mask], d[mask], e[mask], depth + 1, cfg,
+                         min_leaf, noise)
+    right = ref_grow_node(x[~mask], y[~mask], d[~mask], e[~mask], depth + 1, cfg,
+                          min_leaf, noise)
     return replace(node, feature=int(feature), threshold=float(threshold),
                    left=left, right=right)
 
@@ -141,7 +143,10 @@ def ref_grow(train, regime, cfg):
     if min(n1, n - n1) < cfg.min_arm_count:
         raise GrowthError(
             f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
-    return ref_grow_node(train.covariates, train.y, d, e, 0, cfg, min_leaf)
+    # a split must gain more than rounding: 2^-42 (1024 ulps of 1) per
+    # unit, times the largest squared outcome at the root
+    noise = float(np.max(train.y * train.y)) * 2.0 ** -42
+    return ref_grow_node(train.covariates, train.y, d, e, 0, cfg, min_leaf, noise)
 
 
 def tree_json(grower, ds, regime, cfg):
@@ -196,8 +201,21 @@ def tie_heavy_fits(draw):
     return ds, regime, cfg
 
 
+def constant_outcome_fit():
+    """Eight rows of one outcome: the split scan gains only rounding, so
+    the tree is one leaf (the reference split it before it had the rule)."""
+    x = np.array([[-1.0], [-2.0], [-1.0], [-2.0], [-2.0], [-2.0], [-2.0], [-2.0]])
+    ds = Dataset(covariates=x, z=np.zeros(8), w=[0, 0, 1, 1, 1, 1, 1, 1],
+                 y=np.full(8, -2.302132862361297), feature_names=("x0",))
+    regime = AssignmentRegime(RegimeKind.CT, e_hat=np.full(8, 0.5))
+    cfg = GrowthConfig(regime=regime, max_depth=1, min_leaf_fraction=0.02,
+                       min_arm_count=1)
+    return ds, regime, cfg
+
+
 @SETTINGS
 @given(tie_heavy_fits())
+@example(constant_outcome_fit())
 def test_grow_matches_reference_on_tie_heavy_data(case):
     ds, regime, cfg = case
     assert tree_json(grow, ds, regime, cfg) == tree_json(ref_grow, ds, regime, cfg)
@@ -476,8 +494,9 @@ def test_regular_csv_takes_the_numpy_path(tmp_path):
 
 
 def many_shares():
-    """CSV text over 64 bytes cut into up to three shares, the later ones
-    handled by forked workers."""
+    """CSV text over 64 bytes shared among up to three processes: a read's
+    byte spans after the first, and every piece of a write, go to forked
+    workers."""
     return mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
                                usable_cpus=mock.Mock(return_value=3))
 
@@ -602,6 +621,8 @@ def test_piped_csv_reads_as_the_file(tmp_path):
 
 
 def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
+    # the workers' rows come back through the pool, so a write or read
+    # makes no file but its output, when it fails too
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
@@ -612,25 +633,20 @@ def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
     ds = generate(design_spec(2, 100, 0)).dataset
     bad = tmp_path / "bad.csv"
     bad.write_bytes(LATE_FAULTS["non-0/1 arm"][0])
-    real_rows = ctiv.dataset._write_rows
-    real_share = ctiv.dataset._write_share
+    real_rows, this = ctiv.dataset._format_rows, os.getpid()
 
-    def rows_failing_in_workers(fh, columns, span):
-        if span[0]:
+    def rows_failing_in_workers(columns, piece):
+        if os.getpid() != this:
             raise OSError("disk full")
-        real_rows(fh, columns, span)
+        return real_rows(columns, piece)
 
-    def share_beside_the_output(columns, tmp, span):
-        assert Path(tmp).parent == tmp_path
-        return real_share(columns, tmp, span)
-
-    with many_shares():
-        with mock.patch.object(ctiv.dataset, "_write_share", share_beside_the_output):
-            save_csv(ds, tmp_path / "good.csv")
+    # two pieces of 50 rows, one to each of two workers
+    with many_shares(), mock.patch.object(ctiv.dataset, "_WRITE_ROWS", 50):
+        save_csv(ds, tmp_path / "good.csv")
         assert load_csv(tmp_path / "good.csv").equals(ds)
         with pytest.raises(ValidationError, match="data row 58"):
             load_csv(bad, ColumnSchema(feature_cols=("x1", "x2")))
-        with mock.patch.object(ctiv.dataset, "_write_rows", rows_failing_in_workers), \
+        with mock.patch.object(ctiv.dataset, "_format_rows", rows_failing_in_workers), \
                 pytest.raises(OSError, match="disk full"):
             save_csv(ds, tmp_path / "failed.csv")
     assert pools == [2, 2, 2, 2]
@@ -673,12 +689,14 @@ def test_a_dead_worker_leaves_its_share_to_this_process(tmp_path, monkeypatch):
         return share
 
     with many_shares(), mock.patch.multiple(
-            ctiv.dataset, _write_share=dies_in_a_worker(ctiv.dataset._write_share),
+            ctiv.dataset, _WRITE_ROWS=50,
+            _format_rows=dies_in_a_worker(ctiv.dataset._format_rows),
             _parse_share=dies_in_a_worker(ctiv.dataset._parse_share)):
         save_csv(sample.dataset, tmp_path / "several.csv", extra_columns=extras)
         assert outcome(lambda: load_csv(tmp_path / "several.csv")) == expected
-    # both shares after the first came back to this process, in each call
-    assert ran_here == ["_write_share"] * 2 + ["_parse_share"] * 2
+    # both pieces of the write, and both shares of the read after the
+    # first, came back to this process
+    assert ran_here == ["_format_rows"] * 2 + ["_parse_share"] * 2
     assert (tmp_path / "several.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "several.csv"]
 

@@ -1,15 +1,17 @@
 """The process fan-out shared by the CSV reader and writer and the sweep."""
 
+import gc
 import multiprocessing
 import operator
 import os
 import sys
 import threading
+import weakref
 
 import pytest
 
 import ctiv.parallel
-from ctiv.parallel import fan_out, fork_is_safe
+from ctiv.parallel import fan_out, fork_is_safe, usable_cpus
 
 needs_fork = pytest.mark.skipif(not fork_is_safe(), reason="cannot fork here")
 
@@ -55,6 +57,23 @@ def test_a_fan_out_inside_a_worker_runs_its_tasks_in_that_worker():
     assert worker != os.getpid() and inner == [worker, worker]
 
 
+class Result:
+    """A task result that pickles and can be weakly referenced."""
+
+    def __init__(self, task):
+        self.task = task
+
+
+@needs_fork
+def test_fan_out_drops_each_result_once_read():
+    # the CSV writer holds only the pieces it has not written yet
+    with fan_out(Result, [0, 1, 2], 2) as results:
+        first = weakref.ref(next(results))
+        gc.collect()
+        assert first() is None
+        assert [result.task for result in results] == [1, 2]
+
+
 def test_one_worker_runs_each_task_in_process_when_its_result_is_read():
     seen = []
     with fan_out(lambda i: seen.append(i) or os.getpid(), [0, 1], 1) as pids:
@@ -96,3 +115,13 @@ def test_fork_is_unsafe_where_the_platform_does_not_fork(monkeypatch, platform, 
     monkeypatch.setattr(sys, "platform", platform)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
     assert not fork_is_safe()
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
