@@ -94,10 +94,17 @@ def _sample_for(label: str, n_total: int, seed: int) -> SyntheticSample:
     return generate(design_spec(int(label), n_total, seed))
 
 
+def _variant_configs(**growth) -> tuple[GrowthConfig, GrowthConfig]:
+    """The receipt-split (CT) config, then the assignment-split (CT-IV)
+    one, with GrowthConfig's defaults where ``growth`` sets no knob."""
+    return tuple(GrowthConfig(regime=AssignmentRegime(kind), **growth)
+                 for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
+
+
 def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
-             max_depth: int = 2, min_leaf_fraction: float = 0.1,
-             min_arm_count: int = 10) -> BenchResult:
-    """Fit both variants on one shared draw and score them."""
+             cfgs: tuple[GrowthConfig, GrowthConfig] = _variant_configs()
+             ) -> BenchResult:
+    """Fit both variants of ``cfgs`` on one shared draw and score them."""
     seed = _cell_seed(base_seed, label, n, rep)
     sample = _sample_for(label, 2 * n, seed)
     est_rows = np.arange(n)
@@ -106,14 +113,8 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
     test_x = sample.dataset.covariates[test_rows]
     test_truth = sample.true_cate[test_rows]
     split = holdout_split(est, (0.5, 0.5, 0.0), seed=seed)
-
-    common = dict(max_depth=max_depth, min_leaf_fraction=min_leaf_fraction,
-                  min_arm_count=min_arm_count)
-    ct_cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.CT), **common)
-    iv_cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
-                          **common)
-    ct_tree = fit_ctiv(est, ct_cfg, split, seed)
-    iv_tree = fit_ctiv(est, iv_cfg, split, seed)
+    ct_tree = fit_ctiv(est, cfgs[0], split, seed)
+    iv_tree = fit_ctiv(est, cfgs[1], split, seed)
 
     ct_eval = evaluate_mse(ct_tree, test_x, test_truth, "ate")
     iv_eval = evaluate_mse(iv_tree, test_x, test_truth, "cace")
@@ -139,12 +140,12 @@ def _run_cell_args(args) -> BenchResult | dict:
 
 
 def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
-              base_seed: int = 0, max_depth: int = 2,
-              min_leaf_fraction: float = 0.1, min_arm_count: int = 10,
-              workers: int = 1,
-              progress=None) -> tuple[list[BenchResult], list[dict]]:
+              base_seed: int = 0, workers: int = 1, progress=None,
+              **growth) -> tuple[list[BenchResult], list[dict]]:
     """All cells of designs x sizes x replicates.
 
+    ``growth`` sets GrowthConfig knobs (``max_depth``, ...) for both
+    variants; they, the seed and the sizes are checked before any cell.
     Failing cells are recorded (label, n, rep, error) and skipped.
     ``workers > 1`` fans cells out to that many processes, at most one
     per cell (see ``parallel.fan_out``);
@@ -156,7 +157,13 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
         raise InputError("n_seeds must be >= 1")
     if workers < 1:
         raise InputError("workers must be >= 1")
-    cells = [(label, n, rep, base_seed, max_depth, min_leaf_fraction, min_arm_count)
+    if base_seed < 0:
+        raise InputError(f"base_seed must be nonnegative, got {base_seed}")
+    if min(sizes, default=5) < 5:
+        raise InputError(f"sizes must be >= 5 (a cell draws 2n units, at least "
+                         f"10), got {min(sizes)}")
+    cfgs = _variant_configs(**growth)
+    cells = [(label, n, rep, base_seed, cfgs)
              for label in designs for n in sizes for rep in range(n_seeds)]
     results: list[BenchResult] = []
     failures: list[dict] = []

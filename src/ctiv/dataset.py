@@ -435,6 +435,8 @@ def holdout_split(ds: Dataset | int,
     goes to train. Every declared-nonzero part must receive at least one
     unit.
     """
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     n = ds if isinstance(ds, int) else ds.n_units
     f_tr, f_va, f_te = fractions
     if not np.isfinite(fractions).all():     # NaN passes every test below

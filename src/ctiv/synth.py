@@ -70,6 +70,8 @@ class DesignSpec:
             raise InputError(f"scenario must be 1 or 2, got {self.scenario}")
         if self.n < 10:
             raise InputError("n must be at least 10")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.error_dist not in ("normal", "exponential", "uniform"):
             raise InputError(f"unknown error_dist '{self.error_dist}'")
         for name, value in (("target_cor_wz", self.target_cor_wz),

@@ -6,7 +6,9 @@ unconfounded given the probability e = P(d=1 | x). The same weights
 give the within-leaf effect estimate used by the trees: a ratio of
 weighted arm means. Which indicator plays d is what distinguishes a
 plain causal tree (receipt w) from its instrumented variant
-(assignment z).
+(assignment z); the regime names it, and ``e`` travels beside the data
+as one probability per unit (a constant share repeated under the
+randomized regime).
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyArmError,
-    InputError,
-    require_binary,
-    require_probabilities,
-)
+from .errors import EmptyArmError, InputError, require_binary, require_probabilities
 
 
 class RegimeKind(str, Enum):
@@ -35,45 +31,19 @@ class RegimeKind(str, Enum):
 
 @dataclass(frozen=True)
 class AssignmentRegime:
-    """A regime kind plus, once resolved against data, its probabilities.
+    """A regime kind: which indicator a tree splits and weights on.
 
-    ``p_hat`` holds the constant share for the randomized regime;
-    ``e_hat`` holds per-unit probabilities (aligned with some dataset)
-    for the other two. Freshly constructed regimes may leave both unset;
-    fitting resolves them.
+    The probabilities ``e`` of that indicator are not part of the regime;
+    fitting estimates them once and hands them on as a vector aligned
+    with the units (see ``tree.grow``).
     """
 
     kind: RegimeKind
-    p_hat: float | None = None
-    e_hat: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.p_hat is not None and not (0.0 < self.p_hat < 1.0):
-            raise DomainError(f"p_hat must lie in (0, 1), got {self.p_hat}")
-        if self.e_hat is not None:
-            e = require_probabilities(self.e_hat, "e_hat")
-            if e.ndim != 1:
-                raise DomainError("e_hat must be a vector")
-            e.setflags(write=False)
-            object.__setattr__(self, "e_hat", e)
 
     def indicator(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The indicator this regime splits and weights on: receipt ``w``
         for a plain causal tree, assignment ``z`` otherwise."""
         return w if self.kind is RegimeKind.CT else z
-
-    def unit_probabilities(self, n: int) -> np.ndarray:
-        """Length-n probability vector for the units this regime was fit on."""
-        if self.kind is RegimeKind.IV_RANDOMIZED:
-            if self.p_hat is None:
-                raise InputError("regime not resolved: p_hat unset")
-            return np.full(n, self.p_hat)
-        if self.e_hat is None:
-            raise InputError("regime not resolved: e_hat unset")
-        if self.e_hat.shape[0] != n:
-            raise InputError(
-                f"regime resolved for {self.e_hat.shape[0]} units, asked for {n}")
-        return self.e_hat
 
 
 def transformed_outcome(y, d, e):
@@ -84,6 +54,8 @@ def transformed_outcome(y, d, e):
     y = np.asarray(y, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     e = require_probabilities(e, "e")
+    if len({y.shape, d.shape, e.shape} - {()}) > 1:
+        raise InputError("y, d and e must be aligned")
     require_binary(d, "d")
     out = y * (d - e) / ((1.0 - e) * e)
     return float(out) if out.ndim == 0 else out
@@ -93,14 +65,15 @@ def leaf_weighted_itt(y: np.ndarray, d: np.ndarray, e) -> float:
     """Inverse-probability weighted arm contrast within one leaf.
 
     (sum y*d/e / sum d/e) - (sum y*(1-d)/(1-e) / sum (1-d)/(1-e)).
-    Under a constant e this reduces exactly to the difference of raw
-    arm means. Both arms must be nonempty.
+    ``e`` is one probability per unit, or one for all. Under a constant e
+    this reduces exactly to the difference of raw arm means. Both arms
+    must be nonempty.
     """
     y = np.asarray(y, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    e = np.broadcast_to(np.asarray(e, dtype=np.float64), y.shape)
-    if y.shape != d.shape:
-        raise InputError("y and d must be aligned")
+    e = np.asarray(e, dtype=np.float64)
+    if y.shape != d.shape or e.shape not in ((), y.shape):
+        raise InputError("y, d and e must be aligned")
     require_binary(d, "d")
     require_probabilities(e, "e")
     assigned = d == 1.0

@@ -25,6 +25,7 @@ from .dataset import Dataset, SplitIndices, trim_by_propensity
 from .effects import LeafEstimate, estimate_leaf, overall_cace
 from .errors import (
     AggregationError,
+    DomainError,
     EmptyArmError,
     EmptyDatasetError,
     EstimationError,
@@ -47,6 +48,8 @@ from .transform import (
 class GrowthConfig:
     """Knobs for growing one tree.
 
+    ``regime`` is the one regime a fit reads; the units' probabilities of
+    its indicator travel beside the data as a vector ``e``.
     ``min_leaf_fraction`` is relative to whichever sample a tree is
     grown on. ``alpha_override`` skips holdout selection and prunes the
     final tree at the given complexity price directly.
@@ -223,11 +226,12 @@ def _grow_node(frame, rows, orders, depth):
                    left=left, right=right)
 
 
-def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNode:
+def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     """Grow the maximal tree on a fitting sample.
 
-    The regime must be resolved against exactly these units (constant
-    share or per-unit probabilities).
+    ``e`` holds each unit's probability of the indicator ``cfg.regime``
+    splits on, aligned with the rows of ``train`` (checked, with the
+    indicator, by ``leaf_weighted_itt`` before any use).
 
     Each feature is sorted once (the CART presort); a node's per-feature
     orders are its parent's, filtered stably, so they equal a stable sort
@@ -235,8 +239,7 @@ def grow(train: Dataset, regime: AssignmentRegime, cfg: GrowthConfig) -> TreeNod
     per-node sort would. A node's tau sums its rows in row order.
     """
     n = train.n_units
-    d = regime.indicator(train.w, train.z).astype(np.int64)
-    e = regime.unit_probabilities(n)
+    d = cfg.regime.indicator(train.w, train.z).astype(np.int64)
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     n1 = int(d.sum())
     if min(n1, n - n1) < cfg.min_arm_count:
@@ -331,12 +334,13 @@ def _leaf_rows(root: TreeNode, x: np.ndarray):
         stack.append((2 * node_id, node.left, rows[goes_left]))
 
 
-def holdout_loss(root: TreeNode, validation: Dataset,
+def holdout_loss(root: TreeNode, validation: Dataset, e: np.ndarray,
                  regime: AssignmentRegime) -> float:
-    """Negative mean squared gap between transformed outcomes and leaf effects."""
+    """Negative mean squared gap between leaf effects and the transformed
+    outcomes of ``regime``'s indicator, weighted by ``e`` (one per unit;
+    ``transformed_outcome`` checks its length and range)."""
     n = validation.n_units
     d = regime.indicator(validation.w, validation.z)
-    e = regime.unit_probabilities(n)
     y_star = transformed_outcome(validation.y, d, e)
     tau = np.empty(n)
     for _, leaf, rows in _leaf_rows(root, validation.covariates):
@@ -346,21 +350,21 @@ def holdout_loss(root: TreeNode, validation: Dataset,
     return float(-np.mean((y_star - tau) ** 2))
 
 
-def select_alpha(path: PruningPath, validation: Dataset,
+def select_alpha(path: PruningPath, validation: Dataset, e: np.ndarray,
                  regime: AssignmentRegime) -> tuple[float, TreeNode]:
     """Pick the subtree with the best holdout loss; return (alpha, subtree).
 
-    Ties go to the smaller subtree. The returned alpha is the geometric
-    midpoint of the threshold interval over which the chosen subtree is
-    optimal (its own threshold when the interval is unbounded or starts
-    at zero).
+    ``e`` and ``regime`` are as for ``holdout_loss``. Ties go to the
+    smaller subtree. The returned alpha is the geometric midpoint of the
+    threshold interval over which the chosen subtree is optimal (its own
+    threshold when the interval is unbounded or starts at zero).
     """
     if validation.n_units < 1:
         raise EmptyDatasetError("validation sample is empty")
     best_k = 0
     best_q = -math.inf
     for k, element in enumerate(path.elements):
-        q = holdout_loss(element.root, validation, regime)
+        q = holdout_loss(element.root, validation, e, regime)
         if q >= best_q:                 # later elements have fewer leaves
             best_q = q
             best_k = k
@@ -503,6 +507,8 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
         e_all = model.predict_many(ds.covariates)
     elif kind is RegimeKind.IV_RANDOMIZED:
         p_hat = estimate_constant_p(ds.z)
+        if not 0.0 < p_hat < 1.0:       # one arm only: no weight is defined
+            raise DomainError(f"p_hat must lie in (0, 1), got {p_hat}")
         e_all = np.full(ds.n_units, p_hat)
     else:
         raise ValidationError(f"unknown regime kind {kind!r}")
@@ -515,22 +521,16 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
         raise EmptyDatasetError("no training units survive trimming")
     adjust = (kind is RegimeKind.IV_UNCONFOUNDED
               if adjust_covariates is None else bool(adjust_covariates))
-
-    def regime_for(positions: np.ndarray) -> AssignmentRegime:
-        if kind is RegimeKind.IV_RANDOMIZED:
-            return AssignmentRegime(kind, p_hat=p_hat)
-        return AssignmentRegime(kind, e_hat=e_kept[positions])
-
     if cfg.alpha_override is None and val_pos.size == 0:
         raise EmptyDatasetError("no validation units survive trimming")
     omega_pos = np.flatnonzero((in_train | in_val)[kept])
-    omega_ds = trimmed.subset(omega_pos)
-    omega_regime = regime_for(omega_pos)
+    omega_ds, e_omega = trimmed.subset(omega_pos), e_kept[omega_pos]
 
     def holdout_alpha(_) -> float:
         train_ds = trimmed.subset(train_pos)
-        path = prune_path(grow(train_ds, regime_for(train_pos), cfg), train_ds.n_units)
-        return select_alpha(path, trimmed.subset(val_pos), regime_for(val_pos))[0]
+        path = prune_path(grow(train_ds, e_kept[train_pos], cfg), train_ds.n_units)
+        return select_alpha(path, trimmed.subset(val_pos), e_kept[val_pos],
+                            cfg.regime)[0]
 
     # steps 3-5 run when their result is read, here or in a worker; read in
     # finally, their error wins over the pooled grow's, as if they ran first
@@ -538,15 +538,15 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     tasks = [None] if cfg.alpha_override is None else []
     with fan_out(holdout_alpha, tasks, 2 if overlap else 1) as alphas:
         try:
-            full = grow(omega_ds, omega_regime, cfg)
+            full = grow(omega_ds, e_omega, cfg)
         finally:
             alpha = next(alphas, cfg.alpha_override)
     final = prune_at_alpha(full, alpha, omega_ds.n_units)
 
-    x, e = omega_ds.covariates, omega_regime.unit_probabilities(omega_ds.n_units)
+    x = omega_ds.covariates
     estimates = {
         node_id: estimate_leaf(node_id, omega_ds.y[rows], omega_ds.z[rows],
-                               omega_ds.w[rows], x[rows], omega_regime, e[rows],
+                               omega_ds.w[rows], x[rows], cfg.regime, e_omega[rows],
                                adjust)
         for node_id, _, rows in _leaf_rows(final, x)
     }

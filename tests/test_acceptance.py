@@ -239,10 +239,8 @@ def test_tree_structure_properties(capsys):
         for est in tree.leaves())
 
     # every pruning step only merges leaves, never redraws boundaries
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED,
-                              p_hat=float(sample.dataset.z.mean()))
     train = sample.dataset.subset(split.train)
-    big = grow(train, regime, cfg)
+    big = grow(train, np.full(train.n_units, sample.dataset.z.mean()), cfg)
     path = prune_path(big, train.n_units)
     probe = np.random.default_rng(109).normal(size=(2000, 10), scale=3.0)
     nesting_ok = True

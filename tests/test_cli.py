@@ -147,6 +147,23 @@ def test_fit_missing_column_exit_data(tmp_path, capsys):
     assert "z" in json.loads(err)["message"]
 
 
+def test_fit_constant_assignment_exit_data(tmp_path, capsys):
+    # every unit assigned: the randomized share is 1, and no unit can be
+    # weighted by 1 / (1 - p_hat), even with trimming off
+    data = tmp_path / "all_assigned.csv"
+    rng = np.random.default_rng(71)
+    ds = Dataset(covariates=rng.normal(size=(100, 2)), z=np.ones(100, dtype=np.int8),
+                 w=rng.integers(0, 2, 100), y=rng.normal(size=100),
+                 feature_names=("x1", "x2"))
+    save_csv(ds, data)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "iv-randomized",
+                       "--trim-lo", "0", "--trim-hi", "1",
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "p_hat must lie in (0, 1), got 1.0"}
+
+
 def test_fit_growth_failure_exit_estimation(tmp_path, capsys):
     data = tmp_path / "tiny.csv"
     write_trial_csv(data, n=60, full_compliance=False)
@@ -191,6 +208,15 @@ def test_usage_errors(tmp_path, capsys):
     (("simulate", "--cor-wz", "1.5"), "target_cor_wz"),
     (("bench", "--workers", "0"), "workers must be >= 1"),
     (("bench", "--workers", "-3"), "workers must be >= 1"),
+    (("simulate", "--seed", "-1"), "seed must be nonnegative"),
+    (("fit", "--seed", "-1"), "seed must be nonnegative"),
+    (("bench", "--base-seed", "-1"), "base_seed must be nonnegative"),
+    (("bench", "--sizes", "-5"), "sizes must be >= 5"),
+    (("bench", "--sizes", "3"), "sizes must be >= 5"),
+    # bench checks its growth options once, before any cell runs
+    (("bench", "--max-depth", "0"), "max_depth"),
+    (("bench", "--min-leaf-fraction", "0.9"), "min_leaf_fraction"),
+    (("bench", "--min-arm-count", "0"), "min_arm_count"),
 ])
 def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
     # the library owns the range checks: its InputError is a data error

@@ -134,10 +134,9 @@ def ref_grow_node(x, y, d, e, depth, cfg, min_leaf, noise):
                    left=left, right=right)
 
 
-def ref_grow(train, regime, cfg):
+def ref_grow(train, e, cfg):
     n = train.n_units
-    d = (train.w if regime.kind is RegimeKind.CT else train.z).astype(np.int64)
-    e = regime.unit_probabilities(n)
+    d = (train.w if cfg.regime.kind is RegimeKind.CT else train.z).astype(np.int64)
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     n1 = int(d.sum())
     if min(n1, n - n1) < cfg.min_arm_count:
@@ -149,25 +148,27 @@ def ref_grow(train, regime, cfg):
     return ref_grow_node(train.covariates, train.y, d, e, 0, cfg, min_leaf, noise)
 
 
-def tree_json(grower, ds, regime, cfg):
+def tree_json(grower, ds, e, cfg):
     """export_json of the grown tree, or the error growth raised."""
     try:
-        root = grower(ds, regime, cfg)
+        root = grower(ds, e, cfg)
     except CtivError as exc:
         return type(exc).__name__, str(exc)
     tree = CausalTree(
-        root=root, feature_names=ds.feature_names, regime_kind=regime.kind,
-        alpha=0.0, p_hat=regime.p_hat, propensity=None, adjust_covariates=False,
+        root=root, feature_names=ds.feature_names, regime_kind=cfg.regime.kind,
+        alpha=0.0, p_hat=None, propensity=None, adjust_covariates=False,
         n_input=ds.n_units, n_trimmed=0, n_train=ds.n_units, n_validation=0,
         n_omega=ds.n_units, seed=0, max_depth=cfg.max_depth,
         min_leaf_fraction=cfg.min_leaf_fraction, min_arm_count=cfg.min_arm_count)
     return export_json(tree)
 
 
-def regime_for(kind, ds, e, p):
+def probabilities(kind, ds, e, p):
+    """The constant share ``p`` under the randomized regime, else the
+    per-unit ``e``, for every unit of ``ds``."""
     if kind is RegimeKind.IV_RANDOMIZED:
-        return AssignmentRegime(kind, p_hat=p)
-    return AssignmentRegime(kind, e_hat=e[:ds.n_units])
+        return np.full(ds.n_units, p)
+    return e[:ds.n_units]
 
 
 # small integers, both zeros and a half: many ties, and -0.0 == 0.0. The
@@ -194,11 +195,10 @@ def tie_heavy_fits(draw):
     kind = draw(st.sampled_from(list(RegimeKind)))
     ds = Dataset(covariates=x, z=z, w=w, y=y,
                  feature_names=tuple(f"x{j}" for j in range(k)))
-    regime = regime_for(kind, ds, e, p)
-    cfg = GrowthConfig(regime=regime, max_depth=draw(st.integers(1, 4)),
+    cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=draw(st.integers(1, 4)),
                        min_leaf_fraction=draw(st.sampled_from([0.02, 0.1, 0.25])),
                        min_arm_count=draw(st.integers(1, 3)))
-    return ds, regime, cfg
+    return ds, probabilities(kind, ds, e, p), cfg
 
 
 def constant_outcome_fit():
@@ -207,18 +207,17 @@ def constant_outcome_fit():
     x = np.array([[-1.0], [-2.0], [-1.0], [-2.0], [-2.0], [-2.0], [-2.0], [-2.0]])
     ds = Dataset(covariates=x, z=np.zeros(8), w=[0, 0, 1, 1, 1, 1, 1, 1],
                  y=np.full(8, -2.302132862361297), feature_names=("x0",))
-    regime = AssignmentRegime(RegimeKind.CT, e_hat=np.full(8, 0.5))
-    cfg = GrowthConfig(regime=regime, max_depth=1, min_leaf_fraction=0.02,
-                       min_arm_count=1)
-    return ds, regime, cfg
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.CT), max_depth=1,
+                       min_leaf_fraction=0.02, min_arm_count=1)
+    return ds, np.full(8, 0.5), cfg
 
 
 @SETTINGS
 @given(tie_heavy_fits())
 @example(constant_outcome_fit())
 def test_grow_matches_reference_on_tie_heavy_data(case):
-    ds, regime, cfg = case
-    assert tree_json(grow, ds, regime, cfg) == tree_json(ref_grow, ds, regime, cfg)
+    ds, e, cfg = case
+    assert tree_json(grow, ds, e, cfg) == tree_json(ref_grow, ds, e, cfg)
 
 
 @pytest.mark.parametrize("design", [1, 2, 3, 4, 5])
@@ -227,16 +226,16 @@ def test_grow_matches_reference_on_designs(design, kind):
     sample = generate(design_spec(design, 1500, seed=40 + design))
     ds = sample.dataset
     e = np.random.default_rng(design).uniform(0.1, 0.9, ds.n_units)
-    regime = regime_for(kind, ds, e, 0.5)
+    e = probabilities(kind, ds, e, 0.5)
     for rounded in (False, True):
         data = ds
         if rounded:     # ties on every feature
             data = Dataset(np.round(ds.covariates, 1), ds.z, ds.w, ds.y,
                            ds.feature_names)
-        cfg = GrowthConfig(regime=regime, max_depth=5, min_leaf_fraction=0.02,
-                           min_arm_count=5)
-        assert (tree_json(grow, data, regime, cfg)
-                == tree_json(ref_grow, data, regime, cfg))
+        cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=5,
+                           min_leaf_fraction=0.02, min_arm_count=5)
+        assert (tree_json(grow, data, e, cfg)
+                == tree_json(ref_grow, data, e, cfg))
 
 
 @pytest.mark.parametrize("upper_arms", [[1, 0] * 4, [1, 1]])
@@ -249,15 +248,15 @@ def test_cut_whose_midpoint_rounds_to_the_upper_value(upper_arms):
     d = np.array([1, 0] * 8 + upper_arms)
     y = d * np.where(np.asarray(x) > ONE_UP, 4.0, 0.0)
     ds = Dataset(covariates=np.array(x)[:, None], z=d, w=d, y=y, feature_names=("x1",))
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED, p_hat=0.5)
-    cfg = GrowthConfig(regime=regime, max_depth=1, min_leaf_fraction=0.05,
-                       min_arm_count=1)
-    got = tree_json(grow, ds, regime, cfg)
-    assert got == tree_json(ref_grow, ds, regime, cfg)
+    e = np.full(ds.n_units, 0.5)
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=1,
+                       min_leaf_fraction=0.05, min_arm_count=1)
+    got = tree_json(grow, ds, e, cfg)
+    assert got == tree_json(ref_grow, ds, e, cfg)
     if len(upper_arms) == 2:
         assert got == ("EmptyArmError", "leaf needs at least one unit in each arm")
     else:
-        root = grow(ds, regime, cfg)
+        root = grow(ds, e, cfg)
         assert root.threshold == two_up and root.left.n == 16
 
 
@@ -807,11 +806,12 @@ def test_leaf_routing_matches_per_row_walk(case):
     leaves = [walk(root, row) for row in x]
     assert tree.assign_leaves(x).tolist() == [leaf.node_id for leaf in leaves]
     assert [tree.leaf_map[i] for i in tree.assign_leaves(x)] == [leaf.estimate for leaf in leaves]
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED, p_hat=0.5)
+    e = np.full(len(y), 0.5)
     validation = Dataset(covariates=x, z=d, w=d, y=y, feature_names=("x1", "x2"))
-    y_star = transformed_outcome(y, d, regime.unit_probabilities(len(y)))
+    y_star = transformed_outcome(y, d, e)
     tau = np.array([leaf.tau for leaf in leaves])
-    assert holdout_loss(root, validation, regime) == float(-np.mean((y_star - tau) ** 2))
+    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED)
+    assert holdout_loss(root, validation, e, regime) == float(-np.mean((y_star - tau) ** 2))
 
 
 @SETTINGS

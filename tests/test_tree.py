@@ -33,7 +33,7 @@ from ctiv.errors import CtivError, GrowthError, InputError, SplitError
 from ctiv.transform import AssignmentRegime, leaf_weighted_itt
 from ctiv.tree import PathElement, PruningPath, TreeNode, holdout_loss, select_alpha
 
-HALF = AssignmentRegime(RegimeKind.IV_RANDOMIZED, p_hat=0.5)
+RANDOMIZED = AssignmentRegime(RegimeKind.IV_RANDOMIZED)
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
                                            HealthCheck.filter_too_much])
@@ -47,6 +47,11 @@ def make_ds(x, d, y):
     d = np.asarray(d)
     return Dataset(covariates=x, z=d, w=d, y=np.asarray(y, dtype=np.float64),
                    feature_names=names)
+
+
+def half(ds):
+    """Assignment probability 0.5 for every unit of ``ds``."""
+    return np.full(ds.n_units, 0.5)
 
 
 def bump_ds(copies=1):
@@ -111,9 +116,9 @@ def test_grow_matches_exhaustive_enumeration():
             d = rng.integers(0, 2, n)
         y = rng.normal(size=n) + d * (1.0 + x[:, 1])
         ds = make_ds(x, d, y)
-        cfg = GrowthConfig(regime=HALF, max_depth=1, min_leaf_fraction=0.1,
+        cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_leaf_fraction=0.1,
                            min_arm_count=2)
-        root = grow(ds, HALF, cfg)
+        root = grow(ds, half(ds), cfg)
         min_leaf = max(1, math.ceil(0.1 * n))
         gain, j, thr = oracle_best_split(ds, min_leaf, 2)
         parent = n * leaf_weighted_itt(y, d.astype(float), 0.5) ** 2
@@ -131,9 +136,9 @@ def test_grow_matches_exhaustive_enumeration():
 
 def test_grow_hand_case_exact_threshold():
     ds = bump_ds()
-    cfg = GrowthConfig(regime=HALF, max_depth=1, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     # mirrored candidates at 2.5 and 6.5 tie; the lower threshold wins
     assert root.feature == 0
     assert root.threshold == 2.5
@@ -143,9 +148,9 @@ def test_grow_hand_case_exact_threshold():
 
 def test_grow_feature_tie_prefers_lower_index():
     ds = bump_ds(copies=2)  # second column duplicates the first
-    cfg = GrowthConfig(regime=HALF, max_depth=1, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     assert root.feature == 0
 
 
@@ -154,28 +159,27 @@ def test_grow_requires_strict_improvement():
     x = np.arange(20.0)
     d = np.tile([1, 0], 10)
     ds = make_ds(x, d, d.astype(float))
-    cfg = GrowthConfig(regime=HALF, max_depth=3, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    assert grow(ds, HALF, cfg).is_leaf
+    assert grow(ds, half(ds), cfg).is_leaf
 
 
 def test_grow_constant_outcome_root_only():
     x = np.arange(30.0)
     d = np.tile([1, 0], 15)
     ds = make_ds(x, d, np.full(30, 7.0))
-    cfg = GrowthConfig(regime=HALF, max_depth=2, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=2, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     assert root.is_leaf and root.tau == 0.0
 
 
 def test_grow_honors_constraints():
     sample = generate(design_spec(2, 1200, seed=22))
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED,
-                              p_hat=float(sample.dataset.z.mean()))
-    cfg = GrowthConfig(regime=regime, max_depth=3, min_leaf_fraction=0.1,
+    e = np.full(1200, sample.dataset.z.mean())
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_leaf_fraction=0.1,
                        min_arm_count=15)
-    root = grow(sample.dataset, regime, cfg)
+    root = grow(sample.dataset, e, cfg)
     min_leaf = math.ceil(0.1 * 1200)
 
     def walk(node, depth):
@@ -195,22 +199,36 @@ def test_grow_root_arm_too_small():
     d = np.zeros(30, dtype=int)
     d[:3] = 1
     ds = make_ds(x, d, np.random.default_rng(0).normal(size=30))
-    cfg = GrowthConfig(regime=HALF, max_depth=1, min_arm_count=5)
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_arm_count=5)
     with pytest.raises(GrowthError):
-        grow(ds, HALF, cfg)
+        grow(ds, half(ds), cfg)
+
+
+def test_probabilities_must_be_one_per_unit():
+    ds = bump_ds()
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_leaf_fraction=0.1,
+                       min_arm_count=1)
+    short = np.full(ds.n_units - 1, 0.5)
+    with pytest.raises(InputError, match="y, d and e must be aligned"):
+        grow(ds, short, cfg)
+    root = grow(ds, half(ds), cfg)
+    with pytest.raises(InputError, match="y, d and e must be aligned"):
+        holdout_loss(root, ds, short, RANDOMIZED)
+    with pytest.raises(InputError, match="y, d and e must be aligned"):
+        select_alpha(prune_path(root, ds.n_units), ds, short, RANDOMIZED)
 
 
 def test_growth_config_validation():
     with pytest.raises(InputError):
-        GrowthConfig(regime=HALF, max_depth=0)
+        GrowthConfig(regime=RANDOMIZED, max_depth=0)
     with pytest.raises(InputError):
-        GrowthConfig(regime=HALF, min_leaf_fraction=0.6)
+        GrowthConfig(regime=RANDOMIZED, min_leaf_fraction=0.6)
     with pytest.raises(InputError):
-        GrowthConfig(regime=HALF, min_leaf_fraction=0.0)
+        GrowthConfig(regime=RANDOMIZED, min_leaf_fraction=0.0)
     with pytest.raises(InputError):
-        GrowthConfig(regime=HALF, min_arm_count=0)
+        GrowthConfig(regime=RANDOMIZED, min_arm_count=0)
     with pytest.raises(InputError):
-        GrowthConfig(regime=HALF, alpha_override=-0.5)
+        GrowthConfig(regime=RANDOMIZED, alpha_override=-0.5)
 
 
 def test_prune_path_shape():
@@ -220,9 +238,9 @@ def test_prune_path_shape():
     d = rng.integers(0, 2, n)
     y = rng.normal(size=n) + d * (1.0 + 2.0 * (x[:, 0] > 0) + (x[:, 1] > 0))
     ds = make_ds(x, d, y)
-    cfg = GrowthConfig(regime=HALF, max_depth=3, min_leaf_fraction=0.05,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_leaf_fraction=0.05,
                        min_arm_count=5)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     assert not root.is_leaf
     path = prune_path(root, n)
     alphas = [el.alpha_threshold for el in path.elements]
@@ -243,10 +261,10 @@ def grown_trees(draw):
     x = draw(hnp.arrays(np.float64, (n, 2), elements=values))
     d = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
     y = draw(hnp.arrays(np.float64, n, elements=st.one_of(values, st.floats(-3.0, 3.0))))
-    cfg = GrowthConfig(regime=HALF, max_depth=draw(st.integers(1, 4)),
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=draw(st.integers(1, 4)),
                        min_leaf_fraction=0.05, min_arm_count=1)
     try:
-        return grow(make_ds(x, d, y), HALF, cfg), n
+        return grow(make_ds(x, d, y), np.full(n, 0.5), cfg), n
     except CtivError:
         reject()
 
@@ -273,9 +291,9 @@ def test_splits_on_rounding_noise_leave_no_threshold_at_or_below_zero(seed):
     x = rng.choice([-1.0, 0.0, 1.0], size=(200, 2))
     d = rng.integers(0, 2, 200)
     ds = make_ds(x, d, np.full(200, 1.8483852144648822))
-    cfg = GrowthConfig(regime=HALF, max_depth=3, min_leaf_fraction=0.05,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_leaf_fraction=0.05,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     alphas = [el.alpha_threshold for el in prune_path(root, 200).elements]
     assert alphas[0] == 0.0 and all(b > a for a, b in zip(alphas, alphas[1:]))
     iv = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=3,
@@ -288,9 +306,9 @@ def test_splits_on_rounding_noise_leave_no_threshold_at_or_below_zero(seed):
 
 def test_prune_path_depth1_alpha_closed_form():
     ds = bump_ds()
-    cfg = GrowthConfig(regime=HALF, max_depth=1, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     path = prune_path(root, ds.n_units)
     assert len(path.elements) == 2
     # price of the single split: (children reward - root reward) / n
@@ -308,9 +326,9 @@ def test_prune_collapses_noise_split_first():
     # strong signal on x1 only; x2 splits pick up noise
     y = rng.normal(size=n) * 0.3 + d * 3.0 * (x[:, 0] > 0)
     ds = make_ds(x, d, y)
-    cfg = GrowthConfig(regime=HALF, max_depth=3, min_leaf_fraction=0.05,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_leaf_fraction=0.05,
                        min_arm_count=5)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     path = prune_path(root, n)
     two_leaf = [el for el in path.elements if el.root.n_leaves() == 2]
     assert len(two_leaf) == 1
@@ -337,9 +355,9 @@ def test_prune_path_resweeps_an_ancestor_exposed_at_the_same_price():
 
 def test_prune_at_alpha_reproduces_path():
     ds = staircase_ds()
-    cfg = GrowthConfig(regime=HALF, max_depth=2, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=2, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     path = prune_path(root, ds.n_units)
     assert len(path.elements) >= 2
     for el in path.elements:
@@ -356,16 +374,16 @@ def test_prune_at_alpha_reproduces_path():
 
 def test_holdout_loss_matches_direct_computation():
     ds = bump_ds()
-    cfg = GrowthConfig(regime=HALF, max_depth=1, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     rng = np.random.default_rng(25)
     m = 50
     xv = rng.uniform(1.0, 8.0, size=m)
     dv = rng.integers(0, 2, m)
     yv = rng.normal(size=m) + dv * (xv <= 2.5)
     va = make_ds(xv, dv, yv)
-    got = holdout_loss(root, va, HALF)
+    got = holdout_loss(root, va, half(va), RANDOMIZED)
     y_star = yv * (dv - 0.5) / 0.25
     tau = np.array([predict_tau(root, np.array([v])) for v in xv])
     assert got == pytest.approx(-np.mean((y_star - tau) ** 2), abs=1e-12)
@@ -378,9 +396,9 @@ def test_select_alpha_matches_oracle_scan():
     d = rng.integers(0, 2, n)
     y = rng.normal(size=n) + d * (1.0 + 1.5 * (x[:, 0] > 0))
     ds = make_ds(x, d, y)
-    cfg = GrowthConfig(regime=HALF, max_depth=3, min_leaf_fraction=0.05,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_leaf_fraction=0.05,
                        min_arm_count=5)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     path = prune_path(root, n)
 
     m = 300
@@ -389,7 +407,7 @@ def test_select_alpha_matches_oracle_scan():
     yv = rng.normal(size=m) + dv * (1.0 + 1.5 * (xv[:, 0] > 0))
     va = make_ds(xv, dv, yv)
 
-    alpha, subtree = select_alpha(path, va, HALF)
+    alpha, subtree = select_alpha(path, va, half(va), RANDOMIZED)
 
     y_star = yv * (dv - 0.5) / 0.25
     best_k, best_q = 0, -math.inf
@@ -409,21 +427,19 @@ def test_select_alpha_matches_oracle_scan():
 
 def test_select_alpha_tie_prefers_fewer_leaves():
     ds = bump_ds()
-    cfg = GrowthConfig(regime=HALF, max_depth=1, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_leaf_fraction=0.1,
                        min_arm_count=1)
-    root = grow(ds, HALF, cfg)
+    root = grow(ds, half(ds), cfg)
     # duplicate subtree: both elements score identically, so the later
     # (conventionally smaller) one must win
     fake = PruningPath(elements=(PathElement(0.0, root), PathElement(0.5, root)))
-    alpha, _ = select_alpha(fake, ds, HALF)
+    alpha, _ = select_alpha(fake, ds, half(ds), RANDOMIZED)
     assert alpha == 0.5
 
 
 def test_full_tree_node_numbering():
     ds = staircase_ds()
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED,
-                              p_hat=float(ds.z.mean()))
-    cfg = GrowthConfig(regime=regime, max_depth=2, min_leaf_fraction=0.1,
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=2, min_leaf_fraction=0.1,
                        min_arm_count=1, alpha_override=0.0)
     split = SplitIndices(train=np.arange(ds.n_units),
                          validation=np.arange(0),
