@@ -94,17 +94,22 @@ def _sample_for(label: str, n_total: int, seed: int) -> SyntheticSample:
     return generate(design_spec(int(label), n_total, seed))
 
 
+_VARIANTS = (RegimeKind.CT, RegimeKind.IV_RANDOMIZED)
+
+
 def _variant_configs(**growth) -> tuple[GrowthConfig, GrowthConfig]:
-    """The receipt-split (CT) config, then the assignment-split (CT-IV)
-    one, with GrowthConfig's defaults where ``growth`` sets no knob."""
+    """The CT config, then the CT-IV one; GrowthConfig's defaults fill in."""
     return tuple(GrowthConfig(regime=AssignmentRegime(kind), **growth)
-                 for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
+                 for kind in _VARIANTS)
 
 
 def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
              cfgs: tuple[GrowthConfig, GrowthConfig] = _variant_configs()
              ) -> BenchResult:
-    """Fit both variants of ``cfgs`` on one shared draw and score them."""
+    """Fit both variants on one shared draw and score them: ``cfgs`` is the
+    receipt-split (CT) config, scored as "ate", then the CT-IV one ("cace")."""
+    if tuple(cfg.regime.kind for cfg in cfgs) != _VARIANTS:
+        raise InputError("cfgs must be a ct config, then an iv-randomized one")
     seed = _cell_seed(base_seed, label, n, rep)
     sample = _sample_for(label, 2 * n, seed)
     est_rows = np.arange(n)
@@ -140,12 +145,15 @@ def _run_cell_args(args) -> BenchResult | dict:
 
 
 def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
-              base_seed: int = 0, workers: int = 1, progress=None,
-              **growth) -> tuple[list[BenchResult], list[dict]]:
+              base_seed: int = 0, max_depth: int = GrowthConfig.max_depth,
+              min_leaf_fraction: float = GrowthConfig.min_leaf_fraction,
+              min_arm_count: int = GrowthConfig.min_arm_count,
+              workers: int = 1,
+              progress=None) -> tuple[list[BenchResult], list[dict]]:
     """All cells of designs x sizes x replicates.
 
-    ``growth`` sets GrowthConfig knobs (``max_depth``, ...) for both
-    variants; they, the seed and the sizes are checked before any cell.
+    The three growth options apply to both variants; they, the seed and
+    the sizes are checked before any cell.
     Failing cells are recorded (label, n, rep, error) and skipped.
     ``workers > 1`` fans cells out to that many processes, at most one
     per cell (see ``parallel.fan_out``);
@@ -162,7 +170,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     if min(sizes, default=5) < 5:
         raise InputError(f"sizes must be >= 5 (a cell draws 2n units, at least "
                          f"10), got {min(sizes)}")
-    cfgs = _variant_configs(**growth)
+    cfgs = _variant_configs(max_depth=max_depth, min_leaf_fraction=min_leaf_fraction,
+                            min_arm_count=min_arm_count)
     cells = [(label, n, rep, base_seed, cfgs)
              for label in designs for n in sizes for rep in range(n_seeds)]
     results: list[BenchResult] = []

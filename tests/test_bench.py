@@ -145,6 +145,23 @@ def test_run_cell_scenarios():
         assert math.isfinite(res.relative_gap_pct)
 
 
+def test_run_cell_rejects_a_misordered_config_pair():
+    # the first config is scored as "ate" and the second as "cace"
+    ct, iv = (GrowthConfig(regime=AssignmentRegime(kind))
+              for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
+    for cfgs in ((iv, ct), (ct, ct)):
+        with pytest.raises(InputError, match="ct config, then an iv-randomized"):
+            run_cell("2", 400, 0, cfgs=cfgs)
+
+
+def test_run_sweep_growth_options_sit_where_they_did():
+    # positional callers of the growth options still reach them
+    with pytest.raises(InputError, match="max_depth"):
+        run_sweep(["2"], [300], 1, 0, 0)
+    with pytest.raises(TypeError):
+        run_sweep(["2"], [300], 1, alpha_override=1.0)
+
+
 def test_root_only_tree_mse_near_effect_variance():
     # a constant prediction cannot beat the spread of 1 + x9 + x10,
     # whose variance is 0.2 by construction

@@ -164,6 +164,25 @@ def test_fit_constant_assignment_exit_data(tmp_path, capsys):
                                "message": "p_hat must lie in (0, 1), got 1.0"}
 
 
+@pytest.mark.parametrize("regime", ["ct", "iv-unconfounded"])
+def test_fit_saturated_propensity_with_trimming_off(tmp_path, capsys, regime):
+    # x1 separates both indicators, so the logistic fit saturates; the
+    # model clamps its probabilities inside (0, 1), and every unit keeps
+    # a weight even with trimming off
+    data = tmp_path / "separated.csv"
+    rng = np.random.default_rng(72)
+    x = rng.normal(size=(200, 2))
+    d = (x[:, 0] > 0).astype(np.int8)
+    save_csv(Dataset(covariates=x, z=d, w=d.copy(), y=rng.normal(size=200),
+                     feature_names=("x1", "x2")), data)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", regime,
+                       "--trim-lo", "0", "--trim-hi", "1",
+                       "--out-dir", str(tmp_path / "o"))
+    assert (code, err) == (EXIT_OK, "")
+    tree = json.loads((tmp_path / "o" / "tree.json").read_text())
+    assert tree["meta"]["n_trimmed"] == 0
+
+
 def test_fit_growth_failure_exit_estimation(tmp_path, capsys):
     data = tmp_path / "tiny.csv"
     write_trial_csv(data, n=60, full_compliance=False)
