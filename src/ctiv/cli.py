@@ -125,7 +125,7 @@ def _cmd_fit(args) -> int:
     split = holdout_split(ds, (args.train_frac, args.val_frac, test_frac),
                           seed=args.seed)
     cfg = GrowthConfig(
-        regime=AssignmentRegime(RegimeKind(args.regime)),
+        regime=AssignmentRegime(args.regime),
         max_depth=args.max_depth,
         min_leaf_fraction=args.min_leaf_fraction,
         min_arm_count=args.min_arm_count,
@@ -144,6 +144,7 @@ def _cmd_fit(args) -> int:
                    f"{est.cace_hat!r},{est.cace_se!r},{est.first_stage_f!r}\n")
     _write(out / "leaf_report.csv", report)
     config = _resolved_config(args)
+    prop = tree.propensity
     config["resolved"] = {
         "alpha": tree.alpha,
         "n_input": tree.n_input,
@@ -152,6 +153,9 @@ def _cmd_fit(args) -> int:
         "adjust_covariates": tree.adjust_covariates,
         "overall_cace": tree.overall_cace,
         "n_leaves": tree.root.n_leaves(),
+        # the logistic solver's state; null under iv-randomized, which fits none
+        "propensity_converged": None if prop is None else prop.converged,
+        "propensity_iterations": None if prop is None else prop.iterations,
     }
     _write(out / "run.json", json.dumps(config, sort_keys=True, indent=1))
     print(f"fitted {args.regime} tree: {tree.root.n_leaves()} leaves, "

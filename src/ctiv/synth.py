@@ -28,6 +28,14 @@ Robustness scenarios reuse design 2: scenario 1 weakens the instrument
 (Cor(W, Z) target 0.5); scenario 2 adds a direct assignment effect
 1{X10 >= 0} * Z to the outcome, violating exclusion while leaving the
 true receipt effect untouched.
+
+The threshold's calibration needs the standard-normal quantile and
+density. They come from ``scipy.special.ndtri`` and the density's own
+expression evaluated in numpy: exactly what scipy's ``norm.ppf`` and
+``norm.pdf`` compute at location 0 and scale 1. So the coefficients
+keep ``norm``'s bits, and importing ``ctiv`` does not load scipy's
+statistics package, an import larger than the rest of ``ctiv``'s
+together.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .dataset import Dataset
 from .errors import CalibrationError, InputError
@@ -134,9 +142,18 @@ def latent_receipt_coefficients(cor_wz: float, cor_weta: float) -> tuple[float, 
     standard normal quantile of 1/2 + cor_wz/2: t = q, a = 2q, and the
     confounder loading b = cor_weta / (2 * phi(q)) with c mopping up the
     rest of the variance. Infeasible targets (b >= 1) raise.
+
+    ``norm.ppf`` is ``ndtri(p) * 1.0 + 0.0`` and ``norm.pdf`` is
+    ``np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)`` divided by 1.0, so
+    computing them here gives the same bits. ``norm`` squares an array,
+    which numpy does as ``x * x``; ``**`` on a scalar calls the C
+    library's ``pow``, which can miss the last bit, so the square is
+    written out.
     """
-    q = float(norm.ppf(0.5 + cor_wz / 2.0))
-    b = cor_weta / (2.0 * float(norm.pdf(q)))
+    q = ndtri(0.5 + cor_wz / 2.0)
+    phi = float(np.exp(-(q * q) / 2.0) / np.sqrt(2 * np.pi))
+    q = float(q)
+    b = cor_weta / (2.0 * phi)
     if not (0.0 < b < 1.0):
         raise CalibrationError(
             f"targets Cor(W,Z)={cor_wz}, Cor(W,eta)={cor_weta} are infeasible")

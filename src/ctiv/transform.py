@@ -40,6 +40,15 @@ class AssignmentRegime:
 
     kind: RegimeKind
 
+    def __post_init__(self):
+        # stored as the enum: the kind is tested by identity, and a plain
+        # "ct" would otherwise grow a receipt tree on assignment
+        try:
+            kind = RegimeKind(self.kind)
+        except ValueError:
+            raise InputError(f"unknown regime kind {self.kind!r}") from None
+        object.__setattr__(self, "kind", kind)
+
     def indicator(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The indicator this regime splits and weights on: receipt ``w``
         for a plain causal tree, assignment ``z`` otherwise."""

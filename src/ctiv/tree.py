@@ -505,13 +505,11 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
         model = fit_logistic(ds.covariates, cfg.regime.indicator(ds.w, ds.z),
                              ridge_lambda=ridge_lambda)
         e_all = model.predict_many(ds.covariates)
-    elif kind is RegimeKind.IV_RANDOMIZED:
+    else:                               # RegimeKind.IV_RANDOMIZED
         p_hat = estimate_constant_p(ds.z)
         if not 0.0 < p_hat < 1.0:       # one arm only: no weight is defined
             raise DomainError(f"p_hat must lie in (0, 1), got {p_hat}")
         e_all = np.full(ds.n_units, p_hat)
-    else:
-        raise ValidationError(f"unknown regime kind {kind!r}")
 
     trimmed, kept = trim_by_propensity(ds, e_all, trim_lo, trim_hi)
     e_kept = e_all[kept]

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -91,6 +94,9 @@ def test_fit_writes_outputs(tmp_path, capsys):
     assert tree["format"] == "ctiv-tree"
     run_cfg = json.loads((out / "run.json").read_text())
     assert run_cfg["resolved"]["n_leaves"] >= 1
+    # iv-randomized fits no propensity model, so there is no solver state
+    assert run_cfg["resolved"]["propensity_converged"] is None
+    assert run_cfg["resolved"]["propensity_iterations"] is None
     assert "overall CACE" in stdout
     header = (out / "leaf_report.csv").read_text().splitlines()[0]
     assert header == "node_id,n,itt_hat,pi_c_hat,cace_hat,cace_se,first_stage_f"
@@ -114,6 +120,11 @@ def test_fit_rerun_byte_identical(tmp_path, capsys):
     for cfg in configs:
         cfg["options"].pop("out_dir")
     assert configs[0] == configs[1]
+    # the logistic solver's state, as tree.json records it
+    prop = json.loads((outs[0] / "tree.json").read_text())["meta"]["propensity"]
+    resolved = configs[0]["resolved"]
+    assert resolved["propensity_converged"] is prop["converged"] is True
+    assert resolved["propensity_iterations"] == prop["iterations"] >= 1
 
 
 def test_fit_full_compliance_regimes_match(tmp_path, capsys):
@@ -647,3 +658,17 @@ def test_predict_on_malformed_csv_or_tree_exits_cleanly(fitted, data):
         assert_clean_exit(*fuzz_main("predict", "--tree", str(tree),
                                      "--input", str(path),
                                      "--output", str(Path(d) / "p.csv")))
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # every ctiv process would pay scipy.stats's import at start-up; a fresh
+    # interpreter, since this one may hold it through other tests
+    src = str(Path(ctiv.dataset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ctiv, ctiv.cli; print(sorted(m for m in sys.modules"
+         " if m.startswith('scipy.stats')))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert loaded == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from ctiv import design_spec, generate
 from ctiv.errors import CalibrationError, InputError
@@ -154,6 +155,25 @@ def test_coefficients_hit_targets_analytically():
     sample = generate(design_spec(2, 200_000, seed=50))
     assert abs(sample.realized_cor_wz - 0.65) < 0.01
     assert abs(sample.realized_cor_weta - 0.50) < 0.01
+
+
+def test_coefficients_keep_the_bits_of_scipy_stats_norm():
+    def by_norm(cor_wz, cor_weta):
+        q = float(norm.ppf(0.5 + cor_wz / 2.0))
+        b = cor_weta / (2.0 * float(norm.pdf(q)))
+        return (2.0 * q, b, math.sqrt(1.0 - b * b), q) if b < 1.0 else None
+
+    # the defaults, scenario 1's, then targets near either end of (0, 1)
+    named = [(DEFAULT_COR_WZ, DEFAULT_COR_WETA), (0.5, 0.5), (1e-9, 1e-9),
+             (1e-9, 0.79), (0.999, 1e-9), (0.999, 0.0035)]
+    grid = [(float(wz), float(weta)) for wz in np.linspace(0.005, 0.995, 199)
+            for weta in np.linspace(0.005, 0.795, 80)]
+    feasible = [pair for pair in grid if by_norm(*pair) is not None]
+    assert len(feasible) > 5000
+    for pair in named + feasible:
+        got = latent_receipt_coefficients(*pair)
+        assert got == by_norm(*pair), pair
+        assert all(type(v) is float for v in got)
 
 
 def test_infeasible_targets_raise():

@@ -495,6 +495,21 @@ def test_fit_full_compliance_regimes_agree_exactly():
         assert abs(est.cace_hat - est.itt_hat) == 0.0
 
 
+def test_regime_kind_given_as_a_string_is_the_enum():
+    sample = generate(design_spec(2, 2000, seed=38))
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=38)
+    texts = []
+    for kind in ("ct", RegimeKind.CT):
+        regime = AssignmentRegime(kind)
+        assert regime.kind is RegimeKind.CT
+        cfg = GrowthConfig(regime=regime, max_depth=2, min_leaf_fraction=0.1,
+                           min_arm_count=10)
+        texts.append(export_json(fit_ctiv(sample.dataset, cfg, split, seed=38)))
+    assert texts[0] == texts[1]
+    with pytest.raises(InputError, match="nope"):
+        AssignmentRegime("nope")
+
+
 def test_fit_alpha_override_extremes():
     sample = generate(design_spec(2, 800, seed=29))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=29)
