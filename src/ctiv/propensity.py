@@ -5,18 +5,42 @@ regression solved by damped Newton iterations, or a constant share when
 assignment is known to be randomised. The ridge penalty never touches
 the intercept; predictions are clamped away from exact 0/1 so they can
 be used as inverse weights.
+
+The logistic link is ``expit`` below, written to give the bits of
+``scipy.special.expit``: ``1 / (1 + exp(-x))`` with the C library's
+``exp``. ``math.exp`` is that function; ``np.exp`` is not, since numpy
+may evaluate it with its own SIMD kernel, which differs from the C
+library's in the last bit on a few percent of inputs. So the link costs
+a Python call per element, and ``fit_logistic`` evaluates it once per
+Newton iterate.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError, SeparationError, require_binary
 
 PROB_CLAMP = 1e-12
+# the largest x whose exp(x) is finite; math.exp raises above it
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic function, elementwise, bit for bit as the C ``1/(1+exp(-x))``.
+
+    Where C's ``exp`` overflows to inf, ``math.exp`` raises instead, so
+    those elements get inf (and expit 0.0) here. NaN stays NaN.
+    """
+    neg = -np.asarray(x, dtype=np.float64)
+    e = np.fromiter(map(math.exp, np.minimum(neg, _LOG_DBL_MAX).ravel().tolist()),
+                    np.float64, count=neg.size).reshape(neg.shape)
+    e[neg > _LOG_DBL_MAX] = np.inf
+    return 1.0 / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -50,7 +74,12 @@ def penalized_loglik(beta: np.ndarray, x_aug: np.ndarray, labels: np.ndarray,
 def loglik_gradient(beta: np.ndarray, x_aug: np.ndarray, labels: np.ndarray,
                     ridge_lambda: float) -> np.ndarray:
     """Gradient of the penalised log-likelihood."""
-    p = expit(x_aug @ beta)
+    return _gradient(expit(x_aug @ beta), beta, x_aug, labels, ridge_lambda)
+
+
+def _gradient(p: np.ndarray, beta: np.ndarray, x_aug: np.ndarray,
+              labels: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    # the gradient at beta, given p = expit(x_aug @ beta)
     grad = x_aug.T @ (labels - p)
     grad[1:] -= ridge_lambda * beta[1:]
     return grad
@@ -88,14 +117,14 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
 
     beta = np.zeros(k + 1)
     ll = penalized_loglik(beta, x_aug, lab, ridge_lambda)
-    converged = False
     iterations = 0
-    for _ in range(max_iter):
-        grad = loglik_gradient(beta, x_aug, lab, ridge_lambda)
-        if np.abs(grad).max() < tol:
-            converged = True
-            break
+    while True:
+        # the link once per iterate: gradient and Hessian weights share p
         p = expit(x_aug @ beta)
+        grad = _gradient(p, beta, x_aug, lab, ridge_lambda)
+        converged = bool(np.abs(grad).max() < tol)
+        if converged or iterations >= max_iter:
+            break
         weights = p * (1.0 - p)
         hess = (x_aug * weights[:, None]).T @ x_aug + np.diag(penalty_diag)
         try:
@@ -110,12 +139,12 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
             if cand_ll >= ll - 1e-12:
                 break
             scale *= 0.5
-        beta = beta + scale * step
-        ll = penalized_loglik(beta, x_aug, lab, ridge_lambda)
+        else:
+            # no halving was accepted: take the step at the last scale
+            candidate = beta + scale * step
+            cand_ll = penalized_loglik(candidate, x_aug, lab, ridge_lambda)
+        beta, ll = candidate, cand_ll
         iterations += 1
-    else:
-        grad = loglik_gradient(beta, x_aug, lab, ridge_lambda)
-        converged = bool(np.abs(grad).max() < tol)
     if not np.isfinite(beta).all():
         raise SeparationError("logistic fit diverged; labels may be separated")
     coefs = beta[1:].copy()

@@ -520,6 +520,17 @@ def test_simulate_scenario_one_explicit_target(tmp_path, capsys):
     assert meta["target_cor_wz"] == 0.6 and meta["scenario"] == 1
 
 
+def test_cor_wz_too_close_to_one_exit_data(tmp_path, capsys):
+    # 0.5 + cor_wz / 2 rounds to 1.0, so the threshold cannot be calibrated
+    code, _, err = run(capsys, "simulate", "--design", "2", "--n", "50",
+                       "--cor-wz", "0.9999999999999999",
+                       "--out", str(tmp_path / "s.csv"))
+    assert code == EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "CalibrationError"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_recorded_key_sets(tmp_path, capsys):
     data = tmp_path / "d1.csv"
     code, _, err = run(capsys, "simulate", "--design", "1", "--n", "600",
@@ -660,15 +671,53 @@ def test_predict_on_malformed_csv_or_tree_exits_cleanly(fitted, data):
                                      "--output", str(Path(d) / "p.csv")))
 
 
-def test_importing_the_cli_leaves_scipy_stats_out():
-    # every ctiv process would pay scipy.stats's import at start-up; a fresh
-    # interpreter, since this one may hold it through other tests
+def fresh_env():
     src = str(Path(ctiv.dataset.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # ctiv runs on numpy alone, so no scipy module is loaded at start-up; a
+    # fresh interpreter, since this one holds scipy through other tests
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, ctiv, ctiv.cli; print(sorted(m for m in sys.modules"
-         " if m.startswith('scipy.stats')))"],
-        env=env, capture_output=True, text=True, check=True).stdout.strip()
+         " if m.split('.')[0] == 'scipy'))"],
+        env=fresh_env(), capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "[]"
+
+
+NO_SCIPY_RUN = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None        # any scipy import now raises
+from ctiv.cli import main
+
+commands = [["simulate", "--design", "2", "--n", "800", "--seed", "6",
+             "--out", "sample.csv"]]
+for regime in ("ct", "iv-randomized", "iv-unconfounded"):
+    commands.append(["fit", "--input", "sample.csv", "--regime", regime,
+                     "--min-leaf-fraction", "0.1", "--out-dir", regime])
+commands.append(["predict", "--tree", "iv-unconfounded/tree.json",
+                 "--input", "sample.csv", "--output", "predictions.csv"])
+commands.append(["bench", "--designs", "2", "--sizes", "300", "--seeds", "1",
+                 "--out-dir", "bench"])
+for argv in commands:
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    outputs = {}
+    for mode in ("blocked", "plain"):
+        (tmp_path / mode).mkdir()
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, mode],
+                              cwd=tmp_path / mode, env=fresh_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs[mode] = {p.relative_to(tmp_path / mode): p.read_bytes()
+                         for p in sorted((tmp_path / mode).rglob("*")) if p.is_file()}
+    assert len(outputs["plain"]) >= 16
+    assert outputs["blocked"] == outputs["plain"]

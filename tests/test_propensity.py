@@ -157,3 +157,110 @@ def test_constant_p():
         estimate_constant_p(np.array([]))
     with pytest.raises(ValidationError):
         estimate_constant_p(np.array([0, 2]))
+
+
+def test_expit_keeps_the_bits_of_scipy_special_expit():
+    from ctiv.propensity import expit as ported
+    log_max = np.log(np.finfo(np.float64).max)
+    edges = [709.78, 709.79, 710.0, 746.0, 745.13, log_max,
+             np.nextafter(log_max, np.inf), 1e308, np.inf]
+    x = np.concatenate([
+        edges, np.negative(edges), [np.nan, -0.0, 0.0, 5e-324, -5e-324],
+        np.random.default_rng(13).standard_normal(1_000_000),
+        np.random.default_rng(14).uniform(-800.0, 800.0, 100_000),
+    ])
+    got, want = ported(x), expit(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    # -x overflows exp: inf there, as C's exp, and expit 0.0
+    assert ported(np.array([-710.0, -np.inf]))[0] == 0.0
+    assert np.array_equal(ported(x[:1_100_000].reshape(11, -1)),
+                          want[:1_100_000].reshape(11, -1), equal_nan=True)
+
+
+def reference_fit(x, labels, ridge_lambda, tol, max_iter):
+    # the solver as first written: the link twice per iterate, and every
+    # accepted step's log-likelihood recomputed
+    n, k = x.shape
+    x_aug = np.hstack([np.ones((n, 1)), x])
+    lab = labels.astype(np.float64)
+    penalty_diag = np.full(k + 1, ridge_lambda)
+    penalty_diag[0] = 0.0
+    beta = np.zeros(k + 1)
+    ll = penalized_loglik(beta, x_aug, lab, ridge_lambda)
+    converged, iterations = False, 0
+    for _ in range(max_iter):
+        grad = x_aug.T @ (lab - expit(x_aug @ beta))
+        grad[1:] -= ridge_lambda * beta[1:]
+        if np.abs(grad).max() < tol:
+            converged = True
+            break
+        p = expit(x_aug @ beta)
+        hess = (x_aug * (p * (1.0 - p))[:, None]).T @ x_aug + np.diag(penalty_diag)
+        step = np.linalg.solve(hess, grad)
+        scale = 1.0
+        for _ in range(50):
+            cand_ll = penalized_loglik(beta + scale * step, x_aug, lab, ridge_lambda)
+            if cand_ll >= ll - 1e-12:
+                break
+            scale *= 0.5
+        beta = beta + scale * step
+        ll = penalized_loglik(beta, x_aug, lab, ridge_lambda)
+        iterations += 1
+    else:
+        grad = x_aug.T @ (lab - expit(x_aug @ beta))
+        grad[1:] -= ridge_lambda * beta[1:]
+        converged = bool(np.abs(grad).max() < tol)
+    return beta, converged, iterations
+
+
+def assert_same_fit(model, ref):
+    beta, converged, iterations = ref
+    assert model.intercept == beta[0]
+    assert np.array_equal(model.coefficients, beta[1:])
+    assert (model.converged, model.iterations) == (converged, iterations)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("tol, max_iter", [(1e-8, 100), (1e-8, 2), (1e-8, 0), (0.0, 12)])
+def test_fit_keeps_the_bits_of_the_first_solver(seed, tol, max_iter):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(50, 3000)), int(rng.integers(1, 6))
+    x = rng.normal(size=(n, k))
+    labels = (rng.random(n) < expit(0.3 + 1.5 * x[:, 0])).astype(int)
+    lam = [0.0, 1e-6, 0.3, 5.0][seed]
+    model = fit_logistic(x, labels, ridge_lambda=lam, tol=tol, max_iter=max_iter)
+    assert_same_fit(model, reference_fit(x, labels, lam, tol, max_iter))
+
+
+def test_exhausted_step_halving_keeps_the_last_scale(monkeypatch):
+    # a step straight downhill is refused at every one of the 50 scales;
+    # beta then moves by the step at the final scale, 2**-50
+    import ctiv.propensity
+    monkeypatch.setattr(np.linalg, "solve", lambda hess, grad: -1e3 * grad)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(400, 2))
+    labels = (rng.random(400) < expit(x[:, 0])).astype(int)
+    calls = []
+    monkeypatch.setattr(ctiv.propensity, "penalized_loglik",
+                        lambda *a: calls.append(a) or penalized_loglik(*a))
+    model = fit_logistic(x, labels, max_iter=3)
+    assert model.iterations == 3 and not model.converged
+    # the start, then 50 refused candidates and the step taken, three times
+    assert len(calls) == 1 + 3 * 51
+    assert model.intercept != 0.0
+    assert_same_fit(model, reference_fit(x, labels, 1e-6, 1e-8, 3))
+
+
+def test_fit_evaluates_the_link_once_per_iterate(monkeypatch):
+    import ctiv.propensity
+    calls = []
+    link = ctiv.propensity.expit
+    monkeypatch.setattr(ctiv.propensity, "expit",
+                        lambda eta: calls.append(eta.shape) or link(eta))
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(500, 3))
+    labels = (rng.random(500) < expit(x @ [1.0, -0.5, 0.2])).astype(int)
+    model = fit_logistic(x, labels)
+    assert model.converged and model.iterations >= 3
+    assert calls == [(500,)] * (model.iterations + 1)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import norm
 
 from ctiv import design_spec, generate
@@ -16,6 +17,7 @@ from ctiv.synth import (
     DEFAULT_COR_WZ,
     DIRECT_EFFECT_COEF,
     latent_receipt_coefficients,
+    ndtri,
 )
 
 
@@ -174,6 +176,36 @@ def test_coefficients_keep_the_bits_of_scipy_stats_norm():
         got = latent_receipt_coefficients(*pair)
         assert got == by_norm(*pair), pair
         assert all(type(v) is float for v in got)
+
+
+def test_ndtri_keeps_the_bits_of_scipy_special_ndtri():
+    rng = np.random.default_rng(23)
+    e2, e32 = math.exp(-2.0), math.exp(-32.0)
+    edges = [0.0, 1.0, 0.5, 5e-324, 1e-300, e2, 1.0 - e2, e32, 0.825,
+             1.0 - 2.0 ** -53, 2.0 ** -1074, -0.0, -1e-300, 1.5, math.nan]
+    edges += [math.nextafter(v, d) for v in (e2, 1.0 - e2, e32, 0.5)
+              for d in (0.0, 1.0)]
+    central = rng.uniform(e2, 1.0 - e2, 100_000)
+    near_tail = np.exp(rng.uniform(-32.0, -2.0, 100_000))     # sqrt(-2 log y) < 8
+    far_tail = np.exp(rng.uniform(-744.0, -32.0, 50_000))     # sqrt(-2 log y) >= 8
+    upper = 1.0 - np.exp(rng.uniform(-36.0, -2.0, 100_000))   # mirrored tails
+    ys = np.concatenate([edges, central, near_tail, far_tail, upper])
+    got = np.array([ndtri(float(y)) for y in ys])
+    assert np.array_equal(got, scipy_ndtri(ys), equal_nan=True)
+    assert far_tail.min() < e32 and upper.max() > 1.0 - 1e-15
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+    assert type(ndtri(0.825)) is float
+
+
+def test_cor_wz_too_close_to_one_raises():
+    # 0.5 + cor_wz / 2 rounds to 1.0: the quantile is inf and phi 0.0
+    assert 0.5 + 0.9999999999999999 / 2.0 == 1.0
+    with pytest.raises(CalibrationError, match="too close to 1"):
+        latent_receipt_coefficients(0.9999999999999999, 0.5)
+    with pytest.raises(CalibrationError):
+        latent_receipt_coefficients(math.nan, 0.5)
+    with pytest.raises(CalibrationError):
+        generate(design_spec(2, 50, seed=0, target_cor_wz=0.9999999999999999))
 
 
 def test_infeasible_targets_raise():
