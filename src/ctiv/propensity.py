@@ -85,6 +85,14 @@ def _gradient(p: np.ndarray, beta: np.ndarray, x_aug: np.ndarray,
     return grad
 
 
+def check_ridge(ridge_lambda: float) -> None:
+    """Reject a ridge penalty that is negative, NaN or infinite."""
+    if not ridge_lambda >= 0:          # NaN included
+        raise InputError("ridge_lambda must be nonnegative")
+    if ridge_lambda == math.inf:
+        raise InputError("ridge_lambda must be finite")
+
+
 def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
                  ridge_lambda: float = 1e-6, tol: float = 1e-8,
                  max_iter: int = 100) -> PropensityModel:
@@ -104,8 +112,7 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
     if lab.shape != (x.shape[0],):
         raise InputError("labels must be a length-N vector")
     lab = require_binary(lab, "labels").astype(np.float64)
-    if not ridge_lambda >= 0:          # NaN included
-        raise InputError("ridge_lambda must be nonnegative")
+    check_ridge(ridge_lambda)
     if ridge_lambda == 0.0 and (lab.min() == lab.max()):
         raise SeparationError(
             "labels are all one class and no ridge penalty is set")

@@ -290,6 +290,20 @@ def test_out_of_range_ridge_is_rejected_in_every_regime(tmp_path, capsys, regime
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("regime", ["ct", "iv-unconfounded", "iv-randomized"])
+def test_infinite_ridge_is_rejected_in_every_regime(tmp_path, capsys, regime):
+    # an infinite penalty would turn Newton's step into NaN and the fit
+    # into a misleading SeparationError
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200, full_compliance=False)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", regime,
+                       "--ridge", "inf", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "InputError",
+                               "message": "ridge_lambda must be finite"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_predict_round_trip(tmp_path, capsys):
     data = tmp_path / "d2.csv"
     run(capsys, "simulate", "--design", "2", "--n", "1500", "--seed", "8",

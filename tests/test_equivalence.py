@@ -1,7 +1,8 @@
 """The fast paths against the reference implementations they replace.
 
 - Growth: the presorted split search against the per-node stable argsort
-  it replaced, which is kept below verbatim as the reference.
+  it replaced, which is kept below verbatim as the reference; also with
+  the split scan's feature blocks patched to 1, 3 and 10 features.
 - ``_stable_order`` against ``np.argsort(kind="stable")``.
 - The one-pass pruning sweep against the two walks it replaced, one that
   prices a subtree and one that collapses top-down, kept below verbatim.
@@ -36,6 +37,7 @@ from hypothesis.extra import numpy as hnp
 
 import ctiv.dataset
 import ctiv.parallel
+import ctiv.tree
 from ctiv import (
     CausalTree,
     ColumnSchema,
@@ -180,9 +182,9 @@ TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, ONE_UP,
 
 
 @st.composite
-def tie_heavy_fits(draw):
+def tie_heavy_fits(draw, features=st.integers(1, 4)):
     n = draw(st.integers(8, 70))
-    k = draw(st.integers(1, 4))
+    k = draw(features)
     x = draw(hnp.arrays(np.float64, (n, k), elements=TIE_VALUES))
     if draw(st.booleans()):
         x[:, draw(st.integers(0, k - 1))] = draw(TIE_VALUES)    # a constant column
@@ -220,6 +222,15 @@ def test_grow_matches_reference_on_tie_heavy_data(case):
     assert tree_json(grow, ds, e, cfg) == tree_json(ref_grow, ds, e, cfg)
 
 
+def scan_blocks(features, n):
+    """Patch the split scan so that a node of ``n`` rows scans ``features``
+    features per block; a smaller node takes at least as many."""
+    return mock.patch.object(ctiv.tree, "_SCAN_CELLS", 5 * n * features)
+
+
+BLOCKS = [1, 3, 10]     # 10 features: 10 blocks, 3+3+3+1, one block
+
+
 @pytest.mark.parametrize("design", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", list(RegimeKind))
 def test_grow_matches_reference_on_designs(design, kind):
@@ -234,8 +245,40 @@ def test_grow_matches_reference_on_designs(design, kind):
                            ds.feature_names)
         cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=5,
                            min_leaf_fraction=0.02, min_arm_count=5)
-        assert (tree_json(grow, data, e, cfg)
-                == tree_json(ref_grow, data, e, cfg))
+        expected = tree_json(ref_grow, data, e, cfg)
+        assert tree_json(grow, data, e, cfg) == expected
+        for block in BLOCKS:
+            with scan_blocks(block, data.n_units):
+                assert tree_json(grow, data, e, cfg) == expected
+
+
+@SETTINGS
+@given(tie_heavy_fits(features=st.just(10)), st.sampled_from(BLOCKS))
+def test_grow_matches_reference_in_feature_blocks(case, block):
+    ds, e, cfg = case
+    with scan_blocks(block, ds.n_units):
+        assert tree_json(grow, ds, e, cfg) == tree_json(ref_grow, ds, e, cfg)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_identical_columns_in_different_blocks_go_to_the_lower_feature(block):
+    # columns 2 and 7 are the same and hold the only cut: in blocks of
+    # three they fall in the first and third block, and the tie goes to 2
+    rng = np.random.default_rng(5)
+    n = 80
+    x = np.zeros((n, 10))
+    x[:, 2] = x[:, 7] = rng.permutation(np.repeat([0.0, 1.0], n // 2))
+    d = np.tile([0, 1], n // 2)
+    y = d * x[:, 2] * 3.0 + rng.normal(size=n)
+    ds = Dataset(covariates=x, z=d, w=d, y=y,
+                 feature_names=tuple(f"x{j}" for j in range(10)))
+    e = np.full(n, 0.5)
+    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=1,
+                       min_leaf_fraction=0.1, min_arm_count=2)
+    with scan_blocks(block, n):
+        root = grow(ds, e, cfg)
+        assert tree_json(grow, ds, e, cfg) == tree_json(ref_grow, ds, e, cfg)
+    assert (root.feature, root.threshold) == (2, 0.5)
 
 
 @pytest.mark.parametrize("upper_arms", [[1, 0] * 4, [1, 1]])

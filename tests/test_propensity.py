@@ -99,6 +99,12 @@ def test_out_of_range_ridge_is_an_input_error(ridge):
         fit_logistic(x, np.arange(40) % 2, ridge_lambda=ridge)
 
 
+def test_infinite_ridge_is_an_input_error():
+    x = np.random.default_rng(0).normal(size=(40, 2))
+    with pytest.raises(InputError, match="ridge_lambda must be finite"):
+        fit_logistic(x, np.arange(40) % 2, ridge_lambda=float("inf"))
+
+
 def test_one_class_with_ridge_is_fine():
     model = fit_logistic(np.zeros((5, 1)), np.ones(5), ridge_lambda=1e-6)
     assert model.predict_many(np.zeros((1, 1)))[0] > 0.99
