@@ -45,12 +45,7 @@ from .synth import (
     design_spec,
     generate,
 )
-from .transform import (
-    AssignmentRegime,
-    RegimeKind,
-    leaf_weighted_itt,
-    transformed_outcome,
-)
+from .transform import RegimeKind, leaf_weighted_itt, transformed_outcome
 from .tree import (
     CausalTree,
     GrowthConfig,
@@ -67,6 +62,8 @@ from .tree import (
 )
 
 __version__ = "0.1.0"
+
+AssignmentRegime = RegimeKind  # the old name, which perfbench/workloads.py still calls
 
 __all__ = [
     "AssignmentRegime",

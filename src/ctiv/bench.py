@@ -21,7 +21,7 @@ from .dataset import holdout_split
 from .errors import CtivError, EstimationError, InputError
 from .parallel import fan_out
 from .synth import SyntheticSample, design_spec, generate
-from .transform import AssignmentRegime, RegimeKind
+from .transform import RegimeKind
 from .tree import CausalTree, GrowthConfig, fit_ctiv
 
 
@@ -46,23 +46,21 @@ class BenchResult:
 
 
 def evaluate_mse(tree: CausalTree, test_covariates: np.ndarray,
-                 true_cate: np.ndarray, effect_kind: str) -> MseEvaluation:
-    """Mean squared error of leaf effects against the true effect.
+                 true_cate: np.ndarray) -> MseEvaluation:
+    """Mean squared error of leaf CACEs against the true effect.
 
-    ``effect_kind`` picks the leaf field: "ate" reads the plain weighted
-    contrast, "cace" the complier-scaled one. Test units landing in a
-    leaf whose requested effect is undefined are excluded and counted.
+    Every tree is scored on its leaves' ``cace_hat``: a receipt-split
+    leaf's complier share is exactly 1, so there it is the plain weighted
+    contrast ``itt_hat`` bit for bit. Test units landing in a leaf whose
+    CACE is undefined are excluded and counted.
     """
-    if effect_kind not in ("ate", "cace"):
-        raise InputError(f"effect_kind must be 'ate' or 'cace', got {effect_kind!r}")
     truth = np.asarray(true_cate, dtype=np.float64)
     if truth.shape != (np.asarray(test_covariates).shape[0],):
         raise InputError("true_cate must align with test rows")
     ids = tree.assign_leaves(test_covariates)
     leaves = tree.leaves()  # sorted by leaf id
     leaf_ids = np.array([est.leaf_id for est in leaves])
-    leaf_effects = np.array([est.itt_hat if effect_kind == "ate" else est.cace_hat
-                             for est in leaves], dtype=np.float64)
+    leaf_effects = np.array([est.cace_hat for est in leaves], dtype=np.float64)
     effects = leaf_effects[np.searchsorted(leaf_ids, ids)]
     usable = np.isfinite(effects)
     n_excluded = int((~usable).sum())
@@ -99,7 +97,7 @@ _VARIANTS = (RegimeKind.CT, RegimeKind.IV_RANDOMIZED)
 
 def _variant_configs(**growth) -> tuple[GrowthConfig, GrowthConfig]:
     """The CT config, then the CT-IV one; GrowthConfig's defaults fill in."""
-    return tuple(GrowthConfig(regime=AssignmentRegime(kind), **growth)
+    return tuple(GrowthConfig(regime=kind, **growth)
                  for kind in _VARIANTS)
 
 
@@ -107,8 +105,8 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
              cfgs: tuple[GrowthConfig, GrowthConfig] = _variant_configs()
              ) -> BenchResult:
     """Fit both variants on one shared draw and score them: ``cfgs`` is the
-    receipt-split (CT) config, scored as "ate", then the CT-IV one ("cace")."""
-    if tuple(cfg.regime.kind for cfg in cfgs) != _VARIANTS:
+    receipt-split (CT) config, then the CT-IV one."""
+    if tuple(cfg.regime for cfg in cfgs) != _VARIANTS:
         raise InputError("cfgs must be a ct config, then an iv-randomized one")
     seed = _cell_seed(base_seed, label, n, rep)
     sample = _sample_for(label, 2 * n, seed)
@@ -121,8 +119,8 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
     ct_tree = fit_ctiv(est, cfgs[0], split, seed)
     iv_tree = fit_ctiv(est, cfgs[1], split, seed)
 
-    ct_eval = evaluate_mse(ct_tree, test_x, test_truth, "ate")
-    iv_eval = evaluate_mse(iv_tree, test_x, test_truth, "cace")
+    ct_eval = evaluate_mse(ct_tree, test_x, test_truth)
+    iv_eval = evaluate_mse(iv_tree, test_x, test_truth)
     return BenchResult(
         design_label=label,
         n=n,

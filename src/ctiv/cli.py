@@ -28,7 +28,7 @@ from .dataset import ColumnSchema, holdout_split, load_csv, read_csv_columns, sa
 from .errors import CtivError, EstimationError, InputError, ValidationError
 from .parallel import usable_cpus
 from .synth import design_spec, generate
-from .transform import AssignmentRegime, RegimeKind
+from .transform import RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
 
 EXIT_OK = 0
@@ -121,11 +121,14 @@ def _cmd_fit(args) -> int:
     test_frac = 1.0 - args.train_frac - args.val_frac
     if test_frac < -1e-9:
         raise _UsageError("--train-frac plus --val-frac exceed 1")
-    test_frac = max(test_frac, 0.0)
+    # within holdout_split's 1e-9 a remainder is rounding of fractions that
+    # sum to 1 (0.42 + 0.58 leaves 1.1e-16); a NaN goes on to its check
+    if test_frac <= 1e-9:
+        test_frac = 0.0
     split = holdout_split(ds, (args.train_frac, args.val_frac, test_frac),
                           seed=args.seed)
     cfg = GrowthConfig(
-        regime=AssignmentRegime(args.regime),
+        regime=args.regime,
         max_depth=args.max_depth,
         min_leaf_fraction=args.min_leaf_fraction,
         min_arm_count=args.min_arm_count,
@@ -235,6 +238,8 @@ def _cmd_simulate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(sample.dataset, out, extra_columns={"true_cate": sample.true_cate})
     sidecar = asdict(spec) | {
+        "k": spec.k,
+        "error_dist": spec.error_dist,
         "realized_cor_wz": sample.realized_cor_wz,
         "realized_cor_weta": sample.realized_cor_weta,
         "true_cate_column": "true_cate",

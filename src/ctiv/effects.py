@@ -22,7 +22,7 @@ from .errors import (
     NoCompliersError,
     require_binary,
 )
-from .transform import AssignmentRegime, leaf_weighted_itt
+from .transform import RegimeKind, leaf_weighted_itt
 
 WEAK_F_THRESHOLD = 10.0
 
@@ -172,7 +172,7 @@ def neyman_variance(treated_y: np.ndarray, control_y: np.ndarray) -> float:
 
 
 def estimate_leaf(leaf_id: int, y: np.ndarray, z: np.ndarray, w: np.ndarray,
-                  covariates: np.ndarray, regime: AssignmentRegime,
+                  covariates: np.ndarray, regime: RegimeKind,
                   e: np.ndarray, adjust_covariates: bool) -> LeafEstimate:
     """Full per-leaf report on the fitting sample.
 

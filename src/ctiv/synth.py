@@ -56,21 +56,24 @@ CALIBRATION_CHECK_MIN_N = 5000
 DIRECT_EFFECT_COEF = 1.0
 
 
+_ERROR_BY_DESIGN = {1: "normal", 2: "normal", 3: "exponential",
+                    4: "uniform", 5: "normal"}
+
+
 @dataclass(frozen=True)
 class DesignSpec:
-    """One fully specified generation task."""
+    """One fully specified generation task; ``design_id`` fixes the
+    covariate count ``k`` and the noise family ``error_dist``."""
 
     design_id: int
     n: int
     seed: int
-    k: int
-    error_dist: str
     target_cor_wz: float = DEFAULT_COR_WZ
     target_cor_weta: float = DEFAULT_COR_WETA
     scenario: int | None = None        # 1 = weak instrument, 2 = exclusion break
 
     def __post_init__(self):
-        if self.design_id not in (1, 2, 3, 4, 5):
+        if self.design_id not in _ERROR_BY_DESIGN:
             raise InputError(f"design_id must be 1..5, got {self.design_id}")
         if self.scenario not in (None, 1, 2):
             raise InputError(f"scenario must be 1 or 2, got {self.scenario}")
@@ -78,12 +81,18 @@ class DesignSpec:
             raise InputError("n must be at least 10")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
-        if self.error_dist not in ("normal", "exponential", "uniform"):
-            raise InputError(f"unknown error_dist '{self.error_dist}'")
         for name, value in (("target_cor_wz", self.target_cor_wz),
                             ("target_cor_weta", self.target_cor_weta)):
             if not (0.0 < value < 1.0):
                 raise InputError(f"{name} must lie in (0, 1)")
+
+    @property
+    def k(self) -> int:
+        return 1 if self.design_id == 1 else 10
+
+    @property
+    def error_dist(self) -> str:
+        return _ERROR_BY_DESIGN[self.design_id]
 
     @property
     def label(self) -> str:
@@ -102,21 +111,15 @@ class SyntheticSample:
     y_if_untreated: np.ndarray
 
 
-_ERROR_BY_DESIGN = {1: "normal", 2: "normal", 3: "exponential",
-                    4: "uniform", 5: "normal"}
-
-
 def design_spec(design_id: int, n: int, seed: int,
                 target_cor_wz: float | None = None,
                 target_cor_weta: float | None = None,
                 scenario: int | None = None) -> DesignSpec:
-    """Fill in the derived fields (covariate count, noise family).
+    """A ``DesignSpec`` with its correlation targets filled in.
 
     A target left at None takes its default: Cor(W,Z) 0.5 under
     scenario 1 (the weak instrument) and 0.65 otherwise, Cor(W,eta) 0.5.
     """
-    if design_id not in _ERROR_BY_DESIGN:
-        raise InputError(f"design_id must be 1..5, got {design_id}")
     if target_cor_wz is None:
         target_cor_wz = 0.5 if scenario == 1 else DEFAULT_COR_WZ
     if target_cor_weta is None:
@@ -125,8 +128,6 @@ def design_spec(design_id: int, n: int, seed: int,
         design_id=design_id,
         n=n,
         seed=seed,
-        k=1 if design_id == 1 else 10,
-        error_dist=_ERROR_BY_DESIGN[design_id],
         target_cor_wz=target_cor_wz,
         target_cor_weta=target_cor_weta,
         scenario=scenario,

@@ -6,14 +6,13 @@ unconfounded given the probability e = P(d=1 | x). The same weights
 give the within-leaf effect estimate used by the trees: a ratio of
 weighted arm means. Which indicator plays d is what distinguishes a
 plain causal tree (receipt w) from its instrumented variant
-(assignment z); the regime names it, and ``e`` travels beside the data
-as one probability per unit (a constant share repeated under the
+(assignment z); a ``RegimeKind`` names it, and ``e`` travels beside the
+data as one probability per unit (a constant share repeated under the
 randomized regime).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,37 +21,21 @@ from .errors import EmptyArmError, InputError, require_binary, require_probabili
 
 
 class RegimeKind(str, Enum):
-    """How units were pushed into treatment, and what the tree splits on."""
+    """How units were pushed into treatment, and what the tree splits on.
+
+    The probabilities ``e`` of the regime's indicator are not part of it;
+    fitting estimates them once and hands them on as a vector aligned
+    with the units (see ``tree.grow``).
+    """
 
     CT = "ct"                            # split on receipt w, weight by P(w=1|x)
     IV_RANDOMIZED = "iv-randomized"      # split on assignment z, constant P(z=1)
     IV_UNCONFOUNDED = "iv-unconfounded"  # split on assignment z, weight by P(z=1|x)
 
-
-@dataclass(frozen=True)
-class AssignmentRegime:
-    """A regime kind: which indicator a tree splits and weights on.
-
-    The probabilities ``e`` of that indicator are not part of the regime;
-    fitting estimates them once and hands them on as a vector aligned
-    with the units (see ``tree.grow``).
-    """
-
-    kind: RegimeKind
-
-    def __post_init__(self):
-        # stored as the enum: the kind is tested by identity, and a plain
-        # "ct" would otherwise grow a receipt tree on assignment
-        try:
-            kind = RegimeKind(self.kind)
-        except ValueError:
-            raise InputError(f"unknown regime kind {self.kind!r}") from None
-        object.__setattr__(self, "kind", kind)
-
     def indicator(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The indicator this regime splits and weights on: receipt ``w``
         for a plain causal tree, assignment ``z`` otherwise."""
-        return w if self.kind is RegimeKind.CT else z
+        return w if self is RegimeKind.CT else z
 
 
 def transformed_outcome(y, d, e):

@@ -41,32 +41,34 @@ from .propensity import (
     estimate_constant_p,
     fit_logistic,
 )
-from .transform import (
-    AssignmentRegime,
-    RegimeKind,
-    leaf_weighted_itt,
-    transformed_outcome,
-)
+from .transform import RegimeKind, leaf_weighted_itt, transformed_outcome
 
 
 @dataclass(frozen=True)
 class GrowthConfig:
     """Knobs for growing one tree.
 
-    ``regime`` is the one regime a fit reads; the units' probabilities of
-    its indicator travel beside the data as a vector ``e``.
+    ``regime`` is the one regime a fit reads, a ``RegimeKind`` or its
+    value (``"ct"`` is stored as ``RegimeKind.CT``); the units'
+    probabilities of its indicator travel beside the data as a vector ``e``.
     ``min_leaf_fraction`` is relative to whichever sample a tree is
     grown on. ``alpha_override`` skips holdout selection and prunes the
     final tree at the given complexity price directly.
     """
 
-    regime: AssignmentRegime
+    regime: RegimeKind
     max_depth: int = 2
     min_leaf_fraction: float = 0.1
     min_arm_count: int = 10
     alpha_override: float | None = None
 
     def __post_init__(self):
+        # stored as the enum: the regime is tested by identity, and a plain
+        # "ct" would otherwise grow a receipt tree on assignment
+        try:
+            object.__setattr__(self, "regime", RegimeKind(self.regime))
+        except ValueError:
+            raise InputError(f"unknown regime kind {self.regime!r}") from None
         if self.max_depth < 1:
             raise InputError("max_depth must be >= 1")
         if not (0.0 < self.min_leaf_fraction <= 0.5):
@@ -257,6 +259,24 @@ def _grow_node(frame, rows, box, depth):
                    left=left, right=right)
 
 
+def _grow_sums(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> np.ndarray:
+    """The (5, n) rows every node of a grow sums: wt*y, wt, wc*y, wc and
+    d, for the indicator d of ``cfg.regime``, wt = d/e and wc = (1-d)/(1-e).
+    Built here so that d and the weights are freed before any split scan."""
+    n = train.n_units
+    d = cfg.regime.indicator(train.w, train.z).astype(np.int64)
+    n1 = int(d.sum())
+    if min(n1, n - n1) < cfg.min_arm_count:
+        raise GrowthError(
+            f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
+    # validates d and e for every node at once: a node's rows are a subset
+    leaf_weighted_itt(train.y, d, e)
+    df = d.astype(np.float64)
+    wt = df / e
+    wc = (1.0 - df) / (1.0 - e)
+    return np.stack([wt * train.y, wt, wc * train.y, wc, df])
+
+
 def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     """Grow the maximal tree on a fitting sample.
 
@@ -272,18 +292,8 @@ def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     in row order.
     """
     n = train.n_units
-    d = cfg.regime.indicator(train.w, train.z).astype(np.int64)
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
-    n1 = int(d.sum())
-    if min(n1, n - n1) < cfg.min_arm_count:
-        raise GrowthError(
-            f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
-    # validates d and e for every node at once: a node's rows are a subset
-    leaf_weighted_itt(train.y, d, e)
-    df = d.astype(np.float64)
-    wt = df / e
-    wc = (1.0 - df) / (1.0 - e)
-    sums = np.stack([wt * train.y, wt, wc * train.y, wc, df])
+    sums = _grow_sums(train, e, cfg)
     # x.take reads x flat, and would copy all of it each time were it not
     # C-contiguous (a Fortran-ordered array from pandas, say)
     x = np.ascontiguousarray(train.covariates)
@@ -371,7 +381,7 @@ def _leaf_rows(root: TreeNode, x: np.ndarray):
 
 
 def holdout_loss(root: TreeNode, validation: Dataset, e: np.ndarray,
-                 regime: AssignmentRegime) -> float:
+                 regime: RegimeKind) -> float:
     """Negative mean squared gap between leaf effects and the transformed
     outcomes of ``regime``'s indicator, weighted by ``e`` (one per unit;
     ``transformed_outcome`` checks its length and range)."""
@@ -387,7 +397,7 @@ def holdout_loss(root: TreeNode, validation: Dataset, e: np.ndarray,
 
 
 def select_alpha(path: PruningPath, validation: Dataset, e: np.ndarray,
-                 regime: AssignmentRegime) -> tuple[float, TreeNode]:
+                 regime: RegimeKind) -> tuple[float, TreeNode]:
     """Pick the subtree with the best holdout loss; return (alpha, subtree).
 
     ``e`` and ``regime`` are as for ``holdout_loss``. Ties go to the
@@ -531,16 +541,15 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     unconfounded-assignment regime.
     """
     check_ridge(ridge_lambda)           # iv-randomized fits no model to check it
-    kind = cfg.regime.kind
     in_train, in_val = _split_masks(split, ds.n_units)
 
     model: PropensityModel | None = None
     p_hat: float | None = None
-    if kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
+    if cfg.regime is not RegimeKind.IV_RANDOMIZED:
         model = fit_logistic(ds.covariates, cfg.regime.indicator(ds.w, ds.z),
                              ridge_lambda=ridge_lambda)
         e_all = model.predict_many(ds.covariates)
-    else:                               # RegimeKind.IV_RANDOMIZED
+    else:
         p_hat = estimate_constant_p(ds.z)
         if not 0.0 < p_hat < 1.0:       # one arm only: no weight is defined
             raise DomainError(f"p_hat must lie in (0, 1), got {p_hat}")
@@ -552,7 +561,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     val_pos = np.flatnonzero(in_val[kept])
     if train_pos.size == 0:
         raise EmptyDatasetError("no training units survive trimming")
-    adjust = (kind is RegimeKind.IV_UNCONFOUNDED
+    adjust = (cfg.regime is RegimeKind.IV_UNCONFOUNDED
               if adjust_covariates is None else bool(adjust_covariates))
     if cfg.alpha_override is None and val_pos.size == 0:
         raise EmptyDatasetError("no validation units survive trimming")
@@ -591,7 +600,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     return CausalTree(
         root=_numbered(final, 1, estimates),
         feature_names=ds.feature_names,
-        regime_kind=kind,
+        regime_kind=cfg.regime,
         alpha=float(alpha),
         p_hat=p_hat,
         propensity=model,
@@ -721,19 +730,20 @@ def load_json(text: str) -> CausalTree:
     """Rebuild a fitted tree from its JSON export."""
     try:
         payload = json.loads(text)
+        if not isinstance(payload, dict) or payload.get("format") != "ctiv-tree":
+            raise ValidationError("not a serialised tree (missing format marker)")
+        if payload.get("version") != 1:
+            raise ValidationError(
+                f"unsupported tree version {payload.get('version')!r}; expected 1")
+        return _tree_from_payload(payload)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != "ctiv-tree":
-        raise ValidationError("not a serialised tree (missing format marker)")
-    if payload.get("version") != 1:
-        raise ValidationError(
-            f"unsupported tree version {payload.get('version')!r}; expected 1")
-    try:
-        return _tree_from_payload(payload)
     except KeyError as exc:
         raise ValidationError(f"serialised tree lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed serialised tree: {exc}") from None
+    except RecursionError:
+        raise ValidationError("JSON nested too deeply to load") from None
 
 
 def _tree_from_payload(payload: dict) -> CausalTree:

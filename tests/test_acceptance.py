@@ -31,7 +31,6 @@ from ctiv import (
     tsls_leaf,
 )
 from ctiv.propensity import loglik_gradient, penalized_loglik
-from ctiv.transform import AssignmentRegime
 
 SIZES = (500, 1000, 5000)
 N_SEEDS = 10
@@ -130,7 +129,7 @@ def test_full_compliance_collapse(capsys):
     split = holdout_split(ds, (0.5, 0.5, 0.0), seed=103)
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
-        cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=2,
+        cfg = GrowthConfig(regime=kind, max_depth=2,
                            min_leaf_fraction=0.1, min_arm_count=10)
         trees[kind] = fit_ctiv(ds, cfg, split, seed=103,
                                adjust_covariates=False)
@@ -224,7 +223,7 @@ def leaf_index(root, x):
 def test_tree_structure_properties(capsys):
     sample = generate(design_spec(2, 3000, seed=107))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=107)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=3, min_leaf_fraction=0.05, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=107)
 
@@ -273,7 +272,7 @@ def test_split_recovery_on_informative_features(capsys):
     for seed in range(20):
         sample = generate(design_spec(2, 5000, seed=seed))
         split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=seed)
-        cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+        cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                            max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
         tree = fit_ctiv(sample.dataset, cfg, split, seed=seed)
         used = set()

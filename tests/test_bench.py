@@ -30,7 +30,6 @@ from ctiv import (
 )
 from ctiv.effects import LeafEstimate
 from ctiv.errors import EstimationError, InputError
-from ctiv.transform import AssignmentRegime
 from ctiv.tree import TreeNode
 
 
@@ -60,7 +59,7 @@ def test_evaluate_mse_perfect_tree():
     tree = two_leaf_tree(-1.0, -1.0, 1.0, 1.0)
     x = np.array([[-2.0], [-0.5], [0.5], [3.0]])
     truth = np.array([-1.0, -1.0, 1.0, 1.0])
-    got = evaluate_mse(tree, x, truth, "cace")
+    got = evaluate_mse(tree, x, truth)
     assert got.mse == 0.0
     assert got.n_excluded == 0
 
@@ -69,42 +68,44 @@ def test_evaluate_mse_constant_shift():
     tree = two_leaf_tree(-1.0, -1.0, 1.0, 1.0)
     x = np.array([[-1.0], [1.0], [-3.0], [2.0]])
     truth = np.array([-1.0, 1.0, -1.0, 1.0]) + 0.3
-    got = evaluate_mse(tree, x, truth, "cace")
+    got = evaluate_mse(tree, x, truth)
     assert got.mse == pytest.approx(0.09, abs=1e-12)
 
 
-def test_evaluate_mse_effect_kinds_read_different_fields():
-    tree = two_leaf_tree(-0.5, -1.0, 0.5, 1.0)  # itt is half the cace
-    x = np.array([[-1.0], [1.0]])
-    truth = np.array([-0.5, 0.5])
-    assert evaluate_mse(tree, x, truth, "ate").mse == 0.0
-    assert evaluate_mse(tree, x, truth, "cace").mse == pytest.approx(0.25)
-    with pytest.raises(InputError):
-        evaluate_mse(tree, x, truth, "both")
+@pytest.mark.parametrize("label", ["1", "2", "3", "4", "5", "s1", "s2"])
+def test_receipt_split_leaves_have_their_itt_as_cace(label):
+    # evaluate_mse scores every tree on cace_hat: a ct leaf's receipt is its
+    # own instrument, so its complier share is 1 and its CACE its ITT
+    sample = ctiv.bench._sample_for(label, 1000, 70)
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=70)
+    cfg = GrowthConfig(regime=RegimeKind.CT, max_depth=3, alpha_override=0.0)
+    leaves = fit_ctiv(sample.dataset, cfg, split, seed=70).leaves()
+    assert len(leaves) > 1
+    for est in leaves:
+        assert est.pi_c_hat == 1.0 and est.compliers_ok
+        assert est.cace_hat == est.itt_hat
 
 
 def test_evaluate_mse_excludes_undefined_leaves():
     tree = two_leaf_tree(-1.0, float("nan"), 1.0, 1.0, left_ok=False)
     x = np.array([[-1.0], [-2.0], [1.0], [2.0], [3.0]])
     truth = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
-    got = evaluate_mse(tree, x, truth, "cace")
+    got = evaluate_mse(tree, x, truth)
     assert got.n_excluded == 2
     assert got.mse == pytest.approx(1.0 / 3.0, abs=1e-12)
-    # the receipt-side reading still uses all rows
-    assert evaluate_mse(tree, x, truth, "ate").n_excluded == 0
 
 
 def test_evaluate_mse_all_excluded_raises():
     tree = two_leaf_tree(-1.0, float("nan"), 1.0, 1.0, left_ok=False)
     x = np.array([[-1.0], [-2.0]])
     with pytest.raises(EstimationError):
-        evaluate_mse(tree, x, np.zeros(2), "cace")
+        evaluate_mse(tree, x, np.zeros(2))
 
 
 def test_evaluate_mse_alignment_check():
     tree = two_leaf_tree(-1.0, -1.0, 1.0, 1.0)
     with pytest.raises(InputError):
-        evaluate_mse(tree, np.zeros((3, 1)), np.zeros(2), "cace")
+        evaluate_mse(tree, np.zeros((3, 1)), np.zeros(2))
 
 
 def test_relative_gap_values():
@@ -146,8 +147,8 @@ def test_run_cell_scenarios():
 
 
 def test_run_cell_rejects_a_misordered_config_pair():
-    # the first config is scored as "ate" and the second as "cace"
-    ct, iv = (GrowthConfig(regime=AssignmentRegime(kind))
+    # the first config's MSE is reported as mse_ct, the second's as mse_ctiv
+    ct, iv = (GrowthConfig(regime=kind)
               for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
     for cfgs in ((iv, ct), (ct, ct)):
         with pytest.raises(InputError, match="ct config, then an iv-randomized"):
@@ -167,13 +168,13 @@ def test_root_only_tree_mse_near_effect_variance():
     # whose variance is 0.2 by construction
     sample = generate(design_spec(2, 4000, seed=60))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=60)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10,
                        alpha_override=1e9)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=60)
     assert tree.root.is_leaf
     fresh = generate(design_spec(2, 4000, seed=61))
-    got = evaluate_mse(tree, fresh.dataset.covariates, fresh.true_cate, "cace")
+    got = evaluate_mse(tree, fresh.dataset.covariates, fresh.true_cate)
     assert 0.15 < got.mse < 0.35
 
 

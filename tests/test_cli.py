@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctiv.dataset
-from ctiv import Dataset, save_csv
+from ctiv import Dataset, load_json, save_csv
 from ctiv.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main
+from ctiv.errors import ValidationError
 
 
 def run(capsys, *argv):
@@ -276,6 +277,20 @@ def test_nan_split_fraction_exit_data(tmp_path, capsys, option):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("train, val", [("0.42", "0.58"), ("0.18", "0.82"),
+                                        ("0.7", "0.3"), ("0.99", "0.01")])
+def test_fractions_that_sum_to_one_leave_no_test_part(tmp_path, capsys, train, val):
+    # 1 - train - val leaves 1.1e-16 or less here, a test part of no unit
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=900, full_compliance=False)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       "--train-frac", train, "--val-frac", val,
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_OK, err
+    resolved = json.loads((tmp_path / "o" / "run.json").read_text())["resolved"]
+    assert resolved["n_omega"] == resolved["n_input"] - resolved["n_trimmed"]
+
+
 @pytest.mark.parametrize("regime", ["ct", "iv-unconfounded", "iv-randomized"])
 @pytest.mark.parametrize("ridge", ["-1", "nan"])
 def test_out_of_range_ridge_is_rejected_in_every_regime(tmp_path, capsys, regime, ridge):
@@ -460,6 +475,36 @@ def test_predict_malformed_tree_exit_data(tmp_path, capsys):
                        "--input", str(data), "--output", str(tmp_path / "p.csv"))
     assert code == EXIT_DATA
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def _deep_tree_text(depth):
+    """tree.json text whose left children nest ``depth`` levels, each node
+    well formed, so loading recurses as deep as the text goes."""
+    nodes = "".join(f'{{"node_id": {1 << level}, "n": 2, "n1": 1, "n0": 1, '
+                    f'"tau": 0.0, "feature": 0, "threshold": 0.0, "right": {{}}, '
+                    f'"left": ' for level in range(depth))
+    return ('{"format": "ctiv-tree", "version": 1, "meta": {"feature_names": '
+            '["x1"], "propensity": null}, "tree": ' + nodes + "{}" + "}" * (depth + 1))
+
+
+def test_predict_tree_nested_too_deeply_exit_data(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="lacks key 'node_id'"):
+        load_json(_deep_tree_text(5))   # the innermost {} is the only fault
+    text = _deep_tree_text(5000)
+    with pytest.raises(ValidationError, match="^JSON nested too deeply to load$"):
+        load_json(text)
+    tree = tmp_path / "tree.json"
+    tree.write_text(text)
+    data = tmp_path / "x.csv"
+    data.write_text("x1\n0.5\n")
+    out = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", "--tree", str(tree),
+                       "--input", str(data), "--output", str(out))
+    assert code == EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": "JSON nested too deeply to load"}
+    assert not out.exists()
 
 
 def test_predict_reports_bad_cell(tmp_path, capsys):

@@ -21,7 +21,7 @@ from ctiv.errors import (
     InputError,
     NoCompliersError,
 )
-from ctiv.transform import AssignmentRegime, RegimeKind
+from ctiv.transform import RegimeKind
 
 
 def leaf(leaf_id=1, n=100, pi_c=0.5, cace=0.4, ok=True):
@@ -236,7 +236,7 @@ def test_estimate_leaf_full_report():
     sample = generate(design_spec(2, 2000, seed=17))
     ds = sample.dataset
     p = float(ds.z.mean())
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED)
+    regime = RegimeKind.IV_RANDOMIZED
     est = estimate_leaf(4, ds.y, ds.z, ds.w, ds.covariates, regime,
                         np.full(ds.n_units, p), adjust_covariates=False)
     assert est.leaf_id == 4
@@ -264,7 +264,7 @@ def test_estimate_leaf_flags_no_compliers():
     z = rng.integers(0, 2, n)
     w = 1 - z  # perfect defiance: pi_c = -1
     y = rng.normal(size=n)
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED)
+    regime = RegimeKind.IV_RANDOMIZED
     est = estimate_leaf(2, y, z, w, rng.normal(size=(n, 2)), regime,
                         np.full(n, 0.5), adjust_covariates=False)
     assert not est.compliers_ok

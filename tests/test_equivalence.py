@@ -57,7 +57,7 @@ from ctiv import (
 )
 from ctiv.dataset import SplitIndices, read_csv_columns
 from ctiv.errors import CtivError, GrowthError, SplitError, ValidationError
-from ctiv.transform import AssignmentRegime, leaf_weighted_itt, transformed_outcome
+from ctiv.transform import leaf_weighted_itt, transformed_outcome
 from ctiv.tree import TreeNode, _split_masks, _stable_order, holdout_loss
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -138,7 +138,7 @@ def ref_grow_node(x, y, d, e, depth, cfg, min_leaf, noise):
 
 def ref_grow(train, e, cfg):
     n = train.n_units
-    d = (train.w if cfg.regime.kind is RegimeKind.CT else train.z).astype(np.int64)
+    d = (train.w if cfg.regime is RegimeKind.CT else train.z).astype(np.int64)
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     n1 = int(d.sum())
     if min(n1, n - n1) < cfg.min_arm_count:
@@ -157,7 +157,7 @@ def tree_json(grower, ds, e, cfg):
     except CtivError as exc:
         return type(exc).__name__, str(exc)
     tree = CausalTree(
-        root=root, feature_names=ds.feature_names, regime_kind=cfg.regime.kind,
+        root=root, feature_names=ds.feature_names, regime_kind=cfg.regime,
         alpha=0.0, p_hat=None, propensity=None, adjust_covariates=False,
         n_input=ds.n_units, n_trimmed=0, n_train=ds.n_units, n_validation=0,
         n_omega=ds.n_units, seed=0, max_depth=cfg.max_depth,
@@ -197,7 +197,7 @@ def tie_heavy_fits(draw, features=st.integers(1, 4)):
     kind = draw(st.sampled_from(list(RegimeKind)))
     ds = Dataset(covariates=x, z=z, w=w, y=y,
                  feature_names=tuple(f"x{j}" for j in range(k)))
-    cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=draw(st.integers(1, 4)),
+    cfg = GrowthConfig(regime=kind, max_depth=draw(st.integers(1, 4)),
                        min_leaf_fraction=draw(st.sampled_from([0.02, 0.1, 0.25])),
                        min_arm_count=draw(st.integers(1, 3)))
     return ds, probabilities(kind, ds, e, p), cfg
@@ -209,7 +209,7 @@ def constant_outcome_fit():
     x = np.array([[-1.0], [-2.0], [-1.0], [-2.0], [-2.0], [-2.0], [-2.0], [-2.0]])
     ds = Dataset(covariates=x, z=np.zeros(8), w=[0, 0, 1, 1, 1, 1, 1, 1],
                  y=np.full(8, -2.302132862361297), feature_names=("x0",))
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.CT), max_depth=1,
+    cfg = GrowthConfig(regime=RegimeKind.CT, max_depth=1,
                        min_leaf_fraction=0.02, min_arm_count=1)
     return ds, np.full(8, 0.5), cfg
 
@@ -243,7 +243,7 @@ def test_grow_matches_reference_on_designs(design, kind):
         if rounded:     # ties on every feature
             data = Dataset(np.round(ds.covariates, 1), ds.z, ds.w, ds.y,
                            ds.feature_names)
-        cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=5,
+        cfg = GrowthConfig(regime=kind, max_depth=5,
                            min_leaf_fraction=0.02, min_arm_count=5)
         expected = tree_json(ref_grow, data, e, cfg)
         assert tree_json(grow, data, e, cfg) == expected
@@ -273,7 +273,7 @@ def test_identical_columns_in_different_blocks_go_to_the_lower_feature(block):
     ds = Dataset(covariates=x, z=d, w=d, y=y,
                  feature_names=tuple(f"x{j}" for j in range(10)))
     e = np.full(n, 0.5)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=1,
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED, max_depth=1,
                        min_leaf_fraction=0.1, min_arm_count=2)
     with scan_blocks(block, n):
         root = grow(ds, e, cfg)
@@ -292,7 +292,7 @@ def test_cut_whose_midpoint_rounds_to_the_upper_value(upper_arms):
     y = d * np.where(np.asarray(x) > ONE_UP, 4.0, 0.0)
     ds = Dataset(covariates=np.array(x)[:, None], z=d, w=d, y=y, feature_names=("x1",))
     e = np.full(ds.n_units, 0.5)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=1,
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED, max_depth=1,
                        min_leaf_fraction=0.05, min_arm_count=1)
     got = tree_json(grow, ds, e, cfg)
     assert got == tree_json(ref_grow, ds, e, cfg)
@@ -853,13 +853,13 @@ def test_leaf_routing_matches_per_row_walk(case):
     validation = Dataset(covariates=x, z=d, w=d, y=y, feature_names=("x1", "x2"))
     y_star = transformed_outcome(y, d, e)
     tau = np.array([leaf.tau for leaf in leaves])
-    regime = AssignmentRegime(RegimeKind.IV_RANDOMIZED)
+    regime = RegimeKind.IV_RANDOMIZED
     assert holdout_loss(root, validation, e, regime) == float(-np.mean((y_star - tau) ** 2))
 
 
 @SETTINGS
-@given(routed_trees(), st.sampled_from(["ate", "cace"]))
-def test_evaluate_mse_matches_per_row_lookup(case, effect_kind):
+@given(routed_trees())
+def test_evaluate_mse_matches_per_row_lookup(case):
     root, x, y, _ = case
     tree = CausalTree(
         root=root, feature_names=("x1", "x2"),
@@ -867,9 +867,8 @@ def test_evaluate_mse_matches_per_row_lookup(case, effect_kind):
         propensity=None, adjust_covariates=False, n_input=len(y), n_trimmed=0,
         n_train=len(y), n_validation=0, n_omega=len(y), seed=0, max_depth=4,
         min_leaf_fraction=0.1, min_arm_count=1)
-    field = "itt_hat" if effect_kind == "ate" else "cace_hat"
-    effects = np.array([getattr(walk(root, row).estimate, field) for row in x])
-    got = evaluate_mse(tree, x, y, effect_kind)
+    effects = np.array([walk(root, row).estimate.cace_hat for row in x])
+    got = evaluate_mse(tree, x, y)
     assert got.mse == float(np.mean((y - effects) ** 2))
     assert got.n_excluded == 0
 
@@ -911,6 +910,6 @@ def test_split_with_both_faults_reports_the_range_first():
     sample = generate(design_spec(2, 200, seed=3))
     split = SplitIndices(train=np.array([0, 1, -1]), validation=np.array([1, 2]),
                          test=np.array([], dtype=np.int64))
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED))
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
     with pytest.raises(SplitError, match="train indices out of range"):
         fit_ctiv(sample.dataset, cfg, split, seed=3)

@@ -30,10 +30,10 @@ from ctiv import (
 )
 from ctiv.dataset import SplitIndices
 from ctiv.errors import CtivError, GrowthError, InputError, SplitError
-from ctiv.transform import AssignmentRegime, leaf_weighted_itt
+from ctiv.transform import leaf_weighted_itt
 from ctiv.tree import PathElement, PruningPath, TreeNode, holdout_loss, select_alpha
 
-RANDOMIZED = AssignmentRegime(RegimeKind.IV_RANDOMIZED)
+RANDOMIZED = RegimeKind.IV_RANDOMIZED
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
                                            HealthCheck.filter_too_much])
@@ -296,7 +296,7 @@ def test_splits_on_rounding_noise_leave_no_threshold_at_or_below_zero(seed):
     root = grow(ds, half(ds), cfg)
     alphas = [el.alpha_threshold for el in prune_path(root, 200).elements]
     assert alphas[0] == 0.0 and all(b > a for a, b in zip(alphas, alphas[1:]))
-    iv = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED), max_depth=3,
+    iv = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED, max_depth=3,
                       min_leaf_fraction=0.05, min_arm_count=1)
     tree = fit_ctiv(ds, iv, holdout_split(ds, (0.5, 0.5, 0.0), seed=seed), seed=seed)
     assert tree.alpha == 0.0
@@ -463,7 +463,7 @@ def test_full_tree_node_numbering():
 def test_fit_design1_recovers_informative_split():
     sample = generate(design_spec(1, 1500, seed=27))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=27)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=27)
     assert not tree.root.is_leaf
@@ -483,7 +483,7 @@ def test_fit_full_compliance_regimes_agree_exactly():
     split = holdout_split(ds, (0.5, 0.5, 0.0), seed=28)
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
-        cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=2,
+        cfg = GrowthConfig(regime=kind, max_depth=2,
                            min_leaf_fraction=0.1, min_arm_count=10)
         trees[kind] = fit_ctiv(ds, cfg, split, seed=28,
                                adjust_covariates=False)
@@ -500,20 +500,19 @@ def test_regime_kind_given_as_a_string_is_the_enum():
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=38)
     texts = []
     for kind in ("ct", RegimeKind.CT):
-        regime = AssignmentRegime(kind)
-        assert regime.kind is RegimeKind.CT
-        cfg = GrowthConfig(regime=regime, max_depth=2, min_leaf_fraction=0.1,
+        cfg = GrowthConfig(regime=kind, max_depth=2, min_leaf_fraction=0.1,
                            min_arm_count=10)
+        assert cfg.regime is RegimeKind.CT
         texts.append(export_json(fit_ctiv(sample.dataset, cfg, split, seed=38)))
     assert texts[0] == texts[1]
-    with pytest.raises(InputError, match="nope"):
-        AssignmentRegime("nope")
+    with pytest.raises(InputError, match="unknown regime kind 'nope'"):
+        GrowthConfig(regime="nope")
 
 
 def test_fit_alpha_override_extremes():
     sample = generate(design_spec(2, 800, seed=29))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=29)
-    base = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    base = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                         max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     import dataclasses
     huge = fit_ctiv(sample.dataset,
@@ -532,7 +531,7 @@ def test_fit_rejects_overlapping_split():
     sample = generate(design_spec(1, 200, seed=30))
     bad = SplitIndices(train=np.arange(100), validation=np.arange(99, 150),
                        test=np.arange(0))
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED))
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
     with pytest.raises(SplitError):
         fit_ctiv(sample.dataset, cfg, bad, seed=30)
 
@@ -541,7 +540,7 @@ def test_fit_rejects_out_of_range_split():
     sample = generate(design_spec(1, 100, seed=31))
     bad = SplitIndices(train=np.arange(50), validation=np.array([200]),
                        test=np.arange(0))
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED))
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
     with pytest.raises(SplitError):
         fit_ctiv(sample.dataset, cfg, bad, seed=31)
 
@@ -585,7 +584,7 @@ def one_and_two_processes(fit, overlapped, monkeypatch):
 def test_overlapped_fit_matches_the_one_process_fit(kind, overlapped, monkeypatch):
     sample = generate(design_spec(2, 3000, seed=38))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=38)
-    cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=4,
+    cfg = GrowthConfig(regime=kind, max_depth=4,
                        min_leaf_fraction=0.02, min_arm_count=10)
     one, two = one_and_two_processes(
         lambda: fit_ctiv(sample.dataset, cfg, split, seed=38), overlapped, monkeypatch)
@@ -608,7 +607,7 @@ def arms_mostly_in_validation():
 @pytest.mark.parametrize("min_arm", [10, 101])     # the pooled grow fails too at 101
 def test_overlapped_fit_raises_the_holdout_sides_error(min_arm, overlapped, monkeypatch):
     ds, split = arms_mostly_in_validation()
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        min_arm_count=min_arm)
     one, two = one_and_two_processes(
         lambda: fit_ctiv(ds, cfg, split, seed=39), overlapped, monkeypatch)
@@ -621,7 +620,7 @@ def test_overlapped_fit_raises_the_holdout_sides_error(min_arm, overlapped, monk
 def test_overlapped_fit_survives_a_dead_worker(overlapped, monkeypatch):
     sample = generate(design_spec(2, 1500, seed=40))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=40)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_UNCONFOUNDED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_UNCONFOUNDED,
                        max_depth=3, min_leaf_fraction=0.05)
     this, ran_here, real = os.getpid(), [], ctiv.tree.select_alpha
 
@@ -645,7 +644,7 @@ def test_overlapped_fit_survives_a_dead_worker(overlapped, monkeypatch):
 def test_alpha_override_starts_no_pool(overlapped):
     sample = generate(design_spec(2, 800, seed=41))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=41)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        alpha_override=0.01)
     assert fit_ctiv(sample.dataset, cfg, split, seed=41).alpha == 0.01
     assert overlapped == []
@@ -678,7 +677,7 @@ def test_assign_leaves_shape_check():
 def test_leaf_partition_covers_everything():
     sample = generate(design_spec(2, 2000, seed=32))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=32)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=32)
     pts = np.random.default_rng(33).normal(size=(10_000, 10), scale=5.0)
@@ -700,7 +699,7 @@ def test_leaf_partition_covers_everything():
 def test_json_round_trip_of_random_fits(design, kind, depth, seed, pruned_at_zero):
     sample = generate(design_spec(design, 400, seed))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=seed)
-    cfg = GrowthConfig(regime=AssignmentRegime(kind), max_depth=depth,
+    cfg = GrowthConfig(regime=kind, max_depth=depth,
                        min_leaf_fraction=0.05, min_arm_count=5,
                        alpha_override=0.0 if pruned_at_zero else None)
     try:
@@ -714,7 +713,7 @@ def test_json_round_trip_of_random_fits(design, kind, depth, seed, pruned_at_zer
 def test_json_round_trip_bit_identical():
     sample = generate(design_spec(1, 600, seed=34))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=34)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=34)
     text = export_json(tree)
@@ -731,7 +730,7 @@ def test_json_round_trip_bit_identical():
 def test_fit_is_deterministic():
     sample = generate(design_spec(3, 700, seed=35))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=35)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     one = export_json(fit_ctiv(sample.dataset, cfg, split, seed=35))
     two = export_json(fit_ctiv(sample.dataset, cfg, split, seed=35))
@@ -747,7 +746,7 @@ def test_export_dot_labels():
 
     sample = generate(design_spec(1, 300, seed=36))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=36)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=1, min_leaf_fraction=0.1, min_arm_count=10,
                        alpha_override=1e9)
     rooty = fit_ctiv(sample.dataset, cfg, split, seed=36)
@@ -765,7 +764,7 @@ def test_load_json_rejects_garbage():
 def _tree_payload():
     sample = generate(design_spec(2, 800, seed=37))
     split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=37)
-    cfg = GrowthConfig(regime=AssignmentRegime(RegimeKind.IV_RANDOMIZED),
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10,
                        alpha_override=0.0)
     payload = json.loads(export_json(fit_ctiv(sample.dataset, cfg, split, seed=37)))
