@@ -24,9 +24,18 @@ import numpy as np
 
 from . import __version__
 from .bench import format_summary, results_csv, run_sweep
-from .dataset import ColumnSchema, holdout_split, load_csv, read_csv_columns, save_csv
+from .dataset import (
+    ColumnSchema,
+    check_split,
+    check_trim_bounds,
+    holdout_split,
+    load_csv,
+    read_csv_columns,
+    save_csv,
+)
 from .errors import CtivError, EstimationError, InputError, ValidationError
 from .parallel import usable_cpus
+from .propensity import check_ridge
 from .synth import design_spec, generate
 from .transform import RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
@@ -117,7 +126,7 @@ def _add_fit_parser(sub) -> None:
 
 
 def _cmd_fit(args) -> int:
-    ds = load_csv(args.input, _schema_from_args(args))
+    # every check that needs no data runs before the file is read
     test_frac = 1.0 - args.train_frac - args.val_frac
     if test_frac < -1e-9:
         raise _UsageError("--train-frac plus --val-frac exceed 1")
@@ -125,8 +134,8 @@ def _cmd_fit(args) -> int:
     # sum to 1 (0.42 + 0.58 leaves 1.1e-16); a NaN goes on to its check
     if test_frac <= 1e-9:
         test_frac = 0.0
-    split = holdout_split(ds, (args.train_frac, args.val_frac, test_frac),
-                          seed=args.seed)
+    fractions = (args.train_frac, args.val_frac, test_frac)
+    check_split(fractions, args.seed)
     cfg = GrowthConfig(
         regime=args.regime,
         max_depth=args.max_depth,
@@ -134,6 +143,10 @@ def _cmd_fit(args) -> int:
         min_arm_count=args.min_arm_count,
         alpha_override=args.alpha,
     )
+    check_ridge(args.ridge)
+    check_trim_bounds(args.trim_lo, args.trim_hi)
+    ds = load_csv(args.input, _schema_from_args(args))
+    split = holdout_split(ds, fractions, seed=args.seed)
     tree = fit_ctiv(ds, cfg, split, args.seed, ridge_lambda=args.ridge,
                     trim_lo=args.trim_lo, trim_hi=args.trim_hi,
                     adjust_covariates=args.tsls_covariates)

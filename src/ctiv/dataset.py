@@ -77,10 +77,19 @@ class Dataset:
         return self.covariates.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """New dataset holding the given rows (order as given)."""
+        """The dataset holding the given rows, in the order given.
+
+        Every row in order is this dataset itself, and nothing is copied: a
+        Dataset is frozen and its arrays are read-only, so no caller can
+        tell the two apart. Any other rows (a permutation, a proper subset,
+        a repeated row) are copied into a new Dataset.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise EmptyDatasetError("subset selects no rows")
+        n = self.n_units
+        if idx.shape == (n,) and (idx == np.arange(n)).all():
+            return self
         return Dataset(self.covariates[idx], self.z[idx], self.w[idx],
                        self.y[idx], self.feature_names)
 
@@ -426,6 +435,19 @@ def save_csv(ds: Dataset, path: str | Path,
             fh.writelines(texts)
 
 
+def check_split(fractions: tuple[float, float, float], seed: int) -> None:
+    """Reject a seed or part fractions that no sample size can split by."""
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    f_tr, f_va, f_te = fractions
+    if not np.isfinite(fractions).all():     # NaN passes every test below
+        raise SplitError("fractions must be finite")
+    if min(f_tr, f_va, f_te) < 0 or abs(f_tr + f_va + f_te - 1.0) > 1e-9:
+        raise SplitError("fractions must be nonnegative and sum to 1")
+    if f_tr <= 0:
+        raise SplitError("train fraction must be positive")
+
+
 def holdout_split(ds: Dataset | int,
                   fractions: tuple[float, float, float],
                   seed: int) -> SplitIndices:
@@ -435,16 +457,9 @@ def holdout_split(ds: Dataset | int,
     goes to train. Every declared-nonzero part must receive at least one
     unit.
     """
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
+    check_split(fractions, seed)
     n = ds if isinstance(ds, int) else ds.n_units
     f_tr, f_va, f_te = fractions
-    if not np.isfinite(fractions).all():     # NaN passes every test below
-        raise SplitError("fractions must be finite")
-    if min(f_tr, f_va, f_te) < 0 or abs(f_tr + f_va + f_te - 1.0) > 1e-9:
-        raise SplitError("fractions must be nonnegative and sum to 1")
-    if f_tr <= 0:
-        raise SplitError("train fraction must be positive")
     n_va = int(np.floor(f_va * n))
     n_te = int(np.floor(f_te * n))
     n_tr = n - n_va - n_te
@@ -461,16 +476,22 @@ def holdout_split(ds: Dataset | int,
     )
 
 
+def check_trim_bounds(lo: float, hi: float) -> None:
+    """Reject trim bounds other than 0 <= lo < hi <= 1 (NaN included)."""
+    if not (0.0 <= lo < hi <= 1.0):
+        raise InputError(f"invalid trim bounds [{lo}, {hi}]")
+
+
 def trim_by_propensity(ds: Dataset, e_hat: np.ndarray,
                        lo: float = 0.1, hi: float = 0.9) -> tuple[Dataset, np.ndarray]:
     """Drop units with extreme estimated propensities.
 
     Keeps rows with lo <= e_hat <= hi (closed bounds) and returns the
     trimmed dataset plus the kept row indices. Applying the same bounds
-    to an already-trimmed dataset changes nothing.
+    to an already-trimmed dataset changes nothing. When every row is kept
+    the trimmed dataset is ``ds`` itself (see ``Dataset.subset``).
     """
-    if not (0.0 <= lo < hi <= 1.0):
-        raise InputError(f"invalid trim bounds [{lo}, {hi}]")
+    check_trim_bounds(lo, hi)
     e = np.asarray(e_hat, dtype=np.float64)
     if e.shape != (ds.n_units,):
         raise InputError("e_hat must be a length-N vector")

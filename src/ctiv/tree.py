@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dataset import Dataset, SplitIndices, trim_by_propensity
+from .dataset import Dataset, SplitIndices, check_trim_bounds, trim_by_propensity
 from .effects import LeafEstimate, estimate_leaf, overall_cace
 from .errors import (
     AggregationError,
@@ -198,7 +198,13 @@ def _scan_block(x, sums, block, f0, window):
     """Each feature's best (gain, threshold) in a block of a node's orders,
     features f0 on; gain is -inf where no cut is valid. One gather and one
     cumulative sum serve the block: a cumulative sum along an axis adds in
-    sequence, so every gain has the bits of a one-feature scan."""
+    sequence, so every gain has the bits of a one-feature scan.
+
+    The arithmetic makes no temporaries: the gains go into two (features,
+    cuts) buffers, the right side's sums over the left side's, and the
+    masks into two bool buffers. It does the operations of ``tau = s0/s1 -
+    s2/s3`` and ``gain = n_left*tau_left**2 + n_right*tau_right**2`` in
+    their order (``t**2`` is ``t*t``), so it gives their bits."""
     lo, hi, n_left, n_right, few, many = window
     k = block.shape[0]
     block = block.astype(np.intp)
@@ -207,14 +213,29 @@ def _scan_block(x, sums, block, f0, window):
     block += np.arange(f0, f0 + k)[:, None]
     xs = x.take(block)
     np.cumsum(part, axis=2, out=part)
-    left = part[:, :, lo:hi]
-    right = part[:4, :, -1:] - left[:4]
+    side = part[:, :, lo:hi]            # the left side's sums; the totals,
+                                        # in column m - 1 >= hi, stay
+    gain, tau = np.empty((2, k, hi - lo))
+    cut, flag = np.empty((2, k, hi - lo), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau_left = left[0] / left[1] - left[2] / left[3]
-        tau_right = right[0] / right[1] - right[2] / right[3]
-        gain = n_left * tau_left ** 2 + n_right * tau_right ** 2
-    gain[(xs[:, lo:hi] == xs[:, lo + 1:hi + 1])
-         | (left[4] < few) | (left[4] > many)] = -np.inf
+        np.divide(side[0], side[1], out=gain)
+        np.divide(side[2], side[3], out=tau)
+        np.subtract(gain, tau, out=gain)
+        np.multiply(gain, gain, out=gain)
+        np.multiply(n_left, gain, out=gain)
+        np.subtract(part[:4, :, -1:], side[:4], out=side[:4])   # now the right's
+        np.divide(side[0], side[1], out=tau)
+        np.divide(side[2], side[3], out=side[2])
+        np.subtract(tau, side[2], out=tau)
+        np.multiply(tau, tau, out=tau)
+        np.multiply(n_right, tau, out=tau)
+        np.add(gain, tau, out=gain)
+    np.equal(xs[:, lo:hi], xs[:, lo + 1:hi + 1], out=cut)
+    np.less(side[4], few, out=flag)
+    cut |= flag
+    np.greater(side[4], many, out=flag)
+    cut |= flag
+    gain[cut] = -np.inf
     at, pos = np.arange(k), gain.argmax(axis=1)     # first max, even NaN
     thresholds = (xs[at, lo + pos] + xs[at, lo + pos + 1]) / 2.0
     return zip(gain[at, pos].tolist(), thresholds.tolist())
@@ -539,8 +560,15 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
 
     ``adjust_covariates=None`` resolves to True exactly for the
     unconfounded-assignment regime.
+
+    Rows are copied only where a step drops some: trimming copies the
+    kept rows, and a test part leaves the pooled rows a copy of fewer;
+    the holdout's training and validation rows are copied from the pooled
+    sample. A fit that trims nothing and has no test part grows its
+    pooled tree on ``ds`` itself (see ``Dataset.subset``).
     """
     check_ridge(ridge_lambda)           # iv-randomized fits no model to check it
+    check_trim_bounds(trim_lo, trim_hi)
     in_train, in_val = _split_masks(split, ds.n_units)
 
     model: PropensityModel | None = None
@@ -556,27 +584,31 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
         e_all = np.full(ds.n_units, p_hat)
 
     trimmed, kept = trim_by_propensity(ds, e_all, trim_lo, trim_hi)
-    e_kept = e_all[kept]
-    train_pos = np.flatnonzero(in_train[kept])
-    val_pos = np.flatnonzero(in_val[kept])
+    n_trimmed = ds.n_units - kept.size
+    omega_pos = np.flatnonzero((in_train | in_val)[kept])
+    # the pooled rows' indices into ds, and the holdout parts' among them
+    rows = kept[omega_pos]
+    train_pos = np.flatnonzero(in_train[rows])
+    val_pos = np.flatnonzero(in_val[rows])
     if train_pos.size == 0:
         raise EmptyDatasetError("no training units survive trimming")
     adjust = (cfg.regime is RegimeKind.IV_UNCONFOUNDED
               if adjust_covariates is None else bool(adjust_covariates))
     if cfg.alpha_override is None and val_pos.size == 0:
         raise EmptyDatasetError("no validation units survive trimming")
-    omega_pos = np.flatnonzero((in_train | in_val)[kept])
-    omega_ds, e_omega = trimmed.subset(omega_pos), e_kept[omega_pos]
+    omega_ds, e_omega = trimmed.subset(omega_pos), e_all[rows]
+    # the grows read none of these: free the trimmed copy and n-length indices
+    del trimmed, kept, omega_pos, rows, e_all
 
     def holdout_alpha(_) -> float:
-        train_ds = trimmed.subset(train_pos)
-        path = prune_path(grow(train_ds, e_kept[train_pos], cfg), train_ds.n_units)
-        return select_alpha(path, trimmed.subset(val_pos), e_kept[val_pos],
+        train_ds = omega_ds.subset(train_pos)
+        path = prune_path(grow(train_ds, e_omega[train_pos], cfg), train_ds.n_units)
+        return select_alpha(path, omega_ds.subset(val_pos), e_omega[val_pos],
                             cfg.regime)[0]
 
     # steps 3-5 run when their result is read, here or in a worker; read in
     # finally, their error wins over the pooled grow's, as if they ran first
-    overlap = omega_pos.size > _OVERLAP_ROWS and usable_cpus() > 1 and fork_is_safe()
+    overlap = omega_ds.n_units > _OVERLAP_ROWS and usable_cpus() > 1 and fork_is_safe()
     tasks = [None] if cfg.alpha_override is None else []
     with fan_out(holdout_alpha, tasks, 2 if overlap else 1) as alphas:
         try:
@@ -606,7 +638,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
         propensity=model,
         adjust_covariates=adjust,
         n_input=ds.n_units,
-        n_trimmed=ds.n_units - kept.size,
+        n_trimmed=n_trimmed,
         n_train=int(train_pos.size),
         n_validation=int(val_pos.size),
         n_omega=omega_ds.n_units,

@@ -265,6 +265,31 @@ def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
     assert payload["error"] == "InputError" and word in payload["message"]
 
 
+@pytest.mark.parametrize("argv, code, error, word", [
+    (("--train-frac", "0.7", "--val-frac", "0.7"), EXIT_USAGE, "UsageError", "exceed 1"),
+    (("--train-frac", "nan"), EXIT_DATA, "SplitError", "finite"),
+    (("--train-frac", "0", "--val-frac", "1"), EXIT_DATA, "SplitError", "train fraction"),
+    (("--seed", "-1"), EXIT_DATA, "InputError", "seed must be nonnegative"),
+    (("--max-depth", "0"), EXIT_DATA, "InputError", "max_depth"),
+    (("--min-leaf-fraction", "0.9"), EXIT_DATA, "InputError", "min_leaf_fraction"),
+    (("--min-arm-count", "0"), EXIT_DATA, "InputError", "min_arm_count"),
+    (("--alpha", "-1"), EXIT_DATA, "InputError", "alpha_override"),
+    (("--ridge", "inf"), EXIT_DATA, "InputError", "ridge_lambda"),
+    (("--trim-lo", "0.9", "--trim-hi", "0.1"), EXIT_DATA, "InputError", "trim bounds"),
+], ids=["fractions-over-1", "nan-fraction", "no-train-part", "seed", "max-depth",
+        "min-leaf-fraction", "min-arm-count", "alpha", "ridge", "trim-bounds"])
+def test_fit_checks_its_options_before_reading_the_input(tmp_path, capsys, argv,
+                                                         code, error, word):
+    # a missing file would exit 2 with OSError; each bad option is found first
+    got, _, err = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),
+                      "--regime", "iv-randomized", "--out-dir", str(tmp_path / "o"),
+                      *argv)
+    assert got == code
+    payload = json.loads(err)
+    assert payload["error"] == error and word in payload["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("option", ["--train-frac", "--val-frac"])
 def test_nan_split_fraction_exit_data(tmp_path, capsys, option):
     data = tmp_path / "d.csv"

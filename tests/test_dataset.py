@@ -175,6 +175,31 @@ def test_holdout_property_random_fractions():
         assert sorted(combined) == list(range(n))
 
 
+def test_subset_of_every_row_in_order_is_the_dataset_itself():
+    ds = small_ds(6)
+    assert ds.subset(np.arange(6)) is ds
+    assert ds.subset(list(range(6))) is ds
+
+
+@pytest.mark.parametrize("rows", [[1, 0, 2, 3, 4, 5], [0, 2, 5], [0, 1, 2, 3, 4, 5, 5],
+                                  [0, 0, 2, 3, 4, 5]])
+def test_subset_of_other_rows_is_a_new_read_only_dataset(rows):
+    ds = small_ds(6)
+    sub = ds.subset(np.array(rows))
+    assert sub is not ds
+    assert np.array_equal(sub.covariates, ds.covariates[rows])
+    assert np.array_equal(sub.y, ds.y[rows])
+    for arr in (sub.covariates, sub.z, sub.w, sub.y):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, ds.covariates)
+
+
+def test_trim_that_keeps_every_row_copies_nothing():
+    ds = small_ds(5)
+    trimmed, kept = trim_by_propensity(ds, np.full(5, 0.5))
+    assert trimmed is ds and list(kept) == list(range(5))
+
+
 def test_trim_keeps_inner_rows():
     ds = small_ds(4)
     e = np.array([0.05, 0.5, 0.95, 0.3])

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -543,6 +544,36 @@ def test_fit_rejects_out_of_range_split():
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
     with pytest.raises(SplitError):
         fit_ctiv(sample.dataset, cfg, bad, seed=31)
+
+
+def test_fit_checks_trim_bounds_before_any_propensity_fit(monkeypatch):
+    sample = generate(design_spec(1, 200, seed=32))
+    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=32)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_logistic ran before the trim bounds were checked")
+
+    monkeypatch.setattr(ctiv.tree, "fit_logistic", no_fit)
+    with pytest.raises(InputError, match="trim bounds"):
+        fit_ctiv(sample.dataset, GrowthConfig(regime="ct"), split, seed=32,
+                 trim_lo=0.9, trim_hi=0.1)
+
+
+def test_fit_holds_its_sample_once():
+    # no trim and no test part: the pooled tree grows on the input itself,
+    # and only the holdout halves are copies
+    ds = generate(design_spec(2, 20_000, seed=0)).dataset
+    assert ds.n_units <= ctiv.tree._OVERLAP_ROWS        # one process
+    split = holdout_split(ds, (0.5, 0.5, 0.0), seed=0)
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=4, min_leaf_fraction=0.02)
+    tracemalloc.start()
+    try:
+        tree = fit_ctiv(ds, cfg, split, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.n_trimmed == 0 and tree.n_omega == ds.n_units
+    assert peak < 4 * ds.covariates.nbytes
 
 
 # --- the holdout side in a worker ---
