@@ -115,7 +115,7 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
     est = sample.dataset.subset(est_rows)
     test_x = sample.dataset.covariates[test_rows]
     test_truth = sample.true_cate[test_rows]
-    split = holdout_split(est, (0.5, 0.5, 0.0), seed=seed)
+    split = holdout_split(est, (0.5, 0.5), seed=seed)
     ct_tree = fit_ctiv(est, cfgs[0], split, seed)
     iv_tree = fit_ctiv(est, cfgs[1], split, seed)
 

@@ -1,15 +1,16 @@
 """Command line frontend.
 
-Subcommands: fit, predict, simulate, bench. Exit codes: 0 success,
-1 usage problems, 2 data/validation problems, 3 estimation failures.
-Failures print a one-line JSON object to stderr so callers can parse
-them. Every command writes its fully resolved configuration next to its
-outputs; re-running the same invocation reproduces the outputs byte for
-byte, and nothing time-dependent is ever written. One host dependence
-remains: BLAS sums in an order that follows its thread count, one per
-CPU by default, so the last digits of ``tree.json`` and
-``leaf_report.csv`` can differ between CPU counts unless
-``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) is set.
+Subcommands: fit, predict, simulate, bench. ``fit`` grows on a
+``--train-frac`` share of the units and prices complexity on the rest.
+Exit codes: 0 success, 1 usage problems, 2 data/validation problems,
+3 estimation failures. Failures print a one-line JSON object to stderr
+so callers can parse them. Every command writes its fully resolved
+configuration next to its outputs; re-running the same invocation
+reproduces the outputs byte for byte, and nothing time-dependent is ever
+written. One host dependence remains: BLAS sums in an order that follows
+its thread count, one per CPU by default, so the last digits of
+``tree.json`` and ``leaf_report.csv`` can differ between CPU counts
+unless ``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) is set.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def _add_fit_parser(sub) -> None:
     p.add_argument("--ridge", type=float, default=1e-6)
     p.add_argument("--trim-lo", type=float, default=0.1)
     p.add_argument("--trim-hi", type=float, default=0.9)
-    p.add_argument("--train-frac", type=float, default=0.5)
-    p.add_argument("--val-frac", type=float, default=0.5)
+    p.add_argument("--train-frac", type=float, default=0.5,
+                   help="share of the units to grow on; the rest validate")
     p.add_argument("--tsls-covariates", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="covariate-adjust the per-leaf TSLS (default: only "
@@ -127,14 +128,7 @@ def _add_fit_parser(sub) -> None:
 
 def _cmd_fit(args) -> int:
     # every check that needs no data runs before the file is read
-    test_frac = 1.0 - args.train_frac - args.val_frac
-    if test_frac < -1e-9:
-        raise _UsageError("--train-frac plus --val-frac exceed 1")
-    # within holdout_split's 1e-9 a remainder is rounding of fractions that
-    # sum to 1 (0.42 + 0.58 leaves 1.1e-16); a NaN goes on to its check
-    if test_frac <= 1e-9:
-        test_frac = 0.0
-    fractions = (args.train_frac, args.val_frac, test_frac)
+    fractions = (args.train_frac, 1.0 - args.train_frac)
     check_split(fractions, args.seed)
     cfg = GrowthConfig(
         regime=args.regime,

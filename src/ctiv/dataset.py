@@ -107,11 +107,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """Disjoint train/validation/test row indices into one dataset."""
+    """A partition of one dataset's rows into train and validation indices."""
 
     train: np.ndarray
     validation: np.ndarray
-    test: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,14 +156,19 @@ _SHARE_BYTES = 1 << 20
 _CELL_BYTES = 20
 
 
-def _read_header(reader, path: Path) -> list[str]:
+def _read_header(fh, path: Path) -> tuple[list[str], int]:
+    """The stripped header row of ``fh``, open as text at its start, and
+    the lines it spans; ``fh`` is left just past it. One leading
+    byte-order mark is skipped: it is not part of the first cell."""
+    first = fh.readline().removeprefix("\ufeff")
+    reader = csv.reader(chain([first] if first else [], fh))
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, no header row") from None
     except csv.Error as exc:
         raise ValidationError(f"{path}: header row: {exc}") from None
-    return [h.strip() for h in header]
+    return [h.strip() for h in header], reader.line_num
 
 
 def _numpy_rows(lines, width: int, cols: list[int],
@@ -249,6 +253,7 @@ def _data_spans(path: Path, fh, header_lines: int) -> list[tuple[int, int | None
     if shares == 1:
         return [(0, None)]
     fh.seek(0)
+    # read from the start, the header text keeps a byte-order mark's 3 bytes
     start = len("".join(islice(fh, header_lines)).encode("utf-8"))
     cuts = {start}
     with path.open("rb") as fb:
@@ -332,17 +337,17 @@ def read_csv_columns(path: str | Path,
     others and hand their arrays back (see ``parallel.fan_out``); an
     irregular span sends the whole file to the per-cell parser. Row
     numbers in error messages are 1-based over data rows. A file that is
-    not UTF-8 raises ValidationError.
+    not UTF-8 raises ValidationError; one leading byte-order mark is
+    skipped.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = _read_header(reader, path)
+            header, header_lines = _read_header(fh, path)
             columns = choose(header)
             parse = partial(_parse_span, len(header),
                             [header.index(c) for c in columns], binary)
-            spans = _data_spans(path, fh, reader.line_num)
+            spans = _data_spans(path, fh, header_lines)
             with fan_out(partial(_parse_share, parse, path), spans[1:],
                          len(spans)) as parts:
                 blocks, rest = parse(fh, spans[0])
@@ -351,7 +356,7 @@ def read_csv_columns(path: str | Path,
                 blocks += parts
             elif rest is None:          # a later span is irregular: start over
                 fh.seek(0)
-                next(reader)
+                _read_header(fh, path)
                 blocks, rest = [], fh
             if rest is not None:
                 done = sum(map(len, blocks))
@@ -365,7 +370,8 @@ def read_csv_columns(path: str | Path,
 
 
 def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
-    """Read a UTF-8 CSV with a header row into a Dataset.
+    """Read a UTF-8 CSV with a header row into a Dataset; a leading
+    byte-order mark is skipped.
 
     Row numbers in error messages are 1-based over data rows (the header
     is row 0).
@@ -435,45 +441,42 @@ def save_csv(ds: Dataset, path: str | Path,
             fh.writelines(texts)
 
 
-def check_split(fractions: tuple[float, float, float], seed: int) -> None:
-    """Reject a seed or part fractions that no sample size can split by."""
+def check_split(fractions: tuple[float, ...], seed: int) -> None:
+    """Reject a seed, or train and validation fractions that no sample
+    size can partition by. A third fraction, if given, must be 0."""
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    f_tr, f_va, f_te = fractions
     if not np.isfinite(fractions).all():     # NaN passes every test below
         raise SplitError("fractions must be finite")
-    if min(f_tr, f_va, f_te) < 0 or abs(f_tr + f_va + f_te - 1.0) > 1e-9:
+    f_tr, f_va, *rest = fractions
+    if rest not in ([], [0.0]):
+        raise SplitError("a split has two parts: a third fraction must be 0")
+    if min(f_tr, f_va) < 0 or abs(f_tr + f_va - 1.0) > 1e-9:
         raise SplitError("fractions must be nonnegative and sum to 1")
     if f_tr <= 0:
         raise SplitError("train fraction must be positive")
 
 
-def holdout_split(ds: Dataset | int,
-                  fractions: tuple[float, float, float],
+def holdout_split(ds: Dataset | int, fractions: tuple[float, ...],
                   seed: int) -> SplitIndices:
-    """Random disjoint train/validation/test partition of all rows.
+    """Random partition of all rows into train and validation.
 
-    Validation and test sizes are floor(fraction * N); the remainder
-    goes to train. Every declared-nonzero part must receive at least one
-    unit.
+    ``fractions`` is (train, validation), summing to 1. Validation gets
+    floor(fraction * N) rows and train the rest; a part with a nonzero
+    fraction must get at least one unit.
     """
     check_split(fractions, seed)
     n = ds if isinstance(ds, int) else ds.n_units
-    f_tr, f_va, f_te = fractions
+    f_tr, f_va = fractions[:2]
     n_va = int(np.floor(f_va * n))
-    n_te = int(np.floor(f_te * n))
-    n_tr = n - n_va - n_te
-    for name, frac, size in (("train", f_tr, n_tr), ("validation", f_va, n_va),
-                             ("test", f_te, n_te)):
+    n_tr = n - n_va
+    for name, frac, size in (("train", f_tr, n_tr), ("validation", f_va, n_va)):
         if frac > 0 and size < 1:
             raise SplitError(
                 f"{name} fraction {frac:g} yields no units at N={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return SplitIndices(
-        train=np.sort(perm[:n_tr]).astype(np.int64),
-        validation=np.sort(perm[n_tr:n_tr + n_va]).astype(np.int64),
-        test=np.sort(perm[n_tr + n_va:]).astype(np.int64),
-    )
+    return SplitIndices(train=np.sort(perm[:n_tr]).astype(np.int64),
+                        validation=np.sort(perm[n_tr:]).astype(np.int64))
 
 
 def check_trim_bounds(lo: float, hi: float) -> None:

@@ -511,20 +511,22 @@ def _numbered(node: TreeNode, node_id: int,
                    right=_numbered(node.right, 2 * node_id + 1, estimates))
 
 
-def _split_masks(split: SplitIndices, n_units: int) -> tuple[np.ndarray, np.ndarray]:
-    """Train and validation membership as boolean masks over the units,
-    once every index is in range and no unit is in both."""
-    parts = [np.asarray(idx, dtype=np.int64)
-             for idx in (split.train, split.validation, split.test)]
-    for name, arr in zip(("train", "validation", "test"), parts):
-        if arr.size and (arr.min() < 0 or arr.max() >= n_units):
+def _train_mask(split: SplitIndices, n_units: int) -> np.ndarray:
+    """Training membership as a boolean mask over the units, once every
+    index is in range and train and validation partition the units."""
+    masks = np.zeros((2, n_units), dtype=bool)
+    for name, idx, mask in zip(("train", "validation"),
+                               (split.train, split.validation), masks):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= n_units):
             raise SplitError(f"{name} indices out of range")
-    in_train, in_val = np.zeros((2, n_units), dtype=bool)
-    in_train[parts[0]] = True
-    in_val[parts[1]] = True
-    if in_train[parts[1]].any():
+        mask[idx] = True
+    in_train, in_val = masks
+    if (in_train & in_val).any():
         raise SplitError("train and validation indices overlap")
-    return in_train, in_val
+    if not (in_train | in_val).all():
+        raise SplitError("some units are in neither train nor validation")
+    return in_train
 
 
 # pooled rows above which fit_ctiv grows the holdout tree in a forked
@@ -561,15 +563,15 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     ``adjust_covariates=None`` resolves to True exactly for the
     unconfounded-assignment regime.
 
-    Rows are copied only where a step drops some: trimming copies the
-    kept rows, and a test part leaves the pooled rows a copy of fewer;
-    the holdout's training and validation rows are copied from the pooled
-    sample. A fit that trims nothing and has no test part grows its
-    pooled tree on ``ds`` itself (see ``Dataset.subset``).
+    ``split`` must partition the units of ``ds``; the pooled sample is
+    the trimmed rows. Rows are copied only where a step drops some:
+    trimming copies the kept rows, and the holdout's training and
+    validation rows are copied from the pooled sample. A fit that trims
+    nothing grows its pooled tree on ``ds`` itself (see ``Dataset.subset``).
     """
     check_ridge(ridge_lambda)           # iv-randomized fits no model to check it
     check_trim_bounds(trim_lo, trim_hi)
-    in_train, in_val = _split_masks(split, ds.n_units)
+    in_train = _train_mask(split, ds.n_units)
 
     model: PropensityModel | None = None
     p_hat: float | None = None
@@ -583,22 +585,20 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
             raise DomainError(f"p_hat must lie in (0, 1), got {p_hat}")
         e_all = np.full(ds.n_units, p_hat)
 
-    trimmed, kept = trim_by_propensity(ds, e_all, trim_lo, trim_hi)
+    omega_ds, kept = trim_by_propensity(ds, e_all, trim_lo, trim_hi)
     n_trimmed = ds.n_units - kept.size
-    omega_pos = np.flatnonzero((in_train | in_val)[kept])
-    # the pooled rows' indices into ds, and the holdout parts' among them
-    rows = kept[omega_pos]
-    train_pos = np.flatnonzero(in_train[rows])
-    val_pos = np.flatnonzero(in_val[rows])
+    # the holdout parts' positions among the pooled rows
+    is_train = in_train[kept]
+    train_pos, val_pos = np.flatnonzero(is_train), np.flatnonzero(~is_train)
     if train_pos.size == 0:
         raise EmptyDatasetError("no training units survive trimming")
     adjust = (cfg.regime is RegimeKind.IV_UNCONFOUNDED
               if adjust_covariates is None else bool(adjust_covariates))
     if cfg.alpha_override is None and val_pos.size == 0:
         raise EmptyDatasetError("no validation units survive trimming")
-    omega_ds, e_omega = trimmed.subset(omega_pos), e_all[rows]
-    # the grows read none of these: free the trimmed copy and n-length indices
-    del trimmed, kept, omega_pos, rows, e_all
+    e_omega = e_all[kept]
+    # the grows read none of these: free the n-length indices and probabilities
+    del in_train, is_train, kept, e_all
 
     def holdout_alpha(_) -> float:
         train_ds = omega_ds.subset(train_pos)
@@ -817,7 +817,9 @@ def export_dot(tree: CausalTree) -> str:
         share = 100.0 * node.n / tree.n_omega
         label = f"ITT = {node.tau:.3f}\\n{share:.1f}%"
         if not node.is_leaf:
+            # a quoted DOT label ends at a bare '"' and escapes with '\\'
             name = tree.feature_names[node.feature]
+            name = name.replace("\\", "\\\\").replace('"', '\\"')
             label += f"\\n{name} <= {node.threshold:.4g}"
         lines.append(f'  {node.node_id} [label="{label}"];')
         if not node.is_leaf:

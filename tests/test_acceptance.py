@@ -126,7 +126,7 @@ def test_full_compliance_collapse(capsys):
     z = rng.integers(0, 2, n).astype(np.int8)
     y = rng.normal(size=n) + 0.4 * x[:, 0] + z * (1.0 + 2.0 * (x[:, 1] > 0))
     ds = Dataset(covariates=x, z=z, w=z, y=y, feature_names=("x1", "x2"))
-    split = holdout_split(ds, (0.5, 0.5, 0.0), seed=103)
+    split = holdout_split(ds, (0.5, 0.5), seed=103)
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
         cfg = GrowthConfig(regime=kind, max_depth=2,
@@ -222,7 +222,7 @@ def leaf_index(root, x):
 
 def test_tree_structure_properties(capsys):
     sample = generate(design_spec(2, 3000, seed=107))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=107)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=107)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=3, min_leaf_fraction=0.05, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=107)
@@ -271,7 +271,7 @@ def test_split_recovery_on_informative_features(capsys):
     n_split_conforming = 0
     for seed in range(20):
         sample = generate(design_spec(2, 5000, seed=seed))
-        split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=seed)
+        split = holdout_split(sample.dataset, (0.5, 0.5), seed=seed)
         cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                            max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
         tree = fit_ctiv(sample.dataset, cfg, split, seed=seed)

@@ -77,7 +77,7 @@ def test_receipt_split_leaves_have_their_itt_as_cace(label):
     # evaluate_mse scores every tree on cace_hat: a ct leaf's receipt is its
     # own instrument, so its complier share is 1 and its CACE its ITT
     sample = ctiv.bench._sample_for(label, 1000, 70)
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=70)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=70)
     cfg = GrowthConfig(regime=RegimeKind.CT, max_depth=3, alpha_override=0.0)
     leaves = fit_ctiv(sample.dataset, cfg, split, seed=70).leaves()
     assert len(leaves) > 1
@@ -167,7 +167,7 @@ def test_root_only_tree_mse_near_effect_variance():
     # a constant prediction cannot beat the spread of 1 + x9 + x10,
     # whose variance is 0.2 by construction
     sample = generate(design_spec(2, 4000, seed=60))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=60)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=60)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10,
                        alpha_override=1e9)

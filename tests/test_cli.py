@@ -214,11 +214,12 @@ def test_usage_errors(tmp_path, capsys):
     assert code == EXIT_USAGE
     data = tmp_path / "d.csv"
     write_trial_csv(data, n=100, full_compliance=False)
+    # validation is the units left out of training: it has no option
     code, _, err = run(capsys, "fit", "--input", str(data),
-                       "--regime", "iv-randomized",
-                       "--train-frac", "0.7", "--val-frac", "0.7",
+                       "--regime", "iv-randomized", "--val-frac", "0.5",
                        "--out-dir", str(tmp_path))
     assert code == EXIT_USAGE
+    assert "unrecognized arguments: --val-frac" in json.loads(err)["message"]
     # a missing input file is a data problem, not a usage problem
     code, _, err = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),
                        "--regime", "iv-randomized",
@@ -266,9 +267,9 @@ def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
 
 
 @pytest.mark.parametrize("argv, code, error, word", [
-    (("--train-frac", "0.7", "--val-frac", "0.7"), EXIT_USAGE, "UsageError", "exceed 1"),
+    (("--train-frac", "1.5"), EXIT_DATA, "SplitError", "nonnegative"),
     (("--train-frac", "nan"), EXIT_DATA, "SplitError", "finite"),
-    (("--train-frac", "0", "--val-frac", "1"), EXIT_DATA, "SplitError", "train fraction"),
+    (("--train-frac", "0"), EXIT_DATA, "SplitError", "train fraction"),
     (("--seed", "-1"), EXIT_DATA, "InputError", "seed must be nonnegative"),
     (("--max-depth", "0"), EXIT_DATA, "InputError", "max_depth"),
     (("--min-leaf-fraction", "0.9"), EXIT_DATA, "InputError", "min_leaf_fraction"),
@@ -290,7 +291,7 @@ def test_fit_checks_its_options_before_reading_the_input(tmp_path, capsys, argv,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("option", ["--train-frac", "--val-frac"])
+@pytest.mark.parametrize("option", ["--train-frac"])
 def test_nan_split_fraction_exit_data(tmp_path, capsys, option):
     data = tmp_path / "d.csv"
     write_trial_csv(data, n=200, full_compliance=False)
@@ -302,18 +303,59 @@ def test_nan_split_fraction_exit_data(tmp_path, capsys, option):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("train, val", [("0.42", "0.58"), ("0.18", "0.82"),
-                                        ("0.7", "0.3"), ("0.99", "0.01")])
-def test_fractions_that_sum_to_one_leave_no_test_part(tmp_path, capsys, train, val):
-    # 1 - train - val leaves 1.1e-16 or less here, a test part of no unit
+# (--train-frac, the --val-frac it used to need) -> the (n_train,
+# n_validation) that pair gave before validation became the rest
+OLD_PAIRS = {("0.42", "0.58"): (378, 522), ("0.18", "0.82"): (162, 738),
+             ("0.7", "0.3"): (630, 270), ("0.99", "0.01"): (891, 9),
+             ("0.4", "0.6"): (360, 540)}
+
+
+@pytest.mark.parametrize("train, val", sorted(OLD_PAIRS))
+def test_train_fraction_alone_splits_as_the_old_pair(tmp_path, capsys, train, val):
     data = tmp_path / "d.csv"
     write_trial_csv(data, n=900, full_compliance=False)
     code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
-                       "--train-frac", train, "--val-frac", val,
-                       "--out-dir", str(tmp_path / "o"))
+                       "--train-frac", train, "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_OK, err
-    resolved = json.loads((tmp_path / "o" / "run.json").read_text())["resolved"]
-    assert resolved["n_omega"] == resolved["n_input"] - resolved["n_trimmed"]
+    meta = json.loads((tmp_path / "o" / "tree.json").read_text())["meta"]
+    assert (meta["n_train"], meta["n_validation"]) == OLD_PAIRS[train, val]
+    assert meta["n_train"] + meta["n_validation"] == meta["n_omega"]
+
+
+def test_fit_help_lists_the_train_fraction_alone(capsys):
+    with pytest.raises(SystemExit):
+        main(["fit", "--help"])
+    text = capsys.readouterr().out
+    assert "--train-frac" in text and "--val-frac" not in text
+
+
+def test_byte_order_mark_reads_as_the_plain_file_by_name_and_through_stdin(
+        tmp_path, capsys):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    code, _, err = run(capsys, "simulate", "--design", "2", "--n", "600",
+                       "--seed", "3", "--out", str(plain))
+    assert code == EXIT_OK, err
+    bom.write_bytes("\ufeff".encode() + plain.read_bytes())
+    fit = ["fit", "--regime", "ct", "--features", "x1,x2,x3"]
+    for source in (plain, bom):
+        code, _, err = run(capsys, *fit, "--input", str(source),
+                           "--out-dir", str(tmp_path / source.stem))
+        assert code == EXIT_OK, err
+        code, _, err = run(capsys, "predict", "--input", str(source),
+                           "--tree", str(tmp_path / "plain" / "tree.json"),
+                           "--output", str(tmp_path / f"{source.stem}.pred.csv"))
+        assert code == EXIT_OK, err
+    # a pipe cannot seek back over the mark
+    done = subprocess.run([sys.executable, "-m", "ctiv.cli", *fit,
+                           "--input", "/dev/stdin", "--out-dir", str(tmp_path / "piped")],
+                          input=bom.read_bytes(), env=fresh_env(), capture_output=True)
+    assert done.returncode == 0, done.stderr
+    for name in ("tree.json", "leaf_report.csv"):
+        want = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "bom" / name).read_bytes() == want
+        assert (tmp_path / "piped" / name).read_bytes() == want
+    assert (tmp_path / "bom.pred.csv").read_bytes() == \
+        (tmp_path / "plain.pred.csv").read_bytes()
 
 
 @pytest.mark.parametrize("regime", ["ct", "iv-unconfounded", "iv-randomized"])
@@ -633,7 +675,7 @@ def test_recorded_key_sets(tmp_path, capsys):
     assert set(fit_cfg["options"]) == {
         "input", "regime", "y_col", "w_col", "z_col", "features", "max_depth",
         "min_leaf_fraction", "min_arm_count", "alpha", "ridge", "trim_lo",
-        "trim_hi", "train_frac", "val_frac", "tsls_covariates", "seed",
+        "trim_hi", "train_frac", "tsls_covariates", "seed",
         "out_dir"}
     code, _, err = run(capsys, "bench", "--designs", "1", "--sizes", "300",
                        "--seeds", "1", "--out-dir", str(tmp_path / "bench"))

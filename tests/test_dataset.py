@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from ctiv import ColumnSchema, Dataset, holdout_split, load_csv, save_csv, trim_by_propensity
+import ctiv.dataset
+from ctiv import (
+    ColumnSchema,
+    Dataset,
+    design_spec,
+    generate,
+    holdout_split,
+    load_csv,
+    save_csv,
+    trim_by_propensity,
+)
 from ctiv.errors import (
     EmptyDatasetError,
     MissingValueError,
@@ -93,6 +103,36 @@ def test_round_trip_bit_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [50, 10_000])
+def test_byte_order_mark_reads_as_the_plain_file(tmp_path, monkeypatch, n):
+    # 10,000 rows of ten covariates are 2.2 MiB of text: above twice
+    # _SHARE_BYTES, so with two CPUs the rows after the header's byte
+    # span (BOM included) go to a forked worker
+    monkeypatch.setattr(ctiv.dataset, "usable_cpus", lambda: 2)
+    ds = generate(design_spec(2, n, seed=5)).dataset
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    save_csv(ds, plain)
+    bom.write_bytes(BOM + plain.read_bytes())
+    if n > 50 and ctiv.dataset.fork_is_safe():
+        assert ctiv.dataset._share_count(bom.stat().st_size) == 2
+    assert load_csv(plain).equals(ds)
+    assert load_csv(bom).equals(ds)
+
+
+def test_byte_order_mark_before_a_quoted_header_cell(tmp_path):
+    text = '"y",w,z,"x""1"\n1.5,1,0,2\n0.5,0,1,3\n'
+    plain = load_csv(write(tmp_path, text, "plain.csv"))
+    bom = load_csv(write(tmp_path, "\ufeff" + text, "bom.csv"))
+    assert bom.feature_names == ('x"1',)
+    assert bom.equals(plain)
+    # one mark is skipped, as a decoder of UTF-8 with a signature would
+    with pytest.raises(SchemaError, match="missing required y column"):
+        load_csv(write(tmp_path, "\ufeff\ufeff" + text, "two.csv"))
+
+
 def test_dataset_rejects_nan():
     with pytest.raises(ValidationError):
         Dataset(covariates=[[np.nan]], z=[1], w=[1], y=[1.0], feature_names=("x",))
@@ -110,68 +150,72 @@ def test_dataset_arrays_immutable():
 
 
 def test_holdout_sizes_and_disjointness():
-    split = holdout_split(100, (0.25, 0.25, 0.5), seed=0)
-    assert len(split.train) == 25
+    split = holdout_split(100, (0.75, 0.25), seed=0)
+    assert len(split.train) == 75
     assert len(split.validation) == 25
-    assert len(split.test) == 50
-    all_idx = np.concatenate([split.train, split.validation, split.test])
+    all_idx = np.concatenate([split.train, split.validation])
     assert sorted(all_idx) == list(range(100))
 
 
 def test_holdout_remainder_goes_to_train():
-    split = holdout_split(103, (0.5, 0.25, 0.25), seed=1)
-    assert len(split.validation) == 25 and len(split.test) == 25
-    assert len(split.train) == 53
+    split = holdout_split(103, (0.75, 0.25), seed=1)
+    assert len(split.validation) == 25
+    assert len(split.train) == 78
 
 
 def test_holdout_determinism():
-    a = holdout_split(50, (0.6, 0.2, 0.2), seed=9)
-    b = holdout_split(50, (0.6, 0.2, 0.2), seed=9)
+    a = holdout_split(50, (0.6, 0.4), seed=9)
+    b = holdout_split(50, (0.6, 0.4), seed=9)
     assert np.array_equal(a.train, b.train)
     assert np.array_equal(a.validation, b.validation)
-    assert np.array_equal(a.test, b.test)
-    c = holdout_split(50, (0.6, 0.2, 0.2), seed=10)
+    c = holdout_split(50, (0.6, 0.4), seed=10)
     assert not np.array_equal(a.train, c.train)
 
 
 def test_holdout_tiny_sample_errors():
     with pytest.raises(SplitError):
-        holdout_split(3, (0.25, 0.25, 0.5), seed=0)
+        holdout_split(3, (0.75, 0.25), seed=0)
 
 
 def test_holdout_zero_test_fraction_ok():
+    # a trailing 0.0 is the only third fraction a split still takes
     split = holdout_split(10, (0.5, 0.5, 0.0), seed=0)
-    assert len(split.test) == 0
     assert len(split.train) == 5 and len(split.validation) == 5
+    two = holdout_split(10, (0.5, 0.5), seed=0)
+    assert np.array_equal(split.train, two.train)
+    assert np.array_equal(split.validation, two.validation)
 
 
 def test_holdout_bad_fractions():
-    with pytest.raises(SplitError):
-        holdout_split(10, (0.5, 0.6, 0.0), seed=0)
+    for fractions in [(0.5, 0.6), (0.5, 0.6, 0.0), (1.2, -0.2)]:
+        with pytest.raises(SplitError, match="nonnegative and sum to 1"):
+            holdout_split(10, fractions, seed=0)
+    # a split has no test part: a nonzero third fraction is refused
+    for fractions in [(0.5, 0.25, 0.25), (0.5, 0.5, 1e-12)]:
+        with pytest.raises(SplitError, match="third fraction must be 0"):
+            holdout_split(10, fractions, seed=0)
 
 
-@pytest.mark.parametrize("fractions", [(float("nan"), 0.5, 0.5),
-                                       (0.5, float("nan"), 0.5),
-                                       (float("inf"), 0.5, -float("inf"))])
+@pytest.mark.parametrize("fractions", [(float("nan"), 0.5),
+                                       (0.5, float("nan")),
+                                       (float("inf"), -float("inf"))])
 def test_holdout_non_finite_fractions(fractions):
     # NaN passes every comparison: it used to give an empty train part
     with pytest.raises(SplitError, match="finite"):
         holdout_split(100, fractions, seed=0)
     with pytest.raises(SplitError):
-        holdout_split(10, (0.0, 0.5, 0.5), seed=0)
+        holdout_split(10, (0.0, 1.0), seed=0)
 
 
 def test_holdout_property_random_fractions():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(10, 500))
-        f_va, f_te = rng.uniform(0.05, 0.4, size=2)
-        fractions = (1.0 - f_va - f_te, float(f_va), float(f_te))
-        split = holdout_split(n, fractions, seed=int(rng.integers(1 << 30)))
+        f_va = float(rng.uniform(0.05, 0.8))
+        split = holdout_split(n, (1.0 - f_va, f_va), seed=int(rng.integers(1 << 30)))
         assert len(split.validation) == int(np.floor(f_va * n))
-        assert len(split.test) == int(np.floor(f_te * n))
-        assert len(split.train) == n - len(split.validation) - len(split.test)
-        combined = np.concatenate([split.train, split.validation, split.test])
+        assert len(split.train) == n - len(split.validation)
+        combined = np.concatenate([split.train, split.validation])
         assert sorted(combined) == list(range(n))
 
 

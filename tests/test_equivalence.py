@@ -15,8 +15,8 @@
 - The one leaf router, behind ``assign_leaves`` and ``holdout_loss``,
   against a walk down the tree one row at a time; and ``evaluate_mse``'s
   gather of leaf effects against a per-row lookup.
-- ``fit_ctiv``'s boolean split masks against the ``isin``/``union1d``
-  positions they replaced, and its split checks.
+- ``fit_ctiv``'s boolean training mask against the ``isin`` positions it
+  replaced, and its checks that a split partitions the units.
 """
 
 import csv
@@ -58,7 +58,7 @@ from ctiv import (
 from ctiv.dataset import SplitIndices, read_csv_columns
 from ctiv.errors import CtivError, GrowthError, SplitError, ValidationError
 from ctiv.transform import leaf_weighted_itt, transformed_outcome
-from ctiv.tree import TreeNode, _split_masks, _stable_order, holdout_loss
+from ctiv.tree import TreeNode, _stable_order, _train_mask, holdout_loss
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -878,38 +878,47 @@ def test_evaluate_mse_matches_per_row_lookup(case):
 @SETTINGS
 @given(st.integers(1, 30), st.data())
 def test_split_masks_match_set_operations(n, data):
-    def indices(lo, hi):
-        return np.array(data.draw(st.lists(st.integers(lo, hi), max_size=n)),
-                        dtype=np.int64)
-
-    in_range = data.draw(st.booleans())
-    lo, hi = (0, n - 1) if in_range else (-3, n + 2)
-    tr, va, te = indices(lo, hi), indices(lo, hi), indices(lo, hi)
+    # a partition of the units with any of three faults: a unit left out,
+    # a unit in both parts, an index out of range
+    in_train = data.draw(hnp.arrays(bool, n))
+    parts = {"train": np.flatnonzero(in_train), "validation": np.flatnonzero(~in_train)}
+    unit = data.draw(st.integers(0, n - 1))
+    for fault in data.draw(st.sets(st.sampled_from(["left out", "overlap", "range"]))):
+        if fault == "left out":
+            parts = {name: arr[arr != unit] for name, arr in parts.items()}
+        elif fault == "overlap":
+            parts = {name: np.union1d(arr, [unit]) for name, arr in parts.items()}
+        else:
+            name = data.draw(st.sampled_from(sorted(parts)))
+            index = data.draw(st.sampled_from([-3, -1, n, n + 2]))
+            parts[name] = np.append(parts[name], index)
+    tr, va = (np.array(data.draw(st.permutations(parts[name].tolist())), dtype=np.int64)
+              for name in ("train", "validation"))
     kept = np.flatnonzero(data.draw(hnp.arrays(bool, n)))
-    split = SplitIndices(train=tr, validation=va, test=te)
-    bad = [name for name, arr in zip(("train", "validation", "test"), (tr, va, te))
+    split = SplitIndices(train=tr, validation=va)
+    bad = [name for name, arr in (("train", tr), ("validation", va))
            if arr.size and (arr.min() < 0 or arr.max() >= n)]
     if bad:
         # range first: a negative index must not wrap around into a mask
         with pytest.raises(SplitError, match=f"{bad[0]} indices out of range"):
-            _split_masks(split, n)
+            _train_mask(split, n)
     elif np.intersect1d(tr, va).size:
         with pytest.raises(SplitError, match="overlap"):
-            _split_masks(split, n)
+            _train_mask(split, n)
+    elif np.union1d(tr, va).size < n:
+        with pytest.raises(SplitError, match="neither train nor validation"):
+            _train_mask(split, n)
     else:
-        in_train, in_val = _split_masks(split, n)
-        train_pos = np.flatnonzero(np.isin(kept, tr))
-        val_pos = np.flatnonzero(np.isin(kept, va))
-        assert np.flatnonzero(in_train[kept]).tolist() == train_pos.tolist()
-        assert np.flatnonzero(in_val[kept]).tolist() == val_pos.tolist()
-        assert np.flatnonzero((in_train | in_val)[kept]).tolist() == \
-            np.union1d(train_pos, val_pos).tolist()
+        mask = _train_mask(split, n)
+        assert np.flatnonzero(mask[kept]).tolist() == \
+            np.flatnonzero(np.isin(kept, tr)).tolist()
+        assert np.flatnonzero(~mask[kept]).tolist() == \
+            np.flatnonzero(np.isin(kept, va)).tolist()
 
 
 def test_split_with_both_faults_reports_the_range_first():
     sample = generate(design_spec(2, 200, seed=3))
-    split = SplitIndices(train=np.array([0, 1, -1]), validation=np.array([1, 2]),
-                         test=np.array([], dtype=np.int64))
+    split = SplitIndices(train=np.array([0, 1, -1]), validation=np.array([1, 2]))
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
     with pytest.raises(SplitError, match="train indices out of range"):
         fit_ctiv(sample.dataset, cfg, split, seed=3)

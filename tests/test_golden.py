@@ -45,14 +45,15 @@ FITS = {
         "leaf_report.csv": "e916ae52dbaecba42d71958dfd1d86b6218807572cc5df95ec8550cbabd11d23",
         "predict.csv": "095eccefdcce470e990ba7e2d70175ce863edfba95f66bc5f34bd35f541d819d",
     }),
-    # trims rows and keeps a test part: the holdout's parts are copied from
-    # the pooled rows, which are a copy of the trimmed ones
-    "trimmed": ("sample.csv", "ct", ("--train-frac", "0.4", "--val-frac", "0.4",
+    # trims rows: the pooled rows are a copy of the kept ones, and the
+    # holdout's parts are copied from them. The digests were taken with
+    # --val-frac 0.6, the option that validation being the rest replaced
+    "trimmed": ("sample.csv", "ct", ("--train-frac", "0.4",
                                      "--trim-lo", "0.4", "--trim-hi", "0.6"), {
-        "tree.json": "67ca83381cd1017372624ff1cc8ff31cecd11e1b6932ffdbe7aff71b4b49f811",
-        "tree.dot": "47f17cfe6e0b8efe00fce56c9c161d7612d96809dfb756339676b41e0c1cca59",
-        "leaf_report.csv": "9e80b8ab44893618fd3011e03956f3f7a1d12a2ceb4c4b5cebd5eb1b8398fb5a",
-        "predict.csv": "d5228f7d6ad0830d3ca809de0c2b1690ed7fdd3ba81a0bbedce5f6402de97e41",
+        "tree.json": "3474fd5ddbc324e879a8eff93349af15051ee898ff26147aa16cf2a200b3fce9",
+        "tree.dot": "9522bb259c74cf6942a5f692ca3f35ab912c226e617c38461e3bd804b7ebe59c",
+        "leaf_report.csv": "aa16d43fa274f18b45931da8d1ff8277444fecadddc7db584413e97b5e7ca435",
+        "predict.csv": "5406240413788a9c1236e9a001d7b26b458a7f36765d0d12db0fea57e67df373",
     }),
 }
 
@@ -114,10 +115,10 @@ def test_fit_and_predict_bytes(inputs, tmp_path, capsys, tag):
         "--input", str(inputs / source), "--output", str(out / "predict.csv"))
     got = {name: sha256(out / name) for name in digests}
     assert got == digests
-    if tag == "trimmed":                # rows were trimmed, and a test part kept
+    if tag == "trimmed":                # rows were trimmed, and every kept one pooled
         resolved = json.loads((out / "run.json").read_text())["resolved"]
         assert 0 < resolved["n_trimmed"]
-        assert resolved["n_omega"] < resolved["n_input"] - resolved["n_trimmed"]
+        assert resolved["n_omega"] == resolved["n_input"] - resolved["n_trimmed"]
 
 
 @pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")

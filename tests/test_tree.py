@@ -1,5 +1,6 @@
 """Growing, pruning, holdout selection and the fitted-tree artifact."""
 
+import dataclasses
 import json
 import math
 import os
@@ -299,7 +300,7 @@ def test_splits_on_rounding_noise_leave_no_threshold_at_or_below_zero(seed):
     assert alphas[0] == 0.0 and all(b > a for a, b in zip(alphas, alphas[1:]))
     iv = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED, max_depth=3,
                       min_leaf_fraction=0.05, min_arm_count=1)
-    tree = fit_ctiv(ds, iv, holdout_split(ds, (0.5, 0.5, 0.0), seed=seed), seed=seed)
+    tree = fit_ctiv(ds, iv, holdout_split(ds, (0.5, 0.5), seed=seed), seed=seed)
     assert tree.alpha == 0.0
     # and growth refuses a split that gains only rounding
     assert root.n_leaves() == 1 and tree.root.n_leaves() == 1
@@ -442,9 +443,7 @@ def test_full_tree_node_numbering():
     ds = staircase_ds()
     cfg = GrowthConfig(regime=RANDOMIZED, max_depth=2, min_leaf_fraction=0.1,
                        min_arm_count=1, alpha_override=0.0)
-    split = SplitIndices(train=np.arange(ds.n_units),
-                         validation=np.arange(0),
-                         test=np.arange(0))
+    split = SplitIndices(train=np.arange(ds.n_units), validation=np.arange(0))
     tree = fit_ctiv(ds, cfg, split, seed=0, trim_lo=0.01, trim_hi=0.99)
     ids = []
 
@@ -463,7 +462,7 @@ def test_full_tree_node_numbering():
 
 def test_fit_design1_recovers_informative_split():
     sample = generate(design_spec(1, 1500, seed=27))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=27)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=27)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=27)
@@ -481,7 +480,7 @@ def test_fit_full_compliance_regimes_agree_exactly():
     z = rng.integers(0, 2, n)
     y = rng.normal(size=n) + 0.5 * x[:, 0] + z * (1.0 + 2.0 * (x[:, 1] > 0))
     ds = Dataset(covariates=x, z=z, w=z, y=y, feature_names=("x1", "x2"))
-    split = holdout_split(ds, (0.5, 0.5, 0.0), seed=28)
+    split = holdout_split(ds, (0.5, 0.5), seed=28)
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
         cfg = GrowthConfig(regime=kind, max_depth=2,
@@ -498,7 +497,7 @@ def test_fit_full_compliance_regimes_agree_exactly():
 
 def test_regime_kind_given_as_a_string_is_the_enum():
     sample = generate(design_spec(2, 2000, seed=38))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=38)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=38)
     texts = []
     for kind in ("ct", RegimeKind.CT):
         cfg = GrowthConfig(regime=kind, max_depth=2, min_leaf_fraction=0.1,
@@ -512,10 +511,9 @@ def test_regime_kind_given_as_a_string_is_the_enum():
 
 def test_fit_alpha_override_extremes():
     sample = generate(design_spec(2, 800, seed=29))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=29)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=29)
     base = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                         max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
-    import dataclasses
     huge = fit_ctiv(sample.dataset,
                     dataclasses.replace(base, alpha_override=1e9),
                     split, seed=29)
@@ -530,17 +528,25 @@ def test_fit_alpha_override_extremes():
 
 def test_fit_rejects_overlapping_split():
     sample = generate(design_spec(1, 200, seed=30))
-    bad = SplitIndices(train=np.arange(100), validation=np.arange(99, 150),
-                       test=np.arange(0))
+    bad = SplitIndices(train=np.arange(100), validation=np.arange(99, 200))
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
     with pytest.raises(SplitError):
         fit_ctiv(sample.dataset, cfg, bad, seed=30)
 
 
+def test_fit_rejects_a_split_that_leaves_a_unit_out():
+    # a split is a partition: no unit is silently dropped from the fit
+    sample = generate(design_spec(1, 200, seed=30))
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
+    for bad in (SplitIndices(train=np.arange(100), validation=np.arange(100, 199)),
+                SplitIndices(train=np.arange(1, 200), validation=np.arange(0))):
+        with pytest.raises(SplitError, match="neither train nor validation"):
+            fit_ctiv(sample.dataset, cfg, bad, seed=30)
+
+
 def test_fit_rejects_out_of_range_split():
     sample = generate(design_spec(1, 100, seed=31))
-    bad = SplitIndices(train=np.arange(50), validation=np.array([200]),
-                       test=np.arange(0))
+    bad = SplitIndices(train=np.arange(50), validation=np.array([*range(50, 100), 200]))
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
     with pytest.raises(SplitError):
         fit_ctiv(sample.dataset, cfg, bad, seed=31)
@@ -548,7 +554,7 @@ def test_fit_rejects_out_of_range_split():
 
 def test_fit_checks_trim_bounds_before_any_propensity_fit(monkeypatch):
     sample = generate(design_spec(1, 200, seed=32))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=32)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=32)
 
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_logistic ran before the trim bounds were checked")
@@ -564,7 +570,7 @@ def test_fit_holds_its_sample_once():
     # and only the holdout halves are copies
     ds = generate(design_spec(2, 20_000, seed=0)).dataset
     assert ds.n_units <= ctiv.tree._OVERLAP_ROWS        # one process
-    split = holdout_split(ds, (0.5, 0.5, 0.0), seed=0)
+    split = holdout_split(ds, (0.5, 0.5), seed=0)
     cfg = GrowthConfig(regime=RANDOMIZED, max_depth=4, min_leaf_fraction=0.02)
     tracemalloc.start()
     try:
@@ -614,7 +620,7 @@ def one_and_two_processes(fit, overlapped, monkeypatch):
 @pytest.mark.parametrize("kind", list(RegimeKind))
 def test_overlapped_fit_matches_the_one_process_fit(kind, overlapped, monkeypatch):
     sample = generate(design_spec(2, 3000, seed=38))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=38)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=38)
     cfg = GrowthConfig(regime=kind, max_depth=4,
                        min_leaf_fraction=0.02, min_arm_count=10)
     one, two = one_and_two_processes(
@@ -630,8 +636,7 @@ def arms_mostly_in_validation():
     z[:5] = 1
     z[200:295] = 1
     ds = make_ds(rng.normal(size=(400, 2)), z, rng.normal(size=400) + z)
-    return ds, SplitIndices(train=np.arange(200), validation=np.arange(200, 400),
-                            test=np.arange(0))
+    return ds, SplitIndices(train=np.arange(200), validation=np.arange(200, 400))
 
 
 @needs_fork
@@ -650,7 +655,7 @@ def test_overlapped_fit_raises_the_holdout_sides_error(min_arm, overlapped, monk
 @needs_fork
 def test_overlapped_fit_survives_a_dead_worker(overlapped, monkeypatch):
     sample = generate(design_spec(2, 1500, seed=40))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=40)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=40)
     cfg = GrowthConfig(regime=RegimeKind.IV_UNCONFOUNDED,
                        max_depth=3, min_leaf_fraction=0.05)
     this, ran_here, real = os.getpid(), [], ctiv.tree.select_alpha
@@ -674,7 +679,7 @@ def test_overlapped_fit_survives_a_dead_worker(overlapped, monkeypatch):
 @needs_fork
 def test_alpha_override_starts_no_pool(overlapped):
     sample = generate(design_spec(2, 800, seed=41))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=41)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=41)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        alpha_override=0.01)
     assert fit_ctiv(sample.dataset, cfg, split, seed=41).alpha == 0.01
@@ -707,7 +712,7 @@ def test_assign_leaves_shape_check():
 
 def test_leaf_partition_covers_everything():
     sample = generate(design_spec(2, 2000, seed=32))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=32)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=32)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=32)
@@ -729,7 +734,7 @@ def test_leaf_partition_covers_everything():
        st.integers(0, 2 ** 16), st.booleans())
 def test_json_round_trip_of_random_fits(design, kind, depth, seed, pruned_at_zero):
     sample = generate(design_spec(design, 400, seed))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=seed)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=seed)
     cfg = GrowthConfig(regime=kind, max_depth=depth,
                        min_leaf_fraction=0.05, min_arm_count=5,
                        alpha_override=0.0 if pruned_at_zero else None)
@@ -743,7 +748,7 @@ def test_json_round_trip_of_random_fits(design, kind, depth, seed, pruned_at_zer
 
 def test_json_round_trip_bit_identical():
     sample = generate(design_spec(1, 600, seed=34))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=34)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=34)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     tree = fit_ctiv(sample.dataset, cfg, split, seed=34)
@@ -760,7 +765,7 @@ def test_json_round_trip_bit_identical():
 
 def test_fit_is_deterministic():
     sample = generate(design_spec(3, 700, seed=35))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=35)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=35)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10)
     one = export_json(fit_ctiv(sample.dataset, cfg, split, seed=35))
@@ -776,12 +781,19 @@ def test_export_dot_labels():
     assert "50.0%" in dot
 
     sample = generate(design_spec(1, 300, seed=36))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=36)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=36)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=1, min_leaf_fraction=0.1, min_arm_count=10,
                        alpha_override=1e9)
     rooty = fit_ctiv(sample.dataset, cfg, split, seed=36)
     assert "100.0%" in export_dot(rooty)
+
+
+def test_export_dot_escapes_quotes_and_backslashes_in_feature_names():
+    # the CSV header cell "x""1\" is the feature name x"1\
+    tree = dataclasses.replace(simple_tree(), feature_names=('x"1\\',))
+    line = export_dot(tree).splitlines()[2]
+    assert line == '  1 [label="ITT = 0.500\\n100.0%\\nx\\"1\\\\ <= 1.5"];'
 
 
 def test_load_json_rejects_garbage():
@@ -794,7 +806,7 @@ def test_load_json_rejects_garbage():
 
 def _tree_payload():
     sample = generate(design_spec(2, 800, seed=37))
-    split = holdout_split(sample.dataset, (0.5, 0.5, 0.0), seed=37)
+    split = holdout_split(sample.dataset, (0.5, 0.5), seed=37)
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED,
                        max_depth=2, min_leaf_fraction=0.1, min_arm_count=10,
                        alpha_override=0.0)
