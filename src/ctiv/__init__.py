@@ -21,7 +21,6 @@ from .bench import (
 from .dataset import (
     ColumnSchema,
     Dataset,
-    SplitIndices,
     holdout_split,
     load_csv,
     save_csv,
@@ -79,7 +78,6 @@ __all__ = [
     "PropensityModel",
     "PruningPath",
     "RegimeKind",
-    "SplitIndices",
     "SyntheticSample",
     "TreeNode",
     "TslsFit",

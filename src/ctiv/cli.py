@@ -28,7 +28,6 @@ from .bench import format_summary, results_csv, run_sweep
 from .dataset import (
     ColumnSchema,
     check_split,
-    check_trim_bounds,
     holdout_split,
     load_csv,
     read_csv_columns,
@@ -36,7 +35,6 @@ from .dataset import (
 )
 from .errors import CtivError, EstimationError, InputError, ValidationError
 from .parallel import usable_cpus
-from .propensity import check_ridge
 from .synth import design_spec, generate
 from .transform import RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
@@ -136,14 +134,14 @@ def _cmd_fit(args) -> int:
         min_leaf_fraction=args.min_leaf_fraction,
         min_arm_count=args.min_arm_count,
         alpha_override=args.alpha,
+        ridge_lambda=args.ridge,
+        trim_lo=args.trim_lo,
+        trim_hi=args.trim_hi,
+        adjust_covariates=args.tsls_covariates,
     )
-    check_ridge(args.ridge)
-    check_trim_bounds(args.trim_lo, args.trim_hi)
     ds = load_csv(args.input, _schema_from_args(args))
     split = holdout_split(ds, fractions, seed=args.seed)
-    tree = fit_ctiv(ds, cfg, split, args.seed, ridge_lambda=args.ridge,
-                    trim_lo=args.trim_lo, trim_hi=args.trim_hi,
-                    adjust_covariates=args.tsls_covariates)
+    tree = fit_ctiv(ds, cfg, split, args.seed)
     out = Path(args.out_dir)
     _write(out / "tree.json", export_json(tree))
     _write(out / "tree.dot", export_dot(tree))
@@ -190,10 +188,15 @@ def _add_predict_parser(sub) -> None:
 
 def _cmd_predict(args) -> int:
     try:
-        text = Path(args.tree).read_text(encoding="utf-8")
+        # one leading byte-order mark is skipped, as in a CSV
+        text = Path(args.tree).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{args.tree}: not UTF-8 text ({exc.reason})") from None
     tree = load_json(text)
+    try:
+        leaves = tree.leaves()
+    except EstimationError as exc:      # a grown-only tree: nothing to predict
+        raise ValidationError(f"{args.tree}: {exc}") from None
     names = list(tree.feature_names)
 
     def choose(header: list[str]) -> list[str]:
@@ -215,7 +218,7 @@ def _cmd_predict(args) -> int:
     if x.shape[0]:
         line = {est.leaf_id: f"{est.leaf_id},{est.itt_hat!r},"
                              f"{est.cace_hat!r},{est.cace_se!r}\n"
-                for est in tree.leaves()}
+                for est in leaves}
         text += "".join(map(line.__getitem__, tree.assign_leaves(x).tolist()))
     _write(Path(args.output), text)
     print(f"wrote {x.shape[0]} predictions to {args.output}")

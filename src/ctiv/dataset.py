@@ -106,14 +106,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class SplitIndices:
-    """A partition of one dataset's rows into train and validation indices."""
-
-    train: np.ndarray
-    validation: np.ndarray
-
-
-@dataclass(frozen=True)
 class ColumnSchema:
     """Maps CSV columns onto dataset roles.
 
@@ -379,17 +371,21 @@ def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset
     path = Path(path)
 
     def choose(header: list[str]) -> list[str]:
-        for role, col in (("y", schema.y_col), ("w", schema.w_col), ("z", schema.z_col)):
+        roles = (("y", schema.y_col), ("w", schema.w_col), ("z", schema.z_col))
+        for role, col in roles:
             if col not in header:
                 raise SchemaError(f"{path}: missing required {role} column '{col}'")
-        reserved = {schema.y_col, schema.w_col, schema.z_col}
         if schema.feature_cols is None:
+            reserved = {col for _, col in roles}
             feature_cols = [c for c in header if c not in reserved]
         else:
             feature_cols = list(schema.feature_cols)
             for col in feature_cols:
                 if col not in header:
                     raise SchemaError(f"{path}: missing feature column '{col}'")
+            for role, col in roles:
+                if col in feature_cols:
+                    raise SchemaError(f"{path}: feature column '{col}' is the {role} column")
         if not feature_cols:
             raise SchemaError(f"{path}: no feature columns remain")
         return [schema.y_col, schema.w_col, schema.z_col, *feature_cols]
@@ -458,25 +454,28 @@ def check_split(fractions: tuple[float, ...], seed: int) -> None:
 
 
 def holdout_split(ds: Dataset | int, fractions: tuple[float, ...],
-                  seed: int) -> SplitIndices:
-    """Random partition of all rows into train and validation.
+                  seed: int) -> np.ndarray:
+    """Random partition of all rows into train and validation, as a
+    read-only boolean mask over the rows that is True for train.
 
-    ``fractions`` is (train, validation), summing to 1. Validation gets
-    floor(fraction * N) rows and train the rest; a part with a nonzero
-    fraction must get at least one unit.
+    ``fractions`` is (train, validation), summing to 1 (see
+    ``check_split``). Validation gets floor((1 - train) * N) rows and
+    train the rest: the train fraction alone sizes the split, as it does
+    for ``ctiv fit --train-frac``. A part with a nonzero fraction must
+    get at least one unit.
     """
     check_split(fractions, seed)
     n = ds if isinstance(ds, int) else ds.n_units
-    f_tr, f_va = fractions[:2]
-    n_va = int(np.floor(f_va * n))
+    f_tr = fractions[0]
+    n_va = int(np.floor((1.0 - f_tr) * n))
     n_tr = n - n_va
-    for name, frac, size in (("train", f_tr, n_tr), ("validation", f_va, n_va)):
+    for name, frac, size in (("train", f_tr, n_tr), ("validation", 1.0 - f_tr, n_va)):
         if frac > 0 and size < 1:
-            raise SplitError(
-                f"{name} fraction {frac:g} yields no units at N={n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    return SplitIndices(train=np.sort(perm[:n_tr]).astype(np.int64),
-                        validation=np.sort(perm[n_tr:]).astype(np.int64))
+            raise SplitError(f"{name} fraction {frac:g} yields no units at N={n}")
+    in_train = np.zeros(n, dtype=bool)
+    in_train[np.random.default_rng(seed).permutation(n)[:n_tr]] = True
+    in_train.setflags(write=False)
+    return in_train
 
 
 def check_trim_bounds(lo: float, hi: float) -> None:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dataset import Dataset, SplitIndices, check_trim_bounds, trim_by_propensity
+from .dataset import Dataset, check_trim_bounds, trim_by_propensity
 from .effects import LeafEstimate, estimate_leaf, overall_cace
 from .errors import (
     AggregationError,
@@ -46,14 +46,17 @@ from .transform import RegimeKind, leaf_weighted_itt, transformed_outcome
 
 @dataclass(frozen=True)
 class GrowthConfig:
-    """Knobs for growing one tree.
+    """Knobs for growing and fitting one tree.
 
     ``regime`` is the one regime a fit reads, a ``RegimeKind`` or its
     value (``"ct"`` is stored as ``RegimeKind.CT``); the units'
     probabilities of its indicator travel beside the data as a vector ``e``.
     ``min_leaf_fraction`` is relative to whichever sample a tree is
     grown on. ``alpha_override`` skips holdout selection and prunes the
-    final tree at the given complexity price directly.
+    final tree at the given complexity price directly. The rest are
+    ``fit_ctiv``'s: the propensity model's ``ridge_lambda``, the closed
+    trim window [``trim_lo``, ``trim_hi``], and whether the per-leaf TSLS
+    is covariate-adjusted (None: exactly under iv-unconfounded).
     """
 
     regime: RegimeKind
@@ -61,6 +64,10 @@ class GrowthConfig:
     min_leaf_fraction: float = 0.1
     min_arm_count: int = 10
     alpha_override: float | None = None
+    ridge_lambda: float = 1e-6
+    trim_lo: float = 0.1
+    trim_hi: float = 0.9
+    adjust_covariates: bool | None = None
 
     def __post_init__(self):
         # stored as the enum: the regime is tested by identity, and a plain
@@ -77,6 +84,8 @@ class GrowthConfig:
             raise InputError("min_arm_count must be >= 1")
         if self.alpha_override is not None and not self.alpha_override >= 0:  # or NaN
             raise InputError("alpha_override must be nonnegative")
+        check_ridge(self.ridge_lambda)
+        check_trim_bounds(self.trim_lo, self.trim_hi)
 
 
 @dataclass(frozen=True)
@@ -511,24 +520,6 @@ def _numbered(node: TreeNode, node_id: int,
                    right=_numbered(node.right, 2 * node_id + 1, estimates))
 
 
-def _train_mask(split: SplitIndices, n_units: int) -> np.ndarray:
-    """Training membership as a boolean mask over the units, once every
-    index is in range and train and validation partition the units."""
-    masks = np.zeros((2, n_units), dtype=bool)
-    for name, idx, mask in zip(("train", "validation"),
-                               (split.train, split.validation), masks):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n_units):
-            raise SplitError(f"{name} indices out of range")
-        mask[idx] = True
-    in_train, in_val = masks
-    if (in_train & in_val).any():
-        raise SplitError("train and validation indices overlap")
-    if not (in_train | in_val).all():
-        raise SplitError("some units are in neither train nor validation")
-    return in_train
-
-
 # pooled rows above which fit_ctiv grows the holdout tree in a forked
 # worker beside the pooled one. Timed on design-2 fits, one process
 # against two on a 2-CPU host (medians of 11, alternating): two win from
@@ -538,14 +529,12 @@ def _train_mask(split: SplitIndices, n_units: int) -> np.ndarray:
 _OVERLAP_ROWS = 20_000
 
 
-def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
-             *, ridge_lambda: float = 1e-6, trim_lo: float = 0.1,
-             trim_hi: float = 0.9,
-             adjust_covariates: bool | None = None) -> CausalTree:
+def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
+             seed: int) -> CausalTree:
     """Full fitting pipeline.
 
     1. estimate assignment probabilities on every input unit;
-    2. trim to probabilities inside [trim_lo, trim_hi];
+    2. trim to probabilities inside [cfg.trim_lo, cfg.trim_hi];
     3. grow the maximal tree on the training rows;
     4. build its cost-complexity path;
     5. price complexity on the validation rows (unless overridden);
@@ -560,24 +549,24 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     the tree is the same at any CPU count; an error in steps 3-5 wins over
     one from step 6's growth, as when they run first.
 
-    ``adjust_covariates=None`` resolves to True exactly for the
-    unconfounded-assignment regime.
-
-    ``split`` must partition the units of ``ds``; the pooled sample is
-    the trimmed rows. Rows are copied only where a step drops some:
-    trimming copies the kept rows, and the holdout's training and
-    validation rows are copied from the pooled sample. A fit that trims
-    nothing grows its pooled tree on ``ds`` itself (see ``Dataset.subset``).
+    ``split`` is the training mask ``holdout_split`` returns: a boolean
+    array over the units of ``ds``, True for train; every other unit
+    validates. The pooled sample is the trimmed rows. Rows are copied only
+    where a step drops some: trimming copies the kept rows, and the
+    holdout's training and validation rows are copied from the pooled
+    sample. A fit that trims nothing grows its pooled tree on ``ds``
+    itself (see ``Dataset.subset``).
     """
-    check_ridge(ridge_lambda)           # iv-randomized fits no model to check it
-    check_trim_bounds(trim_lo, trim_hi)
-    in_train = _train_mask(split, ds.n_units)
+    in_train = np.asarray(split)
+    if in_train.dtype != bool or in_train.shape != (ds.n_units,):
+        raise SplitError(f"split must be a boolean training mask of shape "
+                         f"({ds.n_units},), got {in_train.dtype} {in_train.shape}")
 
     model: PropensityModel | None = None
     p_hat: float | None = None
     if cfg.regime is not RegimeKind.IV_RANDOMIZED:
         model = fit_logistic(ds.covariates, cfg.regime.indicator(ds.w, ds.z),
-                             ridge_lambda=ridge_lambda)
+                             ridge_lambda=cfg.ridge_lambda)
         e_all = model.predict_many(ds.covariates)
     else:
         p_hat = estimate_constant_p(ds.z)
@@ -585,7 +574,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
             raise DomainError(f"p_hat must lie in (0, 1), got {p_hat}")
         e_all = np.full(ds.n_units, p_hat)
 
-    omega_ds, kept = trim_by_propensity(ds, e_all, trim_lo, trim_hi)
+    omega_ds, kept = trim_by_propensity(ds, e_all, cfg.trim_lo, cfg.trim_hi)
     n_trimmed = ds.n_units - kept.size
     # the holdout parts' positions among the pooled rows
     is_train = in_train[kept]
@@ -593,7 +582,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: SplitIndices, seed: int,
     if train_pos.size == 0:
         raise EmptyDatasetError("no training units survive trimming")
     adjust = (cfg.regime is RegimeKind.IV_UNCONFOUNDED
-              if adjust_covariates is None else bool(adjust_covariates))
+              if cfg.adjust_covariates is None else bool(cfg.adjust_covariates))
     if cfg.alpha_override is None and val_pos.size == 0:
         raise EmptyDatasetError("no validation units survive trimming")
     e_omega = e_all[kept]

@@ -129,10 +129,9 @@ def test_full_compliance_collapse(capsys):
     split = holdout_split(ds, (0.5, 0.5), seed=103)
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
-        cfg = GrowthConfig(regime=kind, max_depth=2,
-                           min_leaf_fraction=0.1, min_arm_count=10)
-        trees[kind] = fit_ctiv(ds, cfg, split, seed=103,
-                               adjust_covariates=False)
+        cfg = GrowthConfig(regime=kind, max_depth=2, min_leaf_fraction=0.1,
+                           min_arm_count=10, adjust_covariates=False)
+        trees[kind] = fit_ctiv(ds, cfg, split, seed=103)
     iv_tree = trees[RegimeKind.IV_UNCONFOUNDED]
     payloads = [json.loads(export_json(t))["tree"] for t in trees.values()]
     gap = max(abs(est.cace_hat - est.itt_hat) for est in iv_tree.leaves())
@@ -238,7 +237,7 @@ def test_tree_structure_properties(capsys):
         for est in tree.leaves())
 
     # every pruning step only merges leaves, never redraws boundaries
-    train = sample.dataset.subset(split.train)
+    train = sample.dataset.subset(np.flatnonzero(split))
     big = grow(train, np.full(train.n_units, sample.dataset.z.mean()), cfg)
     path = prune_path(big, train.n_units)
     probe = np.random.default_rng(109).normal(size=(2000, 10), scale=3.0)

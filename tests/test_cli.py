@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctiv.dataset
-from ctiv import Dataset, load_json, save_csv
+from ctiv import (Dataset, GrowthConfig, export_json, fit_ctiv, holdout_split,
+                  load_json, save_csv)
 from ctiv.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main
 from ctiv.errors import ValidationError
 
@@ -322,6 +323,34 @@ def test_train_fraction_alone_splits_as_the_old_pair(tmp_path, capsys, train, va
     assert meta["n_train"] + meta["n_validation"] == meta["n_omega"]
 
 
+def test_library_and_cli_split_one_train_fraction_alike(tmp_path, capsys):
+    # 0.58 * 3000 floors to 1739, (1 - 0.42) * 3000 to 1740: both sides
+    # size validation from the train fraction alone
+    data = tmp_path / "d.csv"
+    ds = write_trial_csv(data, n=3000, full_compliance=False)
+    in_train = holdout_split(3000, (0.42, 0.58), seed=5)
+    assert int((~in_train).sum()) == 1740
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "iv-randomized",
+                       "--train-frac", "0.42", "--seed", "5", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_OK, err
+    text = (tmp_path / "o" / "tree.json").read_text()
+    meta = json.loads(text)["meta"]
+    assert (meta["n_trimmed"], meta["n_validation"]) == (0, 1740)
+    cfg = GrowthConfig(regime="iv-randomized")      # the CLI's defaults
+    assert export_json(fit_ctiv(ds, cfg, in_train, seed=5)) == text
+
+
+def test_fit_feature_that_is_the_outcome_exit_data(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       "--features", "y,x1,x2", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "SchemaError",
+                               "message": f"{data}: feature column 'y' is the y column"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_help_lists_the_train_fraction_alone(capsys):
     with pytest.raises(SystemExit):
         main(["fit", "--help"])
@@ -542,6 +571,41 @@ def test_predict_malformed_tree_exit_data(tmp_path, capsys):
                        "--input", str(data), "--output", str(tmp_path / "p.csv"))
     assert code == EXIT_DATA
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_predict_leaf_without_an_estimate_exit_data(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=300)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       "--alpha", "1e9", "--out-dir", str(tmp_path / "fit"))
+    assert code == EXIT_OK, err
+    tree = tmp_path / "fit" / "tree.json"
+    payload = json.loads(tree.read_text())
+    payload["tree"]["estimate"] = None      # as a grown-only tree exports
+    tree.write_text(json.dumps(payload))
+    assert load_json(tree.read_text()).root.estimate is None
+    code, _, err = run(capsys, "predict", "--tree", str(tree), "--input", str(data),
+                       "--output", str(tmp_path / "p.csv"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": f"{tree}: leaf 1 has no estimate"}
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predict_reads_a_tree_json_with_a_byte_order_mark(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=300)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       "--out-dir", str(tmp_path / "fit"))
+    assert code == EXIT_OK, err
+    plain = tmp_path / "fit" / "tree.json"
+    bom = tmp_path / "bom.json"
+    bom.write_bytes("\ufeff".encode() + plain.read_bytes())
+    for tree in (plain, bom):
+        code, _, err = run(capsys, "predict", "--tree", str(tree), "--input", str(data),
+                           "--output", str(tmp_path / f"{tree.stem}.csv"))
+        assert code == EXIT_OK, err
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "tree.csv").read_bytes()
 
 
 def _deep_tree_text(depth):

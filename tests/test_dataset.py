@@ -78,6 +78,16 @@ def test_load_custom_mapping_and_feature_subset(tmp_path):
     assert np.array_equal(ds.covariates[0], [0.3, 0.1])
 
 
+@pytest.mark.parametrize("role, column", [("y", "outcome"), ("w", "treat"), ("z", "assign")])
+def test_load_rejects_a_feature_that_is_the_outcome_or_an_arm(tmp_path, role, column):
+    # the outcome as a covariate would grow the tree on y itself
+    path = write(tmp_path, "outcome,treat,assign,a\n1,1,1,0.1\n2,0,0,0.4\n")
+    schema = ColumnSchema(y_col="outcome", w_col="treat", z_col="assign",
+                          feature_cols=("a", column))
+    with pytest.raises(SchemaError, match=f"feature column '{column}' is the {role} column"):
+        load_csv(path, schema)
+
+
 def test_load_categorical_outcome_levels(tmp_path):
     # outcomes restricted to {-1, 0, 1} are plain reals here
     path = write(tmp_path, "y,w,z,x1\n-1,1,1,0\n0,0,0,0\n1,1,0,1\n-1,0,1,1\n")
@@ -150,26 +160,26 @@ def test_dataset_arrays_immutable():
 
 
 def test_holdout_sizes_and_disjointness():
-    split = holdout_split(100, (0.75, 0.25), seed=0)
-    assert len(split.train) == 75
-    assert len(split.validation) == 25
-    all_idx = np.concatenate([split.train, split.validation])
-    assert sorted(all_idx) == list(range(100))
+    # a training mask: every unit is in train or, where False, validation
+    in_train = holdout_split(100, (0.75, 0.25), seed=0)
+    assert in_train.dtype == bool and in_train.shape == (100,)
+    assert int(in_train.sum()) == 75
+    with pytest.raises(ValueError):
+        in_train[0] = not in_train[0]
 
 
 def test_holdout_remainder_goes_to_train():
-    split = holdout_split(103, (0.75, 0.25), seed=1)
-    assert len(split.validation) == 25
-    assert len(split.train) == 78
+    in_train = holdout_split(103, (0.75, 0.25), seed=1)
+    assert int((~in_train).sum()) == 25
+    assert int(in_train.sum()) == 78
 
 
 def test_holdout_determinism():
     a = holdout_split(50, (0.6, 0.4), seed=9)
     b = holdout_split(50, (0.6, 0.4), seed=9)
-    assert np.array_equal(a.train, b.train)
-    assert np.array_equal(a.validation, b.validation)
+    assert np.array_equal(a, b)
     c = holdout_split(50, (0.6, 0.4), seed=10)
-    assert not np.array_equal(a.train, c.train)
+    assert not np.array_equal(a, c)
 
 
 def test_holdout_tiny_sample_errors():
@@ -179,11 +189,9 @@ def test_holdout_tiny_sample_errors():
 
 def test_holdout_zero_test_fraction_ok():
     # a trailing 0.0 is the only third fraction a split still takes
-    split = holdout_split(10, (0.5, 0.5, 0.0), seed=0)
-    assert len(split.train) == 5 and len(split.validation) == 5
-    two = holdout_split(10, (0.5, 0.5), seed=0)
-    assert np.array_equal(split.train, two.train)
-    assert np.array_equal(split.validation, two.validation)
+    in_train = holdout_split(10, (0.5, 0.5, 0.0), seed=0)
+    assert int(in_train.sum()) == 5
+    assert np.array_equal(in_train, holdout_split(10, (0.5, 0.5), seed=0))
 
 
 def test_holdout_bad_fractions():
@@ -211,12 +219,10 @@ def test_holdout_property_random_fractions():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(10, 500))
-        f_va = float(rng.uniform(0.05, 0.8))
-        split = holdout_split(n, (1.0 - f_va, f_va), seed=int(rng.integers(1 << 30)))
-        assert len(split.validation) == int(np.floor(f_va * n))
-        assert len(split.train) == n - len(split.validation)
-        combined = np.concatenate([split.train, split.validation])
-        assert sorted(combined) == list(range(n))
+        f_tr = float(rng.uniform(0.2, 0.95))
+        in_train = holdout_split(n, (f_tr, 1.0 - f_tr), seed=int(rng.integers(1 << 30)))
+        assert in_train.shape == (n,)
+        assert int((~in_train).sum()) == int(np.floor((1.0 - f_tr) * n))
 
 
 def test_subset_of_every_row_in_order_is_the_dataset_itself():

@@ -15,8 +15,9 @@
 - The one leaf router, behind ``assign_leaves`` and ``holdout_loss``,
   against a walk down the tree one row at a time; and ``evaluate_mse``'s
   gather of leaf effects against a per-row lookup.
-- ``fit_ctiv``'s boolean training mask against the ``isin`` positions it
-  replaced, and its checks that a split partitions the units.
+- ``holdout_split``'s training mask against the (train, validation) index
+  pair it replaced, and the mask's positions among the kept rows against
+  the ``isin`` positions ``fit_ctiv`` once took from that pair.
 """
 
 import csv
@@ -31,7 +32,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -51,14 +52,15 @@ from ctiv import (
     fit_ctiv,
     generate,
     grow,
+    holdout_split,
     load_csv,
     prune_path,
     save_csv,
 )
-from ctiv.dataset import SplitIndices, read_csv_columns
+from ctiv.dataset import read_csv_columns
 from ctiv.errors import CtivError, GrowthError, SplitError, ValidationError
 from ctiv.transform import leaf_weighted_itt, transformed_outcome
-from ctiv.tree import TreeNode, _stable_order, _train_mask, holdout_loss
+from ctiv.tree import TreeNode, _stable_order, holdout_loss
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -875,50 +877,28 @@ def test_evaluate_mse_matches_per_row_lookup(case):
 
 # --- split positions: boolean masks against the set operations they replaced ---
 
+def reference_split(n, f_tr, seed):
+    """The sorted (train, validation) index pair a split was before it became
+    a training mask, with validation sized as ``holdout_split`` sizes it."""
+    n_tr = n - int(np.floor((1.0 - f_tr) * n))
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[:n_tr]), np.sort(perm[n_tr:])
+
+
 @SETTINGS
-@given(st.integers(1, 30), st.data())
-def test_split_masks_match_set_operations(n, data):
-    # a partition of the units with any of three faults: a unit left out,
-    # a unit in both parts, an index out of range
-    in_train = data.draw(hnp.arrays(bool, n))
-    parts = {"train": np.flatnonzero(in_train), "validation": np.flatnonzero(~in_train)}
-    unit = data.draw(st.integers(0, n - 1))
-    for fault in data.draw(st.sets(st.sampled_from(["left out", "overlap", "range"]))):
-        if fault == "left out":
-            parts = {name: arr[arr != unit] for name, arr in parts.items()}
-        elif fault == "overlap":
-            parts = {name: np.union1d(arr, [unit]) for name, arr in parts.items()}
-        else:
-            name = data.draw(st.sampled_from(sorted(parts)))
-            index = data.draw(st.sampled_from([-3, -1, n, n + 2]))
-            parts[name] = np.append(parts[name], index)
-    tr, va = (np.array(data.draw(st.permutations(parts[name].tolist())), dtype=np.int64)
-              for name in ("train", "validation"))
+@given(st.integers(2, 60), st.floats(0.05, 0.95), st.integers(0, 2 ** 32), st.data())
+def test_split_masks_match_set_operations(n, f_tr, seed, data):
+    # the mask holds the train part of the index pair, and its positions
+    # among any kept rows are the ``isin`` positions fit_ctiv once computed
+    try:
+        in_train = holdout_split(n, (f_tr, 1.0 - f_tr), seed)
+    except SplitError:
+        reject()
+    tr, va = reference_split(n, f_tr, seed)
+    assert np.flatnonzero(in_train).tolist() == tr.tolist()
+    assert np.flatnonzero(~in_train).tolist() == va.tolist()
     kept = np.flatnonzero(data.draw(hnp.arrays(bool, n)))
-    split = SplitIndices(train=tr, validation=va)
-    bad = [name for name, arr in (("train", tr), ("validation", va))
-           if arr.size and (arr.min() < 0 or arr.max() >= n)]
-    if bad:
-        # range first: a negative index must not wrap around into a mask
-        with pytest.raises(SplitError, match=f"{bad[0]} indices out of range"):
-            _train_mask(split, n)
-    elif np.intersect1d(tr, va).size:
-        with pytest.raises(SplitError, match="overlap"):
-            _train_mask(split, n)
-    elif np.union1d(tr, va).size < n:
-        with pytest.raises(SplitError, match="neither train nor validation"):
-            _train_mask(split, n)
-    else:
-        mask = _train_mask(split, n)
-        assert np.flatnonzero(mask[kept]).tolist() == \
-            np.flatnonzero(np.isin(kept, tr)).tolist()
-        assert np.flatnonzero(~mask[kept]).tolist() == \
-            np.flatnonzero(np.isin(kept, va)).tolist()
-
-
-def test_split_with_both_faults_reports_the_range_first():
-    sample = generate(design_spec(2, 200, seed=3))
-    split = SplitIndices(train=np.array([0, 1, -1]), validation=np.array([1, 2]))
-    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
-    with pytest.raises(SplitError, match="train indices out of range"):
-        fit_ctiv(sample.dataset, cfg, split, seed=3)
+    assert np.flatnonzero(in_train[kept]).tolist() == \
+        np.flatnonzero(np.isin(kept, tr)).tolist()
+    assert np.flatnonzero(~in_train[kept]).tolist() == \
+        np.flatnonzero(np.isin(kept, va)).tolist()

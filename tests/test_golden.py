@@ -55,6 +55,15 @@ FITS = {
         "leaf_report.csv": "aa16d43fa274f18b45931da8d1ff8277444fecadddc7db584413e97b5e7ca435",
         "predict.csv": "5406240413788a9c1236e9a001d7b26b458a7f36765d0d12db0fea57e67df373",
     }),
+    # the same trim at alpha 0 keeps a grown tree, so its split labels and
+    # the routing of the trimmed rows that predict scores are pinned too
+    "trimmed-grown": ("sample.csv", "ct", ("--train-frac", "0.4", "--trim-lo", "0.4",
+                                           "--trim-hi", "0.6", "--alpha", "0"), {
+        "tree.json": "00a743c8a121a69abdb942032b29709974dfbc7009b0e32e502796fe7838cd27",
+        "tree.dot": "eded45b39849507fe20d0427a1759188824420f6ead0b17fa3ae8e001390f915",
+        "leaf_report.csv": "73ee5c8abd1db497188e224b93480ebf819eeb1ce0f846e6ddd8b67fe67b443d",
+        "predict.csv": "6858af8f497316ff181bbae503c7472bb815b7ee3c2bd550b9759d30a8409e9a",
+    }),
 }
 
 
@@ -115,10 +124,11 @@ def test_fit_and_predict_bytes(inputs, tmp_path, capsys, tag):
         "--input", str(inputs / source), "--output", str(out / "predict.csv"))
     got = {name: sha256(out / name) for name in digests}
     assert got == digests
-    if tag == "trimmed":                # rows were trimmed, and every kept one pooled
+    if tag.startswith("trimmed"):       # rows were trimmed, and every kept one pooled
         resolved = json.loads((out / "run.json").read_text())["resolved"]
         assert 0 < resolved["n_trimmed"]
         assert resolved["n_omega"] == resolved["n_input"] - resolved["n_trimmed"]
+        assert (resolved["n_leaves"] > 1) == (tag == "trimmed-grown")
 
 
 @pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")

@@ -30,7 +30,6 @@ from ctiv import (
     prune_at_alpha,
     prune_path,
 )
-from ctiv.dataset import SplitIndices
 from ctiv.errors import CtivError, GrowthError, InputError, SplitError
 from ctiv.transform import leaf_weighted_itt
 from ctiv.tree import PathElement, PruningPath, TreeNode, holdout_loss, select_alpha
@@ -231,6 +230,14 @@ def test_growth_config_validation():
         GrowthConfig(regime=RANDOMIZED, min_arm_count=0)
     with pytest.raises(InputError):
         GrowthConfig(regime=RANDOMIZED, alpha_override=-0.5)
+    # the fit's options are checked here too, in every regime
+    for ridge, word in ((-1.0, "nonnegative"), (math.nan, "nonnegative"),
+                        (math.inf, "finite")):
+        with pytest.raises(InputError, match=f"ridge_lambda must be {word}"):
+            GrowthConfig(regime=RANDOMIZED, ridge_lambda=ridge)
+    for lo, hi in ((0.9, 0.1), (0.5, 0.5), (-0.1, 0.9), (0.1, 1.5), (math.nan, 0.9)):
+        with pytest.raises(InputError, match="invalid trim bounds"):
+            GrowthConfig(regime=RANDOMIZED, trim_lo=lo, trim_hi=hi)
 
 
 def test_prune_path_shape():
@@ -442,9 +449,8 @@ def test_select_alpha_tie_prefers_fewer_leaves():
 def test_full_tree_node_numbering():
     ds = staircase_ds()
     cfg = GrowthConfig(regime=RANDOMIZED, max_depth=2, min_leaf_fraction=0.1,
-                       min_arm_count=1, alpha_override=0.0)
-    split = SplitIndices(train=np.arange(ds.n_units), validation=np.arange(0))
-    tree = fit_ctiv(ds, cfg, split, seed=0, trim_lo=0.01, trim_hi=0.99)
+                       min_arm_count=1, alpha_override=0.0, trim_lo=0.01, trim_hi=0.99)
+    tree = fit_ctiv(ds, cfg, np.ones(ds.n_units, dtype=bool), seed=0)
     ids = []
 
     def walk(node):
@@ -483,10 +489,9 @@ def test_fit_full_compliance_regimes_agree_exactly():
     split = holdout_split(ds, (0.5, 0.5), seed=28)
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
-        cfg = GrowthConfig(regime=kind, max_depth=2,
-                           min_leaf_fraction=0.1, min_arm_count=10)
-        trees[kind] = fit_ctiv(ds, cfg, split, seed=28,
-                               adjust_covariates=False)
+        cfg = GrowthConfig(regime=kind, max_depth=2, min_leaf_fraction=0.1,
+                           min_arm_count=10, adjust_covariates=False)
+        trees[kind] = fit_ctiv(ds, cfg, split, seed=28)
     import json
     payloads = {k: json.loads(export_json(t))["tree"] for k, t in trees.items()}
     assert payloads[RegimeKind.CT] == payloads[RegimeKind.IV_UNCONFOUNDED]
@@ -526,30 +531,32 @@ def test_fit_alpha_override_extremes():
     assert free.root.n_leaves() >= picked.root.n_leaves()
 
 
-def test_fit_rejects_overlapping_split():
-    sample = generate(design_spec(1, 200, seed=30))
-    bad = SplitIndices(train=np.arange(100), validation=np.arange(99, 200))
-    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
-    with pytest.raises(SplitError):
-        fit_ctiv(sample.dataset, cfg, bad, seed=30)
-
-
-def test_fit_rejects_a_split_that_leaves_a_unit_out():
-    # a split is a partition: no unit is silently dropped from the fit
+def test_fit_rejects_a_split_that_is_not_a_training_mask():
+    # a split is one boolean per unit: index arrays and masks of another
+    # shape or type are refused, not read as some other partition
     sample = generate(design_spec(1, 200, seed=30))
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
-    for bad in (SplitIndices(train=np.arange(100), validation=np.arange(100, 199)),
-                SplitIndices(train=np.arange(1, 200), validation=np.arange(0))):
-        with pytest.raises(SplitError, match="neither train nor validation"):
+    mask = holdout_split(sample.dataset, (0.5, 0.5), seed=30)
+    for bad in (np.flatnonzero(mask), mask.astype(np.int8), mask.astype(float),
+                mask[None, :], (np.flatnonzero(mask), np.flatnonzero(~mask))):
+        with pytest.raises(SplitError, match=r"boolean training mask of shape \(200,\)"):
             fit_ctiv(sample.dataset, cfg, bad, seed=30)
 
 
-def test_fit_rejects_out_of_range_split():
-    sample = generate(design_spec(1, 100, seed=31))
-    bad = SplitIndices(train=np.arange(50), validation=np.array([*range(50, 100), 200]))
+def test_fit_rejects_a_split_that_leaves_a_unit_out():
+    # a mask one unit short would drop that unit from the fit
+    sample = generate(design_spec(1, 200, seed=30))
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
-    with pytest.raises(SplitError):
-        fit_ctiv(sample.dataset, cfg, bad, seed=31)
+    with pytest.raises(SplitError, match=r"got bool \(199,\)"):
+        fit_ctiv(sample.dataset, cfg, np.arange(199) < 100, seed=30)
+
+
+def test_fit_rejects_out_of_range_split():
+    # a mask that reaches past the last unit
+    sample = generate(design_spec(1, 100, seed=31))
+    cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
+    with pytest.raises(SplitError, match=r"got bool \(101,\)"):
+        fit_ctiv(sample.dataset, cfg, np.arange(101) < 50, seed=31)
 
 
 def test_fit_checks_trim_bounds_before_any_propensity_fit(monkeypatch):
@@ -561,8 +568,8 @@ def test_fit_checks_trim_bounds_before_any_propensity_fit(monkeypatch):
 
     monkeypatch.setattr(ctiv.tree, "fit_logistic", no_fit)
     with pytest.raises(InputError, match="trim bounds"):
-        fit_ctiv(sample.dataset, GrowthConfig(regime="ct"), split, seed=32,
-                 trim_lo=0.9, trim_hi=0.1)
+        fit_ctiv(sample.dataset, GrowthConfig(regime="ct", trim_lo=0.9, trim_hi=0.1),
+                 split, seed=32)
 
 
 def test_fit_holds_its_sample_once():
@@ -636,7 +643,7 @@ def arms_mostly_in_validation():
     z[:5] = 1
     z[200:295] = 1
     ds = make_ds(rng.normal(size=(400, 2)), z, rng.normal(size=400) + z)
-    return ds, SplitIndices(train=np.arange(200), validation=np.arange(200, 400))
+    return ds, np.arange(400) < 200
 
 
 @needs_fork
@@ -725,8 +732,7 @@ def test_leaf_partition_covers_everything():
     # omega units land in the leaf whose estimate counted them
     omega_ids = tree.assign_leaves(sample.dataset.covariates)
     for leaf_id, est in tree.leaf_map.items():
-        assert int((omega_ids[np.concatenate([split.train, split.validation])]
-                    == leaf_id).sum()) == est.n
+        assert int((omega_ids == leaf_id).sum()) == est.n
 
 
 @settings(SETTINGS, max_examples=40)
