@@ -151,7 +151,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     """All cells of designs x sizes x replicates.
 
     The three growth options apply to both variants; they, the seed and
-    the sizes are checked before any cell.
+    the sizes are checked before any cell, and a design or size may not
+    repeat (its draws would count again as further replicates).
     Failing cells are recorded (label, n, rep, error) and skipped.
     ``workers > 1`` fans cells out to that many processes, at most one
     per cell (see ``parallel.fan_out``);
@@ -165,6 +166,9 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
         raise InputError("workers must be >= 1")
     if base_seed < 0:
         raise InputError(f"base_seed must be nonnegative, got {base_seed}")
+    for what, items in (("designs", designs), ("sizes", sizes)):
+        if len(set(items)) < len(items):
+            raise InputError(f"{what} must not repeat, got {list(items)}")
     if min(sizes, default=5) < 5:
         raise InputError(f"sizes must be >= 5 (a cell draws 2n units, at least "
                          f"10), got {min(sizes)}")

@@ -83,8 +83,16 @@ def _parse_id_list(raw: str, allowed: set[str], what: str) -> list[str]:
     for item in items:
         if item not in allowed:
             raise _UsageError(f"unknown {what} '{item}'")
+    return _distinct(items, what)
+
+
+def _distinct(items: list, what: str) -> list:
+    # a repeated design or size would count its draws again as replicates
     if not items:
         raise _UsageError(f"no {what}s given")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise _UsageError(f"{what} '{item}' is given more than once")
     return items
 
 
@@ -94,6 +102,14 @@ def _schema_from_args(args) -> ColumnSchema:
         features = tuple(c.strip() for c in args.features.split(",") if c.strip())
     return ColumnSchema(y_col=args.y_col, w_col=args.w_col, z_col=args.z_col,
                         feature_cols=features)
+
+
+def _add_growth_options(p) -> None:
+    """The options fit and bench share, with GrowthConfig's defaults."""
+    p.add_argument("--max-depth", type=int, default=GrowthConfig.max_depth)
+    p.add_argument("--min-leaf-fraction", type=float,
+                   default=GrowthConfig.min_leaf_fraction)
+    p.add_argument("--min-arm-count", type=int, default=GrowthConfig.min_arm_count)
 
 
 def _add_fit_parser(sub) -> None:
@@ -106,20 +122,14 @@ def _add_fit_parser(sub) -> None:
     p.add_argument("--z-col", default="z")
     p.add_argument("--features", default=None,
                    help="comma-separated feature columns (default: all others)")
-    p.add_argument("--max-depth", type=int, default=2)
-    p.add_argument("--min-leaf-fraction", type=float, default=0.1)
-    p.add_argument("--min-arm-count", type=int, default=10)
+    _add_growth_options(p)
     p.add_argument("--alpha", type=float, default=None,
                    help="skip holdout selection and prune at this complexity price")
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--trim-lo", type=float, default=0.1)
-    p.add_argument("--trim-hi", type=float, default=0.9)
+    p.add_argument("--ridge", type=float, default=GrowthConfig.ridge_lambda)
+    p.add_argument("--trim-lo", type=float, default=GrowthConfig.trim_lo)
+    p.add_argument("--trim-hi", type=float, default=GrowthConfig.trim_hi)
     p.add_argument("--train-frac", type=float, default=0.5,
                    help="share of the units to grow on; the rest validate")
-    p.add_argument("--tsls-covariates", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="covariate-adjust the per-leaf TSLS (default: only "
-                        "under iv-unconfounded)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
 
@@ -137,7 +147,6 @@ def _cmd_fit(args) -> int:
         ridge_lambda=args.ridge,
         trim_lo=args.trim_lo,
         trim_hi=args.trim_hi,
-        adjust_covariates=args.tsls_covariates,
     )
     ds = load_csv(args.input, _schema_from_args(args))
     split = holdout_split(ds, fractions, seed=args.seed)
@@ -269,9 +278,7 @@ def _add_bench_parser(sub) -> None:
     p.add_argument("--sizes", default="500,1000,5000")
     p.add_argument("--seeds", type=int, default=10, help="replicates per cell")
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=2)
-    p.add_argument("--min-leaf-fraction", type=float, default=0.1)
-    p.add_argument("--min-arm-count", type=int, default=10)
+    _add_growth_options(p)
     p.add_argument("--workers", type=int, default=None,
                    help="processes to run cells in (default: one per usable "
                         "CPU); progress lines are printed only with one")
@@ -282,11 +289,9 @@ def _cmd_bench(args) -> int:
     allowed = {"1", "2", "3", "4", "5", "s1", "s2"}
     designs = _parse_id_list(args.designs, allowed, "design")
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        sizes = _distinct([int(s) for s in args.sizes.split(",") if s.strip()], "size")
     except ValueError:
         raise _UsageError(f"bad --sizes '{args.sizes}'") from None
-    if not sizes:
-        raise _UsageError("no sizes given")
 
     def progress(label, n, rep):
         print(f"  done design {label} n={n} rep {rep}", flush=True)
@@ -320,6 +325,10 @@ def _resolved_config(args) -> dict:
     return {"command": args.command, "version": __version__, "options": options}
 
 
+_COMMANDS = {"fit": _cmd_fit, "predict": _cmd_predict, "simulate": _cmd_simulate,
+             "bench": _cmd_bench}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ctiv",
                      description="causal trees with instrumented assignment")
@@ -336,15 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         _emit_error("UsageError", str(exc))
         return EXIT_USAGE

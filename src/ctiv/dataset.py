@@ -60,21 +60,14 @@ class Dataset:
         names = tuple(str(c) for c in self.feature_names)
         if len(names) != k or len(set(names)) != k:
             raise SchemaError("feature_names must be unique and match covariate columns")
-        for arr in (cov, y, z, w):
+        for name, arr in (("covariates", cov), ("y", y), ("z", z), ("w", w)):
             arr.setflags(write=False)
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", w)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "feature_names", names)
 
     @property
     def n_units(self) -> int:
         return self.covariates.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.covariates.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """The dataset holding the given rows, in the order given.
@@ -372,9 +365,13 @@ def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset
 
     def choose(header: list[str]) -> list[str]:
         roles = (("y", schema.y_col), ("w", schema.w_col), ("z", schema.z_col))
-        for role, col in roles:
+        for i, (role, col) in enumerate(roles):
             if col not in header:
                 raise SchemaError(f"{path}: missing required {role} column '{col}'")
+            for other, taken in roles[:i]:
+                if col == taken:
+                    raise SchemaError(f"{path}: the {other} and {role} roles "
+                                      f"both name column '{col}'")
         if schema.feature_cols is None:
             reserved = {col for _, col in roles}
             feature_cols = [c for c in header if c not in reserved]

@@ -172,14 +172,15 @@ def neyman_variance(treated_y: np.ndarray, control_y: np.ndarray) -> float:
 
 
 def estimate_leaf(leaf_id: int, y: np.ndarray, z: np.ndarray, w: np.ndarray,
-                  covariates: np.ndarray, regime: RegimeKind,
-                  e: np.ndarray, adjust_covariates: bool) -> LeafEstimate:
+                  regime: RegimeKind, e: np.ndarray,
+                  covariates: np.ndarray | None = None) -> LeafEstimate:
     """Full per-leaf report on the fitting sample.
 
     The headline CACE is the weighted-ITT ratio, which collapses exactly
     onto the plain leaf effect under full compliance; TSLS contributes
-    the standard error and the first-stage F. A nonpositive complier
-    share or a failed TSLS flags the leaf instead of raising.
+    the standard error and the first-stage F, adjusted for ``covariates``
+    if given (``fit_ctiv`` gives them exactly under iv-unconfounded). A
+    nonpositive complier share or a failed TSLS flags the leaf instead of raising.
     """
     w_arr = np.asarray(w)
     # the split indicator is also the instrument; for a plain causal tree
@@ -190,7 +191,7 @@ def estimate_leaf(leaf_id: int, y: np.ndarray, z: np.ndarray, w: np.ndarray,
     compliers_ok = pi_c > 0.0
     cace = cace_ratio(itt, pi_c) if compliers_ok else float("nan")
     try:
-        fit = tsls_leaf(y, w_arr, d, covariates if adjust_covariates else None)
+        fit = tsls_leaf(y, w_arr, d, covariates)
         cace_se, first_f = fit.se_gamma, fit.first_stage_f
     except EstimationError:
         cace_se, first_f = float("nan"), float("nan")

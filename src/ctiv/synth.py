@@ -94,10 +94,6 @@ class DesignSpec:
     def error_dist(self) -> str:
         return _ERROR_BY_DESIGN[self.design_id]
 
-    @property
-    def label(self) -> str:
-        return f"s{self.scenario}" if self.scenario else str(self.design_id)
-
 
 @dataclass(frozen=True)
 class SyntheticSample:

@@ -54,9 +54,9 @@ class GrowthConfig:
     ``min_leaf_fraction`` is relative to whichever sample a tree is
     grown on. ``alpha_override`` skips holdout selection and prunes the
     final tree at the given complexity price directly. The rest are
-    ``fit_ctiv``'s: the propensity model's ``ridge_lambda``, the closed
-    trim window [``trim_lo``, ``trim_hi``], and whether the per-leaf TSLS
-    is covariate-adjusted (None: exactly under iv-unconfounded).
+    ``fit_ctiv``'s: the propensity model's ``ridge_lambda`` and the closed
+    trim window [``trim_lo``, ``trim_hi``]. No option decides the per-leaf
+    TSLS: the regime does, covariate-adjusted exactly under iv-unconfounded.
     """
 
     regime: RegimeKind
@@ -67,7 +67,6 @@ class GrowthConfig:
     ridge_lambda: float = 1e-6
     trim_lo: float = 0.1
     trim_hi: float = 0.9
-    adjust_covariates: bool | None = None
 
     def __post_init__(self):
         # stored as the enum: the regime is tested by identity, and a plain
@@ -581,8 +580,6 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     train_pos, val_pos = np.flatnonzero(is_train), np.flatnonzero(~is_train)
     if train_pos.size == 0:
         raise EmptyDatasetError("no training units survive trimming")
-    adjust = (cfg.regime is RegimeKind.IV_UNCONFOUNDED
-              if cfg.adjust_covariates is None else bool(cfg.adjust_covariates))
     if cfg.alpha_override is None and val_pos.size == 0:
         raise EmptyDatasetError("no validation units survive trimming")
     e_omega = e_all[kept]
@@ -607,10 +604,11 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     final = prune_at_alpha(full, alpha, omega_ds.n_units)
 
     x = omega_ds.covariates
+    adjust = cfg.regime is RegimeKind.IV_UNCONFOUNDED
     estimates = {
         node_id: estimate_leaf(node_id, omega_ds.y[rows], omega_ds.z[rows],
-                               omega_ds.w[rows], x[rows], cfg.regime, e_omega[rows],
-                               adjust)
+                               omega_ds.w[rows], cfg.regime, e_omega[rows],
+                               x[rows] if adjust else None)
         for node_id, _, rows in _leaf_rows(final, x)
     }
     ok = [estimates[k] for k in sorted(estimates) if estimates[k].compliers_ok]

@@ -119,7 +119,7 @@ def test_compliance_share_identity(capsys):
            f"max |sum-1| {worst:.2e} <= 1e-12")
 
 
-def test_full_compliance_collapse(capsys):
+def test_full_compliance_collapse(capsys, unadjusted_tree_payload):
     rng = np.random.default_rng(103)
     n = 1200
     x = rng.normal(size=(n, 2))
@@ -130,10 +130,12 @@ def test_full_compliance_collapse(capsys):
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
         cfg = GrowthConfig(regime=kind, max_depth=2, min_leaf_fraction=0.1,
-                           min_arm_count=10, adjust_covariates=False)
+                           min_arm_count=10)
         trees[kind] = fit_ctiv(ds, cfg, split, seed=103)
     iv_tree = trees[RegimeKind.IV_UNCONFOUNDED]
-    payloads = [json.loads(export_json(t))["tree"] for t in trees.values()]
+    # iv-unconfounded adjusts its TSLS; its leaves are compared unadjusted
+    payloads = [json.loads(export_json(trees[RegimeKind.CT]))["tree"],
+                unadjusted_tree_payload(iv_tree, ds)]
     gap = max(abs(est.cace_hat - est.itt_hat) for est in iv_tree.leaves())
     multi = iv_tree.root.n_leaves() >= 2
     ok = payloads[0] == payloads[1] and gap < 1e-10 and multi

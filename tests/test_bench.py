@@ -196,6 +196,15 @@ def test_run_sweep_records_failures():
     assert "error" in failures[0]
 
 
+@pytest.mark.parametrize("designs, sizes, message", [
+    (["1", "1"], [300], r"designs must not repeat, got \['1', '1'\]"),
+    (["1", "2"], [300, 300], r"sizes must not repeat, got \[300, 300\]")])
+def test_run_sweep_refuses_a_repeated_design_or_size(designs, sizes, message):
+    # a repeat would count the same draws again as further replicates
+    with pytest.raises(InputError, match=message):
+        run_sweep(designs, sizes, n_seeds=2, progress=pytest.fail)
+
+
 def test_aggregate_means():
     rows = [BenchResult("2", 500, 1, 0.4, 0.1, 75.0, 0, 0, 0),
             BenchResult("2", 500, 2, 0.2, 0.1, 50.0, 1, 0, 0),

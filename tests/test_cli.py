@@ -1,6 +1,7 @@
 """End-to-end command line behavior: files written, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -129,17 +130,18 @@ def test_fit_rerun_byte_identical(tmp_path, capsys):
     assert resolved["propensity_iterations"] == prop["iterations"] >= 1
 
 
-def test_fit_full_compliance_regimes_match(tmp_path, capsys):
+def test_fit_full_compliance_regimes_match(tmp_path, capsys, unadjusted_tree_payload):
     data = tmp_path / "fc.csv"
-    write_trial_csv(data, full_compliance=True)
+    ds = write_trial_csv(data, full_compliance=True)
     payloads = {}
     for regime in ("ct", "iv-unconfounded"):
         out = tmp_path / regime
         code, _, err = run(capsys, "fit", "--input", str(data),
-                           "--regime", regime, "--no-tsls-covariates",
+                           "--regime", regime,
                            "--out-dir", str(out), "--seed", "5")
         assert code == EXIT_OK, err
-        payloads[regime] = json.loads((out / "tree.json").read_text())["tree"]
+        text = (out / "tree.json").read_text()
+        payloads[regime] = json.loads(text)["tree"]
         report = (out / "leaf_report.csv").read_text().splitlines()[1:]
         for line in report:
             fields = line.split(",")
@@ -147,7 +149,9 @@ def test_fit_full_compliance_regimes_match(tmp_path, capsys):
                                float(fields[4]))
             assert pi_c == 1.0
             assert cace == itt
-    assert payloads["ct"] == payloads["iv-unconfounded"]
+    # iv-unconfounded adjusts its TSLS; unadjusted, its leaves are ct's
+    assert payloads["ct"] != payloads["iv-unconfounded"]
+    assert unadjusted_tree_payload(load_json(text), ds) == payloads["ct"]
 
 
 def test_fit_missing_column_exit_data(tmp_path, capsys):
@@ -348,6 +352,79 @@ def test_fit_feature_that_is_the_outcome_exit_data(tmp_path, capsys):
     assert code == EXIT_DATA
     assert json.loads(err) == {"error": "SchemaError",
                                "message": f"{data}: feature column 'y' is the y column"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, column, roles", [
+    ("--w-col", "z", "w and z"), ("--y-col", "z", "y and z"), ("--y-col", "w", "y and w")])
+def test_fit_two_roles_naming_one_column_exit_data(tmp_path, capsys, flag, column, roles):
+    # --w-col z would grow a receipt tree on the assignment column
+    data = tmp_path / "d1.csv"
+    code, _, err = run(capsys, "simulate", "--design", "1", "--n", "400",
+                       "--seed", "4", "--out", str(data))
+    assert code == EXIT_OK, err
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       flag, column, "--features", "x1",
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {
+        "error": "SchemaError",
+        "message": f"{data}: the {roles} roles both name column '{column}'"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_tsls_covariates_is_no_option(tmp_path, capsys):
+    # the regime alone decides whether the leaf TSLS is covariate-adjusted
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200)
+    for flag in ("--tsls-covariates", "--no-tsls-covariates"):
+        code, _, err = run(capsys, "fit", "--input", str(data),
+                           "--regime", "iv-unconfounded", flag,
+                           "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "UsageError",
+                                   "message": f"unrecognized arguments: {flag}"}
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit):
+        main(["fit", "--help"])
+    assert "tsls" not in capsys.readouterr().out
+
+
+def test_parent_unadjusted_iv_unconfounded_tree_loads_and_scores(tmp_path, capsys):
+    # written by `ctiv fit --regime iv-unconfounded --no-tsls-covariates
+    # --alpha 0 --features x1,...,x10 --seed 3` on the sample below, when
+    # that option existed: its meta reads "adjust_covariates": false
+    fixture = Path(__file__).parent / "data" / "iv_unconfounded_unadjusted_tree.json"
+    text = fixture.read_text(encoding="utf-8")
+    tree = load_json(text)
+    assert tree.adjust_covariates is False and tree.root.n_leaves() == 3
+    assert export_json(tree) == text
+    data = tmp_path / "d2.csv"
+    code, _, err = run(capsys, "simulate", "--design", "2", "--n", "600",
+                       "--seed", "3", "--out", str(data))
+    assert code == EXIT_OK, err
+    pred = tmp_path / "pred.csv"
+    code, _, err = run(capsys, "predict", "--tree", str(fixture),
+                       "--input", str(data), "--output", str(pred))
+    assert code == EXIT_OK, err
+    # the predictions that tree's writer made from it
+    assert hashlib.sha256(pred.read_bytes()).hexdigest() == (
+        "a1b863f630595bc8fdc87320eb2baf7ac62f74e493969c679f10cf61e3649835")
+
+
+def test_bench_refuses_a_repeated_design_or_size(tmp_path, capsys):
+    # a repeat would count the same draws again as further replicates
+    for grid, message in [
+            (("--designs", "1,1"), "design '1' is given more than once"),
+            (("--designs", "1-3,2"), "design '2' is given more than once"),
+            (("--designs", "s1,2,s1"), "design 's1' is given more than once"),
+            (("--sizes", "300,300"), "size '300' is given more than once"),
+            (("--sizes", "300,0300"), "size '300' is given more than once")]:
+        code, _, err = run(capsys, "bench", "--seeds", "2", "--workers", "1",
+                           *grid, "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_USAGE
+        assert json.loads(err) == {"error": "UsageError", "message": message}
     assert not (tmp_path / "o").exists()
 
 
@@ -739,8 +816,7 @@ def test_recorded_key_sets(tmp_path, capsys):
     assert set(fit_cfg["options"]) == {
         "input", "regime", "y_col", "w_col", "z_col", "features", "max_depth",
         "min_leaf_fraction", "min_arm_count", "alpha", "ridge", "trim_lo",
-        "trim_hi", "train_frac", "tsls_covariates", "seed",
-        "out_dir"}
+        "trim_hi", "train_frac", "seed", "out_dir"}
     code, _, err = run(capsys, "bench", "--designs", "1", "--sizes", "300",
                        "--seeds", "1", "--out-dir", str(tmp_path / "bench"))
     assert code == EXIT_OK, err

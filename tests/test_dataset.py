@@ -43,7 +43,7 @@ def small_ds(n=10, k=2, seed=0):
 def test_load_basic(tmp_path):
     path = write(tmp_path, "y,w,z,x1\n2.5,1,1,0.3\n1.0,0,0,-0.2\n0.0,1,0,0.1\n3.5,0,1,0.9\n")
     ds = load_csv(path)
-    assert ds.n_units == 4 and ds.n_features == 1
+    assert ds.n_units == 4 and ds.covariates.shape[1] == 1
     assert ds.feature_names == ("x1",)
     assert np.array_equal(ds.y, [2.5, 1.0, 0.0, 3.5])
     assert np.array_equal(ds.w, [1, 0, 1, 0])
@@ -86,6 +86,18 @@ def test_load_rejects_a_feature_that_is_the_outcome_or_an_arm(tmp_path, role, co
                           feature_cols=("a", column))
     with pytest.raises(SchemaError, match=f"feature column '{column}' is the {role} column"):
         load_csv(path, schema)
+
+
+@pytest.mark.parametrize("roles, message", [
+    (dict(w_col="z"), "the w and z roles both name column 'z'"),
+    (dict(y_col="z"), "the y and z roles both name column 'z'"),
+    (dict(y_col="w"), "the y and w roles both name column 'w'"),
+    (dict(y_col="w", w_col="w", z_col="w"), "the y and w roles both name column 'w'")])
+def test_load_rejects_two_roles_naming_one_column(tmp_path, roles, message):
+    # one column would play two roles, say the assignment as receipt
+    path = write(tmp_path, "y,w,z,a\n1,1,1,0.1\n2,0,0,0.4\n")
+    with pytest.raises(SchemaError, match=message):
+        load_csv(path, ColumnSchema(**roles))
 
 
 def test_load_categorical_outcome_levels(tmp_path):

@@ -1,5 +1,7 @@
 """Compliance shares, CACE, TSLS and variance estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -237,8 +239,7 @@ def test_estimate_leaf_full_report():
     ds = sample.dataset
     p = float(ds.z.mean())
     regime = RegimeKind.IV_RANDOMIZED
-    est = estimate_leaf(4, ds.y, ds.z, ds.w, ds.covariates, regime,
-                        np.full(ds.n_units, p), adjust_covariates=False)
+    est = estimate_leaf(4, ds.y, ds.z, ds.w, regime, np.full(ds.n_units, p))
     assert est.leaf_id == 4
     assert est.n == 2000 and est.n1 + est.n0 == 2000
     assert est.compliers_ok
@@ -249,10 +250,19 @@ def test_estimate_leaf_full_report():
     # under a constant propensity the ratio and TSLS agree exactly
     fit = tsls_leaf(ds.y, ds.w, ds.z)
     assert est.cace_hat == pytest.approx(fit.gamma_hat, abs=1e-10)
+    assert (est.cace_se, est.first_stage_f) == (fit.se_gamma, fit.first_stage_f)
+    # given covariates, only the TSLS fields change: they are the adjusted fit's
+    adjusted = estimate_leaf(4, ds.y, ds.z, ds.w, regime, np.full(ds.n_units, p),
+                             ds.covariates)
+    fit = tsls_leaf(ds.y, ds.w, ds.z, ds.covariates)
+    assert (adjusted.cace_se, adjusted.first_stage_f) == (fit.se_gamma,
+                                                          fit.first_stage_f)
+    assert adjusted.cace_se != est.cace_se
+    assert adjusted == dataclasses.replace(est, cace_se=fit.se_gamma,
+                                           first_stage_f=fit.first_stage_f)
 
 
 def test_weak_instrument_flag():
-    import dataclasses
     assert dataclasses.replace(leaf(), first_stage_f=9.9).weak_instrument
     assert not dataclasses.replace(leaf(), first_stage_f=10.0).weak_instrument
     assert dataclasses.replace(leaf(), first_stage_f=float("nan")).weak_instrument
@@ -265,8 +275,7 @@ def test_estimate_leaf_flags_no_compliers():
     w = 1 - z  # perfect defiance: pi_c = -1
     y = rng.normal(size=n)
     regime = RegimeKind.IV_RANDOMIZED
-    est = estimate_leaf(2, y, z, w, rng.normal(size=(n, 2)), regime,
-                        np.full(n, 0.5), adjust_covariates=False)
+    est = estimate_leaf(2, y, z, w, regime, np.full(n, 0.5))
     assert not est.compliers_ok
     assert np.isnan(est.cace_hat)
     assert np.isfinite(est.itt_hat)

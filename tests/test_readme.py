@@ -13,3 +13,51 @@ def test_readme_quickstart_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) >= 2    # the overall CACE, then one line per leaf
+
+
+def _parsers():
+    """{subcommand or "": its parser's long flags}, without --help."""
+    import argparse
+
+    from ctiv.cli import build_parser
+
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = {"": top, **sub.choices}
+    return {name: {opt for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, p in parsers.items()}
+
+
+def _readme_commands():
+    """(subcommand, flags) for each command README gives in code: "" for
+    `ctiv` alone, None for flags it names without a command."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.DOTALL | re.MULTILINE)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands += re.findall(r"`([^`]+)`", prose)
+    names = set(_parsers()) - {""}
+    for command in commands:
+        words = command.split()
+        if "ctiv" in words:
+            rest = words[words.index("ctiv") + 1:]
+            name = rest[0] if rest and rest[0] in names else ""
+        else:
+            name = words[0] if words and words[0] in names else None
+        flags = re.findall(r"--[a-z][a-z0-9-]*", command)
+        if flags:
+            yield name, flags
+
+
+def test_readme_flags_exist_and_every_flag_is_documented():
+    parsers = _parsers()
+    every = set().union(*parsers.values())
+    documented = set()
+    for name, flags in _readme_commands():
+        documented.update(flags)
+        known = every if name is None else parsers[name]
+        for flag in flags:
+            if flag != "--no-build-isolation":       # pip's, in Install
+                assert flag in known, (name, flag)
+    assert every - documented == set()

@@ -134,12 +134,6 @@ def test_scenario2_paired_with_design2():
     assert np.allclose(diff, DIRECT_EFFECT_COEF, atol=1e-12)
 
 
-def test_scenario_labels():
-    assert design_spec(3, 10, 0).label == "3"
-    assert design_spec(2, 10, 0, scenario=1).label == "s1"
-    assert design_spec(2, 10, 0, scenario=2).label == "s2"
-
-
 def test_scenario_one_weakens_the_instrument_unless_told_otherwise():
     assert design_spec(2, 10, 0).target_cor_wz == 0.65
     assert design_spec(2, 10, 0, scenario=1).target_cor_wz == 0.5

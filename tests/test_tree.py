@@ -479,7 +479,7 @@ def test_fit_design1_recovers_informative_split():
     assert low < high
 
 
-def test_fit_full_compliance_regimes_agree_exactly():
+def test_fit_full_compliance_regimes_agree_exactly(unadjusted_tree_payload):
     rng = np.random.default_rng(28)
     n = 900
     x = rng.normal(size=(n, 2))
@@ -490,11 +490,13 @@ def test_fit_full_compliance_regimes_agree_exactly():
     trees = {}
     for kind in (RegimeKind.CT, RegimeKind.IV_UNCONFOUNDED):
         cfg = GrowthConfig(regime=kind, max_depth=2, min_leaf_fraction=0.1,
-                           min_arm_count=10, adjust_covariates=False)
+                           min_arm_count=10)
         trees[kind] = fit_ctiv(ds, cfg, split, seed=28)
-    import json
-    payloads = {k: json.loads(export_json(t))["tree"] for k, t in trees.items()}
-    assert payloads[RegimeKind.CT] == payloads[RegimeKind.IV_UNCONFOUNDED]
+    ct_payload = json.loads(export_json(trees[RegimeKind.CT]))["tree"]
+    # iv-unconfounded adjusts its TSLS; unadjusted, its leaves are ct's
+    iv_tree = trees[RegimeKind.IV_UNCONFOUNDED]
+    assert json.loads(export_json(iv_tree))["tree"] != ct_payload
+    assert unadjusted_tree_payload(iv_tree, ds) == ct_payload
     for est in trees[RegimeKind.IV_UNCONFOUNDED].leaves():
         assert est.pi_c_hat == 1.0
         assert abs(est.cace_hat - est.itt_hat) == 0.0
