@@ -28,13 +28,8 @@ from .dataset import (
 )
 from .effects import (
     LeafEstimate,
-    TslsFit,
-    cace_ratio,
-    compliance_shares,
     estimate_leaf,
-    neyman_variance,
     overall_cace,
-    tsls_leaf,
 )
 from .errors import CtivError
 from .propensity import PropensityModel, estimate_constant_p, fit_logistic
@@ -80,10 +75,7 @@ __all__ = [
     "RegimeKind",
     "SyntheticSample",
     "TreeNode",
-    "TslsFit",
     "aggregate",
-    "cace_ratio",
-    "compliance_shares",
     "design_spec",
     "estimate_constant_p",
     "estimate_leaf",
@@ -98,7 +90,6 @@ __all__ = [
     "leaf_weighted_itt",
     "load_csv",
     "load_json",
-    "neyman_variance",
     "overall_cace",
     "prune_at_alpha",
     "prune_path",
@@ -110,5 +101,4 @@ __all__ = [
     "select_alpha",
     "transformed_outcome",
     "trim_by_propensity",
-    "tsls_leaf",
 ]

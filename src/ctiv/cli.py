@@ -66,7 +66,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _parse_id_list(raw: str, allowed: set[str], what: str) -> list[str]:
-    """Accepts '1,3,s1' and ranges like '1-4'."""
+    """Accepts '1,3,s1' and ascending ranges like '1-4' (or '3-3')."""
     items: list[str] = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -75,9 +75,12 @@ def _parse_id_list(raw: str, allowed: set[str], what: str) -> list[str]:
         if "-" in chunk and not chunk.startswith("s"):
             lo, _, hi = chunk.partition("-")
             try:
-                items.extend(str(i) for i in range(int(lo), int(hi) + 1))
+                ids = [str(i) for i in range(int(lo), int(hi) + 1)]
             except ValueError:
-                raise _UsageError(f"bad {what} range '{chunk}'") from None
+                ids = []
+            if not ids:                  # unparsable, or reversed like '5-4'
+                raise _UsageError(f"bad {what} range '{chunk}'")
+            items.extend(ids)
         else:
             items.append(chunk)
     for item in items:

@@ -435,13 +435,21 @@ def save_csv(ds: Dataset, path: str | Path,
 
 
 def check_split(fractions: tuple[float, ...], seed: int) -> None:
-    """Reject a seed, or train and validation fractions that no sample
-    size can partition by. A third fraction, if given, must be 0."""
+    """Reject a negative seed, fractions that are not two numbers (or
+    three, the third 0), or train and validation fractions that no
+    sample size can partition by."""
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    if not np.isfinite(fractions).all():     # NaN passes every test below
+    try:
+        f = np.asarray(fractions)
+    except ValueError:                       # a ragged nesting
+        f = np.empty(0)
+    if f.shape not in ((2,), (3,)) or f.dtype.kind not in "biuf":
+        raise SplitError("fractions must be two numbers, (train, validation), "
+                         "or those two and 0")
+    if not np.isfinite(f).all():     # NaN passes every test below
         raise SplitError("fractions must be finite")
-    f_tr, f_va, *rest = fractions
+    f_tr, f_va, *rest = f.tolist()
     if rest not in ([], [0.0]):
         raise SplitError("a split has two parts: a third fraction must be 0")
     if min(f_tr, f_va) < 0 or abs(f_tr + f_va - 1.0) > 1e-9:
@@ -482,7 +490,7 @@ def check_trim_bounds(lo: float, hi: float) -> None:
 
 
 def trim_by_propensity(ds: Dataset, e_hat: np.ndarray,
-                       lo: float = 0.1, hi: float = 0.9) -> tuple[Dataset, np.ndarray]:
+                       lo: float, hi: float) -> tuple[Dataset, np.ndarray]:
     """Drop units with extreme estimated propensities.
 
     Keeps rows with lo <= e_hat <= hi (closed bounds) and returns the

@@ -67,10 +67,6 @@ class GrowthError(EstimationError):
     """Tree growth impossible under the configured constraints."""
 
 
-class NoCompliersError(EstimationError):
-    """Estimated complier share is zero or negative."""
-
-
 class AggregationError(EstimationError):
     """A weighted aggregate has no mass to average over."""
 

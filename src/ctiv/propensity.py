@@ -94,7 +94,7 @@ def check_ridge(ridge_lambda: float) -> None:
 
 
 def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
-                 ridge_lambda: float = 1e-6, tol: float = 1e-8,
+                 ridge_lambda: float, tol: float = 1e-8,
                  max_iter: int = 100) -> PropensityModel:
     """Maximise the ridge-penalised Bernoulli log-likelihood.
 

@@ -17,9 +17,8 @@ from ctiv import (
     GrowthConfig,
     RegimeKind,
     aggregate,
-    cace_ratio,
-    compliance_shares,
     design_spec,
+    estimate_leaf,
     export_json,
     fit_ctiv,
     generate,
@@ -28,9 +27,9 @@ from ctiv import (
     leaf_weighted_itt,
     prune_path,
     run_sweep,
-    tsls_leaf,
 )
 from ctiv.propensity import loglik_gradient, penalized_loglik
+from leaf_reference import tsls_leaf
 
 SIZES = (500, 1000, 5000)
 N_SEEDS = 10
@@ -69,6 +68,11 @@ def random_leaf(rng, n_lo=30, n_hi=300):
         return z, w, y
 
 
+def fair_coin_leaf(z, w, y):
+    """``estimate_leaf`` on one leaf assigned with probability 1/2."""
+    return estimate_leaf(1, y, z, w, RegimeKind.IV_RANDOMIZED, np.full(z.size, 0.5))
+
+
 def test_benchmark_gap_every_design_and_size(capsys, design_table):
     worst = min((cell["gap_mean"], key) for key, cell in design_table.items())
     worst_big = min((design_table[(label, 5000)]["gap_mean"], label)
@@ -95,12 +99,11 @@ def test_wald_identity_on_random_leaves(capsys):
     checked = 0
     while checked < 1000:
         z, w, y = random_leaf(rng)
-        _, _, pi_c = compliance_shares(z, w)
-        if pi_c <= 1e-6:
+        est = fair_coin_leaf(z, w, y)
+        if est.pi_c_hat <= 1e-6:
             continue
-        itt = y[z == 1].mean() - y[z == 0].mean()
-        gamma = tsls_leaf(y, w, z).gamma_hat
-        worst = max(worst, abs(gamma - cace_ratio(itt, pi_c)))
+        gamma = tsls_leaf(y, w, z).gamma_hat      # the reference TSLS
+        worst = max(worst, abs(gamma - est.cace_hat))
         checked += 1
     ok = worst < 1e-10
     report(capsys, ok, "TSLS equals ITT/complier-share on 1000 leaves",
@@ -111,9 +114,8 @@ def test_compliance_share_identity(capsys):
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(1000):
-        z, w, _ = random_leaf(rng)
-        pi_at, pi_nt, pi_c = compliance_shares(z, w)
-        worst = max(worst, abs(pi_at + pi_nt + pi_c - 1.0))
+        est = fair_coin_leaf(*random_leaf(rng))
+        worst = max(worst, abs(est.pi_at_hat + est.pi_nt_hat + est.pi_c_hat - 1.0))
     ok = worst <= 1e-12
     report(capsys, ok, "share identity at+nt+c=1 on 1000 leaves",
            f"max |sum-1| {worst:.2e} <= 1e-12")

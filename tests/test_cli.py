@@ -428,6 +428,23 @@ def test_bench_refuses_a_repeated_design_or_size(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_bench_refuses_a_reversed_design_range(tmp_path, capsys):
+    # '5-4' once ran nothing for itself: '1,5-4' ran design 1 alone, and
+    # '2-1' exited with "no designs given"
+    for designs, chunk in [("1,5-4", "5-4"), ("2-1", "2-1")]:
+        code, _, err = run(capsys, "bench", "--designs", designs, "--sizes", "300",
+                           "--seeds", "1", "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_USAGE
+        assert json.loads(err) == {"error": "UsageError",
+                                   "message": f"bad design range '{chunk}'"}
+    assert not (tmp_path / "o").exists()
+    code, _, err = run(capsys, "bench", "--designs", "3-3", "--sizes", "300",
+                       "--seeds", "1", "--workers", "1", "--out-dir", str(tmp_path / "one"))
+    assert code == EXIT_OK, err
+    resolved = json.loads((tmp_path / "one" / "run.json").read_text())["resolved"]
+    assert resolved["designs"] == ["3"]
+
+
 def test_fit_help_lists_the_train_fraction_alone(capsys):
     with pytest.raises(SystemExit):
         main(["fit", "--help"])

@@ -216,6 +216,14 @@ def test_holdout_bad_fractions():
             holdout_split(10, fractions, seed=0)
 
 
+@pytest.mark.parametrize("fractions", [0.5, (0.5,), [[0.5, 0.5]], ("0.5", "0.5"),
+                                       [[0.5], 0.5], (0.5, 0.5, 0.0, 0.0)])
+def test_holdout_fractions_that_are_not_two_numbers(fractions):
+    # all but the last once ended in a TypeError or ValueError, not a SplitError
+    with pytest.raises(SplitError, match="two numbers"):
+        holdout_split(100, fractions, seed=0)
+
+
 @pytest.mark.parametrize("fractions", [(float("nan"), 0.5),
                                        (0.5, float("nan")),
                                        (float("inf"), -float("inf"))])
@@ -258,14 +266,14 @@ def test_subset_of_other_rows_is_a_new_read_only_dataset(rows):
 
 def test_trim_that_keeps_every_row_copies_nothing():
     ds = small_ds(5)
-    trimmed, kept = trim_by_propensity(ds, np.full(5, 0.5))
+    trimmed, kept = trim_by_propensity(ds, np.full(5, 0.5), 0.1, 0.9)
     assert trimmed is ds and list(kept) == list(range(5))
 
 
 def test_trim_keeps_inner_rows():
     ds = small_ds(4)
     e = np.array([0.05, 0.5, 0.95, 0.3])
-    trimmed, kept = trim_by_propensity(ds, e)
+    trimmed, kept = trim_by_propensity(ds, e, 0.1, 0.9)
     assert list(kept) == [1, 3]
     assert trimmed.n_units == 2
     assert np.array_equal(trimmed.y, ds.y[[1, 3]])
@@ -274,7 +282,7 @@ def test_trim_keeps_inner_rows():
 def test_trim_bounds_are_closed():
     ds = small_ds(3)
     e = np.array([0.1, 0.9, 0.0999999])
-    _, kept = trim_by_propensity(ds, e)
+    _, kept = trim_by_propensity(ds, e, 0.1, 0.9)
     assert list(kept) == [0, 1]
 
 
@@ -282,8 +290,8 @@ def test_trim_idempotent():
     ds = small_ds(20)
     rng = np.random.default_rng(3)
     e = rng.uniform(0.01, 0.99, 20)
-    trimmed, kept = trim_by_propensity(ds, e)
-    again, kept2 = trim_by_propensity(trimmed, e[kept])
+    trimmed, kept = trim_by_propensity(ds, e, 0.1, 0.9)
+    again, kept2 = trim_by_propensity(trimmed, e[kept], 0.1, 0.9)
     assert trimmed.equals(again)
     assert list(kept2) == list(range(len(kept)))
 
@@ -291,4 +299,4 @@ def test_trim_idempotent():
 def test_trim_all_out_errors():
     ds = small_ds(3)
     with pytest.raises(EmptyDatasetError):
-        trim_by_propensity(ds, np.array([0.01, 0.99, 0.05]))
+        trim_by_propensity(ds, np.array([0.01, 0.99, 0.05]), 0.1, 0.9)

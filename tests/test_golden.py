@@ -39,6 +39,14 @@ FITS = {
         "leaf_report.csv": "0f7d0f1231569c5768156825de3b67eed50fb74f3519419b8538eeef8ffc212c",
         "predict.csv": "3802aa2d8bda2e2116f196f23d25a4524eedd7702000a02b162cbce9b00cb643",
     }),
+    # the one regime whose leaf TSLS is otherwise pinned nowhere: grown on
+    # assignment, unadjusted; 13 leaves at alpha 0
+    "ivr": ("sample.csv", "iv-randomized", ("--alpha", "0"), {
+        "tree.json": "c25ff6ba9fab782ca8dffc4e1d3404f441286c2d5ad1e1bdf3cc6fc7220df6ab",
+        "tree.dot": "bd58c7aec3471cb697ed8d939b19ebd8b086d0319ce1b8622a3bb023157a691e",
+        "leaf_report.csv": "9c90e2b982a908430b9e9120a496b61abfce22069c781a62ae5d6a76912ecc74",
+        "predict.csv": "78ec1a6e4340e898648fa7b2c12bdb72d0c0053a47310a87ad20dd69eff171d2",
+    }),
     "tied": ("rounded.csv", "iv-unconfounded", ("--alpha", "0"), {
         "tree.json": "2251b01a866a2dd6067871711bfa777c6a734fd08582b20f89cdb9f8406f9d98",
         "tree.dot": "64500ac864c30b46a0f3613528bbd42aa7b62b558d3d9d339e3be1b5536804ea",

@@ -13,7 +13,7 @@ from ctiv.propensity import loglik_gradient, penalized_loglik
 def test_balanced_no_signal_gives_zeros():
     x = np.zeros((10, 2))
     labels = np.array([0, 1] * 5)
-    model = fit_logistic(x, labels)
+    model = fit_logistic(x, labels, ridge_lambda=1e-6)
     assert model.converged
     assert model.intercept == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(model.coefficients, 0.0, atol=1e-9)
@@ -112,12 +112,12 @@ def test_one_class_with_ridge_is_fine():
 
 def test_nonfinite_covariates_error():
     with pytest.raises(InputError):
-        fit_logistic(np.array([[np.inf], [0.0]]), np.array([0, 1]))
+        fit_logistic(np.array([[np.inf], [0.0]]), np.array([0, 1]), ridge_lambda=1e-6)
 
 
 def test_nonbinary_labels_error():
     with pytest.raises(ValidationError):
-        fit_logistic(np.zeros((3, 1)), np.array([0, 1, 2]))
+        fit_logistic(np.zeros((3, 1)), np.array([0, 1, 2]), ridge_lambda=1e-6)
 
 
 def test_solution_beats_zero_vector():
@@ -136,7 +136,7 @@ def test_predictions_monotone_in_covariate():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(300, 1))
     labels = (rng.random(300) < expit(2 * x[:, 0])).astype(int)
-    model = fit_logistic(x, labels)
+    model = fit_logistic(x, labels, ridge_lambda=1e-6)
     grid = np.linspace(-3, 3, 50).reshape(-1, 1)
     preds = model.predict_many(grid)
     assert (np.diff(preds) > 0).all()
@@ -151,7 +151,7 @@ def test_predict_clamps_extremes():
 
 
 def test_predict_dimension_mismatch():
-    model = fit_logistic(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+    model = fit_logistic(np.zeros((4, 2)), np.array([0, 1, 0, 1]), ridge_lambda=1e-6)
     with pytest.raises(InputError):
         model.predict_many(np.zeros((1, 3)))
 
@@ -250,7 +250,7 @@ def test_exhausted_step_halving_keeps_the_last_scale(monkeypatch):
     calls = []
     monkeypatch.setattr(ctiv.propensity, "penalized_loglik",
                         lambda *a: calls.append(a) or penalized_loglik(*a))
-    model = fit_logistic(x, labels, max_iter=3)
+    model = fit_logistic(x, labels, ridge_lambda=1e-6, max_iter=3)
     assert model.iterations == 3 and not model.converged
     # the start, then 50 refused candidates and the step taken, three times
     assert len(calls) == 1 + 3 * 51
@@ -267,6 +267,6 @@ def test_fit_evaluates_the_link_once_per_iterate(monkeypatch):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(500, 3))
     labels = (rng.random(500) < expit(x @ [1.0, -0.5, 0.2])).astype(int)
-    model = fit_logistic(x, labels)
+    model = fit_logistic(x, labels, ridge_lambda=1e-6)
     assert model.converged and model.iterations >= 3
     assert calls == [(500,)] * (model.iterations + 1)
