@@ -125,16 +125,16 @@ def _parse_cell(raw: str, column: str, row_number: int) -> float:
         ) from None
 
 
-# data lines numpy parses at a time; bounds the text held in memory
+# data lines one process parses at a time, which bound the text it holds
 _READ_LINES = 8192
 # rows save_csv formats at a time: the text a worker hands back at once
 _WRITE_ROWS = 1024
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
-# least CSV text a share holds, so text under twice this stays in one
-# process. Timed on design-2 files, one process against two on a 2-CPU
-# host (medians of 15, alternating): save_csv gains from about 1.2 MiB
-# (2.1 MiB: 161 ms against 123) and load_csv from about 2 to 2.8 MiB
-# (2.8 MiB: 96 ms against 87); below that a worker costs more than it saves
+# bytes of CSV text in a read's piece, and the least a process shares, so
+# text under twice this stays in one process. Timed on design-2 files, one
+# process against shared on 2 CPUs (medians of 15, alternating): save_csv
+# gains from about 1.2 MiB (2.1 MiB: 161 ms against 123), load_csv breaks
+# even at 2-3 MiB (2.6 MiB: 92 against 86) and gains by 4 (145 against 121)
 _SHARE_BYTES = 1 << 20
 # bytes save_csv writes per cell when it counts its workers: a float's
 # repr is 17 to 24 characters
@@ -223,33 +223,58 @@ def _share_count(text_bytes: int) -> int:
     return max(1, min(usable_cpus(), text_bytes // _SHARE_BYTES))
 
 
-def _data_spans(path: Path, fh, header_lines: int) -> list[tuple[int, int | None]]:
-    """Byte spans ``(start, stop)`` of the data rows, one per share.
-
-    ``fh`` is ``path`` open as text, just past its header of
-    ``header_lines`` lines, and stays there. Every span after the first
-    starts just after a ``\\n``, where a text line starts and UTF-8
-    decoding can start; the last one's stop is None, the end of the file.
-    Small text, and a pipe (whose size reads as 0, or as the little it
-    buffers), is the one span ``(0, None)``: all that ``fh`` has left.
-    """
+def _data_pieces(path: Path, fh, header_lines: int) -> list[tuple[int, int]]:
+    """Byte spans ``(start, stop)`` of the data rows, about ``_SHARE_BYTES``
+    each: the first from the header's end, every other just after a
+    ``\\n``, where a line and UTF-8 decoding can start. ``fh`` is ``path``
+    open as text just past its header of ``header_lines`` lines, and is
+    left there."""
     size = os.fstat(fh.fileno()).st_size
-    shares = _share_count(size)
-    if shares == 1:
-        return [(0, None)]
     fh.seek(0)
     # read from the start, the header text keeps a byte-order mark's 3 bytes
     start = len("".join(islice(fh, header_lines)).encode("utf-8"))
-    cuts = {start}
+    cuts = [start]
     with path.open("rb") as fb:
-        for i in range(1, shares):
-            fb.seek(start + (size - start) * i // shares)
-            while (piece := fb.readline(1 << 16)) and not piece.endswith(b"\n"):
-                pass
-            if fb.tell() < size:
-                cuts.add(fb.tell())
-    cuts = sorted(cuts)
-    return list(zip(cuts, cuts[1:] + [None]))
+        for at in range(start + _SHARE_BYTES, size, _SHARE_BYTES):
+            if at >= cuts[-1]:          # else the last cut is the one here too
+                fb.seek(at)
+                while (line := fb.readline(1 << 16)) and not line.endswith(b"\n"):
+                    pass
+                cuts.append(fb.tell())
+    cuts = [cut for cut in cuts if cut < size]
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _parse_piece(parse: Callable, path: Path, piece: tuple[int, int]) -> np.ndarray | None:
+    """A worker's piece of ``path``: ``parse`` of its lines, or None if
+    they are irregular or not UTF-8."""
+    with path.open("rb") as fb:
+        fb.seek(piece[0])
+        data = fb.read(piece[1] - piece[0])
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return parse(io.StringIO(text, newline="").readlines())
+
+
+def _shared_rows(parse: Callable, path: Path, fh,
+                 header_lines: int) -> list[np.ndarray] | None:
+    """The data rows of ``path``, ``parse`` of each of its pieces in
+    forked workers (see ``parallel.fan_out``), or None if the text is read
+    in one process: small text, a pipe (whose size reads as 0, or as the
+    little it buffers), a host where forking is unsafe, text that is one
+    piece (no ``\\n`` to cut at), or an irregular piece. ``fh`` is as for
+    ``_data_pieces`` and is left there."""
+    shares = _share_count(os.fstat(fh.fileno()).st_size)
+    pieces = _data_pieces(path, fh, header_lines) if shares > 1 else []
+    if len(pieces) < 2:
+        return None
+    with fan_out(partial(_parse_piece, parse, path), pieces, shares) as parts:
+        # copied as handed over: the pool's result thread unpickles into
+        # its own malloc arena, which so holds a piece or two, not them all
+        blocks = [part if part is None else part.copy() for part in parts]
+    return None if any(block is None for block in blocks) else blocks
 
 
 def _lines_then(lines: list[str], exc: Exception) -> Iterator[str]:
@@ -258,21 +283,17 @@ def _lines_then(lines: list[str], exc: Exception) -> Iterator[str]:
     raise exc
 
 
-def _parse_span(width: int, cols: list[int], binary: tuple[int, ...], fh,
-                span: tuple[int, int | None]) -> tuple[list[np.ndarray], Iterable[str] | None]:
-    """The data lines of ``span``, read from ``fh`` (open as text at the
-    span's start) ``_READ_LINES`` at a time, each chunk parsed by
-    ``_numpy_rows``: (blocks, None).
+def _streamed_rows(parse: Callable, fh) -> tuple[list[np.ndarray], Iterable[str] | None]:
+    """The lines left in ``fh``, read ``_READ_LINES`` at a time, each chunk
+    parsed by ``parse``: (blocks, None).
 
     Once a chunk is irregular, it returns the blocks before it and the
     rest of ``fh``'s lines from that chunk's first one on. Text that is
     not UTF-8 ends a chunk: its rest is the chunk's lines decoded before
     it, then the UnicodeDecodeError.
     """
-    start, stop = span
-    left = None if stop is None else stop - start
     blocks = []
-    while left is None or left > 0:
+    while True:
         lines = []
         try:
             for line in islice(fh, _READ_LINES):
@@ -280,30 +301,11 @@ def _parse_span(width: int, cols: list[int], binary: tuple[int, ...], fh,
         except UnicodeDecodeError as exc:
             return blocks, _lines_then(lines, exc)
         if not lines:
-            break
-        ours = len(lines)
-        if left is not None:
-            # the span ends at a line end; lines past it belong to the next
-            left -= len("".join(lines).encode("utf-8"))
-            while left < 0:
-                ours -= 1
-                left += len(lines[ours].encode("utf-8"))
-        block = _numpy_rows(lines[:ours], width, cols, binary)
+            return blocks, None
+        block = parse(lines)
         if block is None:
             return blocks, chain(lines, fh)
         blocks.append(block)
-    return blocks, None
-
-
-def _parse_share(parse: Callable, path: Path,
-                 span: tuple[int, int | None]) -> np.ndarray | None:
-    """A worker's share: ``parse`` of the span as one array, or None if
-    the span is irregular."""
-    with path.open("rb") as fb:
-        fb.seek(span[0])
-        with io.TextIOWrapper(fb, encoding="utf-8", newline="") as fh:
-            blocks, rest = parse(fh, span)
-    return np.concatenate(blocks) if rest is None else None
 
 
 def read_csv_columns(path: str | Path,
@@ -314,44 +316,33 @@ def read_csv_columns(path: str | Path,
 
     ``choose`` gets the stripped header and returns the column names to
     read, raising if the header does not fit. ``binary`` are positions in
-    that list whose cells must be 0 or 1. Regular text is parsed by numpy,
-    a chunk of lines at a time; from the first irregular chunk on, the
-    rows are parsed cell by cell from the same open file, so a pipe reads
-    as a file does. A large file is cut into byte spans: this process
-    parses the first from its open file while forked workers parse the
-    others and hand their arrays back (see ``parallel.fan_out``); an
-    irregular span sends the whole file to the per-cell parser. Row
-    numbers in error messages are 1-based over data rows. A file that is
-    not UTF-8 raises ValidationError; one leading byte-order mark is
-    skipped.
+    that list whose cells must be 0 or 1. Regular text is parsed by numpy.
+    Text that ``_shared_rows`` shares is cut into byte pieces of about
+    ``_SHARE_BYTES`` at line starts; forked workers parse them and hand
+    their arrays back (see ``parallel.fan_out``), and this process parses
+    none. Other text, and all text once a piece is irregular, this process
+    reads to the end of the open file, a chunk of lines at a time; from the
+    first irregular chunk on, the rows are parsed cell by cell from the
+    same open file, so a pipe reads as a file does. Row numbers in error
+    messages are 1-based over data rows. Text that is not UTF-8 raises
+    ValidationError; one leading byte-order mark is skipped.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             header, header_lines = _read_header(fh, path)
             columns = choose(header)
-            parse = partial(_parse_span, len(header),
-                            [header.index(c) for c in columns], binary)
-            spans = _data_spans(path, fh, header_lines)
-            with fan_out(partial(_parse_share, parse, path), spans[1:],
-                         len(spans)) as parts:
-                blocks, rest = parse(fh, spans[0])
-                parts = list(parts)
-            if rest is None and not any(part is None for part in parts):
-                blocks += parts
-            elif rest is None:          # a later span is irregular: start over
-                fh.seek(0)
-                _read_header(fh, path)
-                blocks, rest = [], fh
-            if rest is not None:
-                done = sum(map(len, blocks))
-                blocks.append(_reference_rows(csv.reader(rest), path, header,
-                                              columns, binary, done))
+            parse = partial(_numpy_rows, width=len(header),
+                            cols=[header.index(c) for c in columns], binary=binary)
+            blocks = _shared_rows(parse, path, fh, header_lines)
+            if blocks is None:
+                blocks, rest = _streamed_rows(parse, fh)
+                if rest is not None:
+                    blocks.append(_reference_rows(csv.reader(rest), path, header, columns,
+                                                  binary, sum(map(len, blocks))))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not blocks:
-        return columns, np.empty((0, len(columns)))
-    return columns, np.concatenate(blocks)
+    return columns, np.concatenate([np.empty((0, len(columns))), *blocks])
 
 
 def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset:

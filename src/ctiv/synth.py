@@ -63,16 +63,26 @@ _ERROR_BY_DESIGN = {1: "normal", 2: "normal", 3: "exponential",
 @dataclass(frozen=True)
 class DesignSpec:
     """One fully specified generation task; ``design_id`` fixes the
-    covariate count ``k`` and the noise family ``error_dist``."""
+    covariate count ``k`` and the noise family ``error_dist``.
+
+    A correlation target left at None takes its default: Cor(W,Z) 0.5
+    under scenario 1 (the weak instrument) and 0.65 otherwise, Cor(W,eta)
+    0.5.
+    """
 
     design_id: int
     n: int
     seed: int
-    target_cor_wz: float = DEFAULT_COR_WZ
-    target_cor_weta: float = DEFAULT_COR_WETA
+    target_cor_wz: float | None = None
+    target_cor_weta: float | None = None
     scenario: int | None = None        # 1 = weak instrument, 2 = exclusion break
 
     def __post_init__(self):
+        if self.target_cor_wz is None:
+            object.__setattr__(self, "target_cor_wz",
+                               0.5 if self.scenario == 1 else DEFAULT_COR_WZ)
+        if self.target_cor_weta is None:
+            object.__setattr__(self, "target_cor_weta", DEFAULT_COR_WETA)
         if self.design_id not in _ERROR_BY_DESIGN:
             raise InputError(f"design_id must be 1..5, got {self.design_id}")
         if self.scenario not in (None, 1, 2):
@@ -107,27 +117,7 @@ class SyntheticSample:
     y_if_untreated: np.ndarray
 
 
-def design_spec(design_id: int, n: int, seed: int,
-                target_cor_wz: float | None = None,
-                target_cor_weta: float | None = None,
-                scenario: int | None = None) -> DesignSpec:
-    """A ``DesignSpec`` with its correlation targets filled in.
-
-    A target left at None takes its default: Cor(W,Z) 0.5 under
-    scenario 1 (the weak instrument) and 0.65 otherwise, Cor(W,eta) 0.5.
-    """
-    if target_cor_wz is None:
-        target_cor_wz = 0.5 if scenario == 1 else DEFAULT_COR_WZ
-    if target_cor_weta is None:
-        target_cor_weta = DEFAULT_COR_WETA
-    return DesignSpec(
-        design_id=design_id,
-        n=n,
-        seed=seed,
-        target_cor_wz=target_cor_wz,
-        target_cor_weta=target_cor_weta,
-        scenario=scenario,
-    )
+design_spec = DesignSpec            # its lower-case name, same arguments
 
 
 # Cephes ndtri's rational approximations: P0/Q0 for the centre, P1/Q1 and

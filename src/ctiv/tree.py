@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -323,6 +325,13 @@ def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     n = train.n_units
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     sums = _grow_sums(train, e, cfg)
+    # a holdout loss sums n squares of a transformed outcome, up to max|y| /
+    # min(e, 1 - e), less a leaf effect, up to 2 max|y|; gains (4 n max|y|^2) are less
+    y_max = float(np.abs(train.y).max())
+    gap = y_max / float(np.minimum(e, 1.0 - e).min()) + 2.0 * y_max
+    if gap * gap * n == math.inf:
+        raise ValidationError(f"outcomes up to {y_max:g} in absolute value overflow "
+                              f"the fit's sums of squares at {n} units")
     # x.take reads x flat, and would copy all of it each time were it not
     # C-contiguous (a Fortran-ordered array from pandas, say)
     x = np.ascontiguousarray(train.covariates)
@@ -332,7 +341,7 @@ def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     # the split scan's gain and a node's m * tau^2 are summed in different
     # orders, so with no effect anywhere they still differ by rounding at
     # the outcome's scale, up to about this much per unit
-    noise = 1024 * np.finfo(np.float64).eps * float(np.abs(train.y).max()) ** 2
+    noise = 1024 * np.finfo(np.float64).eps * y_max ** 2
     frame = (x, sums, np.empty(n, dtype=bool), cfg, min_leaf, noise)
     return _grow_node(frame, np.arange(n), box, 0)
 
@@ -370,6 +379,19 @@ def _pruned(node: TreeNode, price: float, n_train: int):
     return score, leaves, node, kept, kept_leaves, min(kept_price, l_weakest, r_weakest)
 
 
+def _path_elements(root: TreeNode, n_train: int) -> Iterator[PathElement]:
+    """Yield the elements of ``prune_path``, each as soon as it is known."""
+    if n_train < 1:
+        raise InputError("n_train must be positive")
+    current, weakest, price = root, -math.inf, 0.0
+    while price < math.inf:
+        # collapsing can expose ancestors at the same price; sweep until clear
+        while weakest <= price:
+            _, _, current, _, _, weakest = _pruned(current, price, n_train)
+        yield PathElement(float(price), current)
+        price = weakest
+
+
 def prune_path(root: TreeNode, n_train: int) -> PruningPath:
     """Weakest-link cost-complexity path.
 
@@ -379,17 +401,7 @@ def prune_path(root: TreeNode, n_train: int) -> PruningPath:
     which its subtree becomes optimal. Thresholds increase strictly and
     leaf counts decrease strictly down to the bare root.
     """
-    if n_train < 1:
-        raise InputError("n_train must be positive")
-    elements = []
-    current, weakest, price = root, -math.inf, 0.0
-    while price < math.inf:
-        # collapsing can expose ancestors at the same price; sweep until clear
-        while weakest <= price:
-            _, _, current, _, _, weakest = _pruned(current, price, n_train)
-        elements.append(PathElement(float(price), current))
-        price = weakest
-    return PruningPath(tuple(elements))
+    return PruningPath(tuple(_path_elements(root, n_train)))
 
 
 # --- alpha selection on a holdout sample ---
@@ -443,21 +455,27 @@ def select_alpha(path: PruningPath, validation: Dataset, e: np.ndarray,
         if q >= best_q:                 # later elements have fewer leaves
             best_q = q
             best_k = k
-    t_k = path.elements[best_k].alpha_threshold
-    if best_k == len(path.elements) - 1 or t_k == 0.0:
-        alpha = t_k
-    else:
-        alpha = math.sqrt(t_k * path.elements[best_k + 1].alpha_threshold)
+    alpha = t_k = path.elements[best_k].alpha_threshold
+    if best_k < len(path.elements) - 1 and t_k > 0.0:
+        # thresholds scale with y^2: their product may leave the normal range
+        t_next = path.elements[best_k + 1].alpha_threshold
+        product = t_k * t_next
+        alpha = (math.sqrt(product) if sys.float_info.min <= product < math.inf
+                 else math.sqrt(t_k) * math.sqrt(t_next))
     return float(alpha), path.elements[best_k].root
 
 
 def prune_at_alpha(root: TreeNode, alpha: float, n_train: int) -> TreeNode:
     """Subtree the cost-complexity path selects at a fixed alpha: the last
-    path element whose threshold is <= alpha (NaN is rejected)."""
+    path element whose threshold is <= alpha (NaN is rejected). The path
+    is built only that far."""
     if not alpha >= 0:
         raise InputError("alpha must be nonnegative")
-    path = prune_path(root, n_train)
-    return [el.root for el in path.elements if el.alpha_threshold <= alpha][-1]
+    for element in _path_elements(root, n_train):
+        if element.alpha_threshold > alpha:
+            break
+        chosen = element.root           # element zero's threshold is 0
+    return chosen
 
 
 # --- the fitted artifact ---

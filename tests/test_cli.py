@@ -74,6 +74,20 @@ def test_simulate_scenario(tmp_path, capsys):
     assert meta1["target_cor_wz"] == 0.5
 
 
+def test_fit_refuses_outcomes_whose_squares_overflow(tmp_path, capsys):
+    # the fit's sums of squares would overflow: a data error, not a
+    # traceback or a wrong tree
+    ds = write_trial_csv(tmp_path / "trial.csv")
+    big = Dataset(ds.covariates, ds.z, ds.w, ds.y * 1e155, ds.feature_names)
+    save_csv(big, tmp_path / "big.csv")
+    code, _, err = run(capsys, "fit", "--input", str(tmp_path / "big.csv"),
+                       "--regime", "iv-randomized", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValidationError"
+    assert "overflow" in json.loads(err)["message"]
+
+
 def test_simulate_design_and_scenario_conflict(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--design", "2", "--scenario", "1",
                        "--n", "100", "--out", str(tmp_path / "x.csv"))
@@ -909,8 +923,9 @@ def tree_edits(draw, text):
 
 
 def fuzz_main(*argv):
-    """main(argv) with CSV text cut into shares of 64 bytes or more: the
-    exit code and stderr, once main returned without raising."""
+    """main(argv) with CSV text over 128 bytes shared out in pieces of
+    about 64 bytes: the exit code and stderr, once main returned without
+    raising."""
     err = io.StringIO()
     with mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
                              usable_cpus=mock.Mock(return_value=3)), \

@@ -131,8 +131,8 @@ BOM = "\ufeff".encode("utf-8")
 @pytest.mark.parametrize("n", [50, 10_000])
 def test_byte_order_mark_reads_as_the_plain_file(tmp_path, monkeypatch, n):
     # 10,000 rows of ten covariates are 2.2 MiB of text: above twice
-    # _SHARE_BYTES, so with two CPUs the rows after the header's byte
-    # span (BOM included) go to a forked worker
+    # _SHARE_BYTES, so with two CPUs the rows after the header (BOM
+    # included) are cut into pieces for two forked workers
     monkeypatch.setattr(ctiv.dataset, "usable_cpus", lambda: 2)
     ds = generate(design_spec(2, n, seed=5)).dataset
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"

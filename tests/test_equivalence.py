@@ -5,10 +5,12 @@
   the split scan's feature blocks patched to 1, 3 and 10 features.
 - ``_stable_order`` against ``np.argsort(kind="stable")``.
 - The one-pass pruning sweep against the two walks it replaced, one that
-  prices a subtree and one that collapses top-down, kept below verbatim.
+  prices a subtree and one that collapses top-down, kept below verbatim;
+  and ``prune_at_alpha``, which builds the path only up to alpha, against
+  the pick from the whole path.
 - The chunked numpy CSV reader against the per-cell parser: the same
   values bit for bit, or the same error. With the share size patched
-  small, tiny files are cut into byte spans that forked workers parse,
+  small, tiny files are cut into byte pieces that forked workers parse,
   and must read exactly as in one process.
 - The chunked CSV writer against the per-row ``csv.writer`` loop, and
   its output with several shares against its output with one.
@@ -54,6 +56,7 @@ from ctiv import (
     grow,
     holdout_split,
     load_csv,
+    prune_at_alpha,
     prune_path,
     save_csv,
 )
@@ -398,6 +401,21 @@ def test_prune_path_matches_the_two_walk_sweep(case):
         == ref_prune_path(root, n_train)
 
 
+@settings(SETTINGS, max_examples=300)
+@given(priced_trees(), st.data())
+def test_prune_at_alpha_is_the_pick_from_the_whole_path(case, data):
+    # prune_at_alpha builds the path only up to alpha
+    root, n_train = case
+    path = prune_path(root, n_train)
+    at = data.draw(st.sampled_from([el.alpha_threshold for el in path.elements]))
+    alpha = data.draw(st.one_of(
+        st.just(at), st.just(math.inf), st.floats(min_value=0.0),
+        st.sampled_from([float(np.nextafter(at, -1.0)), float(np.nextafter(at, math.inf))])
+        .filter(lambda a: a >= 0.0)))
+    expected = [el.root for el in path.elements if el.alpha_threshold <= alpha][-1]
+    assert repr(prune_at_alpha(root, alpha, n_train)) == repr(expected)
+
+
 # --- the CSV reader ---
 
 # cell texts that numpy or the per-cell parser may read differently, or
@@ -538,9 +556,9 @@ def test_regular_csv_takes_the_numpy_path(tmp_path):
 
 
 def many_shares():
-    """CSV text over 64 bytes shared among up to three processes: a read's
-    byte spans after the first, and every piece of a write, go to forked
-    workers."""
+    """CSV text over 64 bytes shared among up to three processes: every
+    byte piece of a read, of about 64 bytes, and every piece of a write go
+    to forked workers."""
     return mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
                                usable_cpus=mock.Mock(return_value=3))
 
@@ -589,6 +607,14 @@ LATE_FAULTS = {
 }
 
 
+def data_pieces(path, **open_args):
+    """``_data_pieces`` of ``path``, read as ``read_csv_columns`` reads it."""
+    with path.open(newline="", encoding="utf-8", **open_args) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return ctiv.dataset._data_pieces(path, fh, reader.line_num)
+
+
 @pytest.mark.parametrize("case", sorted(LATE_FAULTS))
 def test_fault_in_a_later_share_reads_as_the_per_cell_parser(tmp_path, case):
     text, fault_at = LATE_FAULTS[case]
@@ -596,12 +622,9 @@ def test_fault_in_a_later_share_reads_as_the_per_cell_parser(tmp_path, case):
     path.write_bytes(text)
     with many_shares():
         # the header is UTF-8; a bad byte in the first block read would
-        # otherwise fail the header read before the spans are known
-        with path.open(newline="", encoding="utf-8", errors="replace") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            spans = ctiv.dataset._data_spans(path, fh, reader.line_num)
-        assert len(spans) == 3 and fault_at >= spans[2][0]
+        # otherwise fail the header read before the pieces are known
+        pieces = data_pieces(path, errors="replace")
+        assert len(pieces) > 3 and fault_at >= pieces[1][0]
         for read in reads(path):
             assert outcome(read) == reference(read)
 
@@ -609,22 +632,83 @@ def test_fault_in_a_later_share_reads_as_the_per_cell_parser(tmp_path, case):
 @pytest.mark.parametrize("header", [HEADER.encode(), b'y,w,z,x1,x2,"lab\nel"'])
 @pytest.mark.parametrize("chunk", [1, 8192])
 def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, chunk):
+    # the pieces do not depend on the lines one process reads at a time
     text, _ = late_fault_csv(b"1,1,0,2,3,a\r\n", header)
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     schema = ColumnSchema(feature_cols=("x1", "x2"))
     expected = reference(lambda: load_csv(path, schema))
     with many_shares(), mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            spans = ctiv.dataset._data_spans(path, fh, reader.line_num)
-        assert len(spans) == 3
-        assert spans[0][0] == len(header) + 1
-        assert all(text[start - 1:start] == b"\n" for start, _ in spans)
+        pieces = data_pieces(path)
+        assert len(pieces) > 3
+        assert pieces[0][0] == len(header) + 1
+        assert all(text[start - 1:start] == b"\n" for start, _ in pieces)
         with mock.patch.object(ctiv.dataset, "_reference_rows",
                                side_effect=AssertionError("per-cell parser used")):
             assert outcome(lambda: load_csv(path, schema)) == expected
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("share_bytes", [1, 7, 64, 1 << 20])
+def test_pieces_start_at_line_starts(tmp_path, end, share_bytes):
+    # the pieces tile the data rows, the first from the header's end and
+    # every other just after a \n, so none parts a CRLF; text without a
+    # \n is one piece
+    lines = [HEADER] + [f"{i / 3!r},{i % 2},1,{-i},{i * i},{'ab'[i % 2] * i}"
+                        for i in range(40)]
+    text = end.join(lines).encode() + end.encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", share_bytes):
+        pieces = data_pieces(path)
+    starts = [start for start, _ in pieces]
+    assert starts[0] == len(HEADER + end)
+    assert [stop for _, stop in pieces] == starts[1:] + [len(text)]
+    assert all(text[start - 1:start] == b"\n" for start in starts[1:])
+    if end == "\r":
+        assert len(pieces) == 1
+    elif share_bytes < 8:
+        assert len(pieces) == 40        # one piece a line
+    assert b"".join(text[start:stop] for start, stop in pieces) == text[starts[0]:]
+
+
+@pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
+def test_shared_text_is_parsed_in_workers_only(tmp_path):
+    text, _ = late_fault_csv(b"1,1,0,2,3,a\n")
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    schema = ColumnSchema(feature_cols=("x1", "x2"))
+    expected = outcome(lambda: load_csv(path, schema))
+    this, ran_here, real = os.getpid(), [], ctiv.dataset._parse_piece
+
+    def parse_piece(*args):
+        if os.getpid() == this:
+            ran_here.append(args[-1])
+        return real(*args)
+
+    with many_shares(), mock.patch.multiple(
+            ctiv.dataset, _parse_piece=parse_piece,
+            _streamed_rows=mock.Mock(side_effect=AssertionError("read in one process"))):
+        assert len(data_pieces(path)) > 3
+        assert outcome(lambda: load_csv(path, schema)) == expected
+    assert ran_here == []
+
+
+def test_text_of_one_piece_is_read_in_one_process(tmp_path, monkeypatch):
+    # CR-only text has no \n to cut at: a lone worker would parse it all
+    # while this process waits, and hand every row back through the pool
+    pools = []
+    real = ctiv.parallel.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        lambda n, **kw: pools.append(n) or real(n, **kw))
+    text, _ = late_fault_csv(b"1,1,0,2,3,a\n")
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.replace(b"\n", b"\r"))
+    with many_shares():
+        assert len(data_pieces(path)) == 1
+        for read in reads(path):
+            assert outcome(read) == reference(read)
+    assert pools == []
 
 
 @pytest.mark.parametrize("text", [
@@ -684,7 +768,8 @@ def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
             raise OSError("disk full")
         return real_rows(columns, piece)
 
-    # two pieces of 50 rows, one to each of two workers
+    # a write's two pieces of 50 rows go to two workers, and a read's
+    # pieces of about 64 bytes to three
     with many_shares(), mock.patch.object(ctiv.dataset, "_WRITE_ROWS", 50):
         save_csv(ds, tmp_path / "good.csv")
         assert load_csv(tmp_path / "good.csv").equals(ds)
@@ -693,14 +778,14 @@ def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
         with mock.patch.object(ctiv.dataset, "_format_rows", rows_failing_in_workers), \
                 pytest.raises(OSError, match="disk full"):
             save_csv(ds, tmp_path / "failed.csv")
-    assert pools == [2, 2, 2, 2]
+    assert pools == [2, 3, 3, 2]
     assert list(scratch.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bad.csv", "failed.csv", "good.csv", "tmp"]
 
 
 @pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
-def test_two_cpus_fork_one_worker_for_the_second_share(tmp_path, monkeypatch):
+def test_two_cpus_fork_one_write_worker_and_two_read_workers(tmp_path, monkeypatch):
     pools = []
     real = ctiv.parallel.ProcessPoolExecutor
     monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
@@ -712,7 +797,7 @@ def test_two_cpus_fork_one_worker_for_the_second_share(tmp_path, monkeypatch):
         save_csv(ds, tmp_path / "two.csv")
         assert load_csv(tmp_path / "two.csv").equals(ds)
     assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert pools == [1, 1]
+    assert pools == [1, 2]
 
 
 @pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
@@ -723,6 +808,8 @@ def test_a_dead_worker_leaves_its_share_to_this_process(tmp_path, monkeypatch):
     save_csv(sample.dataset, tmp_path / "one.csv", extra_columns=extras)
     expected = outcome(lambda: load_csv(tmp_path / "one.csv"))
     this, ran_here = os.getpid(), []
+    with many_shares():
+        pieces = data_pieces(tmp_path / "one.csv")
 
     def dies_in_a_worker(real):
         def share(*args):
@@ -735,12 +822,13 @@ def test_a_dead_worker_leaves_its_share_to_this_process(tmp_path, monkeypatch):
     with many_shares(), mock.patch.multiple(
             ctiv.dataset, _WRITE_ROWS=50,
             _format_rows=dies_in_a_worker(ctiv.dataset._format_rows),
-            _parse_share=dies_in_a_worker(ctiv.dataset._parse_share)):
+            _parse_piece=dies_in_a_worker(ctiv.dataset._parse_piece)):
         save_csv(sample.dataset, tmp_path / "several.csv", extra_columns=extras)
         assert outcome(lambda: load_csv(tmp_path / "several.csv")) == expected
-    # both pieces of the write, and both shares of the read after the
-    # first, came back to this process
-    assert ran_here == ["_format_rows"] * 2 + ["_parse_share"] * 2
+    # both pieces of the write, and every piece of the read, came back to
+    # this process
+    assert len(pieces) > 3
+    assert ran_here == ["_format_rows"] * 2 + ["_parse_piece"] * len(pieces)
     assert (tmp_path / "several.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "several.csv"]
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import norm
 
-from ctiv import design_spec, generate
+from ctiv import DesignSpec, design_spec, generate
 from ctiv.errors import CalibrationError, InputError
 from ctiv.synth import (
     CALIBRATION_CHECK_MIN_N,
@@ -216,6 +216,16 @@ def test_bad_design_and_scenario_ids():
         design_spec(6, 100, 1)
     with pytest.raises(InputError):
         design_spec(2, 100, 1, scenario=3)
+
+
+def test_design_spec_built_directly_takes_the_scenario_defaults():
+    # a DesignSpec built directly fills in the targets its scenario asks for
+    weak = DesignSpec(2, 300, 1, scenario=1)
+    assert (weak.target_cor_wz, weak.target_cor_weta) == (0.5, DEFAULT_COR_WETA)
+    assert weak == design_spec(2, 300, 1, scenario=1)
+    assert DesignSpec(2, 300, 1) == DesignSpec(2, 300, 1, DEFAULT_COR_WZ, DEFAULT_COR_WETA)
+    assert DesignSpec(2, 300, 1, 0.6, scenario=1).target_cor_wz == 0.6
+    assert DesignSpec(2, 300, 1, scenario=2).target_cor_wz == DEFAULT_COR_WZ
 
 
 def test_small_samples_skip_calibration_gate():

@@ -1,6 +1,7 @@
 """Growing, pruning, holdout selection and the fitted-tree artifact."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from ctiv import (
     prune_at_alpha,
     prune_path,
 )
-from ctiv.errors import CtivError, GrowthError, InputError, SplitError
+from ctiv.errors import CtivError, GrowthError, InputError, SplitError, ValidationError
 from ctiv.transform import leaf_weighted_itt
 from ctiv.tree import PathElement, PruningPath, TreeNode, holdout_loss, select_alpha
 
@@ -444,6 +445,43 @@ def test_select_alpha_tie_prefers_fewer_leaves():
     fake = PruningPath(elements=(PathElement(0.0, root), PathElement(0.5, root)))
     alpha, _ = select_alpha(fake, ds, half(ds), RANDOMIZED)
     assert alpha == 0.5
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_fit(scale):
+    """The 9,000-row design-2 fit at seed 1, outcomes times ``scale``."""
+    ds = generate(design_spec(2, 9000, 1)).dataset
+    ds = Dataset(ds.covariates, ds.z, ds.w, ds.y * scale, ds.feature_names)
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_leaf_fraction=0.05)
+    return fit_ctiv(ds, cfg, holdout_split(ds, (0.5, 0.5), 0), 0)
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e-78, 1e-120, 1e150])
+def test_a_rescaled_outcome_gives_the_rescaled_tree(scale):
+    # thresholds scale with y^2, so alpha's midpoint must neither overflow
+    # to inf (one leaf) nor underflow to 0 (seven leaves)
+    def splits(node):
+        return [] if node.is_leaf else [(node.feature, node.threshold),
+                                        *splits(node.left), *splits(node.right)]
+
+    base, tree = scaled_fit(1.0), scaled_fit(scale)
+    assert base.root.n_leaves() == 2
+    assert splits(tree.root) == splits(base.root)
+    assert tree.alpha / scale / scale == pytest.approx(base.alpha, rel=1e-12)
+    assert [leaf.cace_hat / scale for leaf in tree.leaves()] == \
+        pytest.approx([leaf.cace_hat for leaf in base.leaves()], rel=1e-12)
+
+
+def test_outcomes_whose_squares_overflow_are_refused():
+    ds = generate(design_spec(2, 200, 1)).dataset
+    cfg = GrowthConfig(regime=RANDOMIZED, min_leaf_fraction=0.05, min_arm_count=1)
+    for scale, fits in ((1e150, True), (1e155, False)):
+        big = Dataset(ds.covariates, ds.z, ds.w, ds.y * scale, ds.feature_names)
+        if fits:
+            grow(big, half(big), cfg)
+        else:
+            with pytest.raises(ValidationError, match="overflow"):
+                grow(big, half(big), cfg)
 
 
 def test_full_tree_node_numbering():
