@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import holdout_split
 from .errors import CtivError, EstimationError, InputError
 from .parallel import fan_out
-from .synth import SyntheticSample, design_spec, generate
+from .synth import DESIGN_IDS, SCENARIOS, SyntheticSample, design_spec, generate
 from .transform import RegimeKind
 from .tree import CausalTree, GrowthConfig, fit_ctiv
 
@@ -86,28 +86,23 @@ def _cell_seed(base_seed: int, label: str, n: int, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+# each label's (design, scenario): the designs by id, then "s1" and "s2" on design 2
+DESIGN_LABELS = {**{str(d): (d, None) for d in DESIGN_IDS},
+                 **{f"s{s}": (2, s) for s in SCENARIOS}}
+
+
 def _sample_for(label: str, n_total: int, seed: int) -> SyntheticSample:
-    if label.startswith("s"):
-        return generate(design_spec(2, n_total, seed, scenario=int(label[1:])))
-    return generate(design_spec(int(label), n_total, seed))
-
-
-_VARIANTS = (RegimeKind.CT, RegimeKind.IV_RANDOMIZED)
-
-
-def _variant_configs(**growth) -> tuple[GrowthConfig, GrowthConfig]:
-    """The CT config, then the CT-IV one; GrowthConfig's defaults fill in."""
-    return tuple(GrowthConfig(regime=kind, **growth)
-                 for kind in _VARIANTS)
+    design, scenario = DESIGN_LABELS[label]
+    return generate(design_spec(design, n_total, seed, scenario=scenario))
 
 
 def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
-             cfgs: tuple[GrowthConfig, GrowthConfig] = _variant_configs()
-             ) -> BenchResult:
-    """Fit both variants on one shared draw and score them: ``cfgs`` is the
-    receipt-split (CT) config, then the CT-IV one."""
-    if tuple(cfg.regime for cfg in cfgs) != _VARIANTS:
-        raise InputError("cfgs must be a ct config, then an iv-randomized one")
+             max_depth: int = GrowthConfig.max_depth,
+             min_leaf_fraction: float = GrowthConfig.min_leaf_fraction,
+             min_arm_count: int = GrowthConfig.min_arm_count) -> BenchResult:
+    """Fit CT, then CT-IV, with these growth options on one draw; score both."""
+    ct_cfg, iv_cfg = (GrowthConfig(kind, max_depth, min_leaf_fraction, min_arm_count)
+                      for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
     seed = _cell_seed(base_seed, label, n, rep)
     sample = _sample_for(label, 2 * n, seed)
     est_rows = np.arange(n)
@@ -116,8 +111,8 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
     test_x = sample.dataset.covariates[test_rows]
     test_truth = sample.true_cate[test_rows]
     split = holdout_split(est, (0.5, 0.5), seed=seed)
-    ct_tree = fit_ctiv(est, cfgs[0], split, seed)
-    iv_tree = fit_ctiv(est, cfgs[1], split, seed)
+    ct_tree = fit_ctiv(est, ct_cfg, split, seed)
+    iv_tree = fit_ctiv(est, iv_cfg, split, seed)
 
     ct_eval = evaluate_mse(ct_tree, test_x, test_truth)
     iv_eval = evaluate_mse(iv_tree, test_x, test_truth)
@@ -150,9 +145,9 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
               progress=None) -> tuple[list[BenchResult], list[dict]]:
     """All cells of designs x sizes x replicates.
 
-    The three growth options apply to both variants; they, the seed and
-    the sizes are checked before any cell, and a design or size may not
-    repeat (its draws would count again as further replicates).
+    The three growth options apply to both variants; they, the seed, the
+    designs and the sizes are checked before any cell, and a design or
+    size may not repeat (its draws would count again as further replicates).
     Failing cells are recorded (label, n, rep, error) and skipped.
     ``workers > 1`` fans cells out to that many processes, at most one
     per cell (see ``parallel.fan_out``);
@@ -169,12 +164,14 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     for what, items in (("designs", designs), ("sizes", sizes)):
         if len(set(items)) < len(items):
             raise InputError(f"{what} must not repeat, got {list(items)}")
+    if not set(designs) <= DESIGN_LABELS.keys():
+        raise InputError(f"designs must be among {list(DESIGN_LABELS)}, got {list(designs)}")
     if min(sizes, default=5) < 5:
         raise InputError(f"sizes must be >= 5 (a cell draws 2n units, at least "
                          f"10), got {min(sizes)}")
-    cfgs = _variant_configs(max_depth=max_depth, min_leaf_fraction=min_leaf_fraction,
-                            min_arm_count=min_arm_count)
-    cells = [(label, n, rep, base_seed, cfgs)
+    growth = (max_depth, min_leaf_fraction, min_arm_count)
+    GrowthConfig(RegimeKind.CT, *growth)        # checks them before any cell
+    cells = [(label, n, rep, base_seed, *growth)
              for label in designs for n in sizes for rep in range(n_seeds)]
     results: list[BenchResult] = []
     failures: list[dict] = []
@@ -212,7 +209,7 @@ def aggregate(results: list[BenchResult]) -> dict[tuple[str, int], dict[str, flo
 def format_summary(results: list[BenchResult]) -> str:
     """Design-by-size table: MSE of both variants plus the relative gap."""
     agg = aggregate(results)
-    designs = sorted({k[0] for k in agg}, key=lambda s: (s.startswith("s"), s))
+    designs = sorted({k[0] for k in agg}, key=list(DESIGN_LABELS).index)
     sizes = sorted({k[1] for k in agg})
     width = 12
     out = StringIO()

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import format_summary, results_csv, run_sweep
+from .bench import DESIGN_LABELS, format_summary, results_csv, run_sweep
 from .dataset import (
     ColumnSchema,
     check_split,
@@ -33,9 +33,10 @@ from .dataset import (
     read_csv_columns,
     save_csv,
 )
+from .effects import WEAK_F_THRESHOLD
 from .errors import CtivError, EstimationError, InputError, ValidationError
 from .parallel import usable_cpus
-from .synth import design_spec, generate
+from .synth import DESIGN_IDS, SCENARIOS, design_spec, generate
 from .transform import RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
 
@@ -183,7 +184,7 @@ def _cmd_fit(args) -> int:
     print(f"overall CACE (complier-weighted): {tree.overall_cace:.4f}")
     weak = [est.leaf_id for est in leaves if est.weak_instrument]
     if weak:
-        print(f"weak-instrument leaves (first-stage F < 10): {weak}")
+        print(f"weak-instrument leaves (first-stage F < {WEAK_F_THRESHOLD:g}): {weak}")
     for est in leaves:
         print(f"  node {est.leaf_id}: n={est.n} itt={est.itt_hat:.4f} "
               f"pi_c={est.pi_c_hat:.4f} cace={est.cace_hat:.4f} "
@@ -240,8 +241,8 @@ def _cmd_predict(args) -> int:
 def _add_simulate_parser(sub) -> None:
     p = sub.add_parser("simulate", help="draw one synthetic benchmark sample")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--design", type=int, choices=[1, 2, 3, 4, 5])
-    group.add_argument("--scenario", type=int, choices=[1, 2])
+    group.add_argument("--design", type=int, choices=DESIGN_IDS)
+    group.add_argument("--scenario", type=int, choices=SCENARIOS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cor-wz", type=float, default=None,
@@ -289,8 +290,7 @@ def _add_bench_parser(sub) -> None:
 
 
 def _cmd_bench(args) -> int:
-    allowed = {"1", "2", "3", "4", "5", "s1", "s2"}
-    designs = _parse_id_list(args.designs, allowed, "design")
+    designs = _parse_id_list(args.designs, DESIGN_LABELS.keys(), "design")
     try:
         sizes = _distinct([int(s) for s in args.sizes.split(",") if s.strip()], "size")
     except ValueError:

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     require_binary,
 )
-from .parallel import fan_out, fork_is_safe, usable_cpus
+from .parallel import fan_out, fork_workers
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +215,6 @@ def _reference_rows(rows: Iterator[list[str]], path: Path, header: list[str],
     return np.asarray(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
 
 
-def _share_count(text_bytes: int) -> int:
-    """Processes to share ``text_bytes`` of CSV text: one per usable CPU,
-    each with at least ``_SHARE_BYTES``, where forking is safe; else one."""
-    if not fork_is_safe():
-        return 1
-    return max(1, min(usable_cpus(), text_bytes // _SHARE_BYTES))
-
-
 def _data_pieces(path: Path, fh, header_lines: int) -> list[tuple[int, int]]:
     """Byte spans ``(start, stop)`` of the data rows, about ``_SHARE_BYTES``
     each: the first from the header's end, every other just after a
@@ -266,7 +258,7 @@ def _shared_rows(parse: Callable, path: Path, fh,
     little it buffers), a host where forking is unsafe, text that is one
     piece (no ``\\n`` to cut at), or an irregular piece. ``fh`` is as for
     ``_data_pieces`` and is left there."""
-    shares = _share_count(os.fstat(fh.fileno()).st_size)
+    shares = fork_workers(os.fstat(fh.fileno()).st_size // _SHARE_BYTES)
     pieces = _data_pieces(path, fh, header_lines) if shares > 1 else []
     if len(pieces) < 2:
         return None
@@ -418,10 +410,10 @@ def save_csv(ds: Dataset, path: str | Path,
     header = ["y", "w", "z", *ds.feature_names, *extras.keys()]
     n = ds.n_units
     pieces = [(start, min(start + _WRITE_ROWS, n)) for start in range(0, n, _WRITE_ROWS)]
+    workers = fork_workers(n * len(columns) * _CELL_BYTES // _SHARE_BYTES)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        with fan_out(partial(_format_rows, columns), pieces,
-                     _share_count(n * len(columns) * _CELL_BYTES)) as texts:
+        with fan_out(partial(_format_rows, columns), pieces, workers) as texts:
             fh.writelines(texts)
 
 

@@ -8,8 +8,9 @@ and no other Python thread is alive, since a thread holding a lock at
 the fork would leave that lock held forever in the child. (A BLAS
 library's own thread pool is not counted: OpenBLAS, for one, resets it
 around a fork.) Elsewhere the workers are spawned, and the task function
-and tasks must pickle; callers whose function is costly to pickle check
-``fork_is_safe`` first and stay in one process instead.
+and tasks must pickle; callers whose function is costly to pickle ask
+``fork_workers`` how many workers to use, which is one where forking is
+unsafe, and so stay in one process there.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ def fork_is_safe() -> bool:
     return (sys.platform != "darwin"
             and "fork" in multiprocessing.get_all_start_methods()
             and threading.active_count() == 1)
+
+
+def fork_workers(wanted: int) -> int:
+    """Workers for a task function that must not be pickled: ``wanted``
+    clipped to [1, usable CPUs] where forking is safe, else 1."""
+    if not fork_is_safe():
+        return 1
+    return max(1, min(usable_cpus(), wanted))
 
 
 # the function a worker's tasks run; set only in workers, which inherit

@@ -58,6 +58,8 @@ DIRECT_EFFECT_COEF = 1.0
 
 _ERROR_BY_DESIGN = {1: "normal", 2: "normal", 3: "exponential",
                     4: "uniform", 5: "normal"}
+DESIGN_IDS = tuple(_ERROR_BY_DESIGN)
+SCENARIOS = (1, 2)                   # each a twist on design 2
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,10 @@ class DesignSpec:
                                0.5 if self.scenario == 1 else DEFAULT_COR_WZ)
         if self.target_cor_weta is None:
             object.__setattr__(self, "target_cor_weta", DEFAULT_COR_WETA)
-        if self.design_id not in _ERROR_BY_DESIGN:
-            raise InputError(f"design_id must be 1..5, got {self.design_id}")
-        if self.scenario not in (None, 1, 2):
-            raise InputError(f"scenario must be 1 or 2, got {self.scenario}")
+        if self.design_id not in DESIGN_IDS:
+            raise InputError(f"design_id must be one of {DESIGN_IDS}, got {self.design_id}")
+        if self.scenario not in (None, *SCENARIOS):
+            raise InputError(f"scenario must be one of {SCENARIOS}, got {self.scenario}")
         if self.n < 10:
             raise InputError("n must be at least 10")
         if self.seed < 0:

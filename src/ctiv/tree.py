@@ -36,7 +36,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
-from .parallel import fan_out, fork_is_safe, usable_cpus
+from .parallel import fan_out, fork_workers
 from .propensity import (
     PropensityModel,
     check_ridge,
@@ -328,6 +328,9 @@ def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     # a holdout loss sums n squares of a transformed outcome, up to max|y| /
     # min(e, 1 - e), less a leaf effect, up to 2 max|y|; gains (4 n max|y|^2) are less
     y_max = float(np.abs(train.y).max())
+    if 0.0 < y_max and y_max * y_max < sys.float_info.min:
+        raise ValidationError(f"outcomes up to {y_max:g} in absolute value have squares "
+                              f"under {sys.float_info.min:g}, the least normal float")
     gap = y_max / float(np.minimum(e, 1.0 - e).min()) + 2.0 * y_max
     if gap * gap * n == math.inf:
         raise ValidationError(f"outcomes up to {y_max:g} in absolute value overflow "
@@ -612,9 +615,9 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
 
     # steps 3-5 run when their result is read, here or in a worker; read in
     # finally, their error wins over the pooled grow's, as if they ran first
-    overlap = omega_ds.n_units > _OVERLAP_ROWS and usable_cpus() > 1 and fork_is_safe()
+    workers = fork_workers(2 if omega_ds.n_units > _OVERLAP_ROWS else 1)
     tasks = [None] if cfg.alpha_override is None else []
-    with fan_out(holdout_alpha, tasks, 2 if overlap else 1) as alphas:
+    with fan_out(holdout_alpha, tasks, workers) as alphas:
         try:
             full = grow(omega_ds, e_omega, cfg)
         finally:

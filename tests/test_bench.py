@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,13 +147,16 @@ def test_run_cell_scenarios():
         assert math.isfinite(res.relative_gap_pct)
 
 
-def test_run_cell_rejects_a_misordered_config_pair():
-    # the first config's MSE is reported as mse_ct, the second's as mse_ctiv
-    ct, iv = (GrowthConfig(regime=kind)
-              for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
-    for cfgs in ((iv, ct), (ct, ct)):
-        with pytest.raises(InputError, match="ct config, then an iv-randomized"):
-            run_cell("2", 400, 0, cfgs=cfgs)
+def test_a_cell_fits_ct_then_ct_iv_with_the_sweeps_growth_options(monkeypatch):
+    # the first fit's MSE is reported as mse_ct, the second's as mse_ctiv
+    cfgs, real = [], ctiv.bench.fit_ctiv
+    monkeypatch.setattr(ctiv.bench, "fit_ctiv",
+                        lambda ds, cfg, *args: cfgs.append(cfg) or real(ds, cfg, *args))
+    run_sweep(["1"], [300], 1, 0, 3, 0.2, 5)
+    run_cell("1", 300, 0)
+    growth = GrowthConfig(RegimeKind.CT, 3, 0.2, 5)
+    assert cfgs == [growth, replace(growth, regime=RegimeKind.IV_RANDOMIZED),
+                    GrowthConfig(RegimeKind.CT), GrowthConfig(RegimeKind.IV_RANDOMIZED)]
 
 
 def test_run_sweep_growth_options_sit_where_they_did():
@@ -203,6 +207,13 @@ def test_run_sweep_refuses_a_repeated_design_or_size(designs, sizes, message):
     # a repeat would count the same draws again as further replicates
     with pytest.raises(InputError, match=message):
         run_sweep(designs, sizes, n_seeds=2, progress=pytest.fail)
+
+
+@pytest.mark.parametrize("label", ["7", "s3", "x"])
+def test_run_sweep_refuses_an_unknown_design_before_any_cell(label):
+    with pytest.raises(InputError, match=r"designs must be among \['1', '2', '3', '4', "
+                                         r"'5', 's1', 's2'\], got \['1', '" + label):
+        run_sweep(["1", label], [300], n_seeds=1, progress=pytest.fail)
 
 
 def test_aggregate_means():

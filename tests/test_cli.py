@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctiv.dataset
-from ctiv import (Dataset, GrowthConfig, export_json, fit_ctiv, holdout_split,
-                  load_json, save_csv)
+from ctiv import (Dataset, GrowthConfig, design_spec, export_json, fit_ctiv, generate,
+                  holdout_split, load_json, save_csv)
 from ctiv.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main
 from ctiv.errors import ValidationError
 
@@ -86,6 +87,56 @@ def test_fit_refuses_outcomes_whose_squares_overflow(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "ValidationError"
     assert "overflow" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-165])
+def test_fit_refuses_outcomes_whose_squares_underflow(tmp_path, capsys, scale):
+    # gains n * tau^2 would fall into subnormals and then to 0: alpha/scale^2
+    # moved at 1e-160 and the bare root fitted with alpha=0 at 1e-165, exit 0
+    ds = generate(design_spec(2, 4000, 1)).dataset
+    tiny = Dataset(ds.covariates, ds.z, ds.w, ds.y * scale, ds.feature_names)
+    save_csv(tiny, tmp_path / "tiny.csv")
+    code, _, err = run(capsys, "fit", "--input", str(tmp_path / "tiny.csv"),
+                       "--regime", "iv-randomized", "--max-depth", "3",
+                       "--min-leaf-fraction", "0.05", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValidationError"
+    assert "under 2.22507e-308, the least normal float" in json.loads(err)["message"]
+
+
+def test_fit_of_all_zero_outcomes_is_the_bare_root(tmp_path, capsys):
+    ds = write_trial_csv(tmp_path / "trial.csv")
+    zero = Dataset(ds.covariates, ds.z, ds.w, np.zeros(ds.n_units), ds.feature_names)
+    save_csv(zero, tmp_path / "zero.csv")
+    code, out, err = run(capsys, "fit", "--input", str(tmp_path / "zero.csv"),
+                         "--regime", "iv-randomized", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_OK, err
+    assert out.startswith("fitted iv-randomized tree: 1 leaves, alpha=0, ")
+
+
+def test_fit_with_no_unit_left_to_validate_fails(tmp_path, capsys):
+    write_trial_csv(tmp_path / "trial.csv")
+    code, _, err = run(capsys, "fit", "--input", str(tmp_path / "trial.csv"),
+                       "--regime", "iv-randomized", "--train-frac", "1.0",
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "EmptyDatasetError",
+                               "message": "no validation units survive trimming"}
+
+
+def test_fit_without_compliers_reports_no_overall_cace(tmp_path, capsys):
+    # receipt is the opposite of assignment: no leaf has a positive
+    # complier share, so there is nothing to average
+    ds = write_trial_csv(tmp_path / "trial.csv")
+    defiers = Dataset(ds.covariates, ds.z, 1 - ds.z, ds.y, ds.feature_names)
+    save_csv(defiers, tmp_path / "defiers.csv")
+    code, out, err = run(capsys, "fit", "--input", str(tmp_path / "defiers.csv"),
+                         "--regime", "iv-randomized", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_OK, err
+    assert "overall CACE (complier-weighted): nan\n" in out
+    resolved = json.loads((tmp_path / "o" / "run.json").read_text())["resolved"]
+    assert np.isnan(resolved["overall_cace"])
 
 
 def test_simulate_design_and_scenario_conflict(tmp_path, capsys):
@@ -459,6 +510,29 @@ def test_bench_refuses_a_reversed_design_range(tmp_path, capsys):
     assert resolved["designs"] == ["3"]
 
 
+@pytest.mark.parametrize("grid, message", [
+    (("--designs", "1-x"), "bad design range '1-x'"),
+    (("--designs", ","), "no designs given"),
+    (("--sizes", " , "), "no sizes given"),
+    (("--sizes", "300,x"), "bad --sizes '300,x'")])
+def test_bench_refuses_a_malformed_list(tmp_path, capsys, grid, message):
+    code, _, err = run(capsys, "bench", *grid, "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert json.loads(err) == {"error": "UsageError", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_records_a_failed_cell_and_says_so(tmp_path, capsys):
+    # on 5 units the CT fit's receipt model is so sharp that trimming keeps none
+    code, out, err = run(capsys, "bench", "--designs", "1", "--sizes", "5",
+                         "--seeds", "1", "--workers", "1", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    assert out.endswith("no successful cells\n1 cell(s) failed; see run.json\n")
+    failures = json.loads((tmp_path / "run.json").read_text())["failures"]
+    assert [(f["design"], f["n"], f["rep"], f["error"]) for f in failures] == [
+        ("1", 5, 0, "EmptyDatasetError")]
+
+
 def test_fit_help_lists_the_train_fraction_alone(capsys):
     with pytest.raises(SystemExit):
         main(["fit", "--help"])
@@ -621,6 +695,57 @@ def test_bench_bytes_do_not_depend_on_workers(tmp_path, capsys):
         cfg["options"].pop("out_dir")
         configs[workers] = cfg
     assert configs[None] == configs["1"] == configs["2"]
+
+
+def round_trip(capsys):
+    """simulate, fit and predict on 25,000 rows in the working directory:
+    every file's bytes, by path."""
+    features = ",".join(f"x{i}" for i in range(1, 11))
+    for argv in (("simulate", "--design", "2", "--n", "25000", "--seed", "4",
+                  "--out", "sample.csv"),
+                 ("fit", "--input", "sample.csv", "--regime", "iv-randomized",
+                  "--features", features, "--out-dir", "fit"),
+                 ("predict", "--tree", "fit/tree.json", "--input", "sample.csv",
+                  "--output", "predict.csv")):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+    return {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+
+
+@pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
+def test_commands_beside_another_thread_start_no_process(tmp_path, capsys, monkeypatch):
+    # a thread holding a lock at a fork would leave it held in the child,
+    # so with a second thread alive every command stays in this process
+    # and writes the bytes it writes with forked workers
+    pools = []
+    real = ctiv.parallel.ProcessPoolExecutor
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        lambda n, **kw: pools.append(n) or real(n, **kw))
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 2)
+    (tmp_path / "forked").mkdir()
+    monkeypatch.chdir(tmp_path / "forked")
+    forked = round_trip(capsys)
+    # simulate's writer, fit's reader and holdout tree, predict's reader
+    assert ctiv.tree._OVERLAP_ROWS < 25_000 and pools == [2, 2, 1, 2]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor", no_pool)
+    (tmp_path / "alone").mkdir()
+    monkeypatch.chdir(tmp_path / "alone")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        assert not ctiv.parallel.fork_is_safe()
+        alone = round_trip(capsys)
+    finally:
+        stop.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert list(alone) == list(forked)
+    assert alone == forked
 
 
 def test_bench_default_on_one_cpu_is_serial(tmp_path, capsys, monkeypatch):
@@ -927,8 +1052,8 @@ def fuzz_main(*argv):
     about 64 bytes: the exit code and stderr, once main returned without
     raising."""
     err = io.StringIO()
-    with mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
-                             usable_cpus=mock.Mock(return_value=3)), \
+    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", 64), \
+            mock.patch.object(ctiv.parallel, "usable_cpus", return_value=3), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = main(list(argv))

@@ -16,6 +16,7 @@ from ctiv import (
 )
 from ctiv.errors import (
     EmptyDatasetError,
+    InputError,
     MissingValueError,
     SchemaError,
     SplitError,
@@ -133,13 +134,14 @@ def test_byte_order_mark_reads_as_the_plain_file(tmp_path, monkeypatch, n):
     # 10,000 rows of ten covariates are 2.2 MiB of text: above twice
     # _SHARE_BYTES, so with two CPUs the rows after the header (BOM
     # included) are cut into pieces for two forked workers
-    monkeypatch.setattr(ctiv.dataset, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 2)
     ds = generate(design_spec(2, n, seed=5)).dataset
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
     save_csv(ds, plain)
     bom.write_bytes(BOM + plain.read_bytes())
-    if n > 50 and ctiv.dataset.fork_is_safe():
-        assert ctiv.dataset._share_count(bom.stat().st_size) == 2
+    if n > 50 and ctiv.parallel.fork_is_safe():
+        assert ctiv.parallel.fork_workers(
+            bom.stat().st_size // ctiv.dataset._SHARE_BYTES) == 2
     assert load_csv(plain).equals(ds)
     assert load_csv(bom).equals(ds)
 
@@ -158,6 +160,48 @@ def test_byte_order_mark_before_a_quoted_header_cell(tmp_path):
 def test_dataset_rejects_nan():
     with pytest.raises(ValidationError):
         Dataset(covariates=[[np.nan]], z=[1], w=[1], y=[1.0], feature_names=("x",))
+
+
+UNITS = dict(covariates=[[1.0], [2.0]], z=[0, 1], w=[0, 1], y=[0.5, 1.5],
+             feature_names=("x",))
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    (dict(covariates=[1.0, 2.0]), InputError, "covariates must be a 2-D array"),
+    (dict(covariates=np.empty((0, 1)), z=[], w=[], y=[]), EmptyDatasetError,
+     "at least one unit and one feature"),
+    (dict(covariates=np.empty((2, 0))), EmptyDatasetError, "at least one unit and one feature"),
+    (dict(w=[1]), InputError, "z and w must be length-N vectors"),
+    (dict(feature_names=("x", "x2")), SchemaError, "feature_names must be unique and match"),
+])
+def test_dataset_rejects_fields_that_do_not_fit(fields, error, message):
+    with pytest.raises(error, match=message):
+        Dataset(**(UNITS | fields))
+
+
+def test_subset_of_no_rows_errors():
+    with pytest.raises(EmptyDatasetError, match="subset selects no rows"):
+        Dataset(**UNITS).subset([])
+
+
+def test_save_refuses_an_extra_column_of_another_length(tmp_path):
+    with pytest.raises(InputError, match="extra column 'truth' has wrong length"):
+        save_csv(Dataset(**UNITS), tmp_path / "out.csv", extra_columns={"truth": [1.0]})
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_load_rejects_a_header_cell_over_the_field_limit(tmp_path):
+    path = write(tmp_path, "y,w,z," + "x" * 200_000 + "\n1,1,0,2\n")
+    with pytest.raises(ValidationError, match="header row: field larger than field limit"):
+        load_csv(path)
+
+
+def test_load_rejects_a_missing_feature_or_no_features(tmp_path):
+    path = write(tmp_path, "y,w,z,x1\n1,1,0,2\n")
+    with pytest.raises(SchemaError, match="missing feature column 'x2'"):
+        load_csv(path, ColumnSchema(feature_cols=("x1", "x2")))
+    with pytest.raises(SchemaError, match="no feature columns remain"):
+        load_csv(write(tmp_path, "y,w,z\n1,1,0\n", "roles.csv"))
 
 
 def test_dataset_rejects_nonbinary_arm():
@@ -294,6 +338,14 @@ def test_trim_idempotent():
     again, kept2 = trim_by_propensity(trimmed, e[kept], 0.1, 0.9)
     assert trimmed.equals(again)
     assert list(kept2) == list(range(len(kept)))
+
+
+@pytest.mark.parametrize("e_hat, message", [
+    (np.full(1, 0.5), "e_hat must be a length-N vector"),
+    (np.array([0.5, np.nan]), "e_hat contains non-finite values")])
+def test_trim_refuses_propensities_that_do_not_fit(e_hat, message):
+    with pytest.raises(InputError, match=message):
+        trim_by_propensity(Dataset(**UNITS), e_hat, 0.1, 0.9)
 
 
 def test_trim_all_out_errors():

@@ -254,6 +254,11 @@ def test_overall_cace_rejects_flagged_leaf():
         overall_cace([leaf(), leaf(leaf_id=3, ok=False)])
 
 
+def test_overall_cace_of_no_leaves_errors():
+    with pytest.raises(AggregationError, match="no leaves to aggregate"):
+        overall_cace([])
+
+
 def test_overall_cace_zero_compliers():
     with pytest.raises(AggregationError):
         overall_cace([leaf(n=10, pi_c=0.01)])  # rounds to zero compliers

@@ -22,11 +22,13 @@
   the ``isin`` positions ``fit_ctiv`` once took from that pair.
 """
 
+import contextlib
 import csv
 import itertools
 import math
 import os
 import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -149,6 +151,12 @@ def ref_grow(train, e, cfg):
     if min(n1, n - n1) < cfg.min_arm_count:
         raise GrowthError(
             f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
+    # outcomes whose squares underflow are refused: gains would fall into
+    # subnormals and to 0
+    y_max = float(np.max(np.abs(train.y)))
+    if 0.0 < y_max and y_max * y_max < sys.float_info.min:
+        raise ValidationError(f"outcomes up to {y_max:g} in absolute value have squares "
+                              f"under {sys.float_info.min:g}, the least normal float")
     # a split must gain more than rounding: 2^-42 (1024 ulps of 1) per
     # unit, times the largest squared outcome at the root
     noise = float(np.max(train.y * train.y)) * 2.0 ** -42
@@ -555,12 +563,14 @@ def test_regular_csv_takes_the_numpy_path(tmp_path):
     assert np.signbit(load_csv(path, schema).covariates[0, 0])
 
 
-def many_shares():
-    """CSV text over 64 bytes shared among up to three processes: every
+@contextlib.contextmanager
+def many_shares(cpus=3):
+    """CSV text over 64 bytes shared among up to ``cpus`` processes: every
     byte piece of a read, of about 64 bytes, and every piece of a write go
     to forked workers."""
-    return mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
-                               usable_cpus=mock.Mock(return_value=3))
+    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", 64), \
+            mock.patch.object(ctiv.parallel, "usable_cpus", return_value=cpus):
+        yield
 
 
 @SHARE_SETTINGS
@@ -792,8 +802,7 @@ def test_two_cpus_fork_one_write_worker_and_two_read_workers(tmp_path, monkeypat
                         lambda n, **kw: pools.append(n) or real(n, **kw))
     ds = generate(design_spec(2, 100, 0)).dataset
     save_csv(ds, tmp_path / "one.csv")
-    with mock.patch.multiple(ctiv.dataset, _SHARE_BYTES=64,
-                             usable_cpus=mock.Mock(return_value=2)):
+    with many_shares(cpus=2):
         save_csv(ds, tmp_path / "two.csv")
         assert load_csv(tmp_path / "two.csv").equals(ds)
     assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()

@@ -147,7 +147,7 @@ def test_iv_fit_bytes_with_the_holdout_tree_grown_in_a_worker(
     monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
                         lambda n, **kw: pools.append(n) or real(n, **kw))
     monkeypatch.setattr(ctiv.tree, "_OVERLAP_ROWS", 0)
-    monkeypatch.setattr(ctiv.tree, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 2)
     test_fit_and_predict_bytes(inputs, tmp_path, capsys, "iv")
     assert pools == [1]                 # the CSV text is too small to share
 

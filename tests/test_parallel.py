@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 import ctiv.parallel
-from ctiv.parallel import fan_out, fork_is_safe, usable_cpus
+from ctiv.parallel import fan_out, fork_is_safe, fork_workers, usable_cpus
 
 needs_fork = pytest.mark.skipif(not fork_is_safe(), reason="cannot fork here")
 
@@ -125,3 +125,12 @@ def test_usable_cpus_reads_the_affinity_set(monkeypatch):
     assert usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cpus() == 1
+
+
+@pytest.mark.parametrize("safe, wanted, workers", [
+    (True, 0, 1), (True, 2, 2), (True, 5, 3), (False, 5, 1)])
+def test_fork_workers_asks_for_forks_only_where_they_are_safe(
+        monkeypatch, safe, wanted, workers):
+    monkeypatch.setattr(ctiv.parallel, "fork_is_safe", lambda: safe)
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 3)
+    assert fork_workers(wanted) == workers

@@ -1,5 +1,7 @@
 """Logistic propensity fitting against independent oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -108,6 +110,39 @@ def test_infinite_ridge_is_an_input_error():
 def test_one_class_with_ridge_is_fine():
     model = fit_logistic(np.zeros((5, 1)), np.ones(5), ridge_lambda=1e-6)
     assert model.predict_many(np.zeros((1, 1)))[0] > 0.99
+
+
+@pytest.mark.parametrize("covariates, labels, message", [
+    (np.zeros(3), np.array([0, 1, 0]), "covariates must be a nonempty 2-D array"),
+    (np.zeros((0, 1)), np.zeros(0), "covariates must be a nonempty 2-D array"),
+    (np.zeros((3, 1)), np.array([0, 1]), "labels must be a length-N vector")])
+def test_covariates_and_labels_that_do_not_fit_error(covariates, labels, message):
+    with pytest.raises(InputError, match=message):
+        fit_logistic(covariates, labels, ridge_lambda=1e-6)
+
+
+def test_a_singular_hessian_takes_the_least_squares_step():
+    # a repeated column without a ridge leaves the Hessian singular, so
+    # np.linalg.solve fails and the step is the least-squares one
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 1))
+    labels = (rng.random(200) < expit(0.5 - x[:, 0])).astype(int)
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        twice = fit_logistic(np.hstack([x, x]), labels, ridge_lambda=0.0)
+    assert lstsq.call_count >= 1
+    once = fit_logistic(x, labels, ridge_lambda=0.0)
+    assert twice.converged and once.converged
+    np.testing.assert_allclose(twice.predict_many(np.hstack([x, x])),
+                               once.predict_many(x), rtol=1e-9)
+
+
+def test_a_fit_that_diverges_errors():
+    # separated labels on covariates near the float limit: Newton's steps
+    # leave the finite range
+    x = np.linspace(-1.0, 1.0, 50).reshape(-1, 1) * 1e300
+    with np.errstate(all="ignore"), \
+            pytest.raises(SeparationError, match="logistic fit diverged"):
+        fit_logistic(x, (x[:, 0] > 0).astype(int), ridge_lambda=0.0)
 
 
 def test_nonfinite_covariates_error():

@@ -210,11 +210,11 @@ def test_infeasible_targets_raise():
 
 
 def test_bad_design_and_scenario_ids():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"must be one of \(1, 2, 3, 4, 5\), got 0"):
         design_spec(0, 100, 1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="got 6"):
         design_spec(6, 100, 1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"scenario must be one of \(1, 2\), got 3"):
         design_spec(2, 100, 1, scenario=3)
 
 
@@ -226,6 +226,16 @@ def test_design_spec_built_directly_takes_the_scenario_defaults():
     assert DesignSpec(2, 300, 1) == DesignSpec(2, 300, 1, DEFAULT_COR_WZ, DEFAULT_COR_WETA)
     assert DesignSpec(2, 300, 1, 0.6, scenario=1).target_cor_wz == 0.6
     assert DesignSpec(2, 300, 1, scenario=2).target_cor_wz == DEFAULT_COR_WZ
+
+
+@pytest.mark.parametrize("seed, cor_wz, cor_weta, missed", [
+    (744, 0.02, 0.5, r"realized Cor\(W,Z\)=0\.0727 misses target 0\.02"),
+    (645, 0.65, 0.02, r"realized Cor\(W,eta\)=-0\.0309 misses target 0\.02")])
+def test_a_sample_that_misses_a_target_raises(seed, cor_wz, cor_weta, missed):
+    # near-zero targets spread the sample correlation most: at n = 5,000
+    # these seeds miss by more than the tolerance
+    with pytest.raises(CalibrationError, match=missed):
+        generate(design_spec(1, CALIBRATION_CHECK_MIN_N, seed, cor_wz, cor_weta))
 
 
 def test_small_samples_skip_calibration_gate():

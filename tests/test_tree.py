@@ -31,7 +31,8 @@ from ctiv import (
     prune_at_alpha,
     prune_path,
 )
-from ctiv.errors import CtivError, GrowthError, InputError, SplitError, ValidationError
+from ctiv.errors import (CtivError, EmptyDatasetError, EstimationError, GrowthError, InputError,
+                         SplitError, ValidationError)
 from ctiv.transform import leaf_weighted_itt
 from ctiv.tree import PathElement, PruningPath, TreeNode, holdout_loss, select_alpha
 
@@ -363,6 +364,29 @@ def test_prune_path_resweeps_an_ancestor_exposed_at_the_same_price():
     assert [el.alpha_threshold for el in path.elements] == [0.0, 0.465, 0.785]
 
 
+def test_pruning_refuses_a_bad_training_count_or_price():
+    ds = staircase_ds()
+    root = grow(ds, half(ds), GrowthConfig(regime=RANDOMIZED, min_arm_count=1))
+    with pytest.raises(InputError, match="n_train must be positive"):
+        prune_path(root, 0)
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(InputError, match="alpha must be nonnegative"):
+            prune_at_alpha(root, alpha, ds.n_units)
+
+
+def test_holdout_loss_refuses_a_leaf_without_an_effect():
+    ds = staircase_ds()
+    leaf = TreeNode(n=ds.n_units, n1=8, n0=8, tau=math.nan)
+    with pytest.raises(EstimationError, match="reached a leaf without an effect"):
+        holdout_loss(leaf, ds, half(ds), RANDOMIZED)
+
+
+def test_fit_without_a_training_unit_fails():
+    ds = generate(design_spec(1, 200, seed=3)).dataset
+    with pytest.raises(EmptyDatasetError, match="no training units survive trimming"):
+        fit_ctiv(ds, GrowthConfig(regime=RANDOMIZED), np.zeros(ds.n_units, dtype=bool), 3)
+
+
 def test_prune_at_alpha_reproduces_path():
     ds = staircase_ds()
     cfg = GrowthConfig(regime=RANDOMIZED, max_depth=2, min_leaf_fraction=0.1,
@@ -482,6 +506,19 @@ def test_outcomes_whose_squares_overflow_are_refused():
         else:
             with pytest.raises(ValidationError, match="overflow"):
                 grow(big, half(big), cfg)
+
+
+def test_outcomes_whose_squares_underflow_are_refused():
+    ds = generate(design_spec(2, 200, 1)).dataset
+    cfg = GrowthConfig(regime=RANDOMIZED, min_leaf_fraction=0.05, min_arm_count=1)
+    for y, fits in ((ds.y * 1e-150, True), (ds.y * 1e-155, False),
+                    (np.full(ds.n_units, 1e-160), False), (np.zeros(ds.n_units), True)):
+        tiny = Dataset(ds.covariates, ds.z, ds.w, y, ds.feature_names)
+        if fits:
+            grow(tiny, half(tiny), cfg)
+        else:
+            with pytest.raises(ValidationError, match="the least normal float"):
+                grow(tiny, half(tiny), cfg)
 
 
 def test_full_tree_node_numbering():
@@ -643,7 +680,7 @@ def overlapped(monkeypatch):
     monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
                         lambda n, **kw: pools.append(n) or real(n, **kw))
     monkeypatch.setattr(ctiv.tree, "_OVERLAP_ROWS", 0)
-    monkeypatch.setattr(ctiv.tree, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 2)
     return pools
 
 
@@ -657,7 +694,7 @@ def one_and_two_processes(fit, overlapped, monkeypatch):
             return type(exc), str(exc)
 
     with monkeypatch.context() as serial:
-        serial.setattr(ctiv.tree, "usable_cpus", lambda: 1)
+        serial.setattr(ctiv.parallel, "usable_cpus", lambda: 1)
         one = outcome()
     assert overlapped == []
     return one, outcome()
