@@ -73,7 +73,7 @@ def _parse_id_list(raw: str, allowed: set[str], what: str) -> list[str]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk and not chunk.startswith("s"):
+        if "-" in chunk and chunk not in allowed:
             lo, _, hi = chunk.partition("-")
             try:
                 ids = [str(i) for i in range(int(lo), int(hi) + 1)]
@@ -206,10 +206,6 @@ def _cmd_predict(args) -> int:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{args.tree}: not UTF-8 text ({exc.reason})") from None
     tree = load_json(text)
-    try:
-        leaves = tree.leaves()
-    except EstimationError as exc:      # a grown-only tree: nothing to predict
-        raise ValidationError(f"{args.tree}: {exc}") from None
     names = list(tree.feature_names)
 
     def choose(header: list[str]) -> list[str]:
@@ -231,7 +227,7 @@ def _cmd_predict(args) -> int:
     if x.shape[0]:
         line = {est.leaf_id: f"{est.leaf_id},{est.itt_hat!r},"
                              f"{est.cace_hat!r},{est.cace_se!r}\n"
-                for est in leaves}
+                for est in tree.estimates}
         text += "".join(map(line.__getitem__, tree.assign_leaves(x).tolist()))
     _write(Path(args.output), text)
     print(f"wrote {x.shape[0]} predictions to {args.output}")

@@ -125,33 +125,33 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
     beta = np.zeros(k + 1)
     ll = penalized_loglik(beta, x_aug, lab, ridge_lambda)
     iterations = 0
-    while True:
-        # the link once per iterate: gradient and Hessian weights share p
-        p = expit(x_aug @ beta)
-        grad = _gradient(p, beta, x_aug, lab, ridge_lambda)
-        converged = bool(np.abs(grad).max() < tol)
-        if converged or iterations >= max_iter:
-            break
-        weights = p * (1.0 - p)
-        hess = (x_aug * weights[:, None]).T @ x_aug + np.diag(penalty_diag)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        # step halving: never accept a move that lowers the objective
-        scale = 1.0
-        for _ in range(50):
-            candidate = beta + scale * step
-            cand_ll = penalized_loglik(candidate, x_aug, lab, ridge_lambda)
-            if cand_ll >= ll - 1e-12:
+    # covariates near the float limit overflow the products, which the
+    # divergence check below reports; numpy's warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            # the link once per iterate: gradient and Hessian weights share p
+            p = expit(x_aug @ beta)
+            grad = _gradient(p, beta, x_aug, lab, ridge_lambda)
+            converged = bool(np.abs(grad).max() < tol)
+            if converged or iterations >= max_iter:
                 break
-            scale *= 0.5
-        else:
-            # no halving was accepted: take the step at the last scale
-            candidate = beta + scale * step
-            cand_ll = penalized_loglik(candidate, x_aug, lab, ridge_lambda)
-        beta, ll = candidate, cand_ll
-        iterations += 1
+            weights = p * (1.0 - p)
+            hess = (x_aug * weights[:, None]).T @ x_aug + np.diag(penalty_diag)
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+            # step halving: never accept a move that lowers the objective,
+            # unless no scale down to 2**-50 avoids it; then take that last
+            scale = 1.0
+            for _ in range(51):
+                candidate = beta + scale * step
+                cand_ll = penalized_loglik(candidate, x_aug, lab, ridge_lambda)
+                if cand_ll >= ll - 1e-12:
+                    break
+                scale *= 0.5
+            beta, ll = candidate, cand_ll
+            iterations += 1
     if not np.isfinite(beta).all():
         raise SeparationError("logistic fit diverged; labels may be separated")
     coefs = beta[1:].copy()

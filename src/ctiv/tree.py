@@ -7,10 +7,12 @@ causal tree, assignment for the instrumented variants). A weakest-link
 cost-complexity sweep produces the nested pruning path; the complexity
 price alpha is picked on a holdout sample by transformed-outcome loss;
 the final tree is re-grown on the pooled fitting sample and pruned at
-the selected alpha, and its leaves carry full effect estimates.
+the selected alpha, and its leaves' effect estimates are kept in one
+table beside it.
 
-Trees are immutable: pruning and annotation build new nodes, so every
-snapshot along the pruning path can be kept safely.
+Trees are immutable: pruning builds new nodes, so every snapshot along
+the pruning path can be kept safely. A node is born with its id, so the
+ids along the path are the grown tree's.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -94,20 +97,19 @@ class TreeNode:
     """One node; leaves have no feature/threshold/children.
 
     ``node_id`` follows full-binary-tree numbering (root 1, children of
-    k are 2k and 2k+1); it is 0 until the tree is finalised. ``tau`` is
-    the weighted arm contrast on the sample the node was grown on.
+    k are 2k and 2k+1). ``tau`` is the weighted arm contrast on the
+    sample the node was grown on.
     """
 
     n: int
     n1: int
     n0: int
     tau: float
+    node_id: int
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    node_id: int = 0
-    estimate: LeafEstimate | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -251,10 +253,11 @@ def _scan_block(x, sums, block, f0, window):
     return zip(gain[at, pos].tolist(), thresholds.tolist())
 
 
-def _grow_node(frame, rows, box, depth):
-    """Grow the subtree on ``rows`` (ascending). ``box`` is a list holding
-    the node's orders (see ``_best_split``), empty at the depth limit; the
-    node takes them out and frees them before its children grow."""
+def _grow_node(frame, rows, box, node_id):
+    """Grow the subtree with id ``node_id`` on ``rows`` (ascending); at
+    depth d, 2^d <= node_id < 2^(d+1). ``box`` is a list holding the node's
+    orders (see ``_best_split``), empty at the depth limit; the node takes
+    them out and frees them before its children grow."""
     x, sums, mark, cfg, min_leaf, noise = frame
     orders = box.pop() if box else None
     m = rows.size
@@ -266,8 +269,8 @@ def _grow_node(frame, rows, box, depth):
         # value left, so a child can miss the arm counts the scan checked
         raise EmptyArmError("leaf needs at least one unit in each arm")
     tau = float(t[0] / t[1]) - float(t[2] / t[3])
-    node = TreeNode(n=m, n1=n1, n0=m - n1, tau=tau)
-    if (depth >= cfg.max_depth or m < 2 * min_leaf
+    node = TreeNode(n=m, n1=n1, n0=m - n1, tau=tau, node_id=node_id)
+    if (node_id >= 1 << cfg.max_depth or m < 2 * min_leaf
             or min(n1, m - n1) < 2 * cfg.min_arm_count):
         return node                     # no cut can satisfy the floors
     best = _best_split(x, sums, orders, n1, min_leaf, cfg.min_arm_count)
@@ -278,14 +281,14 @@ def _grow_node(frame, rows, box, depth):
         return node                     # no improvement beyond rounding
     goes_left = x[rows, feature] <= threshold
     left_box, right_box = [], []
-    if depth + 1 < cfg.max_depth:
+    if 2 * node_id < 1 << cfg.max_depth:     # the children may split
         mark[rows] = goes_left
         side = mark[orders].ravel()
         left_box.append(orders.compress(side).reshape(len(orders), -1))
         right_box.append(orders.compress(~side).reshape(len(orders), -1))
     del orders                          # the parent's orders are not needed again
-    left = _grow_node(frame, rows[goes_left], left_box, depth + 1)
-    right = _grow_node(frame, rows[~goes_left], right_box, depth + 1)
+    left = _grow_node(frame, rows[goes_left], left_box, 2 * node_id)
+    right = _grow_node(frame, rows[~goes_left], right_box, 2 * node_id + 1)
     return replace(node, feature=int(feature), threshold=float(threshold),
                    left=left, right=right)
 
@@ -346,7 +349,7 @@ def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     # the outcome's scale, up to about this much per unit
     noise = 1024 * np.finfo(np.float64).eps * y_max ** 2
     frame = (x, sums, np.empty(n, dtype=bool), cfg, min_leaf, noise)
-    return _grow_node(frame, np.arange(n), box, 0)
+    return _grow_node(frame, np.arange(n), box, 1)
 
 
 # --- pruning ---
@@ -410,18 +413,18 @@ def prune_path(root: TreeNode, n_train: int) -> PruningPath:
 # --- alpha selection on a holdout sample ---
 
 def _leaf_rows(root: TreeNode, x: np.ndarray):
-    """Yield (full-binary id, leaf, row indices) for every leaf of the
-    tree, left to right; a row of ``x`` goes left when its value of the
-    split feature is <= the threshold."""
-    stack = [(1, root, np.arange(x.shape[0]))]
-    while stack:
-        node_id, node, rows = stack.pop()
+    """Yield (leaf, row indices) for every leaf of the tree in id order:
+    breadth first, each level left to right. A row of ``x`` goes left
+    when its value of the split feature is <= the threshold."""
+    queue = deque([(root, np.arange(x.shape[0]))])
+    while queue:
+        node, rows = queue.popleft()
         if node.is_leaf:
-            yield node_id, node, rows
+            yield node, rows
             continue
         goes_left = x[rows, node.feature] <= node.threshold
-        stack.append((2 * node_id + 1, node.right, rows[~goes_left]))
-        stack.append((2 * node_id, node.left, rows[goes_left]))
+        queue.append((node.left, rows[goes_left]))
+        queue.append((node.right, rows[~goes_left]))
 
 
 def holdout_loss(root: TreeNode, validation: Dataset, e: np.ndarray,
@@ -433,7 +436,7 @@ def holdout_loss(root: TreeNode, validation: Dataset, e: np.ndarray,
     d = regime.indicator(validation.w, validation.z)
     y_star = transformed_outcome(validation.y, d, e)
     tau = np.empty(n)
-    for _, leaf, rows in _leaf_rows(root, validation.covariates):
+    for leaf, rows in _leaf_rows(root, validation.covariates):
         tau[rows] = leaf.tau
     if not np.isfinite(tau).all():
         raise EstimationError("a validation unit reached a leaf without an effect")
@@ -488,6 +491,7 @@ class CausalTree:
     """A finished tree plus everything needed to reuse or audit it."""
 
     root: TreeNode
+    estimates: tuple[LeafEstimate, ...]     # one per leaf, sorted by leaf_id
     feature_names: tuple[str, ...]
     regime_kind: RegimeKind
     alpha: float
@@ -506,13 +510,7 @@ class CausalTree:
     overall_cace: float = float("nan")
 
     def leaves(self) -> list[LeafEstimate]:
-        found: list[LeafEstimate] = []
-        for node in _preorder(self.root):
-            if node.is_leaf:
-                if node.estimate is None:
-                    raise EstimationError(f"leaf {node.node_id} has no estimate")
-                found.append(node.estimate)
-        return sorted(found, key=lambda est: est.leaf_id)
+        return list(self.estimates)
 
     def assign_leaves(self, covariates: np.ndarray) -> np.ndarray:
         """Leaf node_id for every row of a covariate matrix."""
@@ -521,23 +519,13 @@ class CausalTree:
             raise InputError(
                 f"expected (N, {len(self.feature_names)}) covariates, got {x.shape}")
         out = np.empty(x.shape[0], dtype=np.int64)
-        for _, leaf, rows in _leaf_rows(self.root, x):
+        for leaf, rows in _leaf_rows(self.root, x):
             out[rows] = leaf.node_id
         return out
 
     @property
     def leaf_map(self) -> dict[int, LeafEstimate]:
-        return {est.leaf_id: est for est in self.leaves()}
-
-
-def _numbered(node: TreeNode, node_id: int,
-              estimates: dict[int, LeafEstimate]) -> TreeNode:
-    """The subtree with full-binary ids and, at its leaves, ``estimates``."""
-    if node.is_leaf:
-        return replace(node, node_id=node_id, estimate=estimates[node_id])
-    return replace(node, node_id=node_id,
-                   left=_numbered(node.left, 2 * node_id, estimates),
-                   right=_numbered(node.right, 2 * node_id + 1, estimates))
+        return {est.leaf_id: est for est in self.estimates}
 
 
 # pooled rows above which fit_ctiv grows the holdout tree in a forked
@@ -559,7 +547,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     4. build its cost-complexity path;
     5. price complexity on the validation rows (unless overridden);
     6. re-grow on train+validation and prune at the chosen alpha;
-    7. attach per-leaf effect estimates computed on train+validation.
+    7. estimate each leaf's effects on train+validation.
 
     Step 6's growth does not need alpha. Above ``_OVERLAP_ROWS`` pooled
     rows, with more than one usable CPU and where forking is safe, steps
@@ -626,19 +614,18 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
 
     x = omega_ds.covariates
     adjust = cfg.regime is RegimeKind.IV_UNCONFOUNDED
-    estimates = {
-        node_id: estimate_leaf(node_id, omega_ds.y[rows], omega_ds.z[rows],
-                               omega_ds.w[rows], cfg.regime, e_omega[rows],
-                               x[rows] if adjust else None)
-        for node_id, _, rows in _leaf_rows(final, x)
-    }
-    ok = [estimates[k] for k in sorted(estimates) if estimates[k].compliers_ok]
+    estimates = tuple(                  # in leaf id order, as _leaf_rows yields
+        estimate_leaf(leaf.node_id, omega_ds.y[rows], omega_ds.z[rows],
+                      omega_ds.w[rows], cfg.regime, e_omega[rows],
+                      x[rows] if adjust else None)
+        for leaf, rows in _leaf_rows(final, x))
     try:
-        overall = overall_cace(ok)
+        overall = overall_cace([est for est in estimates if est.compliers_ok])
     except AggregationError:
         overall = float("nan")
     return CausalTree(
-        root=_numbered(final, 1, estimates),
+        root=final,
+        estimates=estimates,
         feature_names=ds.feature_names,
         regime_kind=cfg.regime,
         alpha=float(alpha),
@@ -660,7 +647,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
 
 # --- serialisation ---
 
-def _node_to_dict(node: TreeNode) -> dict:
+def _node_to_dict(node: TreeNode, estimates: dict[int, LeafEstimate]) -> dict:
     out: dict = {
         "node_id": node.node_id,
         "n": node.n,
@@ -669,12 +656,12 @@ def _node_to_dict(node: TreeNode) -> dict:
         "tau": node.tau,
     }
     if node.is_leaf:
-        out["estimate"] = None if node.estimate is None else asdict(node.estimate)
+        out["estimate"] = asdict(estimates[node.node_id])
     else:
         out["feature"] = node.feature
         out["threshold"] = node.threshold
-        out["left"] = _node_to_dict(node.left)
-        out["right"] = _node_to_dict(node.right)
+        out["left"] = _node_to_dict(node.left, estimates)
+        out["right"] = _node_to_dict(node.right, estimates)
     return out
 
 
@@ -694,17 +681,22 @@ _PROPENSITY_TYPES = {f.name: f.type for f in fields(PropensityModel)
 
 def _typed(record: dict, types: dict[str, str], where: str) -> dict:
     """The ``types`` keys of ``record``, once each value has the JSON type
-    its annotation names; a bool is never an integer or a number."""
+    its annotation names; a bool is never an integer or a number, and an
+    integer read as a number must lie in the float range."""
     for key, annotation in types.items():
         kind, name = _JSON_TYPES[annotation]
         value = record[key]
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ValidationError(f"{where}: {key} {value!r} is not {name}")
+        if kind is not int and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValidationError(f"{where}: {key} is an integer beyond the float range")
     return {key: record[key] for key in types}
 
 
-def _node_from_dict(data: dict, n_features: int, node_id: int = 1) -> TreeNode:
-    """Rebuild the subtree whose root must carry full-binary id ``node_id``."""
+def _node_from_dict(data: dict, n_features: int, estimates: list[LeafEstimate],
+                    node_id: int = 1) -> TreeNode:
+    """Rebuild the subtree whose root must carry full-binary id ``node_id``,
+    appending its leaves' estimates to ``estimates``."""
     if not isinstance(data, dict):
         raise ValidationError(f"tree node is a {type(data).__name__}, not an object")
     if data["node_id"] != node_id or isinstance(data["node_id"], bool):
@@ -723,20 +715,22 @@ def _node_from_dict(data: dict, n_features: int, node_id: int = 1) -> TreeNode:
         return TreeNode(
             **counts, **_typed(data, {"threshold": "float"}, f"node {node_id}"),
             feature=feature, node_id=node_id,
-            left=_node_from_dict(data["left"], n_features, 2 * node_id),
-            right=_node_from_dict(data["right"], n_features, 2 * node_id + 1))
+            left=_node_from_dict(data["left"], n_features, estimates, 2 * node_id),
+            right=_node_from_dict(data["right"], n_features, estimates, 2 * node_id + 1))
     if any(branch) or "estimate" not in data:
         raise ValidationError(
             f"node {node_id} is neither a leaf (an estimate only) "
             f"nor an internal node ({', '.join(_BRANCH_KEYS)}, no estimate)")
-    est = None
-    if data["estimate"] is not None:
-        est = LeafEstimate(**data["estimate"])
-        _typed(vars(est), _ESTIMATE_TYPES, f"leaf {node_id}")
-        if est.leaf_id != node_id:
-            raise ValidationError(
-                f"leaf {node_id} holds the estimate of leaf {est.leaf_id!r}")
-    return TreeNode(**counts, node_id=node_id, estimate=est)
+    if not isinstance(data["estimate"], dict):
+        raise ValidationError(f"leaf {node_id}: estimate {data['estimate']!r} "
+                              f"is not an object")
+    est = LeafEstimate(**data["estimate"])
+    _typed(vars(est), _ESTIMATE_TYPES, f"leaf {node_id}")
+    if est.leaf_id != node_id:
+        raise ValidationError(
+            f"leaf {node_id} holds the estimate of leaf {est.leaf_id!r}")
+    estimates.append(est)
+    return TreeNode(**counts, node_id=node_id)
 
 
 # CausalTree fields that tree.json's "meta" holds under the same name, as is
@@ -761,7 +755,7 @@ def export_json(tree: CausalTree) -> str:
             "propensity": prop,
             **{name: getattr(tree, name) for name in _META_FIELDS},
         },
-        "tree": _node_to_dict(tree.root),
+        "tree": _node_to_dict(tree.root, tree.leaf_map),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -806,8 +800,11 @@ def _tree_from_payload(payload: dict) -> CausalTree:
         coefs = np.asarray(coefs, dtype=np.float64)
         coefs.setflags(write=False)
         prop = PropensityModel(**{**p, "coefficients": coefs})
+    estimates: list[LeafEstimate] = []
+    root = _node_from_dict(payload["tree"], len(names), estimates)
     return CausalTree(
-        root=_node_from_dict(payload["tree"], len(names)),
+        root=root,
+        estimates=tuple(sorted(estimates, key=lambda est: est.leaf_id)),
         feature_names=names,
         regime_kind=RegimeKind(meta["regime"]),
         propensity=prop,

@@ -42,14 +42,14 @@ def estimate(leaf_id, itt, cace, ok=True):
 
 
 def two_leaf_tree(left_itt, left_cace, right_itt, right_cace, left_ok=True):
-    left = TreeNode(n=50, n1=25, n0=25, tau=left_itt, node_id=2,
-                    estimate=estimate(2, left_itt, left_cace, ok=left_ok))
-    right = TreeNode(n=50, n1=25, n0=25, tau=right_itt, node_id=3,
-                     estimate=estimate(3, right_itt, right_cace))
+    left = TreeNode(n=50, n1=25, n0=25, tau=left_itt, node_id=2)
+    right = TreeNode(n=50, n1=25, n0=25, tau=right_itt, node_id=3)
     root = TreeNode(n=100, n1=50, n0=50, tau=0.0, feature=0, threshold=0.0,
                     left=left, right=right, node_id=1)
     return CausalTree(
-        root=root, feature_names=("x1",),
+        root=root, estimates=(estimate(2, left_itt, left_cace, ok=left_ok),
+                              estimate(3, right_itt, right_cace)),
+        feature_names=("x1",),
         regime_kind=RegimeKind.IV_RANDOMIZED, alpha=0.0, p_hat=0.5,
         propensity=None, adjust_covariates=False, n_input=100, n_trimmed=0,
         n_train=50, n_validation=50, n_omega=100, seed=0, max_depth=1,

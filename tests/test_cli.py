@@ -1,6 +1,7 @@
 """End-to-end command line behavior: files written, exit codes, determinism."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -9,19 +10,21 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ctiv.dataset
+import ctiv.errors
 from ctiv import (Dataset, GrowthConfig, design_spec, export_json, fit_ctiv, generate,
                   holdout_split, load_json, save_csv)
 from ctiv.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main
-from ctiv.errors import ValidationError
+from ctiv.errors import CtivError, ValidationError
 
 
 def run(capsys, *argv):
@@ -113,6 +116,27 @@ def test_fit_of_all_zero_outcomes_is_the_bare_root(tmp_path, capsys):
                          "--regime", "iv-randomized", "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_OK, err
     assert out.startswith("fitted iv-randomized tree: 1 leaves, alpha=0, ")
+
+
+@pytest.mark.parametrize("regime, ridge", [("ct", "1e-6"), ("ct", "0"),
+                                           ("iv-unconfounded", "1e-6")])
+def test_fit_on_covariates_near_the_float_limit_writes_one_error_line(
+        tmp_path, capsys, regime, ridge):
+    # the logistic fit's products overflow and it diverges: numpy's warnings
+    # once came out on stderr ahead of the JSON error
+    x = np.linspace(-1e300, 1e300, 200)[:, None]
+    w = (x[:, 0] > 0).astype(np.int8)
+    y = np.random.default_rng(0).normal(size=200)
+    data = tmp_path / "d.csv"
+    save_csv(Dataset(covariates=x, z=w, w=w, y=y, feature_names=("x1",)), data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "fit", "--input", str(data), "--regime", regime,
+                           "--ridge", ridge, "--out-dir", str(tmp_path / "o"))
+    assert caught == [] and code == EXIT_ESTIMATION
+    assert err.count("\n") == 1 and json.loads(err) == {
+        "error": "SeparationError",
+        "message": "logistic fit diverged; labels may be separated"}
 
 
 def test_fit_with_no_unit_left_to_validate_fails(tmp_path, capsys):
@@ -514,7 +538,8 @@ def test_bench_refuses_a_reversed_design_range(tmp_path, capsys):
     (("--designs", "1-x"), "bad design range '1-x'"),
     (("--designs", ","), "no designs given"),
     (("--sizes", " , "), "no sizes given"),
-    (("--sizes", "300,x"), "bad --sizes '300,x'")])
+    (("--sizes", "300,x"), "bad --sizes '300,x'"),
+    (("--designs", "s1-2"), "bad design range 's1-2'")])
 def test_bench_refuses_a_malformed_list(tmp_path, capsys, grid, message):
     code, _, err = run(capsys, "bench", *grid, "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_USAGE
@@ -814,14 +839,15 @@ def test_predict_leaf_without_an_estimate_exit_data(tmp_path, capsys):
     assert code == EXIT_OK, err
     tree = tmp_path / "fit" / "tree.json"
     payload = json.loads(tree.read_text())
-    payload["tree"]["estimate"] = None      # as a grown-only tree exports
+    payload["tree"]["estimate"] = None      # a leaf must carry its estimate
     tree.write_text(json.dumps(payload))
-    assert load_json(tree.read_text()).root.estimate is None
+    message = "leaf 1: estimate None is not an object"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        load_json(tree.read_text())
     code, _, err = run(capsys, "predict", "--tree", str(tree), "--input", str(data),
                        "--output", str(tmp_path / "p.csv"))
     assert code == EXIT_DATA
-    assert json.loads(err) == {"error": "ValidationError",
-                               "message": f"{tree}: leaf 1 has no estimate"}
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -1022,21 +1048,27 @@ def edited(data: bytes, edits) -> bytes:
     return data[:int(kept * len(data))]
 
 
+def key_paths(doc):
+    """Every key path in a JSON document, dict keys and list indices
+    alike, each parent before its children."""
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            paths.append(path + (key,))
+            walk(child, path + (key,))
+
+    walk(doc, ())
+    return paths
+
+
 @st.composite
 def tree_edits(draw, text):
     """tree.json with one value replaced or removed, then edited as bytes."""
     doc = json.loads(text)
-    paths = []
-
-    def walk(node, path):
-        paths.append(path)
-        items = node.items() if isinstance(node, dict) else (
-            enumerate(node) if isinstance(node, list) else ())
-        for key, child in items:
-            walk(child, path + [key])
-
-    walk(doc, [])
-    path = draw(st.sampled_from(paths[1:]))
+    path = draw(st.sampled_from(key_paths(doc)))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -1047,17 +1079,21 @@ def tree_edits(draw, text):
     return edited(json.dumps(doc).encode(), draw(byte_edits(JSON_BYTES)))
 
 
-def fuzz_main(*argv):
-    """main(argv) with CSV text over 128 bytes shared out in pieces of
-    about 64 bytes: the exit code and stderr, once main returned without
-    raising."""
+def main_quietly(*argv):
+    """main(argv) with stdout dropped: the exit code and stderr, once main
+    returned without raising."""
     err = io.StringIO()
-    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", 64), \
-            mock.patch.object(ctiv.parallel, "usable_cpus", return_value=3), \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, err.getvalue()
+
+
+def fuzz_main(*argv):
+    """main_quietly(argv) with CSV text over 128 bytes shared out in pieces
+    of about 64 bytes."""
+    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", 64), \
+            mock.patch.object(ctiv.parallel, "usable_cpus", return_value=3):
+        return main_quietly(*argv)
 
 
 def assert_clean_exit(code, err):
@@ -1092,6 +1128,59 @@ def test_predict_on_malformed_csv_or_tree_exits_cleanly(fitted, data):
         assert_clean_exit(*fuzz_main("predict", "--tree", str(tree),
                                      "--input", str(path),
                                      "--output", str(Path(d) / "p.csv")))
+
+
+# --- tree.json, key by key: each key dropped or set to each value ---
+
+DROP = object()                         # stands for deleting the key
+TREE_VALUES = [None, True, 0, -1, 1.5, float("nan"), float("inf"), -float("inf"),
+               "x", [], {}, [1], 10 ** 400, -10 ** 400]
+
+
+@functools.cache
+def keyed_tree():
+    """The tree.json text of a 4-leaf iv-unconfounded fit, with a
+    propensity record (design 2, 3,000 rows, seed 1, depth 2, alpha 0);
+    every key path in it, list indices included; and a CSV of 20 of its
+    rows."""
+    ds = generate(design_spec(2, 3000, 1)).dataset
+    cfg = GrowthConfig(regime="iv-unconfounded", max_depth=2, alpha_override=0.0)
+    tree = fit_ctiv(ds, cfg, holdout_split(ds, (0.5, 0.5), seed=1), 1)
+    assert tree.root.n_leaves() == 4
+    text = export_json(tree)
+    rows = [",".join(ds.feature_names)]
+    rows += [",".join(map(repr, row)) for row in ds.covariates[:20].tolist()]
+    return text, tuple(key_paths(json.loads(text))), "\n".join(rows) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.deferred(lambda: st.sampled_from(keyed_tree()[1])),
+       value=st.sampled_from([DROP, *TREE_VALUES]))
+@example(path=("meta", "propensity", "coefficients", 0), value=10 ** 400)
+@example(path=("tree", "left", "left", "estimate"), value=None)
+def test_predict_on_a_tree_json_with_a_key_dropped_or_retyped(path, value):
+    text, _, csv_text = keyed_tree()
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as d:
+        tree, data = Path(d) / "tree.json", Path(d) / "x.csv"
+        tree.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        data.write_text(csv_text)
+        code, err = main_quietly("predict", "--tree", str(tree), "--input", str(data),
+                                 "--output", str(Path(d) / "p.csv"))
+        if code == EXIT_OK:
+            again = export_json(load_json(tree.read_text()))
+            assert export_json(load_json(again)) == again
+        else:
+            assert code == EXIT_DATA
+            assert err.count("\n") == 1
+            assert issubclass(getattr(ctiv.errors, json.loads(err)["error"]), CtivError)
 
 
 def fresh_env():

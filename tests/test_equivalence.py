@@ -116,11 +116,12 @@ def ref_best_split_for_feature(x_col, y, d, e, min_leaf, min_arm):
     return float(gain[best]), threshold
 
 
-def ref_grow_node(x, y, d, e, depth, cfg, min_leaf, noise):
+def ref_grow_node(x, y, d, e, node_id, depth, cfg, min_leaf, noise):
+    # the children of node k are 2k and 2k+1
     n = y.size
     n1 = int(d.sum())
     tau = leaf_weighted_itt(y, d, e)
-    node = TreeNode(n=n, n1=n1, n0=n - n1, tau=float(tau))
+    node = TreeNode(n=n, n1=n1, n0=n - n1, tau=float(tau), node_id=node_id)
     if depth >= cfg.max_depth:
         return node
     best = None
@@ -135,10 +136,10 @@ def ref_grow_node(x, y, d, e, depth, cfg, min_leaf, noise):
     if gain - n * tau * tau <= n * noise:
         return node
     mask = x[:, feature] <= threshold
-    left = ref_grow_node(x[mask], y[mask], d[mask], e[mask], depth + 1, cfg,
-                         min_leaf, noise)
-    right = ref_grow_node(x[~mask], y[~mask], d[~mask], e[~mask], depth + 1, cfg,
-                          min_leaf, noise)
+    left = ref_grow_node(x[mask], y[mask], d[mask], e[mask], 2 * node_id, depth + 1,
+                         cfg, min_leaf, noise)
+    right = ref_grow_node(x[~mask], y[~mask], d[~mask], e[~mask], 2 * node_id + 1,
+                          depth + 1, cfg, min_leaf, noise)
     return replace(node, feature=int(feature), threshold=float(threshold),
                    left=left, right=right)
 
@@ -160,7 +161,17 @@ def ref_grow(train, e, cfg):
     # a split must gain more than rounding: 2^-42 (1024 ulps of 1) per
     # unit, times the largest squared outcome at the root
     noise = float(np.max(train.y * train.y)) * 2.0 ** -42
-    return ref_grow_node(train.covariates, train.y, d, e, 0, cfg, min_leaf, noise)
+    return ref_grow_node(train.covariates, train.y, d, e, 1, 0, cfg, min_leaf, noise)
+
+
+def placeholder_estimates(root):
+    """An estimate per leaf of the tree at ``root``, sorted by leaf id,
+    from the leaf's own counts and effect; NaN where the leaf holds
+    nothing."""
+    return tuple(sorted((LeafEstimate(leaf.node_id, leaf.n, leaf.n1, leaf.n0, leaf.tau,
+                                      *[math.nan] * 7, False)
+                         for leaf in ctiv.tree._preorder(root) if leaf.is_leaf),
+                        key=lambda est: est.leaf_id))
 
 
 def tree_json(grower, ds, e, cfg):
@@ -170,7 +181,7 @@ def tree_json(grower, ds, e, cfg):
     except CtivError as exc:
         return type(exc).__name__, str(exc)
     tree = CausalTree(
-        root=root, feature_names=ds.feature_names, regime_kind=cfg.regime,
+        root=root, estimates=placeholder_estimates(root), feature_names=ds.feature_names, regime_kind=cfg.regime,
         alpha=0.0, p_hat=None, propensity=None, adjust_covariates=False,
         n_input=ds.n_units, n_trimmed=0, n_train=ds.n_units, n_validation=0,
         n_omega=ds.n_units, seed=0, max_depth=cfg.max_depth,
@@ -375,13 +386,14 @@ def priced_trees(draw):
     n_train = draw(st.sampled_from([1, 7, 50]))
     taus = st.sampled_from([-1.0, -0.5, 0.0, 0.1, 0.3, 0.5, 1.0])
 
-    def node(depth):
+    def node(node_id, depth):
         """(node, score sum, leaf count, weakest price) of a new subtree."""
         if depth == 6 or not draw(st.booleans()):
             n, tau = draw(st.sampled_from([1, 2, 3, 4, 8])), draw(taus)
-            return TreeNode(n=n, n1=n, n0=0, tau=tau), n * tau * tau, 1, math.inf
-        left, l_score, l_leaves, l_weakest = node(depth + 1)
-        right, r_score, r_leaves, r_weakest = node(depth + 1)
+            return (TreeNode(n=n, n1=n, n0=0, tau=tau, node_id=node_id),
+                    n * tau * tau, 1, math.inf)
+        left, l_score, l_leaves, l_weakest = node(2 * node_id, depth + 1)
+        right, r_score, r_leaves, r_weakest = node(2 * node_id + 1, depth + 1)
         n, score, leaves = left.n + right.n, l_score + r_score, l_leaves + r_leaves
         weakest = min(l_weakest, r_weakest)
         tied = score - weakest * n_train * (leaves - 1)
@@ -393,11 +405,12 @@ def priced_trees(draw):
         else:
             tau = draw(taus)
         price = (score - n * tau * tau) / n_train / (leaves - 1)
-        tree = TreeNode(n=n, n1=n, n0=0, tau=tau, feature=draw(st.integers(0, 2)),
-                        threshold=draw(TIE_VALUES), left=left, right=right)
+        tree = TreeNode(n=n, n1=n, n0=0, tau=tau, node_id=node_id,
+                        feature=draw(st.integers(0, 2)), threshold=draw(TIE_VALUES),
+                        left=left, right=right)
         return tree, score, leaves, min(price, weakest)
 
-    return node(0)[0], n_train
+    return node(1, 0)[0], n_train
 
 
 @settings(SETTINGS, max_examples=500)
@@ -912,13 +925,16 @@ def walk(node, row):
 
 @st.composite
 def routed_trees(draw):
+    """A tree of up to depth 4 on two features whose leaf k has effect and
+    CACE k/8, and covariates, outcomes and arms for its units."""
+    estimates = []
+
     def node(node_id, depth):
         if depth == 4 or not draw(st.booleans()):
             tau = node_id / 8.0
-            est = LeafEstimate(node_id, 2, 1, 1, tau, 0.0, 0.0, 1.0, tau, 1.0,
-                               1.0, 20.0, True)
-            return TreeNode(n=2, n1=1, n0=1, tau=tau, node_id=node_id,
-                            estimate=est)
+            estimates.append(LeafEstimate(node_id, 2, 1, 1, tau, 0.0, 0.0, 1.0, tau,
+                                          1.0, 1.0, 20.0, True))
+            return TreeNode(n=2, n1=1, n0=1, tau=tau, node_id=node_id)
         return TreeNode(n=4, n1=2, n0=2, tau=0.0,
                         feature=draw(st.integers(0, 1)),
                         threshold=draw(st.sampled_from(GRID)),
@@ -928,26 +944,30 @@ def routed_trees(draw):
 
     root = node(1, 0)
     n = draw(st.integers(1, 40))
+    tree = CausalTree(
+        root=root, estimates=tuple(sorted(estimates, key=lambda est: est.leaf_id)),
+        feature_names=("x1", "x2"),
+        regime_kind=RegimeKind.IV_RANDOMIZED, alpha=0.0, p_hat=0.5,
+        propensity=None, adjust_covariates=False, n_input=n, n_trimmed=0,
+        n_train=n, n_validation=0, n_omega=n, seed=0, max_depth=4,
+        min_leaf_fraction=0.1, min_arm_count=1)
     x = draw(hnp.arrays(np.float64, (n, 2), elements=st.one_of(
         st.sampled_from(GRID), st.floats(-2.0, 2.0))))
     y = draw(hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
     d = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
-    return root, x, y, d
+    return tree, x, y, d
 
 
 @SETTINGS
 @given(routed_trees())
 def test_leaf_routing_matches_per_row_walk(case):
-    root, x, y, d = case
-    tree = CausalTree(
-        root=root, feature_names=("x1", "x2"),
-        regime_kind=RegimeKind.IV_RANDOMIZED, alpha=0.0, p_hat=0.5,
-        propensity=None, adjust_covariates=False, n_input=len(y), n_trimmed=0,
-        n_train=len(y), n_validation=0, n_omega=len(y), seed=0, max_depth=4,
-        min_leaf_fraction=0.1, min_arm_count=1)
+    tree, x, y, d = case
+    root = tree.root
     leaves = [walk(root, row) for row in x]
     assert tree.assign_leaves(x).tolist() == [leaf.node_id for leaf in leaves]
-    assert [tree.leaf_map[i] for i in tree.assign_leaves(x)] == [leaf.estimate for leaf in leaves]
+    # a leaf's effect is its estimate's CACE
+    assert [tree.leaf_map[i].cace_hat for i in tree.assign_leaves(x)] \
+        == [leaf.tau for leaf in leaves]
     e = np.full(len(y), 0.5)
     validation = Dataset(covariates=x, z=d, w=d, y=y, feature_names=("x1", "x2"))
     y_star = transformed_outcome(y, d, e)
@@ -959,14 +979,9 @@ def test_leaf_routing_matches_per_row_walk(case):
 @SETTINGS
 @given(routed_trees())
 def test_evaluate_mse_matches_per_row_lookup(case):
-    root, x, y, _ = case
-    tree = CausalTree(
-        root=root, feature_names=("x1", "x2"),
-        regime_kind=RegimeKind.IV_RANDOMIZED, alpha=0.0, p_hat=0.5,
-        propensity=None, adjust_covariates=False, n_input=len(y), n_trimmed=0,
-        n_train=len(y), n_validation=0, n_omega=len(y), seed=0, max_depth=4,
-        min_leaf_fraction=0.1, min_arm_count=1)
-    effects = np.array([walk(root, row).estimate.cace_hat for row in x])
+    tree, x, y, _ = case
+    # a leaf's effect is its estimate's CACE
+    effects = np.array([walk(tree.root, row).tau for row in x])
     got = evaluate_mse(tree, x, y)
     assert got.mse == float(np.mean((y - effects) ** 2))
     assert got.n_excluded == 0

@@ -31,6 +31,7 @@ from ctiv import (
     prune_at_alpha,
     prune_path,
 )
+from ctiv.effects import LeafEstimate
 from ctiv.errors import (CtivError, EmptyDatasetError, EstimationError, GrowthError, InputError,
                          SplitError, ValidationError)
 from ctiv.transform import leaf_weighted_itt
@@ -350,15 +351,15 @@ def test_prune_path_resweeps_an_ancestor_exposed_at_the_same_price():
     # once node 4 goes at 0.465, node 2 and the root tie at 0.785 in exact
     # arithmetic, but the root's price rounds one ulp above node 2's; only
     # a second sweep at 0.785 collapses it, so no threshold repeats
-    def leaf(n, tau):
-        return TreeNode(n=n, n1=1, n0=n - 1, tau=tau)
+    def leaf(node_id, n, tau):
+        return TreeNode(n=n, n1=1, n0=n - 1, tau=tau, node_id=node_id)
 
-    def split(n, tau, left, right):
-        return TreeNode(n=n, n1=1, n0=n - 1, tau=tau, feature=0, threshold=0.0,
-                        left=left, right=right)
+    def split(node_id, n, tau, left, right):
+        return TreeNode(n=n, n1=1, n0=n - 1, tau=tau, node_id=node_id, feature=0,
+                        threshold=0.0, left=left, right=right)
 
-    node4 = split(8, 0.7, leaf(2, 2.0), leaf(6, -0.5))
-    root = split(12, 0.3, split(10, -0.5, node4, leaf(2, 2.0)), leaf(2, 2.0))
+    node4 = split(4, 8, 0.7, leaf(8, 2, 2.0), leaf(9, 6, -0.5))
+    root = split(1, 12, 0.3, split(2, 10, -0.5, node4, leaf(5, 2, 2.0)), leaf(3, 2, 2.0))
     path = prune_path(root, 12)
     assert [el.root.n_leaves() for el in path.elements] == [4, 3, 1]
     assert [el.alpha_threshold for el in path.elements] == [0.0, 0.465, 0.785]
@@ -376,7 +377,7 @@ def test_pruning_refuses_a_bad_training_count_or_price():
 
 def test_holdout_loss_refuses_a_leaf_without_an_effect():
     ds = staircase_ds()
-    leaf = TreeNode(n=ds.n_units, n1=8, n0=8, tau=math.nan)
+    leaf = TreeNode(n=ds.n_units, n1=8, n0=8, tau=math.nan, node_id=1)
     with pytest.raises(EstimationError, match="reached a leaf without an effect"):
         holdout_loss(leaf, ds, half(ds), RANDOMIZED)
 
@@ -539,6 +540,21 @@ def test_full_tree_node_numbering():
     assert sorted(est.leaf_id for est in tree.leaves()) == [4, 5, 6, 7]
     for node_id, est in tree.leaf_map.items():
         assert est.leaf_id == node_id
+
+
+def _heap_numbered(node, node_id=1):
+    return node.node_id == node_id and (node.is_leaf or (
+        _heap_numbered(node.left, 2 * node_id)
+        and _heap_numbered(node.right, 2 * node_id + 1)))
+
+
+def test_nodes_are_born_with_heap_ids_that_pruning_keeps():
+    ds = staircase_ds()
+    cfg = GrowthConfig(regime=RANDOMIZED, max_depth=3, min_arm_count=1)
+    root = grow(ds, half(ds), cfg)
+    path = prune_path(root, ds.n_units)
+    assert root.n_leaves() > 2 and len(path.elements) > 2
+    assert all(_heap_numbered(el.root) for el in path.elements)
 
 
 def test_fit_design1_recovers_informative_split():
@@ -775,8 +791,11 @@ def simple_tree():
     right = TreeNode(n=5, n1=3, n0=2, tau=2.0, node_id=3)
     root = TreeNode(n=10, n1=5, n0=5, tau=0.5, feature=0, threshold=1.5,
                     left=left, right=right, node_id=1)
+    estimates = tuple(
+        LeafEstimate(leaf.node_id, leaf.n, leaf.n1, leaf.n0, leaf.tau, 0.0, 0.0, 1.0,
+                     leaf.tau, 1.0, 1.0, 20.0, True) for leaf in (left, right))
     return CausalTree(
-        root=root, feature_names=("x1",),
+        root=root, estimates=estimates, feature_names=("x1",),
         regime_kind=RegimeKind.IV_RANDOMIZED, alpha=0.0, p_hat=0.5,
         propensity=None, adjust_covariates=False, n_input=10, n_trimmed=0,
         n_train=5, n_validation=5, n_omega=10, seed=0, max_depth=1,
@@ -979,6 +998,12 @@ def _broken(edit):
     (lambda p: p["meta"].update(propensity=_PROPENSITY | {"coefficients": [1.0]}),
      "coefficients must be a list of 10 numbers"),
     (lambda p: p["meta"].update(propensity=[1]), "malformed serialised tree: list"),
+    (lambda p: _first_leaf(p).update(estimate=None), "leaf 4: estimate None is not an object"),
+    (lambda p: _first_leaf(p).update(estimate=[1]), r"leaf 4: estimate \[1\] is not an object"),
+    (lambda p: p["meta"].update(propensity=_PROPENSITY | {"coefficients": [10 ** 400] + [0.0] * 9}),
+     "propensity coefficients: x1 is an integer beyond the float range"),
+    (lambda p: p["tree"].update(threshold=-10 ** 400),
+     "node 1: threshold is an integer beyond the float range"),
 ])
 def test_load_json_validates_structure(edit, match):
     from ctiv.errors import ValidationError
