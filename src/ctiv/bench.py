@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .dataset import holdout_split
 from .errors import CtivError, EstimationError, InputError
-from .parallel import fan_out
 from .synth import DESIGN_IDS, SCENARIOS, SyntheticSample, design_spec, generate
 from .transform import RegimeKind
 from .tree import CausalTree, GrowthConfig, fit_ctiv
@@ -105,11 +105,9 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
                       for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
     seed = _cell_seed(base_seed, label, n, rep)
     sample = _sample_for(label, 2 * n, seed)
-    est_rows = np.arange(n)
-    test_rows = np.arange(n, 2 * n)
-    est = sample.dataset.subset(est_rows)
-    test_x = sample.dataset.covariates[test_rows]
-    test_truth = sample.true_cate[test_rows]
+    est = sample.dataset.subset(np.arange(n))
+    test_x = sample.dataset.covariates[n:]
+    test_truth = sample.true_cate[n:]
     split = holdout_split(est, (0.5, 0.5), seed=seed)
     ct_tree = fit_ctiv(est, ct_cfg, split, seed)
     iv_tree = fit_ctiv(est, iv_cfg, split, seed)
@@ -141,7 +139,6 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
               base_seed: int = 0, max_depth: int = GrowthConfig.max_depth,
               min_leaf_fraction: float = GrowthConfig.min_leaf_fraction,
               min_arm_count: int = GrowthConfig.min_arm_count,
-              workers: int = 1,
               progress=None) -> tuple[list[BenchResult], list[dict]]:
     """All cells of designs x sizes x replicates.
 
@@ -149,16 +146,14 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     designs and the sizes are checked before any cell, and a design or
     size may not repeat (its draws would count again as further replicates).
     Failing cells are recorded (label, n, rep, error) and skipped.
-    ``workers > 1`` fans cells out to that many processes, at most one
-    per cell (see ``parallel.fan_out``);
-    per-cell seeds make the results identical either way.
-    ``progress(label, n, rep)`` is called as each cell's outcome arrives,
-    in cell order.
+    Cells run in ``parallel.usable_cpus()`` processes, at most one per
+    cell (see ``parallel.fan_out``); a lone cell runs in this process.
+    Per-cell seeds make the results identical at any count.
+    ``progress(label, n, rep)`` is called as each cell finishes, in cell
+    order, only when the cells run in this process.
     """
     if n_seeds < 1:
         raise InputError("n_seeds must be >= 1")
-    if workers < 1:
-        raise InputError("workers must be >= 1")
     if base_seed < 0:
         raise InputError(f"base_seed must be nonnegative, got {base_seed}")
     for what, items in (("designs", designs), ("sizes", sizes)):
@@ -176,10 +171,11 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     results: list[BenchResult] = []
     failures: list[dict] = []
     # a lone cell runs here: a worker would only add a start-up
-    with fan_out(_run_cell_args, cells, workers if len(cells) > 1 else 1) as outcomes:
+    workers = parallel.usable_cpus() if len(cells) > 1 else 1
+    with parallel.fan_out(_run_cell_args, cells, workers) as outcomes:
         for args, outcome in zip(cells, outcomes):
             (results if isinstance(outcome, BenchResult) else failures).append(outcome)
-            if progress:
+            if progress and workers == 1:
                 progress(*args[:3])
     return results, failures
 
@@ -191,18 +187,13 @@ def aggregate(results: list[BenchResult]) -> dict[tuple[str, int], dict[str, flo
         cells.setdefault((res.design_label, res.n), []).append(res)
     out: dict[tuple[str, int], dict[str, float]] = {}
     for key, rows in cells.items():
-        gaps = np.array([r.relative_gap_pct for r in rows])
-        m_ct = np.array([r.mse_ct for r in rows])
-        m_iv = np.array([r.mse_ctiv for r in rows])
-        out[key] = {
-            "n_reps": len(rows),
-            "mse_ct_mean": float(m_ct.mean()),
-            "mse_ct_sd": float(m_ct.std(ddof=1)) if len(rows) > 1 else 0.0,
-            "mse_ctiv_mean": float(m_iv.mean()),
-            "mse_ctiv_sd": float(m_iv.std(ddof=1)) if len(rows) > 1 else 0.0,
-            "gap_mean": float(gaps.mean()),
-            "gap_sd": float(gaps.std(ddof=1)) if len(rows) > 1 else 0.0,
-        }
+        out[key] = {"n_reps": len(rows)}
+        for name, field in (("mse_ct", "mse_ct"), ("mse_ctiv", "mse_ctiv"),
+                            ("gap", "relative_gap_pct")):
+            values = np.array([getattr(r, field) for r in rows])
+            out[key][f"{name}_mean"] = float(values.mean())
+            # one replicate has no spread
+            out[key][f"{name}_sd"] = float(values.std(ddof=1)) if len(rows) > 1 else 0.0
     return out
 
 

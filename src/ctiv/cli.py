@@ -21,8 +21,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bench import DESIGN_LABELS, format_summary, results_csv, run_sweep
 from .dataset import (
@@ -35,7 +33,6 @@ from .dataset import (
 )
 from .effects import WEAK_F_THRESHOLD
 from .errors import CtivError, EstimationError, InputError, ValidationError
-from .parallel import usable_cpus
 from .synth import DESIGN_IDS, SCENARIOS, design_spec, generate
 from .transform import RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
@@ -217,18 +214,10 @@ def _cmd_predict(args) -> int:
         return names
 
     _, x = read_csv_columns(args.input, choose)
-    finite = np.isfinite(x)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ValidationError(
-            f"{args.input}: non-finite value {float(x[row, col])!r} for feature "
-            f"'{names[col]}' at data row {row + 1}")
+    line = {est.leaf_id: f"{est.leaf_id},{est.itt_hat!r},{est.cace_hat!r},{est.cace_se!r}\n"
+            for est in tree.estimates}
     text = "leaf_id,itt_hat,cace_hat,cace_se\n"
-    if x.shape[0]:
-        line = {est.leaf_id: f"{est.leaf_id},{est.itt_hat!r},"
-                             f"{est.cace_hat!r},{est.cace_se!r}\n"
-                for est in tree.estimates}
-        text += "".join(map(line.__getitem__, tree.assign_leaves(x).tolist()))
+    text += "".join(map(line.__getitem__, tree.assign_leaves(x).tolist()))
     _write(Path(args.output), text)
     print(f"wrote {x.shape[0]} predictions to {args.output}")
     return EXIT_OK
@@ -279,9 +268,6 @@ def _add_bench_parser(sub) -> None:
     p.add_argument("--seeds", type=int, default=10, help="replicates per cell")
     p.add_argument("--base-seed", type=int, default=0)
     _add_growth_options(p)
-    p.add_argument("--workers", type=int, default=None,
-                   help="processes to run cells in (default: one per usable "
-                        "CPU); progress lines are printed only with one")
     p.add_argument("--out-dir", default=".")
 
 
@@ -295,13 +281,10 @@ def _cmd_bench(args) -> int:
     def progress(label, n, rep):
         print(f"  done design {label} n={n} rep {rep}", flush=True)
 
-    # run.json keeps --workers as given: the default count is host-dependent
-    workers = usable_cpus() if args.workers is None else args.workers
     results, failures = run_sweep(
         designs, sizes, args.seeds, base_seed=args.base_seed,
         max_depth=args.max_depth, min_leaf_fraction=args.min_leaf_fraction,
-        min_arm_count=args.min_arm_count, workers=workers,
-        progress=progress if workers == 1 else None)
+        min_arm_count=args.min_arm_count, progress=progress)
     summary = format_summary(results) if results else "no successful cells\n"
     out = Path(args.out_dir)
     _write(out / "results.csv", results_csv(results))

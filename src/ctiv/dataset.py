@@ -307,7 +307,8 @@ def read_csv_columns(path: str | Path,
     per data row.
 
     ``choose`` gets the stripped header and returns the column names to
-    read, raising if the header does not fit. ``binary`` are positions in
+    read, raising if the header does not fit (SchemaError if it names
+    one of them twice). ``binary`` are positions in
     that list whose cells must be 0 or 1. Regular text is parsed by numpy.
     Text that ``_shared_rows`` shares is cut into byte pieces of about
     ``_SHARE_BYTES`` at line starts; forked workers parse them and hand
@@ -315,15 +316,19 @@ def read_csv_columns(path: str | Path,
     none. Other text, and all text once a piece is irregular, this process
     reads to the end of the open file, a chunk of lines at a time; from the
     first irregular chunk on, the rows are parsed cell by cell from the
-    same open file, so a pipe reads as a file does. Row numbers in error
-    messages are 1-based over data rows. Text that is not UTF-8 raises
-    ValidationError; one leading byte-order mark is skipped.
+    same open file, so a pipe reads as a file does. Then the first
+    non-finite cell in row order raises ValidationError. Row numbers in
+    error messages are 1-based over data rows. Text that is not UTF-8
+    raises ValidationError; one leading byte-order mark is skipped.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             header, header_lines = _read_header(fh, path)
             columns = choose(header)
+            twice = [name for name in columns if header.count(name) > 1]
+            if twice:
+                raise SchemaError(f"{path}: the header names column '{twice[0]}' more than once")
             parse = partial(_numpy_rows, width=len(header),
                             cols=[header.index(c) for c in columns], binary=binary)
             blocks = _shared_rows(parse, path, fh, header_lines)
@@ -334,7 +339,13 @@ def read_csv_columns(path: str | Path,
                                                   binary, sum(map(len, blocks))))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return columns, np.concatenate([np.empty((0, len(columns))), *blocks])
+    data = np.concatenate([np.empty((0, len(columns))), *blocks])
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValidationError(f"{path}: non-finite value {float(data[row, col])!r} for "
+                              f"column '{columns[col]}' at data row {row + 1}")
+    return columns, data
 
 
 def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset:

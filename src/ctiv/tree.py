@@ -38,6 +38,7 @@ from .errors import (
     InputError,
     SplitError,
     ValidationError,
+    require_probabilities,
 )
 from .parallel import fan_out, fork_workers
 from .propensity import (
@@ -311,6 +312,23 @@ def _grow_sums(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> np.ndarray:
     return np.stack([wt * train.y, wt, wc * train.y, wc, df])
 
 
+def _outcome_scale(y: np.ndarray, e: np.ndarray) -> float:
+    """max|y|, once no fit's sums of squares over these units or a subset
+    of them can overflow or fall below the normal floats."""
+    e = require_probabilities(e, "e")
+    # a holdout loss sums n squares of a transformed outcome, up to max|y| /
+    # min(e, 1 - e), less a leaf effect, up to 2 max|y|; gains (4 n max|y|^2) are less
+    y_max = float(np.abs(y).max())
+    if 0.0 < y_max and y_max * y_max < sys.float_info.min:
+        raise ValidationError(f"outcomes up to {y_max:g} in absolute value have squares "
+                              f"under {sys.float_info.min:g}, the least normal float")
+    gap = y_max / float(np.minimum(e, 1.0 - e).min()) + 2.0 * y_max
+    if gap * gap * y.size == math.inf:
+        raise ValidationError(f"outcomes up to {y_max:g} in absolute value overflow "
+                              f"the fit's sums of squares at {y.size} units")
+    return y_max
+
+
 def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     """Grow the maximal tree on a fitting sample.
 
@@ -328,16 +346,7 @@ def grow(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> TreeNode:
     n = train.n_units
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     sums = _grow_sums(train, e, cfg)
-    # a holdout loss sums n squares of a transformed outcome, up to max|y| /
-    # min(e, 1 - e), less a leaf effect, up to 2 max|y|; gains (4 n max|y|^2) are less
-    y_max = float(np.abs(train.y).max())
-    if 0.0 < y_max and y_max * y_max < sys.float_info.min:
-        raise ValidationError(f"outcomes up to {y_max:g} in absolute value have squares "
-                              f"under {sys.float_info.min:g}, the least normal float")
-    gap = y_max / float(np.minimum(e, 1.0 - e).min()) + 2.0 * y_max
-    if gap * gap * n == math.inf:
-        raise ValidationError(f"outcomes up to {y_max:g} in absolute value overflow "
-                              f"the fit's sums of squares at {n} units")
+    y_max = _outcome_scale(train.y, e)
     # x.take reads x flat, and would copy all of it each time were it not
     # C-contiguous (a Fortran-ordered array from pandas, say)
     x = np.ascontiguousarray(train.covariates)
@@ -594,6 +603,8 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     e_omega = e_all[kept]
     # the grows read none of these: free the n-length indices and probabilities
     del in_train, is_train, kept, e_all
+    # checked here for the validation rows too, whose holdout losses no grow bounds
+    _outcome_scale(omega_ds.y, e_omega)
 
     def holdout_alpha(_) -> float:
         train_ds = omega_ds.subset(train_pos)
@@ -672,7 +683,7 @@ _BRANCH_KEYS = ("feature", "threshold", "left", "right")
 _JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                "float | None": ((int, float, type(None)), "a number or null"),
                "bool": (bool, "true or false")}
-_NODE_TYPES = {"n": "int", "n1": "int", "n0": "int", "tau": "float"}
+_NODE_TYPES = {"node_id": "int", "n": "int", "n1": "int", "n0": "int", "tau": "float"}
 _ESTIMATE_TYPES = {f.name: f.type for f in fields(LeafEstimate)}
 # the propensity record's coefficients are checked one number per feature
 _PROPENSITY_TYPES = {f.name: f.type for f in fields(PropensityModel)
@@ -699,11 +710,11 @@ def _node_from_dict(data: dict, n_features: int, estimates: list[LeafEstimate],
     appending its leaves' estimates to ``estimates``."""
     if not isinstance(data, dict):
         raise ValidationError(f"tree node is a {type(data).__name__}, not an object")
-    if data["node_id"] != node_id or isinstance(data["node_id"], bool):
-        raise ValidationError(
-            f"node {data['node_id']!r} should have id {node_id}: the root is 1 "
-            f"and the children of k are 2k and 2k+1")
     counts = _typed(data, _NODE_TYPES, f"node {node_id}")
+    if counts["node_id"] != node_id:
+        raise ValidationError(
+            f"node {counts['node_id']!r} should have id {node_id}: the root is 1 "
+            f"and the children of k are 2k and 2k+1")
     branch = [key in data for key in _BRANCH_KEYS]
     if all(branch) and "estimate" not in data:
         feature = data["feature"]
@@ -714,7 +725,7 @@ def _node_from_dict(data: dict, n_features: int, estimates: list[LeafEstimate],
                 f"of the {n_features} features")
         return TreeNode(
             **counts, **_typed(data, {"threshold": "float"}, f"node {node_id}"),
-            feature=feature, node_id=node_id,
+            feature=feature,
             left=_node_from_dict(data["left"], n_features, estimates, 2 * node_id),
             right=_node_from_dict(data["right"], n_features, estimates, 2 * node_id + 1))
     if any(branch) or "estimate" not in data:
@@ -730,7 +741,7 @@ def _node_from_dict(data: dict, n_features: int, estimates: list[LeafEstimate],
         raise ValidationError(
             f"leaf {node_id} holds the estimate of leaf {est.leaf_id!r}")
     estimates.append(est)
-    return TreeNode(**counts, node_id=node_id)
+    return TreeNode(**counts)
 
 
 # CausalTree fields that tree.json's "meta" holds under the same name, as is
@@ -766,9 +777,10 @@ def load_json(text: str) -> CausalTree:
         payload = json.loads(text)
         if not isinstance(payload, dict) or payload.get("format") != "ctiv-tree":
             raise ValidationError("not a serialised tree (missing format marker)")
-        if payload.get("version") != 1:
-            raise ValidationError(
-                f"unsupported tree version {payload.get('version')!r}; expected 1")
+        version = payload.get("version")
+        _typed({"version": version}, {"version": "int"}, "tree")
+        if version != 1:
+            raise ValidationError(f"unsupported tree version {version!r}; expected 1")
         return _tree_from_payload(payload)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from None

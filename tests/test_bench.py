@@ -249,14 +249,20 @@ def test_results_csv_round_trip():
     assert int(parsed[0]["n_excluded_ctiv"]) == 3
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_progress_reports_each_cell_in_order(workers):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_progress_reports_each_cell_in_order(monkeypatch, cpus):
+    # only cells run in this process are reported: a pool's outcomes
+    # arrive in bursts, so it reports none, but a lone cell runs here
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: cpus)
     seen = []
     results, failures = run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5,
-                                  workers=workers,
                                   progress=lambda *cell: seen.append(cell))
-    assert seen == [("1", 300, 0), ("1", 300, 1), ("2", 300, 0), ("2", 300, 1)]
+    cells = [("1", 300, 0), ("1", 300, 1), ("2", 300, 0), ("2", 300, 1)]
+    assert seen == (cells if cpus == 1 else [])
     assert len(results) + len(failures) == 4
+    seen.clear()
+    run_sweep(["2"], [300], n_seeds=1, progress=lambda *cell: seen.append(cell))
+    assert seen == [("2", 300, 0)]
 
 
 def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
@@ -264,15 +270,18 @@ def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
     real = ctiv.parallel.ProcessPoolExecutor
     monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
                         lambda n, **kw: started.append(n) or real(n, **kw))
-    run_sweep(["1"], [300], n_seeds=1, workers=4)
-    run_sweep(["1"], [300], n_seeds=2, workers=4)
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 4)
+    run_sweep(["1"], [300], n_seeds=1)
+    run_sweep(["1"], [300], n_seeds=2)
     assert started == [2]
 
 
-def test_parallel_sweep_matches_serial():
-    serial, _ = run_sweep(["1"], [300], n_seeds=2, base_seed=5, workers=1)
-    parallel, _ = run_sweep(["1"], [300], n_seeds=2, base_seed=5, workers=2)
-    assert serial == parallel
+def test_parallel_sweep_matches_serial(monkeypatch):
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: cpus)
+        runs.append(run_sweep(["1"], [300], n_seeds=2, base_seed=5))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
@@ -286,7 +295,9 @@ def test_sweep_finishes_the_cells_of_a_dead_worker(monkeypatch):
         ran_here.append(args[:3])
         return real(*args)
 
-    serial = run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5, workers=1)
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 1)
+    serial = run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5)
     monkeypatch.setattr(ctiv.bench, "run_cell", run_cell)
-    assert run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5, workers=2) == serial
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 2)
+    assert run_sweep(["1", "2"], [300], n_seeds=2, base_seed=5) == serial
     assert ran_here == [(label, 300, rep) for label in "12" for rep in range(2)]

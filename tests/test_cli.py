@@ -306,6 +306,12 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--designs", "9",
                        "--out-dir", str(tmp_path))
     assert code == EXIT_USAGE
+    # the sweep sizes its own pool: one process per usable CPU
+    code, _, err = run(capsys, "bench", "--workers", "2", "--out-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "UsageError",
+                               "message": "unrecognized arguments: --workers 2"}
     data = tmp_path / "d.csv"
     write_trial_csv(data, n=100, full_compliance=False)
     # validation is the units left out of training: it has no option
@@ -332,8 +338,8 @@ def test_usage_errors(tmp_path, capsys):
     (("bench", "--seeds", "0"), "n_seeds"),
     (("simulate", "--n", "5"), "n must be"),
     (("simulate", "--cor-wz", "1.5"), "target_cor_wz"),
-    (("bench", "--workers", "0"), "workers must be >= 1"),
-    (("bench", "--workers", "-3"), "workers must be >= 1"),
+    (("bench", "--seeds", "-2"), "n_seeds"),
+    (("simulate", "--cor-weta", "1.5"), "target_cor_weta"),
     (("simulate", "--seed", "-1"), "seed must be nonnegative"),
     (("fit", "--seed", "-1"), "seed must be nonnegative"),
     (("bench", "--base-seed", "-1"), "base_seed must be nonnegative"),
@@ -510,8 +516,7 @@ def test_bench_refuses_a_repeated_design_or_size(tmp_path, capsys):
             (("--designs", "s1,2,s1"), "design 's1' is given more than once"),
             (("--sizes", "300,300"), "size '300' is given more than once"),
             (("--sizes", "300,0300"), "size '300' is given more than once")]:
-        code, _, err = run(capsys, "bench", "--seeds", "2", "--workers", "1",
-                           *grid, "--out-dir", str(tmp_path / "o"))
+        code, _, err = run(capsys, "bench", "--seeds", "2", *grid, "--out-dir", str(tmp_path / "o"))
         assert code == EXIT_USAGE
         assert json.loads(err) == {"error": "UsageError", "message": message}
     assert not (tmp_path / "o").exists()
@@ -528,7 +533,7 @@ def test_bench_refuses_a_reversed_design_range(tmp_path, capsys):
                                    "message": f"bad design range '{chunk}'"}
     assert not (tmp_path / "o").exists()
     code, _, err = run(capsys, "bench", "--designs", "3-3", "--sizes", "300",
-                       "--seeds", "1", "--workers", "1", "--out-dir", str(tmp_path / "one"))
+                       "--seeds", "1", "--out-dir", str(tmp_path / "one"))
     assert code == EXIT_OK, err
     resolved = json.loads((tmp_path / "one" / "run.json").read_text())["resolved"]
     assert resolved["designs"] == ["3"]
@@ -550,7 +555,7 @@ def test_bench_refuses_a_malformed_list(tmp_path, capsys, grid, message):
 def test_bench_records_a_failed_cell_and_says_so(tmp_path, capsys):
     # on 5 units the CT fit's receipt model is so sharp that trimming keeps none
     code, out, err = run(capsys, "bench", "--designs", "1", "--sizes", "5",
-                         "--seeds", "1", "--workers", "1", "--out-dir", str(tmp_path))
+                         "--seeds", "1", "--out-dir", str(tmp_path))
     assert code == EXIT_OK, err
     assert out.endswith("no successful cells\n1 cell(s) failed; see run.json\n")
     failures = json.loads((tmp_path / "run.json").read_text())["failures"]
@@ -700,26 +705,25 @@ def test_bench_small_run(tmp_path, capsys):
     assert (out / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
 
 
-def test_bench_bytes_do_not_depend_on_workers(tmp_path, capsys):
+def test_bench_bytes_do_not_depend_on_workers(tmp_path, capsys, monkeypatch):
     grid = ("--designs", "1,s1", "--sizes", "300", "--seeds", "2")
     outs = {}
-    for workers in (None, "1", "2"):
-        out = tmp_path / f"w{workers}"
-        flags = () if workers is None else ("--workers", workers)
-        code, stdout, err = run(capsys, "bench", *grid, *flags, "--out-dir", str(out))
+    for cpus in (1, 2):
+        monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code, stdout, err = run(capsys, "bench", *grid, "--out-dir", str(out))
         assert code == EXIT_OK, err
-        # progress lines only from a serial run
-        assert ("done design" in stdout) == (workers == "1")
-        outs[workers] = out
+        # progress lines only from a sweep run in this process
+        assert stdout.count("done design") == (4 if cpus == 1 else 0)
+        outs[cpus] = out
     configs = {}
-    for workers, out in outs.items():
+    for cpus, out in outs.items():
         for name in ("results.csv", "summary.txt"):
-            assert (out / name).read_bytes() == (outs["1"] / name).read_bytes()
+            assert (out / name).read_bytes() == (outs[1] / name).read_bytes()
         cfg = json.loads((out / "run.json").read_text())
-        assert cfg["options"].pop("workers") == (None if workers is None else int(workers))
         cfg["options"].pop("out_dir")
-        configs[workers] = cfg
-    assert configs[None] == configs["1"] == configs["2"]
+        configs[cpus] = cfg
+    assert configs[1] == configs[2]
 
 
 def round_trip(capsys):
@@ -774,12 +778,13 @@ def test_commands_beside_another_thread_start_no_process(tmp_path, capsys, monke
 
 
 def test_bench_default_on_one_cpu_is_serial(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("ctiv.cli.usable_cpus", lambda: 1)
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 1)
     code, stdout, err = run(capsys, "bench", "--designs", "1", "--sizes", "300",
                             "--seeds", "2", "--out-dir", str(tmp_path))
     assert code == EXIT_OK, err
     assert stdout.count("done design") == 2
-    assert json.loads((tmp_path / "run.json").read_text())["options"]["workers"] is None
+    assert "workers" not in json.loads((tmp_path / "run.json").read_text())["options"]
 
 
 def test_version_flag(capsys):
@@ -816,8 +821,25 @@ def test_predict_rejects_non_finite_features(tmp_path, capsys, text, row, value)
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload["error"] == "ValidationError"
-    assert f"non-finite value {value} for feature 'x1' at data row {row}" in payload["message"]
+    assert payload["message"] == (
+        f"{bad}: non-finite value {value} for column 'x1' at data row {row}")
     assert not out.exists()
+
+
+def test_fit_names_the_first_non_finite_cell(tmp_path, capsys):
+    # fit once called a nan outcome a covariate problem and named no cell;
+    # it now refuses the first non-finite cell in row order, as predict does
+    bad = tmp_path / "bad.csv"
+    for rows, message in [
+            ("1.0,1,1,0.5\nnan,0,0,0.2\n2.0,1,0,inf\n", "nan for column 'y' at data row 2"),
+            ("1.0,1,1,0.5\n2.0,0,0,-inf\nnan,1,0,0.2\n", "-inf for column 'x1' at data row 2")]:
+        bad.write_text(f"y,w,z,x1\n{rows}0.5,0,1,0.1\n")
+        code, _, err = run(capsys, "fit", "--input", str(bad), "--regime", "iv-randomized",
+                           "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_DATA
+        assert json.loads(err) == {"error": "ValidationError",
+                                   "message": f"{bad}: non-finite value {message}"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_predict_malformed_tree_exit_data(tmp_path, capsys):
@@ -1006,7 +1028,7 @@ def test_recorded_key_sets(tmp_path, capsys):
     assert bench_cfg["command"] == "bench"
     assert set(bench_cfg["options"]) == {
         "designs", "sizes", "seeds", "base_seed", "max_depth",
-        "min_leaf_fraction", "min_arm_count", "workers", "out_dir"}
+        "min_leaf_fraction", "min_arm_count", "out_dir"}
 
 
 # --- fuzz: malformed CSV and tree.json through main, shares forced small ---
@@ -1180,6 +1202,82 @@ def test_predict_on_a_tree_json_with_a_key_dropped_or_retyped(path, value):
         else:
             assert code == EXIT_DATA
             assert err.count("\n") == 1
+            assert issubclass(getattr(ctiv.errors, json.loads(err)["error"]), CtivError)
+
+
+# --- generated CSVs through fit: a clean refusal or a sound tree ---
+
+HEADERS = ["y,w,z,x1,x2", " y , w ,z,x1,x2", "y,w,z,x1,x1", "y,w,z,,x2",
+           "y,w,z,x1,", "y,w,z,y,x2"]
+ARMS = ["as drawn", "z all one", "w all zero", "one assigned", "one unassigned"]
+CELL_EDITS = {"nan": "nan", "inf": "inf", "-inf": "-inf", "1e300": "1e300",
+              "-1e300": "-1e300", "empty": "", "quoted": '"{}"', "padded": "  {} "}
+
+
+def trial_csv(n, seed, header=HEADERS[0], arms=ARMS[0], edits=(), ragged=None,
+              line_end="\n", bom=False):
+    """The text of an n-row y,w,z,x1,x2 CSV drawn at ``seed``; ``edits``
+    are (row, column, CELL_EDITS key), ``ragged`` a row that loses its
+    last cell (negative: gains one)."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 2, n)
+    w = np.where(rng.random(n) < 0.8, z, 1 - z)
+    x = rng.normal(size=(n, 2))
+    y = x[:, 0] + w + rng.normal(size=n)
+    if arms == "z all one":
+        z[:] = 1
+    elif arms == "w all zero":
+        w[:] = 0
+    elif arms.startswith("one"):
+        z[:] = arms == "one unassigned"
+        z[0] = 1 - z[0]
+    rows = [[repr(row[0]), str(row[1]), str(row[2]), repr(row[3]), repr(row[4])]
+            for row in zip(y.tolist(), w.tolist(), z.tolist(), *x.T.tolist())]
+    for row, col, edit in edits:
+        rows[row % n][col] = CELL_EDITS[edit].format(rows[row % n][col])
+    if ragged is not None:
+        rows[ragged % n] = rows[ragged % n][:-1] if ragged >= 0 else rows[ragged % n] + ["0"]
+    lines = [header, *map(",".join, rows)]
+    return "\ufeff" * bom + line_end.join(lines) + line_end
+
+
+def mostly(common, others):
+    """``common`` half the time, else one of ``others``."""
+    return st.one_of(st.just(common), st.sampled_from(others))
+
+
+trial_csvs = st.builds(
+    trial_csv, n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+    header=mostly(HEADERS[0], HEADERS[1:]), arms=mostly(ARMS[0], ARMS[1:]),
+    edits=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 4),
+                             st.sampled_from(list(CELL_EDITS))), max_size=2),
+    ragged=st.one_of(st.none(), st.integers(-60, 59)),
+    line_end=st.sampled_from(["\n", "\r\n"]), bom=st.booleans())
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=trial_csvs, regime=st.sampled_from(["ct", "iv-randomized", "iv-unconfounded"]))
+@example(text="y,w,z,x1\n1.0,1,1,0.5\nnan,0,0,0.2\n2.0,1,0,inf\n0.5,0,1,0.1\n",
+         regime="iv-randomized")
+@example(text=trial_csv(60, 0, edits=[(7, 3, "quoted")]), regime="iv-unconfounded")
+# a huge outcome among the validation rows alone once overflowed their
+# holdout loss, a RuntimeWarning on stderr before the JSON error
+@example(text=trial_csv(9, 1, edits=[(0, 0, "1e300")]), regime="ct")
+def test_fit_on_a_generated_csv_refuses_it_cleanly_or_fits_a_sound_tree(text, regime):
+    with tempfile.TemporaryDirectory() as d:
+        path, out = Path(d) / "in.csv", Path(d) / "o"
+        path.write_bytes(text.encode("utf-8"))
+        code, err = main_quietly("fit", "--input", str(path), "--regime", regime,
+                                 "--min-arm-count", "2", "--out-dir", str(out))
+        if code == EXIT_OK:
+            assert err == ""
+            written = (out / "tree.json").read_text()
+            tree = load_json(written)
+            assert export_json(tree) == written
+            assert all(np.isfinite(node.tau) for node in ctiv.tree._preorder(tree.root))
+        else:
+            assert code in (EXIT_DATA, EXIT_ESTIMATION)
+            assert err.count("\n") == 1 and err.endswith("\n")
             assert issubclass(getattr(ctiv.errors, json.loads(err)["error"]), CtivError)
 
 

@@ -101,6 +101,21 @@ def test_load_rejects_two_roles_naming_one_column(tmp_path, roles, message):
         load_csv(path, ColumnSchema(**roles))
 
 
+@pytest.mark.parametrize("header, column", [
+    ("y,w,z,y,a", "y"), ("y,w,z,a,a", "a"), ("y,w,z,a, a ", "a"), ("y,w,z,z,z,a", "z")])
+def test_load_rejects_a_column_the_header_names_more_than_once(tmp_path, header, column):
+    # either column might be meant, and the first was once read silently
+    cells = ",".join(["1"] * len(header.split(",")))
+    path = write(tmp_path, f"{header}\n{cells}\n0{cells[1:]}\n")
+    with pytest.raises(SchemaError, match=f"the header names column '{column}' more than once"):
+        load_csv(path)
+
+
+def test_load_reads_past_a_repeated_column_it_does_not_read(tmp_path):
+    path = write(tmp_path, "y,w,z,a,b,b\n1,1,1,0.5,x,y\n2,0,0,0.25,x,y\n")
+    assert load_csv(path, ColumnSchema(feature_cols=("a",))).feature_names == ("a",)
+
+
 def test_load_categorical_outcome_levels(tmp_path):
     # outcomes restricted to {-1, 0, 1} are plain reals here
     path = write(tmp_path, "y,w,z,x1\n-1,1,1,0\n0,0,0,0\n1,1,0,1\n-1,0,1,1\n")

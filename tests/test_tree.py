@@ -1004,6 +1004,10 @@ def _broken(edit):
      "propensity coefficients: x1 is an integer beyond the float range"),
     (lambda p: p["tree"].update(threshold=-10 ** 400),
      "node 1: threshold is an integer beyond the float range"),
+    # a bool or a whole float is not an integer, also where it equals one
+    (lambda p: p.update(version=True), "tree: version True is not an integer"),
+    (lambda p: p.update(version=1.0), r"tree: version 1\.0 is not an integer"),
+    (lambda p: p["tree"].update(node_id=1.0), r"node 1: node_id 1\.0 is not an integer"),
 ])
 def test_load_json_validates_structure(edit, match):
     from ctiv.errors import ValidationError
