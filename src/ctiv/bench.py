@@ -20,7 +20,7 @@ import numpy as np
 from . import parallel
 from .dataset import holdout_split
 from .errors import CtivError, EstimationError, InputError
-from .synth import DESIGN_IDS, SCENARIOS, SyntheticSample, design_spec, generate
+from .synth import DESIGN_IDS, SCENARIOS, DesignSpec, generate
 from .transform import RegimeKind
 from .tree import CausalTree, GrowthConfig, fit_ctiv
 
@@ -91,9 +91,9 @@ DESIGN_LABELS = {**{str(d): (d, None) for d in DESIGN_IDS},
                  **{f"s{s}": (2, s) for s in SCENARIOS}}
 
 
-def _sample_for(label: str, n_total: int, seed: int) -> SyntheticSample:
+def _spec_for(label: str, n_total: int, seed: int) -> DesignSpec:
     design, scenario = DESIGN_LABELS[label]
-    return generate(design_spec(design, n_total, seed, scenario=scenario))
+    return DesignSpec(design, n_total, seed, scenario=scenario)
 
 
 def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
@@ -104,7 +104,7 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
     ct_cfg, iv_cfg = (GrowthConfig(kind, max_depth, min_leaf_fraction, min_arm_count)
                       for kind in (RegimeKind.CT, RegimeKind.IV_RANDOMIZED))
     seed = _cell_seed(base_seed, label, n, rep)
-    sample = _sample_for(label, 2 * n, seed)
+    sample = generate(_spec_for(label, 2 * n, seed))
     est = sample.dataset.subset(np.arange(n))
     test_x = sample.dataset.covariates[n:]
     test_truth = sample.true_cate[n:]
@@ -164,6 +164,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     if min(sizes, default=5) < 5:
         raise InputError(f"sizes must be >= 5 (a cell draws 2n units, at least "
                          f"10), got {min(sizes)}")
+    for label in designs:               # each design's largest draw is one numpy can shape
+        _spec_for(label, 2 * max(sizes, default=5), base_seed)
     growth = (max_depth, min_leaf_fraction, min_arm_count)
     GrowthConfig(RegimeKind.CT, *growth)        # checks them before any cell
     cells = [(label, n, rep, base_seed, *growth)

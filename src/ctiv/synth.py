@@ -29,12 +29,9 @@ Robustness scenarios reuse design 2: scenario 1 weakens the instrument
 1{X10 >= 0} * Z to the outcome, violating exclusion while leaving the
 true receipt effect untouched.
 
-The threshold's calibration needs the standard-normal quantile and
-density. The quantile is ``ndtri`` below, a port of Cephes ``ndtri``,
-the algorithm and coefficients behind ``scipy.special.ndtri``, in plain
-Python floats; the density is scipy's own ``norm.pdf`` expression. So
-the coefficients keep the bits of ``scipy.stats.norm`` without any
-scipy import: ``ctiv`` needs numpy alone.
+The threshold's calibration takes the standard-normal quantile and
+density from the standard library's ``statistics.NormalDist``, so
+``ctiv`` needs numpy alone.
 """
 
 from __future__ import annotations
@@ -69,7 +66,8 @@ class DesignSpec:
 
     A correlation target left at None takes its default: Cor(W,Z) 0.5
     under scenario 1 (the weak instrument) and 0.65 otherwise, Cor(W,eta)
-    0.5.
+    0.5. ``n`` is at least 10, and small enough for numpy to shape the
+    (n, k) float64 covariate draw.
     """
 
     design_id: int
@@ -91,6 +89,9 @@ class DesignSpec:
             raise InputError(f"scenario must be one of {SCENARIOS}, got {self.scenario}")
         if self.n < 10:
             raise InputError("n must be at least 10")
+        if self.n * self.k * 8 > np.iinfo(np.intp).max:
+            raise InputError(f"n={self.n} is too large: numpy cannot shape "
+                             f"an ({self.n}, {self.k}) float64 array")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         for name, value in (("target_cor_wz", self.target_cor_wz),
@@ -122,91 +123,29 @@ class SyntheticSample:
 design_spec = DesignSpec            # its lower-case name, same arguments
 
 
-# Cephes ndtri's rational approximations: P0/Q0 for the centre, P1/Q1 and
-# P2/Q2 for the tails at sqrt(-2 log y) below and above 8. Each Q's
-# leading coefficient, 1, is left out, as in Cephes
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-       -5.66762857469070293439e1, 1.39312609387279679503e1,
-       -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
-       8.63602421390890590575e1, -2.25462687854119370527e2,
-       2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-       5.71628192246421288162e1, 4.40805073893200834700e1,
-       1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-       -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
-       4.13172038254672030440e1, 1.50425385692907503408e1,
-       2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-       3.93881025292474443415e0, 1.33303460815807542389e0,
-       2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6,
-       6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
-       1.37702099489081330271e0, 2.16236993594496635890e-1,
-       1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189      # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
-
-
-def _polevl(x: float, coefs: tuple, monic: bool = False) -> float:
-    # Horner's rule as Cephes polevl, or p1evl when monic
-    ans = x + coefs[0] if monic else coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def ndtri(y: float) -> float:
-    """Standard-normal quantile, bit for bit as Cephes ``ndtri``."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    lower = y <= 1.0 - _EXP_M2
-    if not lower:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, q, monic=True)
-    return -x if lower else x
-
-
 def latent_receipt_coefficients(cor_wz: float, cor_weta: float) -> tuple[float, float, float, float]:
     """Closed-form (a, b, c, t) for the receipt threshold model.
 
     Chooses P(W=1)=1/2 and unit latent-noise variance. With q the
     standard normal quantile of 1/2 + cor_wz/2: t = q, a = 2q, and the
     confounder loading b = cor_weta / (2 * phi(q)) with c mopping up the
-    rest of the variance. Infeasible targets (b >= 1) raise.
+    rest of the variance. Infeasible targets (b >= 1) raise, as does a
+    target so near 1 that 1/2 + cor_wz/2 rounds to 1.
 
-    ``norm.ppf`` is ``ndtri(p) * 1.0 + 0.0`` and ``norm.pdf`` is
-    ``np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)`` divided by 1.0, so
-    computing them here, with Cephes ``ndtri`` ported in this module,
-    gives the same bits. ``norm`` squares an array, which numpy does as
-    ``x * x``; ``**`` on a scalar calls the C library's ``pow``, which
-    can miss the last bit, so the square is written out. A target so
-    near 1 that the quantile is infinite is infeasible too.
+    The quantile and density are the standard library's
+    ``statistics.NormalDist``, whose quantile is Wichura's AS241. The
+    coefficients reach the data only through ``generate``'s ``> t``
+    comparison, so they need not keep any other library's last bits.
     """
-    q = ndtri(0.5 + cor_wz / 2.0)
-    phi = float(np.exp(-(q * q) / 2.0) / np.sqrt(2 * np.pi))
-    if not (math.isfinite(q) and phi > 0.0):
+    from statistics import NormalDist  # here: ~5 ms to import, and ctiv.cli starts on numpy alone
+
+    p = 0.5 + cor_wz / 2.0
+    if not 0.0 < p < 1.0:                      # also a nan target
         raise CalibrationError(
             f"target Cor(W,Z)={cor_wz} is too close to 1 to calibrate")
-    b = cor_weta / (2.0 * phi)
+    normal = NormalDist()
+    q = normal.inv_cdf(p)
+    b = cor_weta / (2.0 * normal.pdf(q))
     if not (0.0 < b < 1.0):
         raise CalibrationError(
             f"targets Cor(W,Z)={cor_wz}, Cor(W,eta)={cor_weta} are infeasible")

@@ -49,6 +49,10 @@ from .propensity import (
 )
 from .transform import RegimeKind, leaf_weighted_itt, transformed_outcome
 
+# leaf ids are full-binary numbers, held as int64 where rows map to
+# leaves: depth d reaches id 2**(d+1) - 1, so 62 is the deepest that fits
+MAX_DEPTH = 62
+
 
 @dataclass(frozen=True)
 class GrowthConfig:
@@ -81,8 +85,8 @@ class GrowthConfig:
             object.__setattr__(self, "regime", RegimeKind(self.regime))
         except ValueError:
             raise InputError(f"unknown regime kind {self.regime!r}") from None
-        if self.max_depth < 1:
-            raise InputError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise InputError(f"max_depth must lie in [1, {MAX_DEPTH}], got {self.max_depth}")
         if not (0.0 < self.min_leaf_fraction <= 0.5):
             raise InputError("min_leaf_fraction must lie in (0, 0.5]")
         if self.min_arm_count < 1:
@@ -461,8 +465,6 @@ def select_alpha(path: PruningPath, validation: Dataset, e: np.ndarray,
     threshold interval over which the chosen subtree is optimal (its own
     threshold when the interval is unbounded or starts at zero).
     """
-    if validation.n_units < 1:
-        raise EmptyDatasetError("validation sample is empty")
     best_k = 0
     best_q = -math.inf
     for k, element in enumerate(path.elements):
@@ -710,6 +712,8 @@ def _node_from_dict(data: dict, n_features: int, estimates: list[LeafEstimate],
     appending its leaves' estimates to ``estimates``."""
     if not isinstance(data, dict):
         raise ValidationError(f"tree node is a {type(data).__name__}, not an object")
+    if node_id >= 2 ** (MAX_DEPTH + 1):
+        raise ValidationError(f"node {node_id} lies deeper than {MAX_DEPTH} levels")
     counts = _typed(data, _NODE_TYPES, f"node {node_id}")
     if counts["node_id"] != node_id:
         raise ValidationError(

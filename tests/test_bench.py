@@ -77,7 +77,7 @@ def test_evaluate_mse_constant_shift():
 def test_receipt_split_leaves_have_their_itt_as_cace(label):
     # evaluate_mse scores every tree on cace_hat: a ct leaf's receipt is its
     # own instrument, so its complier share is 1 and its CACE its ITT
-    sample = ctiv.bench._sample_for(label, 1000, 70)
+    sample = generate(ctiv.bench._spec_for(label, 1000, 70))
     split = holdout_split(sample.dataset, (0.5, 0.5), seed=70)
     cfg = GrowthConfig(regime=RegimeKind.CT, max_depth=3, alpha_override=0.0)
     leaves = fit_ctiv(sample.dataset, cfg, split, seed=70).leaves()

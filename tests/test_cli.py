@@ -349,6 +349,12 @@ def test_usage_errors(tmp_path, capsys):
     (("bench", "--max-depth", "0"), "max_depth"),
     (("bench", "--min-leaf-fraction", "0.9"), "min_leaf_fraction"),
     (("bench", "--min-arm-count", "0"), "min_arm_count"),
+    # leaf ids past 2**63 would not fit the int64 that rows map to leaves in
+    (("fit", "--max-depth", "63"), "max_depth must lie in [1, 62]"),
+    (("bench", "--max-depth", "63"), "max_depth must lie in [1, 62]"),
+    # samples numpy cannot shape, found before any draw
+    (("simulate", "--n", str(10 ** 20)), "numpy cannot shape"),
+    (("bench", "--sizes", str(10 ** 20)), "numpy cannot shape"),
 ])
 def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
     # the library owns the range checks: its InputError is a data error
@@ -364,6 +370,14 @@ def test_out_of_range_option_exit_data(tmp_path, capsys, argv, word):
     assert err.count("\n") == 1 and "Traceback" not in err
     payload = json.loads(err)
     assert payload["error"] == "InputError" and word in payload["message"]
+
+
+def test_fit_grows_at_the_deepest_max_depth(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200, full_compliance=False)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       "--max-depth", "62", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_OK, err
 
 
 @pytest.mark.parametrize("argv, code, error, word", [
@@ -1205,6 +1219,34 @@ def test_predict_on_a_tree_json_with_a_key_dropped_or_retyped(path, value):
             assert issubclass(getattr(ctiv.errors, json.loads(err)["error"]), CtivError)
 
 
+@pytest.mark.parametrize("depth, code", [(62, EXIT_OK), (63, EXIT_DATA)])
+def test_predict_on_a_chained_tree_json_as_deep_as_leaf_ids_reach(tmp_path, depth, code):
+    # every right child a leaf: the left spine's last ids are 2**depth and
+    # 2**depth + 1, which from depth 63 an int64 leaf id cannot hold
+    text, _, csv_text = keyed_tree()
+    doc = json.loads(text)
+    branch, leaf = doc["tree"], doc["tree"]["left"]["left"]
+
+    def chain(levels, node_id):
+        if levels == 0:
+            return {**leaf, "node_id": node_id,
+                    "estimate": {**leaf["estimate"], "leaf_id": node_id}}
+        return {**branch, "node_id": node_id, "left": chain(levels - 1, 2 * node_id),
+                "right": chain(0, 2 * node_id + 1)}
+
+    doc["tree"] = chain(depth, 1)
+    tree, data = tmp_path / "tree.json", tmp_path / "x.csv"
+    tree.write_text(json.dumps(doc))
+    data.write_text(csv_text)
+    got, err = main_quietly("predict", "--tree", str(tree), "--input", str(data),
+                            "--output", str(tmp_path / "p.csv"))
+    assert got == code, err
+    if code == EXIT_DATA:
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValidationError",
+                                   "message": f"node {2 ** 63} lies deeper than 62 levels"}
+
+
 # --- generated CSVs through fit: a clean refusal or a sound tree ---
 
 HEADERS = ["y,w,z,x1,x2", " y , w ,z,x1,x2", "y,w,z,x1,x1", "y,w,z,,x2",
@@ -1281,6 +1323,57 @@ def test_fit_on_a_generated_csv_refuses_it_cleanly_or_fits_a_sound_tree(text, re
             assert issubclass(getattr(ctiv.errors, json.loads(err)["error"]), CtivError)
 
 
+# --- every numeric flag at its edges: a clean refusal or a sound run ---
+
+HUGE = str(10 ** 20)
+FLAG_VALUES = ["0", "-0.0", "nan", "inf", "-inf", "-1", "1e308", HUGE]
+NUMERIC_FLAGS = {
+    "fit": ["--max-depth", "--min-leaf-fraction", "--min-arm-count", "--alpha",
+            "--ridge", "--trim-lo", "--trim-hi", "--train-frac", "--seed"],
+    "simulate": ["--design", "--scenario", "--n", "--seed", "--cor-wz", "--cor-weta"],
+    "bench": ["--sizes", "--seeds", "--base-seed", "--max-depth",
+              "--min-leaf-fraction", "--min-arm-count"],
+}
+# a huge --seeds is left out: run_sweep lists every cell before any check
+# could stop it, so it would build 10**20 tuples
+flag_settings = st.sampled_from(list(NUMERIC_FLAGS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.dictionaries(st.sampled_from(NUMERIC_FLAGS[command]), st.sampled_from(FLAG_VALUES),
+                    min_size=1, max_size=3).filter(lambda f: f.get("--seeds") != HUGE)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(setting=flag_settings, regime=st.sampled_from(["ct", "iv-randomized", "iv-unconfounded"]))
+# leaf ids past int64 once failed predict, and draws numpy cannot shape
+# once ended simulate and bench in a ValueError traceback
+@example(setting=("fit", {"--max-depth": "63"}), regime="ct")
+@example(setting=("simulate", {"--n": HUGE}), regime="ct")
+@example(setting=("bench", {"--sizes": HUGE}), regime="ct")
+def test_numeric_flags_at_their_edges_exit_cleanly(setting, regime):
+    command, flags = setting
+    with tempfile.TemporaryDirectory() as d:
+        data, out = Path(d) / "in.csv", Path(d) / "o"
+        data.write_text(trial_csv(200, 5))
+        base = {
+            "fit": ["--input", str(data), "--regime", regime, "--out-dir", str(out)],
+            "simulate": ["--n", "50", "--out", str(out / "s.csv")]
+                        + ["--design", "2"] * ("--scenario" not in flags),
+            "bench": ["--designs", "1", "--sizes", "100", "--seeds", "1",
+                      "--out-dir", str(out)],
+        }[command]
+        code, err = main_quietly(command, *base, *(f"{k}={v}" for k, v in flags.items()))
+        if code == EXIT_OK:
+            assert err == ""
+            if command == "fit":
+                written = (out / "tree.json").read_text()
+                assert export_json(load_json(written)) == written
+        else:
+            assert code in (EXIT_USAGE, EXIT_DATA, EXIT_ESTIMATION)
+            assert err.count("\n") == 1 and err.endswith("\n")
+            kind = json.loads(err)["error"]
+            assert kind == "UsageError" or issubclass(getattr(ctiv.errors, kind), CtivError)
+
+
 def fresh_env():
     src = str(Path(ctiv.dataset.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1288,12 +1381,13 @@ def fresh_env():
 
 
 def test_importing_the_cli_leaves_scipy_stats_out():
-    # ctiv runs on numpy alone, so no scipy module is loaded at start-up; a
-    # fresh interpreter, since this one holds scipy through other tests
+    # ctiv runs on numpy alone, so no scipy module is loaded at start-up,
+    # and statistics only once a sample is drawn; a fresh interpreter, since
+    # this one holds both through other tests
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, ctiv, ctiv.cli; print(sorted(m for m in sys.modules"
-         " if m.split('.')[0] == 'scipy'))"],
+         " if m.split('.')[0] in ('scipy', 'statistics')))"],
         env=fresh_env(), capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "[]"
 

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import norm
 
 from ctiv import DesignSpec, design_spec, generate
+from ctiv.bench import DESIGN_LABELS, _cell_seed
 from ctiv.errors import CalibrationError, InputError
 from ctiv.synth import (
     CALIBRATION_CHECK_MIN_N,
@@ -17,12 +17,18 @@ from ctiv.synth import (
     DEFAULT_COR_WZ,
     DIRECT_EFFECT_COEF,
     latent_receipt_coefficients,
-    ndtri,
 )
 
 
+def by_norm(cor_wz, cor_weta):
+    """(a, b, c, t) from ``scipy.stats.norm``, or None where b >= 1."""
+    q = float(norm.ppf(0.5 + cor_wz / 2.0))
+    b = cor_weta / (2.0 * float(norm.pdf(q)))
+    return (2.0 * q, b, math.sqrt(1.0 - b * b), q) if b < 1.0 else None
+
+
 def replay(design_id, n, seed, scenario=None, cor_wz=DEFAULT_COR_WZ,
-           cor_weta=DEFAULT_COR_WETA):
+           cor_weta=DEFAULT_COR_WETA, coefficients=latent_receipt_coefficients):
     """Independent replay of the documented draw order and formulas."""
     k = 1 if design_id == 1 else 10
     rng = np.random.default_rng(seed)
@@ -36,7 +42,7 @@ def replay(design_id, n, seed, scenario=None, cor_wz=DEFAULT_COR_WZ,
         eps = rng.random(n) - 0.5
     else:
         eps = rng.standard_normal(n)
-    a, b, c, t = latent_receipt_coefficients(cor_wz, cor_weta)
+    a, b, c, t = coefficients(cor_wz, cor_weta)
     w = (a * z + b * eta + c * u > t).astype(np.int8)
     f = x[:, 0] if design_id == 1 else x.sum(axis=1)
     if design_id == 1:
@@ -153,51 +159,63 @@ def test_coefficients_hit_targets_analytically():
     assert abs(sample.realized_cor_weta - 0.50) < 0.01
 
 
-def test_coefficients_keep_the_bits_of_scipy_stats_norm():
-    def by_norm(cor_wz, cor_weta):
-        q = float(norm.ppf(0.5 + cor_wz / 2.0))
-        b = cor_weta / (2.0 * float(norm.pdf(q)))
-        return (2.0 * q, b, math.sqrt(1.0 - b * b), q) if b < 1.0 else None
-
+def test_coefficients_agree_with_scipy_stats_norm():
     # the defaults, scenario 1's, then targets near either end of (0, 1)
     named = [(DEFAULT_COR_WZ, DEFAULT_COR_WETA), (0.5, 0.5), (1e-9, 1e-9),
              (1e-9, 0.79), (0.999, 1e-9), (0.999, 0.0035)]
     grid = [(float(wz), float(weta)) for wz in np.linspace(0.005, 0.995, 199)
             for weta in np.linspace(0.005, 0.795, 80)]
-    feasible = [pair for pair in grid if by_norm(*pair) is not None]
-    assert len(feasible) > 5000
-    for pair in named + feasible:
+    want = {pair: by_norm(*pair) for pair in named + grid}
+    assert sum(v is not None for v in want.values()) > 5000
+    for pair, coefs in want.items():
+        if coefs is None:
+            with pytest.raises(CalibrationError, match="infeasible"):
+                latent_receipt_coefficients(*pair)
+            continue
         got = latent_receipt_coefficients(*pair)
-        assert got == by_norm(*pair), pair
         assert all(type(v) is float for v in got)
+        assert np.allclose(got, coefs, rtol=1e-12, atol=0.0), pair
 
 
-def test_ndtri_keeps_the_bits_of_scipy_special_ndtri():
-    rng = np.random.default_rng(23)
-    e2, e32 = math.exp(-2.0), math.exp(-32.0)
-    edges = [0.0, 1.0, 0.5, 5e-324, 1e-300, e2, 1.0 - e2, e32, 0.825,
-             1.0 - 2.0 ** -53, 2.0 ** -1074, -0.0, -1e-300, 1.5, math.nan]
-    edges += [math.nextafter(v, d) for v in (e2, 1.0 - e2, e32, 0.5)
-              for d in (0.0, 1.0)]
-    central = rng.uniform(e2, 1.0 - e2, 100_000)
-    near_tail = np.exp(rng.uniform(-32.0, -2.0, 100_000))     # sqrt(-2 log y) < 8
-    far_tail = np.exp(rng.uniform(-744.0, -32.0, 50_000))     # sqrt(-2 log y) >= 8
-    upper = 1.0 - np.exp(rng.uniform(-36.0, -2.0, 100_000))   # mirrored tails
-    ys = np.concatenate([edges, central, near_tail, far_tail, upper])
-    got = np.array([ndtri(float(y)) for y in ys])
-    assert np.array_equal(got, scipy_ndtri(ys), equal_nan=True)
-    assert far_tail.min() < e32 and upper.max() > 1.0 - 1e-15
-    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
-    assert type(ndtri(0.825)) is float
+# (design, n, seed, scenario) of every sample behind a pinned digest:
+# tests/test_golden.py's sample.csv, CI's 60,000-row sample.csv, perfbench
+# cli-roundtrip's at seed 0 and fit-deep's pool of 12 at seed 0, then the
+# cells of the golden bench grid (CI's sweep is two of them) and of
+# perfbench bench-sweep's default grid at base seed 0
+PINNED_DRAWS = [(2, 3000, 0, None), (2, 60_000, 0, None)]
+PINNED_DRAWS += [(2, 50_000, seed, None) for seed in range(12)]
+PINNED_DRAWS += [
+    (DESIGN_LABELS[label][0], 2 * n, _cell_seed(0, label, n, rep), DESIGN_LABELS[label][1])
+    for labels, sizes, reps in ((tuple(DESIGN_LABELS), (300, 600), 2),
+                                (("1", "2", "3", "4", "5"), (500, 1000, 5000), 10))
+    for label in labels for n in sizes for rep in range(reps)]
+# (design, n, seed, scenario, cor_wz, cor_weta) with overridden targets
+OVERRIDDEN_DRAWS = [(1, 2000, 8, None, 0.9, 0.15), (2, 4000, 7, None, 0.5, 0.3),
+                    (3, 20_000, 10, None, 0.8, 0.25), (4, 999, 9, None, 0.2, 0.15),
+                    (5, 7000, 11, None, 0.3, 0.45), (2, 5000, 12, 1, 0.4, 0.35),
+                    (2, 12_000, 13, 2, 0.6, 0.2)]
+
+
+def test_receipt_is_the_one_drawn_with_scipy_stats_norm_coefficients():
+    # the coefficients reach a sample only through W = 1{aZ + b*eta + cU > t}:
+    # where W is the one scipy's quantile and density draw, no pinned byte moves
+    assert len(PINNED_DRAWS) == 2 + 12 + 28 + 150
+    for design, n, seed, scenario, *targets in PINNED_DRAWS + OVERRIDDEN_DRAWS:
+        spec = design_spec(design, n, seed, *targets, scenario=scenario)
+        _, _, w, _, _ = replay(design, n, seed, scenario, spec.target_cor_wz,
+                               spec.target_cor_weta, coefficients=by_norm)
+        assert np.array_equal(generate(spec).dataset.w, w), spec
 
 
 def test_cor_wz_too_close_to_one_raises():
-    # 0.5 + cor_wz / 2 rounds to 1.0: the quantile is inf and phi 0.0
+    # 0.5 + cor_wz / 2 rounds to 1.0, where the quantile is infinite
     assert 0.5 + 0.9999999999999999 / 2.0 == 1.0
     with pytest.raises(CalibrationError, match="too close to 1"):
         latent_receipt_coefficients(0.9999999999999999, 0.5)
     with pytest.raises(CalibrationError):
         latent_receipt_coefficients(math.nan, 0.5)
+    with pytest.raises(CalibrationError):      # the quantile of 0 is -inf
+        latent_receipt_coefficients(-1.0, 0.5)
     with pytest.raises(CalibrationError):
         generate(design_spec(2, 50, seed=0, target_cor_wz=0.9999999999999999))
 
