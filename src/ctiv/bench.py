@@ -127,6 +127,10 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
     )
 
 
+# designs x sizes x seeds a sweep may run
+MAX_CELLS = 100_000
+
+
 def _run_cell_args(args) -> BenchResult | dict:
     try:
         return run_cell(*args)
@@ -146,6 +150,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     designs and the sizes are checked before any cell, and a design or
     size may not repeat (its draws would count again as further replicates).
     Failing cells are recorded (label, n, rep, error) and skipped.
+    A sweep of more than ``MAX_CELLS`` (100,000) cells is refused before
+    any cell is listed: every cell is queued at once, at about 2 KiB each.
     Cells run in ``parallel.usable_cpus()`` processes, at most one per
     cell (see ``parallel.fan_out``); a lone cell runs in this process.
     Per-cell seeds make the results identical at any count.
@@ -154,6 +160,9 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     """
     if n_seeds < 1:
         raise InputError("n_seeds must be >= 1")
+    n_cells = len(designs) * len(sizes) * n_seeds
+    if n_cells > MAX_CELLS:
+        raise InputError(f"a sweep of {n_cells} cells exceeds the bound of {MAX_CELLS}")
     if base_seed < 0:
         raise InputError(f"base_seed must be nonnegative, got {base_seed}")
     for what, items in (("designs", designs), ("sizes", sizes)):

@@ -2,12 +2,12 @@
 
 Subcommands: fit, predict, simulate, bench. ``fit`` grows on a
 ``--train-frac`` share of the units and prices complexity on the rest.
-Exit codes: 0 success, 1 usage problems, 2 data/validation problems,
-3 estimation failures. Failures print a one-line JSON object to stderr
-so callers can parse them. Every command writes its fully resolved
-configuration next to its outputs; re-running the same invocation
-reproduces the outputs byte for byte, and nothing time-dependent is ever
-written. One host dependence remains: BLAS sums in an order that follows
+Exit codes: 0 success, 1 usage problems, 2 data/validation problems
+(and failed file access or memory allocation), 3 estimation failures.
+Failures print a one-line JSON object to stderr so callers can parse
+them. Every command writes its fully resolved configuration next to its
+outputs; re-running the same invocation reproduces the outputs byte for
+byte, and nothing time-dependent is ever written. One host dependence remains: BLAS sums in an order that follows
 its thread count, one per CPU by default, so the last digits of
 ``tree.json`` and ``leaf_report.csv`` can differ between CPU counts
 unless ``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) is set.
@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         _emit_error("OSError", str(exc))
+        return EXIT_DATA
+    except MemoryError as exc:          # numpy's _ArrayMemoryError too
+        _emit_error("MemoryError", str(exc))
         return EXIT_DATA
 
 

@@ -19,15 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyDatasetError,
-    InputError,
-    MissingValueError,
-    SchemaError,
-    SplitError,
-    ValidationError,
-    require_binary,
-)
+from .errors import InputError, SchemaError, ValidationError, require_binary
 from .parallel import fan_out, fork_workers
 
 
@@ -47,7 +39,7 @@ class Dataset:
             raise InputError("covariates must be a 2-D array")
         n, k = cov.shape
         if n < 1 or k < 1:
-            raise EmptyDatasetError("dataset needs at least one unit and one feature")
+            raise ValidationError("dataset needs at least one unit and one feature")
         if not np.isfinite(cov).all():
             raise ValidationError("covariates contain non-finite values")
         y = np.asarray(self.y, dtype=np.float64)
@@ -79,7 +71,7 @@ class Dataset:
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
-            raise EmptyDatasetError("subset selects no rows")
+            raise ValidationError("subset selects no rows")
         n = self.n_units
         if idx.shape == (n,) and (idx == np.arange(n)).all():
             return self
@@ -115,7 +107,7 @@ class ColumnSchema:
 def _parse_cell(raw: str, column: str, row_number: int) -> float:
     text = raw.strip() if raw is not None else ""
     if text == "":
-        raise MissingValueError(
+        raise ValidationError(
             f"blank value for column '{column}' at data row {row_number}")
     try:
         return float(text)
@@ -383,7 +375,7 @@ def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset
 
     columns, data = read_csv_columns(path, choose, binary=(1, 2))
     if data.shape[0] == 0:
-        raise EmptyDatasetError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
     return Dataset(
         covariates=np.ascontiguousarray(data[:, 3:]),
         z=data[:, 2].astype(np.int8),
@@ -439,17 +431,17 @@ def check_split(fractions: tuple[float, ...], seed: int) -> None:
     except ValueError:                       # a ragged nesting
         f = np.empty(0)
     if f.shape not in ((2,), (3,)) or f.dtype.kind not in "biuf":
-        raise SplitError("fractions must be two numbers, (train, validation), "
+        raise InputError("fractions must be two numbers, (train, validation), "
                          "or those two and 0")
     if not np.isfinite(f).all():     # NaN passes every test below
-        raise SplitError("fractions must be finite")
+        raise InputError("fractions must be finite")
     f_tr, f_va, *rest = f.tolist()
     if rest not in ([], [0.0]):
-        raise SplitError("a split has two parts: a third fraction must be 0")
+        raise InputError("a split has two parts: a third fraction must be 0")
     if min(f_tr, f_va) < 0 or abs(f_tr + f_va - 1.0) > 1e-9:
-        raise SplitError("fractions must be nonnegative and sum to 1")
+        raise InputError("fractions must be nonnegative and sum to 1")
     if f_tr <= 0:
-        raise SplitError("train fraction must be positive")
+        raise InputError("train fraction must be positive")
 
 
 def holdout_split(ds: Dataset | int, fractions: tuple[float, ...],
@@ -470,7 +462,7 @@ def holdout_split(ds: Dataset | int, fractions: tuple[float, ...],
     n_tr = n - n_va
     for name, frac, size in (("train", f_tr, n_tr), ("validation", 1.0 - f_tr, n_va)):
         if frac > 0 and size < 1:
-            raise SplitError(f"{name} fraction {frac:g} yields no units at N={n}")
+            raise InputError(f"{name} fraction {frac:g} yields no units at N={n}")
     in_train = np.zeros(n, dtype=bool)
     in_train[np.random.default_rng(seed).permutation(n)[:n_tr]] = True
     in_train.setflags(write=False)
@@ -500,6 +492,6 @@ def trim_by_propensity(ds: Dataset, e_hat: np.ndarray,
         raise InputError("e_hat contains non-finite values")
     kept = np.flatnonzero((e >= lo) & (e <= hi)).astype(np.int64)
     if kept.size == 0:
-        raise EmptyDatasetError(
+        raise ValidationError(
             f"no units with propensity inside [{lo}, {hi}]")
     return ds.subset(kept), kept

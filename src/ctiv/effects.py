@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AggregationError, InputError, require_binary
+from .errors import EstimationError, InputError, require_binary
 from .transform import RegimeKind, leaf_weighted_itt
 
 WEAK_F_THRESHOLD = 10.0
@@ -158,10 +158,11 @@ def overall_cace(leaves: list[LeafEstimate]) -> float:
     """Complier-weighted average of leaf CACEs.
 
     Weights are the rounded complier counts pi_c * n per leaf. Leaves
-    must all pass the compliers check before aggregation.
+    must all pass the compliers check before aggregation. Its only
+    EstimationError is nothing to aggregate: no leaves, or no compliers.
     """
     if not leaves:
-        raise AggregationError("no leaves to aggregate")
+        raise EstimationError("no leaves to aggregate")
     for leaf in leaves:
         if not leaf.compliers_ok:
             raise InputError(
@@ -169,7 +170,7 @@ def overall_cace(leaves: list[LeafEstimate]) -> float:
     weights = np.array([round(leaf.pi_c_hat * leaf.n) for leaf in leaves], dtype=np.float64)
     total = weights.sum()
     if total <= 0:
-        raise AggregationError("zero total compliers across leaves")
+        raise EstimationError("zero total compliers across leaves")
     values = np.array([leaf.cace_hat for leaf in leaves])
     return float((values * weights).sum() / total)
 

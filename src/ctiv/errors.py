@@ -1,11 +1,11 @@
 """Exception hierarchy shared across the package, and its two shared checks.
 
-Errors split into two families: data problems (bad input files, schema
-mismatches, degenerate splits) and estimation problems (separation,
-empty arms, rank deficiency). The CLI maps the families to distinct
-exit codes. ``require_binary`` is the package's one 0/1 check
-(ValidationError), ``require_probabilities`` its one check for values
-strictly inside (0, 1) (DomainError).
+One class per thing a user can fix: an argument (InputError), the CSV
+header or column flags (SchemaError), the data's values (ValidationError),
+or data that cannot identify the estimate (EstimationError). The CLI
+exits 3 on EstimationError and 2 on every other CtivError.
+``require_binary`` is the package's one 0/1 check, ``require_probabilities``
+its one check for values strictly inside (0, 1); both raise ValidationError.
 """
 
 import numpy as np
@@ -15,60 +15,22 @@ class CtivError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- data / validation family ---
+class InputError(CtivError):
+    """An argument or flag out of range: a shape, a fraction, a target."""
+
 
 class SchemaError(CtivError):
     """A required column is missing or the column mapping is wrong."""
 
 
 class ValidationError(CtivError):
-    """Input values violate a documented constraint (non-binary arm, NaN...)."""
+    """Data values violate a documented constraint (blank cell, NaN,
+    non-binary arm, no units left...)."""
 
-
-class MissingValueError(CtivError):
-    """A blank cell where a value is required."""
-
-
-class InputError(CtivError):
-    """Malformed arguments: wrong shape, non-finite values, bad dimension."""
-
-
-class DomainError(CtivError):
-    """A probability or parameter outside its mathematical domain."""
-
-
-class SplitError(CtivError):
-    """Holdout fractions that cannot produce a usable partition."""
-
-
-class EmptyDatasetError(CtivError):
-    """No units survive trimming or subsetting."""
-
-
-class CalibrationError(CtivError):
-    """A synthetic generator missed its target correlations."""
-
-
-# --- estimation family ---
 
 class EstimationError(CtivError):
-    """An estimator could not produce a finite, identified answer."""
-
-
-class SeparationError(EstimationError):
-    """Perfectly separated logistic fit with no ridge penalty."""
-
-
-class EmptyArmError(EstimationError):
-    """A leaf or sample with one assignment arm empty."""
-
-
-class GrowthError(EstimationError):
-    """Tree growth impossible under the configured constraints."""
-
-
-class AggregationError(EstimationError):
-    """A weighted aggregate has no mass to average over."""
+    """The data cannot identify the estimate: degenerate growth, a
+    separated logistic fit, an empty arm, no complier mass."""
 
 
 def require_binary(values, name: str) -> np.ndarray:
@@ -84,5 +46,5 @@ def require_probabilities(values, name: str) -> np.ndarray:
     (0, 1); NaN does not."""
     arr = np.asarray(values, dtype=np.float64)
     if not ((arr > 0.0) & (arr < 1.0)).all():
-        raise DomainError(f"{name} must lie strictly inside (0, 1)")
+        raise ValidationError(f"{name} must lie strictly inside (0, 1)")
     return arr

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SeparationError, require_binary
+from .errors import EstimationError, InputError, require_binary
 
 PROB_CLAMP = 1e-12
 # the largest x whose exp(x) is finite; math.exp raises above it
@@ -114,7 +114,7 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
     lab = require_binary(lab, "labels").astype(np.float64)
     check_ridge(ridge_lambda)
     if ridge_lambda == 0.0 and (lab.min() == lab.max()):
-        raise SeparationError(
+        raise EstimationError(
             "labels are all one class and no ridge penalty is set")
 
     n, k = x.shape
@@ -153,7 +153,7 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
             beta, ll = candidate, cand_ll
             iterations += 1
     if not np.isfinite(beta).all():
-        raise SeparationError("logistic fit diverged; labels may be separated")
+        raise EstimationError("logistic fit diverged; labels may be separated")
     coefs = beta[1:].copy()
     coefs.setflags(write=False)
     return PropensityModel(

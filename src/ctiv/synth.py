@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import CalibrationError, InputError
+from .errors import InputError
 
 COVARIATE_VARIANCE = 0.1
 DEFAULT_COR_WZ = 0.65
@@ -141,13 +141,13 @@ def latent_receipt_coefficients(cor_wz: float, cor_weta: float) -> tuple[float, 
 
     p = 0.5 + cor_wz / 2.0
     if not 0.0 < p < 1.0:                      # also a nan target
-        raise CalibrationError(
+        raise InputError(
             f"target Cor(W,Z)={cor_wz} is too close to 1 to calibrate")
     normal = NormalDist()
     q = normal.inv_cdf(p)
     b = cor_weta / (2.0 * normal.pdf(q))
     if not (0.0 < b < 1.0):
-        raise CalibrationError(
+        raise InputError(
             f"targets Cor(W,Z)={cor_wz}, Cor(W,eta)={cor_weta} are infeasible")
     c = math.sqrt(1.0 - b * b)
     return 2.0 * q, b, c, q
@@ -206,11 +206,11 @@ def generate(spec: DesignSpec) -> SyntheticSample:
     cor_weta = float(np.corrcoef(w, eta)[0, 1])
     if n >= CALIBRATION_CHECK_MIN_N:
         if abs(cor_wz - spec.target_cor_wz) > CORRELATION_TOLERANCE:
-            raise CalibrationError(
+            raise InputError(
                 f"realized Cor(W,Z)={cor_wz:.4f} misses target "
                 f"{spec.target_cor_wz} by more than {CORRELATION_TOLERANCE}")
         if abs(cor_weta - spec.target_cor_weta) > CORRELATION_TOLERANCE:
-            raise CalibrationError(
+            raise InputError(
                 f"realized Cor(W,eta)={cor_weta:.4f} misses target "
                 f"{spec.target_cor_weta} by more than {CORRELATION_TOLERANCE}")
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyArmError, InputError, require_binary, require_probabilities
+from .errors import EstimationError, InputError, require_binary, require_probabilities
 
 
 class RegimeKind(str, Enum):
@@ -70,7 +70,7 @@ def leaf_weighted_itt(y: np.ndarray, d: np.ndarray, e) -> float:
     require_probabilities(e, "e")
     assigned = d == 1.0
     if not assigned.any() or assigned.all():
-        raise EmptyArmError("leaf needs at least one unit in each arm")
+        raise EstimationError("leaf needs at least one unit in each arm")
     wt = d / e
     wc = (1.0 - d) / (1.0 - e)
     treated_mean = float((wt * y).sum() / wt.sum())

@@ -28,18 +28,7 @@ import numpy as np
 
 from .dataset import Dataset, check_trim_bounds, trim_by_propensity
 from .effects import LeafEstimate, estimate_leaf, overall_cace
-from .errors import (
-    AggregationError,
-    DomainError,
-    EmptyArmError,
-    EmptyDatasetError,
-    EstimationError,
-    GrowthError,
-    InputError,
-    SplitError,
-    ValidationError,
-    require_probabilities,
-)
+from .errors import EstimationError, InputError, ValidationError, require_probabilities
 from .parallel import fan_out, fork_workers
 from .propensity import (
     PropensityModel,
@@ -272,7 +261,7 @@ def _grow_node(frame, rows, box, node_id):
     if n1 in (0, m):
         # a cut at a midpoint that rounds to the upper value sends that
         # value left, so a child can miss the arm counts the scan checked
-        raise EmptyArmError("leaf needs at least one unit in each arm")
+        raise EstimationError("leaf needs at least one unit in each arm")
     tau = float(t[0] / t[1]) - float(t[2] / t[3])
     node = TreeNode(n=m, n1=n1, n0=m - n1, tau=tau, node_id=node_id)
     if (node_id >= 1 << cfg.max_depth or m < 2 * min_leaf
@@ -306,7 +295,7 @@ def _grow_sums(train: Dataset, e: np.ndarray, cfg: GrowthConfig) -> np.ndarray:
     d = cfg.regime.indicator(train.w, train.z).astype(np.int64)
     n1 = int(d.sum())
     if min(n1, n - n1) < cfg.min_arm_count:
-        raise GrowthError(
+        raise EstimationError(
             f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
     # validates d and e for every node at once: a node's rows are a subset
     leaf_weighted_itt(train.y, d, e)
@@ -578,7 +567,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     """
     in_train = np.asarray(split)
     if in_train.dtype != bool or in_train.shape != (ds.n_units,):
-        raise SplitError(f"split must be a boolean training mask of shape "
+        raise InputError(f"split must be a boolean training mask of shape "
                          f"({ds.n_units},), got {in_train.dtype} {in_train.shape}")
 
     model: PropensityModel | None = None
@@ -590,7 +579,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     else:
         p_hat = estimate_constant_p(ds.z)
         if not 0.0 < p_hat < 1.0:       # one arm only: no weight is defined
-            raise DomainError(f"p_hat must lie in (0, 1), got {p_hat}")
+            raise ValidationError(f"p_hat must lie in (0, 1), got {p_hat}")
         e_all = np.full(ds.n_units, p_hat)
 
     omega_ds, kept = trim_by_propensity(ds, e_all, cfg.trim_lo, cfg.trim_hi)
@@ -599,9 +588,9 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     is_train = in_train[kept]
     train_pos, val_pos = np.flatnonzero(is_train), np.flatnonzero(~is_train)
     if train_pos.size == 0:
-        raise EmptyDatasetError("no training units survive trimming")
+        raise ValidationError("no training units survive trimming")
     if cfg.alpha_override is None and val_pos.size == 0:
-        raise EmptyDatasetError("no validation units survive trimming")
+        raise ValidationError("no validation units survive trimming")
     e_omega = e_all[kept]
     # the grows read none of these: free the n-length indices and probabilities
     del in_train, is_train, kept, e_all
@@ -634,7 +623,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
         for leaf, rows in _leaf_rows(final, x))
     try:
         overall = overall_cace([est for est in estimates if est.compliers_ok])
-    except AggregationError:
+    except EstimationError:             # nothing to aggregate
         overall = float("nan")
     return CausalTree(
         root=final,

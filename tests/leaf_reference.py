@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctiv.effects import LeafEstimate
-from ctiv.errors import EmptyArmError, EstimationError, InputError, require_binary
+from ctiv.errors import EstimationError, InputError, require_binary
 from ctiv.transform import RegimeKind, leaf_weighted_itt
 
 
@@ -43,7 +43,7 @@ def compliance_shares(z: np.ndarray, w: np.ndarray) -> tuple[float, float, float
         raise InputError("z and w must be aligned vectors")
     assigned = z == 1.0
     if not assigned.any() or assigned.all():
-        raise EmptyArmError("both assignment arms must be nonempty")
+        raise EstimationError("both assignment arms must be nonempty")
     m1 = float(w[assigned].mean())
     m0 = float(w[~assigned].mean())
     return m0, 1.0 - m1, m1 - m0
@@ -67,7 +67,7 @@ def tsls_leaf(y: np.ndarray, w: np.ndarray, z: np.ndarray,
     n = y.shape[0]
     assigned = z == 1.0
     if not assigned.any() or assigned.all():
-        raise EmptyArmError("both assignment arms must be nonempty")
+        raise EstimationError("both assignment arms must be nonempty")
 
     if covariates is None:
         exog = np.ones((n, 1))

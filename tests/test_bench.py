@@ -209,6 +209,18 @@ def test_run_sweep_refuses_a_repeated_design_or_size(designs, sizes, message):
         run_sweep(designs, sizes, n_seeds=2, progress=pytest.fail)
 
 
+@pytest.mark.parametrize("designs, sizes, n_seeds", [
+    (["1"], [300], ctiv.bench.MAX_CELLS + 1), (["1", "2"], [300, 500], 25_001),
+    (["1"], [300], 10 ** 20)])
+def test_run_sweep_refuses_more_cells_than_its_bound_before_listing_them(designs, sizes,
+                                                                        n_seeds):
+    # every cell is queued at once, so a huge --seeds once ran out of memory
+    n_cells = len(designs) * len(sizes) * n_seeds
+    with pytest.raises(InputError, match=f"a sweep of {n_cells} cells exceeds the "
+                                         f"bound of {ctiv.bench.MAX_CELLS}"):
+        run_sweep(designs, sizes, n_seeds, progress=pytest.fail)
+
+
 @pytest.mark.parametrize("label", ["7", "s3", "x"])
 def test_run_sweep_refuses_an_unknown_design_before_any_cell(label):
     with pytest.raises(InputError, match=r"designs must be among \['1', '2', '3', '4', "

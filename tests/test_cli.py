@@ -135,7 +135,7 @@ def test_fit_on_covariates_near_the_float_limit_writes_one_error_line(
                            "--ridge", ridge, "--out-dir", str(tmp_path / "o"))
     assert caught == [] and code == EXIT_ESTIMATION
     assert err.count("\n") == 1 and json.loads(err) == {
-        "error": "SeparationError",
+        "error": "EstimationError",
         "message": "logistic fit diverged; labels may be separated"}
 
 
@@ -145,7 +145,7 @@ def test_fit_with_no_unit_left_to_validate_fails(tmp_path, capsys):
                        "--regime", "iv-randomized", "--train-frac", "1.0",
                        "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_DATA
-    assert json.loads(err) == {"error": "EmptyDatasetError",
+    assert json.loads(err) == {"error": "ValidationError",
                                "message": "no validation units survive trimming"}
 
 
@@ -266,7 +266,7 @@ def test_fit_constant_assignment_exit_data(tmp_path, capsys):
                        "--trim-lo", "0", "--trim-hi", "1",
                        "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_DATA
-    assert json.loads(err) == {"error": "DomainError",
+    assert json.loads(err) == {"error": "ValidationError",
                                "message": "p_hat must lie in (0, 1), got 1.0"}
 
 
@@ -296,7 +296,46 @@ def test_fit_growth_failure_exit_estimation(tmp_path, capsys):
                        "--regime", "iv-randomized", "--min-arm-count", "50",
                        "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_ESTIMATION
-    assert json.loads(err)["error"] == "GrowthError"
+    assert json.loads(err)["error"] == "EstimationError"
+
+
+def _blank_x1_cell(path):
+    path.write_text("y,w,z,x1\n1.0,1,1,0.5\n2.0,0,0,\n")
+
+
+def _z_all_1(path):
+    path.write_text("y,w,z,x1\n" + "".join(f"{i % 5},{i % 2},1,{i / 7}\n" for i in range(40)))
+
+
+def _trial_300(path):
+    write_trial_csv(path, n=300, full_compliance=False)
+
+
+# one input per folded class, named by the class it raised before the fold
+@pytest.mark.parametrize("write, argv, code, kind", [
+    pytest.param(_trial_300, ["fit", "--regime", "ct", "--train-frac", "1.5"],
+                 EXIT_DATA, "InputError", id="SplitError"),
+    pytest.param(None, ["simulate", "--design", "2", "--n", "50",
+                        "--cor-wz", "0.9999999999999999"],
+                 EXIT_DATA, "InputError", id="CalibrationError"),
+    pytest.param(_blank_x1_cell, ["fit", "--regime", "ct"],
+                 EXIT_DATA, "ValidationError", id="MissingValueError"),
+    pytest.param(_z_all_1, ["fit", "--regime", "iv-randomized"],
+                 EXIT_DATA, "ValidationError", id="DomainError"),
+    pytest.param(_trial_300, ["fit", "--regime", "ct", "--min-arm-count", "200",
+                              "--min-leaf-fraction", "0.5"],
+                 EXIT_ESTIMATION, "EstimationError", id="GrowthError"),
+])
+def test_a_folded_error_class_keeps_its_exit_code(tmp_path, capsys, write, argv, code, kind):
+    data, out = tmp_path / "in.csv", tmp_path / "o"
+    if write:
+        write(data)
+        argv = [*argv, "--input", str(data), "--out-dir", str(out)]
+    else:
+        argv = [*argv, "--out", str(out / "s.csv")]
+    got, _, err = run(capsys, *argv)
+    assert (got, json.loads(err)["error"]) == (code, kind)
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -381,9 +420,9 @@ def test_fit_grows_at_the_deepest_max_depth(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, code, error, word", [
-    (("--train-frac", "1.5"), EXIT_DATA, "SplitError", "nonnegative"),
-    (("--train-frac", "nan"), EXIT_DATA, "SplitError", "finite"),
-    (("--train-frac", "0"), EXIT_DATA, "SplitError", "train fraction"),
+    (("--train-frac", "1.5"), EXIT_DATA, "InputError", "nonnegative"),
+    (("--train-frac", "nan"), EXIT_DATA, "InputError", "finite"),
+    (("--train-frac", "0"), EXIT_DATA, "InputError", "train fraction"),
     (("--seed", "-1"), EXIT_DATA, "InputError", "seed must be nonnegative"),
     (("--max-depth", "0"), EXIT_DATA, "InputError", "max_depth"),
     (("--min-leaf-fraction", "0.9"), EXIT_DATA, "InputError", "min_leaf_fraction"),
@@ -412,7 +451,7 @@ def test_nan_split_fraction_exit_data(tmp_path, capsys, option):
     code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
                        option, "nan", "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_DATA
-    assert json.loads(err) == {"error": "SplitError",
+    assert json.loads(err) == {"error": "InputError",
                                "message": "fractions must be finite"}
     assert not (tmp_path / "o").exists()
 
@@ -574,7 +613,7 @@ def test_bench_records_a_failed_cell_and_says_so(tmp_path, capsys):
     assert out.endswith("no successful cells\n1 cell(s) failed; see run.json\n")
     failures = json.loads((tmp_path / "run.json").read_text())["failures"]
     assert [(f["design"], f["n"], f["rep"], f["error"]) for f in failures] == [
-        ("1", 5, 0, "EmptyDatasetError")]
+        ("1", 5, 0, "ValidationError")]
 
 
 def test_fit_help_lists_the_train_fraction_alone(capsys):
@@ -630,7 +669,7 @@ def test_out_of_range_ridge_is_rejected_in_every_regime(tmp_path, capsys, regime
 @pytest.mark.parametrize("regime", ["ct", "iv-unconfounded", "iv-randomized"])
 def test_infinite_ridge_is_rejected_in_every_regime(tmp_path, capsys, regime):
     # an infinite penalty would turn Newton's step into NaN and the fit
-    # into a misleading SeparationError
+    # into a misleading EstimationError
     data = tmp_path / "d.csv"
     write_trial_csv(data, n=200, full_compliance=False)
     code, _, err = run(capsys, "fit", "--input", str(data), "--regime", regime,
@@ -941,7 +980,7 @@ def test_predict_reports_bad_cell(tmp_path, capsys):
                        "--input", str(bad), "--output", str(tmp_path / "p.csv"))
     assert code == EXIT_DATA
     assert json.loads(err) == {
-        "error": "MissingValueError",
+        "error": "ValidationError",
         "message": "blank value for column 'x1' at data row 2"}
 
 
@@ -1012,7 +1051,7 @@ def test_cor_wz_too_close_to_one_exit_data(tmp_path, capsys):
                        "--out", str(tmp_path / "s.csv"))
     assert code == EXIT_DATA
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert json.loads(err)["error"] == "CalibrationError"
+    assert json.loads(err)["error"] == "InputError"
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -1334,21 +1373,21 @@ NUMERIC_FLAGS = {
     "bench": ["--sizes", "--seeds", "--base-seed", "--max-depth",
               "--min-leaf-fraction", "--min-arm-count"],
 }
-# a huge --seeds is left out: run_sweep lists every cell before any check
-# could stop it, so it would build 10**20 tuples
 flag_settings = st.sampled_from(list(NUMERIC_FLAGS)).flatmap(lambda command: st.tuples(
     st.just(command),
     st.dictionaries(st.sampled_from(NUMERIC_FLAGS[command]), st.sampled_from(FLAG_VALUES),
-                    min_size=1, max_size=3).filter(lambda f: f.get("--seeds") != HUGE)))
+                    min_size=1, max_size=3)))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(setting=flag_settings, regime=st.sampled_from(["ct", "iv-randomized", "iv-unconfounded"]))
-# leaf ids past int64 once failed predict, and draws numpy cannot shape
-# once ended simulate and bench in a ValueError traceback
+# leaf ids past int64 once failed predict, draws numpy cannot shape once
+# ended simulate and bench in a ValueError traceback, and a sweep listing
+# 10**20 cells once ended bench in a MemoryError traceback
 @example(setting=("fit", {"--max-depth": "63"}), regime="ct")
 @example(setting=("simulate", {"--n": HUGE}), regime="ct")
 @example(setting=("bench", {"--sizes": HUGE}), regime="ct")
+@example(setting=("bench", {"--seeds": HUGE}), regime="ct")
 def test_numeric_flags_at_their_edges_exit_cleanly(setting, regime):
     command, flags = setting
     with tempfile.TemporaryDirectory() as d:
@@ -1378,6 +1417,33 @@ def fresh_env():
     src = str(Path(ctiv.dataset.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+# bytes of address space a child may map: numpy, OpenBLAS on one thread
+# and ctiv.cli start under it, and neither command below fits in it
+ADDRESS_SPACE = 1_500_000_000
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv, kind", [
+    (["simulate", "--design", "2", "--n", "1000000000", "--out", "s.csv"], "MemoryError"),
+    (["bench", "--designs", "1", "--sizes", "100", "--seeds", HUGE, "--out-dir", "b"],
+     "InputError"),
+])
+def test_a_command_too_large_for_memory_exits_2_with_one_line(tmp_path, argv, kind):
+    import resource
+
+    def limit():                        # in the child only, before it starts Python
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from ctiv.cli import main; sys.exit(main())",
+         *argv], cwd=tmp_path, env=dict(fresh_env(), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_DATA, done.stderr
+    assert done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"] == kind
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_importing_the_cli_leaves_scipy_stats_out():

@@ -14,14 +14,7 @@ from ctiv import (
     save_csv,
     trim_by_propensity,
 )
-from ctiv.errors import (
-    EmptyDatasetError,
-    InputError,
-    MissingValueError,
-    SchemaError,
-    SplitError,
-    ValidationError,
-)
+from ctiv.errors import InputError, SchemaError, ValidationError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -60,7 +53,7 @@ def test_load_nonbinary_w_names_row(tmp_path):
 
 def test_load_blank_cell_names_row(tmp_path):
     path = write(tmp_path, "y,w,z,x1\n1,1,1,0.5\n,0,0,0.5\n")
-    with pytest.raises(MissingValueError, match="row 2"):
+    with pytest.raises(ValidationError, match="row 2"):
         load_csv(path)
 
 
@@ -183,9 +176,9 @@ UNITS = dict(covariates=[[1.0], [2.0]], z=[0, 1], w=[0, 1], y=[0.5, 1.5],
 
 @pytest.mark.parametrize("fields, error, message", [
     (dict(covariates=[1.0, 2.0]), InputError, "covariates must be a 2-D array"),
-    (dict(covariates=np.empty((0, 1)), z=[], w=[], y=[]), EmptyDatasetError,
+    (dict(covariates=np.empty((0, 1)), z=[], w=[], y=[]), ValidationError,
      "at least one unit and one feature"),
-    (dict(covariates=np.empty((2, 0))), EmptyDatasetError, "at least one unit and one feature"),
+    (dict(covariates=np.empty((2, 0))), ValidationError, "at least one unit and one feature"),
     (dict(w=[1]), InputError, "z and w must be length-N vectors"),
     (dict(feature_names=("x", "x2")), SchemaError, "feature_names must be unique and match"),
 ])
@@ -195,7 +188,7 @@ def test_dataset_rejects_fields_that_do_not_fit(fields, error, message):
 
 
 def test_subset_of_no_rows_errors():
-    with pytest.raises(EmptyDatasetError, match="subset selects no rows"):
+    with pytest.raises(ValidationError, match="subset selects no rows"):
         Dataset(**UNITS).subset([])
 
 
@@ -254,7 +247,7 @@ def test_holdout_determinism():
 
 
 def test_holdout_tiny_sample_errors():
-    with pytest.raises(SplitError):
+    with pytest.raises(InputError, match="yields no units"):
         holdout_split(3, (0.75, 0.25), seed=0)
 
 
@@ -267,19 +260,19 @@ def test_holdout_zero_test_fraction_ok():
 
 def test_holdout_bad_fractions():
     for fractions in [(0.5, 0.6), (0.5, 0.6, 0.0), (1.2, -0.2)]:
-        with pytest.raises(SplitError, match="nonnegative and sum to 1"):
+        with pytest.raises(InputError, match="nonnegative and sum to 1"):
             holdout_split(10, fractions, seed=0)
     # a split has no test part: a nonzero third fraction is refused
     for fractions in [(0.5, 0.25, 0.25), (0.5, 0.5, 1e-12)]:
-        with pytest.raises(SplitError, match="third fraction must be 0"):
+        with pytest.raises(InputError, match="third fraction must be 0"):
             holdout_split(10, fractions, seed=0)
 
 
 @pytest.mark.parametrize("fractions", [0.5, (0.5,), [[0.5, 0.5]], ("0.5", "0.5"),
                                        [[0.5], 0.5], (0.5, 0.5, 0.0, 0.0)])
 def test_holdout_fractions_that_are_not_two_numbers(fractions):
-    # all but the last once ended in a TypeError or ValueError, not a SplitError
-    with pytest.raises(SplitError, match="two numbers"):
+    # all but the last once ended in a TypeError or ValueError, not an InputError
+    with pytest.raises(InputError, match="two numbers"):
         holdout_split(100, fractions, seed=0)
 
 
@@ -288,9 +281,9 @@ def test_holdout_fractions_that_are_not_two_numbers(fractions):
                                        (float("inf"), -float("inf"))])
 def test_holdout_non_finite_fractions(fractions):
     # NaN passes every comparison: it used to give an empty train part
-    with pytest.raises(SplitError, match="finite"):
+    with pytest.raises(InputError, match="finite"):
         holdout_split(100, fractions, seed=0)
-    with pytest.raises(SplitError):
+    with pytest.raises(InputError, match="train fraction must be positive"):
         holdout_split(10, (0.0, 1.0), seed=0)
 
 
@@ -365,5 +358,5 @@ def test_trim_refuses_propensities_that_do_not_fit(e_hat, message):
 
 def test_trim_all_out_errors():
     ds = small_ds(3)
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(ValidationError, match="no units with propensity"):
         trim_by_propensity(ds, np.array([0.01, 0.99, 0.05]), 0.1, 0.9)

@@ -15,13 +15,7 @@ import ctiv.errors
 import ctiv.transform
 from ctiv import design_spec, estimate_leaf, generate, overall_cace
 from ctiv.effects import LeafEstimate
-from ctiv.errors import (
-    AggregationError,
-    DomainError,
-    EmptyArmError,
-    InputError,
-    ValidationError,
-)
+from ctiv.errors import EstimationError, InputError, ValidationError
 from ctiv.transform import RegimeKind
 from leaf_reference import reference_estimate_leaf, tsls_leaf
 
@@ -86,7 +80,7 @@ def test_shares_identity_random_leaves():
 
 
 def test_shares_need_both_arms():
-    with pytest.raises(EmptyArmError):
+    with pytest.raises(EstimationError, match="each arm"):
         estimate(np.ones(3), np.ones(3))
 
 
@@ -255,12 +249,12 @@ def test_overall_cace_rejects_flagged_leaf():
 
 
 def test_overall_cace_of_no_leaves_errors():
-    with pytest.raises(AggregationError, match="no leaves to aggregate"):
+    with pytest.raises(EstimationError, match="no leaves to aggregate"):
         overall_cace([])
 
 
 def test_overall_cace_zero_compliers():
-    with pytest.raises(AggregationError):
+    with pytest.raises(EstimationError, match="zero total compliers"):
         overall_cace([leaf(n=10, pi_c=0.01)])  # rounds to zero compliers
 
 
@@ -383,8 +377,8 @@ def _bad_inputs():
         (InputError, (y[:5], z, w, iv, e, x)),
         (ValidationError, (y, z + 1, w, iv, e, x)),
         (ValidationError, (y, z, w + 1, ct, e, None)),
-        (DomainError, (y, z, w, iv, e + 0.5, x)),
-        (EmptyArmError, (y, np.ones(6, dtype=int), w, iv, e, x)),
+        (ValidationError, (y, z, w, iv, e + 0.5, x)),
+        (EstimationError, (y, np.ones(6, dtype=int), w, iv, e, x)),
         # then receipt: non-binary before misaligned
         (ValidationError, (y, z, w + 1, iv, e, x)),
         (ValidationError, (y, z, np.r_[w, 2], iv, e, x)),

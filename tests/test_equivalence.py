@@ -63,7 +63,7 @@ from ctiv import (
     save_csv,
 )
 from ctiv.dataset import read_csv_columns
-from ctiv.errors import CtivError, GrowthError, SplitError, ValidationError
+from ctiv.errors import CtivError, EstimationError, InputError, ValidationError
 from ctiv.transform import leaf_weighted_itt, transformed_outcome
 from ctiv.tree import TreeNode, _stable_order, holdout_loss
 
@@ -150,7 +150,7 @@ def ref_grow(train, e, cfg):
     min_leaf = max(1, math.ceil(cfg.min_leaf_fraction * n))
     n1 = int(d.sum())
     if min(n1, n - n1) < cfg.min_arm_count:
-        raise GrowthError(
+        raise EstimationError(
             f"root has arm counts ({n1}, {n - n1}); need >= {cfg.min_arm_count} each")
     # outcomes whose squares underflow are refused: gains would fall into
     # subnormals and to 0
@@ -321,7 +321,7 @@ def test_cut_whose_midpoint_rounds_to_the_upper_value(upper_arms):
     got = tree_json(grow, ds, e, cfg)
     assert got == tree_json(ref_grow, ds, e, cfg)
     if len(upper_arms) == 2:
-        assert got == ("EmptyArmError", "leaf needs at least one unit in each arm")
+        assert got == ("EstimationError", "leaf needs at least one unit in each arm")
     else:
         root = grow(ds, e, cfg)
         assert root.threshold == two_up and root.left.n == 16
@@ -1004,7 +1004,7 @@ def test_split_masks_match_set_operations(n, f_tr, seed, data):
     # among any kept rows are the ``isin`` positions fit_ctiv once computed
     try:
         in_train = holdout_split(n, (f_tr, 1.0 - f_tr), seed)
-    except SplitError:
+    except InputError:
         reject()
     tr, va = reference_split(n, f_tr, seed)
     assert np.flatnonzero(in_train).tolist() == tr.tolist()

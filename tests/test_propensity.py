@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from ctiv import estimate_constant_p, fit_logistic
-from ctiv.errors import InputError, SeparationError, ValidationError
+from ctiv.errors import EstimationError, InputError, ValidationError
 from ctiv.propensity import loglik_gradient, penalized_loglik
 
 
@@ -90,7 +90,7 @@ def test_separated_data_with_ridge_converges():
 
 
 def test_one_class_without_ridge_errors():
-    with pytest.raises(SeparationError):
+    with pytest.raises(EstimationError, match="all one class"):
         fit_logistic(np.zeros((5, 1)), np.ones(5), ridge_lambda=0.0)
 
 
@@ -141,7 +141,7 @@ def test_a_fit_that_diverges_errors():
     # leave the finite range
     x = np.linspace(-1.0, 1.0, 50).reshape(-1, 1) * 1e300
     with np.errstate(all="ignore"), \
-            pytest.raises(SeparationError, match="logistic fit diverged"):
+            pytest.raises(EstimationError, match="logistic fit diverged"):
         fit_logistic(x, (x[:, 0] > 0).astype(int), ridge_lambda=0.0)
 
 

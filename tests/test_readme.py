@@ -61,3 +61,24 @@ def test_readme_flags_exist_and_every_flag_is_documented():
             if flag != "--no-build-isolation":       # pip's, in Install
                 assert flag in known, (name, flag)
     assert every - documented == set()
+
+
+def test_readme_and_the_error_classes_agree():
+    # README names every class ctiv.errors defines, and no error class
+    # besides them but the CLI's UsageError and the OSError and MemoryError
+    # it also reports; no other module defines a CtivError
+    import ctiv.cli  # noqa: F401 - every module, and any class it defines
+    import ctiv.errors
+
+    classes = {name for name, obj in vars(ctiv.errors).items()
+               if isinstance(obj, type) and issubclass(obj, ctiv.errors.CtivError)}
+    subclasses, stack = set(), [ctiv.errors.CtivError]
+    while stack:
+        cls = stack.pop()
+        assert cls.__module__ == "ctiv.errors", cls
+        subclasses.add(cls.__name__)
+        stack += cls.__subclasses__()
+    assert subclasses == classes
+    named = set(re.findall(r"\w+Error\b", README.read_text(encoding="utf-8")))
+    assert named - classes <= {"UsageError", "OSError", "MemoryError"}
+    assert classes - named == set()

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from ctiv import DesignSpec, design_spec, generate
 from ctiv.bench import DESIGN_LABELS, _cell_seed
-from ctiv.errors import CalibrationError, InputError
+from ctiv.errors import InputError
 from ctiv.synth import (
     CALIBRATION_CHECK_MIN_N,
     CORRELATION_TOLERANCE,
@@ -169,7 +169,7 @@ def test_coefficients_agree_with_scipy_stats_norm():
     assert sum(v is not None for v in want.values()) > 5000
     for pair, coefs in want.items():
         if coefs is None:
-            with pytest.raises(CalibrationError, match="infeasible"):
+            with pytest.raises(InputError, match="infeasible"):
                 latent_receipt_coefficients(*pair)
             continue
         got = latent_receipt_coefficients(*pair)
@@ -210,20 +210,20 @@ def test_receipt_is_the_one_drawn_with_scipy_stats_norm_coefficients():
 def test_cor_wz_too_close_to_one_raises():
     # 0.5 + cor_wz / 2 rounds to 1.0, where the quantile is infinite
     assert 0.5 + 0.9999999999999999 / 2.0 == 1.0
-    with pytest.raises(CalibrationError, match="too close to 1"):
+    with pytest.raises(InputError, match="too close to 1"):
         latent_receipt_coefficients(0.9999999999999999, 0.5)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="too close to 1"):
         latent_receipt_coefficients(math.nan, 0.5)
-    with pytest.raises(CalibrationError):      # the quantile of 0 is -inf
+    with pytest.raises(InputError, match="too close to 1"):    # the quantile of 0 is -inf
         latent_receipt_coefficients(-1.0, 0.5)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="too close to 1"):
         generate(design_spec(2, 50, seed=0, target_cor_wz=0.9999999999999999))
 
 
 def test_infeasible_targets_raise():
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="infeasible"):
         latent_receipt_coefficients(0.65, 0.60)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="infeasible"):
         latent_receipt_coefficients(0.65, 0.0)
 
 
@@ -252,7 +252,7 @@ def test_design_spec_built_directly_takes_the_scenario_defaults():
 def test_a_sample_that_misses_a_target_raises(seed, cor_wz, cor_weta, missed):
     # near-zero targets spread the sample correlation most: at n = 5,000
     # these seeds miss by more than the tolerance
-    with pytest.raises(CalibrationError, match=missed):
+    with pytest.raises(InputError, match=missed):
         generate(design_spec(1, CALIBRATION_CHECK_MIN_N, seed, cor_wz, cor_weta))
 
 

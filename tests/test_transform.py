@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctiv import leaf_weighted_itt, transformed_outcome
-from ctiv.errors import DomainError, EmptyArmError, ValidationError
+from ctiv.errors import EstimationError, ValidationError
 
 
 def test_transform_closed_forms():
@@ -27,9 +27,9 @@ def test_transform_equals_simple_form():
 
 
 def test_transform_domain_error():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="strictly inside"):
         transformed_outcome(1.0, 1, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="strictly inside"):
         transformed_outcome(1.0, 0, 1.0)
 
 
@@ -90,7 +90,7 @@ def test_weighted_itt_scale_equivariance():
 
 
 def test_weighted_itt_empty_arm():
-    with pytest.raises(EmptyArmError):
+    with pytest.raises(EstimationError, match="each arm"):
         leaf_weighted_itt(np.ones(4), np.ones(4), 0.5)
 
 

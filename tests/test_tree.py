@@ -32,8 +32,7 @@ from ctiv import (
     prune_path,
 )
 from ctiv.effects import LeafEstimate
-from ctiv.errors import (CtivError, EmptyDatasetError, EstimationError, GrowthError, InputError,
-                         SplitError, ValidationError)
+from ctiv.errors import CtivError, EstimationError, InputError, ValidationError
 from ctiv.transform import leaf_weighted_itt
 from ctiv.tree import PathElement, PruningPath, TreeNode, holdout_loss, select_alpha
 
@@ -204,7 +203,7 @@ def test_grow_root_arm_too_small():
     d[:3] = 1
     ds = make_ds(x, d, np.random.default_rng(0).normal(size=30))
     cfg = GrowthConfig(regime=RANDOMIZED, max_depth=1, min_arm_count=5)
-    with pytest.raises(GrowthError):
+    with pytest.raises(EstimationError, match="root has arm counts"):
         grow(ds, half(ds), cfg)
 
 
@@ -384,7 +383,7 @@ def test_holdout_loss_refuses_a_leaf_without_an_effect():
 
 def test_fit_without_a_training_unit_fails():
     ds = generate(design_spec(1, 200, seed=3)).dataset
-    with pytest.raises(EmptyDatasetError, match="no training units survive trimming"):
+    with pytest.raises(ValidationError, match="no training units survive trimming"):
         fit_ctiv(ds, GrowthConfig(regime=RANDOMIZED), np.zeros(ds.n_units, dtype=bool), 3)
 
 
@@ -632,7 +631,7 @@ def test_fit_rejects_a_split_that_is_not_a_training_mask():
     mask = holdout_split(sample.dataset, (0.5, 0.5), seed=30)
     for bad in (np.flatnonzero(mask), mask.astype(np.int8), mask.astype(float),
                 mask[None, :], (np.flatnonzero(mask), np.flatnonzero(~mask))):
-        with pytest.raises(SplitError, match=r"boolean training mask of shape \(200,\)"):
+        with pytest.raises(InputError, match=r"boolean training mask of shape \(200,\)"):
             fit_ctiv(sample.dataset, cfg, bad, seed=30)
 
 
@@ -640,7 +639,7 @@ def test_fit_rejects_a_split_that_leaves_a_unit_out():
     # a mask one unit short would drop that unit from the fit
     sample = generate(design_spec(1, 200, seed=30))
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
-    with pytest.raises(SplitError, match=r"got bool \(199,\)"):
+    with pytest.raises(InputError, match=r"got bool \(199,\)"):
         fit_ctiv(sample.dataset, cfg, np.arange(199) < 100, seed=30)
 
 
@@ -648,7 +647,7 @@ def test_fit_rejects_out_of_range_split():
     # a mask that reaches past the last unit
     sample = generate(design_spec(1, 100, seed=31))
     cfg = GrowthConfig(regime=RegimeKind.IV_RANDOMIZED)
-    with pytest.raises(SplitError, match=r"got bool \(101,\)"):
+    with pytest.raises(InputError, match=r"got bool \(101,\)"):
         fit_ctiv(sample.dataset, cfg, np.arange(101) < 50, seed=31)
 
 
@@ -747,7 +746,7 @@ def test_overlapped_fit_raises_the_holdout_sides_error(min_arm, overlapped, monk
                        min_arm_count=min_arm)
     one, two = one_and_two_processes(
         lambda: fit_ctiv(ds, cfg, split, seed=39), overlapped, monkeypatch)
-    assert one == (GrowthError, f"root has arm counts (5, 195); need >= {min_arm} each")
+    assert one == (EstimationError, f"root has arm counts (5, 195); need >= {min_arm} each")
     assert two == one
     assert overlapped == [1]
 
