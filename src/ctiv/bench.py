@@ -151,7 +151,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     size may not repeat (its draws would count again as further replicates).
     Failing cells are recorded (label, n, rep, error) and skipped.
     A sweep of more than ``MAX_CELLS`` (100,000) cells is refused before
-    any cell is listed: every cell is queued at once, at about 2 KiB each.
+    any cell is listed: it bounds the cell list, not the few cells handed
+    to the workers at a time.
     Cells run in ``parallel.usable_cpus()`` processes, at most one per
     cell (see ``parallel.fan_out``); a lone cell runs in this process.
     Per-cell seeds make the results identical at any count.

@@ -14,7 +14,7 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -117,13 +117,11 @@ def _parse_cell(raw: str, column: str, row_number: int) -> float:
         ) from None
 
 
-# data lines one process parses at a time, which bound the text it holds
-_READ_LINES = 8192
 # rows save_csv formats at a time: the text a worker hands back at once
 _WRITE_ROWS = 1024
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
-# bytes of CSV text in a read's piece, and the least a process shares, so
-# text under twice this stays in one process. Timed on design-2 files, one
+# bytes a read takes at a time, about a piece, and the least a process
+# shares: text under twice this stays in one. Timed on design-2 files, one
 # process against shared on 2 CPUs (medians of 15, alternating): save_csv
 # gains from about 1.2 MiB (2.1 MiB: 161 ms against 123), load_csv breaks
 # even at 2-3 MiB (2.6 MiB: 92 against 86) and gains by 4 (145 against 121)
@@ -133,28 +131,67 @@ _SHARE_BYTES = 1 << 20
 _CELL_BYTES = 20
 
 
-def _read_header(fh, path: Path) -> tuple[list[str], int]:
-    """The stripped header row of ``fh``, open as text at its start, and
-    the lines it spans; ``fh`` is left just past it. One leading
+def _pieces(fb, at: int = 0) -> Iterator[tuple[int, int, bytes]]:
+    """The bytes of the binary stream ``fb`` from its offset ``at`` on, as
+    pieces ``(start, stop, data)`` that tile them. ``fb`` is read
+    ``_SHARE_BYTES`` at a time, and a piece ends after the last ``\\n`` of a
+    read, else after its last ``\\r`` that a byte follows in it, else after
+    a ``\\r`` that ended the read before; a read with none of these grows
+    the piece. So every piece but the last ends where csv sees a line end
+    too, and none parts a CRLF."""
+    held = []                           # bytes read but in no piece: none is a \n
+    while block := fb.read(_SHARE_BYTES):
+        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+        if cut or held and held[-1].endswith(b"\r"):
+            data = b"".join([*held, memoryview(block)[:cut]])
+            yield at, at + len(data), data
+            at, held = at + len(data), [block[cut:]]
+        else:
+            held.append(block)
+    if data := b"".join(held):
+        yield at, at + len(data), data
+
+
+def _read_header(path: Path, pieces: Iterator[tuple[int, int, bytes]]
+                 ) -> tuple[list[str], Iterator[tuple[int, int, bytes]]]:
+    """The stripped header row at the start of ``pieces`` (see
+    ``_pieces``), and the pieces of the data rows after it. One leading
     byte-order mark is skipped: it is not part of the first cell."""
-    first = fh.readline().removeprefix("\ufeff")
-    reader = csv.reader(chain([first] if first else [], fh))
+    held = []
+    text = _lines(pieces, held)
+    first = next(text, "").removeprefix("\ufeff")
+    reader = csv.reader(chain([first] if first else [], text))
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, no header row") from None
     except csv.Error as exc:
         raise ValidationError(f"{path}: header row: {exc}") from None
-    return [h.strip() for h in header], reader.line_num
+    (start, stop, data), used = held
+    rest = [(start + used, stop, data[used:])] if used < len(data) else []
+    return [h.strip() for h in header], chain(rest, pieces)
+
+
+def _lines(pieces: Iterable[tuple[int, int, bytes]], held: list) -> Iterator[str]:
+    """The lines of ``pieces``, each decoded as it is reached: a line that
+    is not UTF-8 raises UnicodeDecodeError after the lines before it.
+    ``held`` is set to the piece of the last line yielded and its bytes up
+    to that line's end."""
+    for piece in pieces:
+        used = 0
+        for line in piece[2].splitlines(keepends=True):
+            used += len(line)
+            held[:] = piece, used
+            yield line.decode("utf-8")
 
 
 def _numpy_rows(lines, width: int, cols: list[int],
                 binary: tuple[int, ...]) -> np.ndarray | None:
-    """One chunk of data lines parsed by numpy, or None if it is irregular.
+    """A piece's data lines parsed by numpy, or None if they are irregular.
 
-    A regular chunk has no quote, exactly ``width - 1`` commas per line, no
+    Regular lines have no quote, exactly ``width - 1`` commas per line, no
     line longer than csv's field limit and no blank line, and its 0/1
-    columns hold only 0 and 1. Any other chunk, and any ValueError, is left
+    columns hold only 0 and 1. Any other lines, and any ValueError, are left
     to the per-cell parser, which also words every error message.
     """
     if ('"' in "".join(lines)
@@ -207,89 +244,21 @@ def _reference_rows(rows: Iterator[list[str]], path: Path, header: list[str],
     return np.asarray(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
 
 
-def _data_pieces(path: Path, fh, header_lines: int) -> list[tuple[int, int]]:
-    """Byte spans ``(start, stop)`` of the data rows, about ``_SHARE_BYTES``
-    each: the first from the header's end, every other just after a
-    ``\\n``, where a line and UTF-8 decoding can start. ``fh`` is ``path``
-    open as text just past its header of ``header_lines`` lines, and is
-    left there."""
-    size = os.fstat(fh.fileno()).st_size
-    fh.seek(0)
-    # read from the start, the header text keeps a byte-order mark's 3 bytes
-    start = len("".join(islice(fh, header_lines)).encode("utf-8"))
-    cuts = [start]
-    with path.open("rb") as fb:
-        for at in range(start + _SHARE_BYTES, size, _SHARE_BYTES):
-            if at >= cuts[-1]:          # else the last cut is the one here too
-                fb.seek(at)
-                while (line := fb.readline(1 << 16)) and not line.endswith(b"\n"):
-                    pass
-                cuts.append(fb.tell())
-    cuts = [cut for cut in cuts if cut < size]
-    return list(zip(cuts, cuts[1:] + [size]))
-
-
-def _parse_piece(parse: Callable, path: Path, piece: tuple[int, int]) -> np.ndarray | None:
-    """A worker's piece of ``path``: ``parse`` of its lines, or None if
-    they are irregular or not UTF-8."""
-    with path.open("rb") as fb:
-        fb.seek(piece[0])
-        data = fb.read(piece[1] - piece[0])
+def _parse_piece(parse: Callable, path: Path, piece: tuple[int, int, bytes | None]):
+    """``parse`` of the lines of ``piece``, a ``(start, stop, data)`` of
+    ``_pieces`` whose data, where None, is read here from ``path``; or
+    ``piece`` itself if they are irregular or not UTF-8."""
+    start, stop, data = piece
+    if data is None:
+        with path.open("rb") as fb:
+            fb.seek(start)
+            data = fb.read(stop - start)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        return None
-    return parse(io.StringIO(text, newline="").readlines())
-
-
-def _shared_rows(parse: Callable, path: Path, fh,
-                 header_lines: int) -> list[np.ndarray] | None:
-    """The data rows of ``path``, ``parse`` of each of its pieces in
-    forked workers (see ``parallel.fan_out``), or None if the text is read
-    in one process: small text, a pipe (whose size reads as 0, or as the
-    little it buffers), a host where forking is unsafe, text that is one
-    piece (no ``\\n`` to cut at), or an irregular piece. ``fh`` is as for
-    ``_data_pieces`` and is left there."""
-    shares = fork_workers(os.fstat(fh.fileno()).st_size // _SHARE_BYTES)
-    pieces = _data_pieces(path, fh, header_lines) if shares > 1 else []
-    if len(pieces) < 2:
-        return None
-    with fan_out(partial(_parse_piece, parse, path), pieces, shares) as parts:
-        # copied as handed over: the pool's result thread unpickles into
-        # its own malloc arena, which so holds a piece or two, not them all
-        blocks = [part if part is None else part.copy() for part in parts]
-    return None if any(block is None for block in blocks) else blocks
-
-
-def _lines_then(lines: list[str], exc: Exception) -> Iterator[str]:
-    """``lines``, then ``exc`` raised."""
-    yield from lines
-    raise exc
-
-
-def _streamed_rows(parse: Callable, fh) -> tuple[list[np.ndarray], Iterable[str] | None]:
-    """The lines left in ``fh``, read ``_READ_LINES`` at a time, each chunk
-    parsed by ``parse``: (blocks, None).
-
-    Once a chunk is irregular, it returns the blocks before it and the
-    rest of ``fh``'s lines from that chunk's first one on. Text that is
-    not UTF-8 ends a chunk: its rest is the chunk's lines decoded before
-    it, then the UnicodeDecodeError.
-    """
-    blocks = []
-    while True:
-        lines = []
-        try:
-            for line in islice(fh, _READ_LINES):
-                lines.append(line)
-        except UnicodeDecodeError as exc:
-            return blocks, _lines_then(lines, exc)
-        if not lines:
-            return blocks, None
-        block = parse(lines)
-        if block is None:
-            return blocks, chain(lines, fh)
-        blocks.append(block)
+        return piece
+    block = parse(io.StringIO(text, newline="").readlines())
+    return piece if block is None else block
 
 
 def read_csv_columns(path: str | Path,
@@ -301,34 +270,44 @@ def read_csv_columns(path: str | Path,
     ``choose`` gets the stripped header and returns the column names to
     read, raising if the header does not fit (SchemaError if it names
     one of them twice). ``binary`` are positions in
-    that list whose cells must be 0 or 1. Regular text is parsed by numpy.
-    Text that ``_shared_rows`` shares is cut into byte pieces of about
-    ``_SHARE_BYTES`` at line starts; forked workers parse them and hand
-    their arrays back (see ``parallel.fan_out``), and this process parses
-    none. Other text, and all text once a piece is irregular, this process
-    reads to the end of the open file, a chunk of lines at a time; from the
-    first irregular chunk on, the rows are parsed cell by cell from the
-    same open file, so a pipe reads as a file does. Then the first
-    non-finite cell in row order raises ValidationError. Row numbers in
-    error messages are 1-based over data rows. Text that is not UTF-8
-    raises ValidationError; one leading byte-order mark is skipped.
+    that list whose cells must be 0 or 1. Regular text is parsed by numpy,
+    in the pieces ``_pieces`` cuts: forked workers parse those of a regular
+    file of at least twice ``_SHARE_BYTES``, each reading its own span (see
+    ``parallel.fan_out``), and this process those of other text, a pipe
+    among them. From the first piece that is irregular or not UTF-8 on,
+    this process parses the rows cell by cell, reading on from that
+    piece's first byte, so no row is parsed twice and a pipe reads as a
+    file does. A line that is not UTF-8 raises ValidationError once the
+    rows before it are parsed. Then the first non-finite cell in row order
+    raises ValidationError. Row numbers in error messages are 1-based over
+    data rows. One leading byte-order mark is skipped.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            header, header_lines = _read_header(fh, path)
+        with path.open("rb") as fb:
+            header, pieces = _read_header(path, _pieces(fb))
             columns = choose(header)
             twice = [name for name in columns if header.count(name) > 1]
             if twice:
                 raise SchemaError(f"{path}: the header names column '{twice[0]}' more than once")
             parse = partial(_numpy_rows, width=len(header),
                             cols=[header.index(c) for c in columns], binary=binary)
-            blocks = _shared_rows(parse, path, fh, header_lines)
-            if blocks is None:
-                blocks, rest = _streamed_rows(parse, fh)
-                if rest is not None:
-                    blocks.append(_reference_rows(csv.reader(rest), path, header, columns,
-                                                  binary, sum(map(len, blocks))))
+            # a pipe's size reads as 0, or as the little it buffers
+            shares = fork_workers(os.fstat(fb.fileno()).st_size // _SHARE_BYTES)
+            tasks = pieces if shares == 1 else ((start, stop, None) for start, stop, _ in pieces)
+            blocks, part = [], None
+            with fan_out(partial(_parse_piece, parse, path), tasks, shares) as parts:
+                for part in parts:
+                    if isinstance(part, tuple):     # the first irregular piece
+                        break
+                    # copied as handed over: the pool's result thread unpickles into
+                    # its own malloc arena, which so holds a piece or two, not them all
+                    blocks.append(part.copy())
+            if isinstance(part, tuple):
+                # read on from its first byte here, a worker's span from the file
+                pieces = _pieces(fb, fb.seek(part[0])) if part[2] is None else chain([part], pieces)
+                blocks.append(_reference_rows(csv.reader(_lines(pieces, [])), path, header,
+                                              columns, binary, sum(map(len, blocks))))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     data = np.concatenate([np.empty((0, len(columns))), *blocks])

@@ -20,11 +20,12 @@ import os
 import sys
 import threading
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from functools import partial
+from itertools import islice
 
 
 def usable_cpus() -> int:
@@ -76,35 +77,52 @@ def _result(fn: Callable, task, future):
         return fn(task)
 
 
+# tasks submitted per worker ahead of the result being handed out: enough
+# to keep every worker busy, and memory does not grow with the task count
+_AHEAD = 4
+
+
 @contextmanager
-def fan_out(fn: Callable, tasks: Sequence, workers: int) -> Iterator[Iterator]:
+def fan_out(fn: Callable, tasks: Iterable, workers: int) -> Iterator[Iterator]:
     """Yield an iterator over ``fn(task)`` for each task, in task order.
 
-    With ``workers`` > 1, every task is queued at once to
-    ``min(workers, len(tasks))`` processes, forked where that is safe and
-    spawned elsewhere, which take the next task as they finish one, so a
-    lone task still goes to a worker while the caller does other work;
-    leaving the block waits for them, and a task's exception is raised
-    when the iterator reaches its result. Results come back through the
-    pool's pipe and are not kept here once handed out. A worker that dies
-    breaks the pool: every task not finished by then runs in this process
-    when the iterator reaches it. With one worker, or inside a worker of
-    another ``fan_out`` (which so never starts grandchildren), each task
-    runs in this process when the iterator reaches it.
+    With ``workers`` > 1, up to ``workers`` processes (no more than there
+    are tasks), forked where that is safe and spawned elsewhere, take the
+    next task as they finish one. Entering the block submits the first
+    task and ``_AHEAD`` more per worker, so a lone task still goes to a
+    worker while the caller does other work; each result handed out draws
+    one more task. Leaving the block cancels the tasks no worker has
+    started and waits for the rest. A task's exception is raised when the
+    iterator reaches its result, and results are not kept here once handed
+    out. A worker that dies breaks the pool: every task not finished by
+    then runs in this process when the iterator reaches it. With one
+    worker, or inside a worker of another ``fan_out`` (which so never
+    starts grandchildren), each task runs here when the iterator reaches it.
     """
-    if workers > 1 and tasks and _task_fn is None:
-        method = "fork" if fork_is_safe() else "spawn"
-        with ProcessPoolExecutor(min(workers, len(tasks)),
-                                 mp_context=multiprocessing.get_context(method),
-                                 initializer=_adopt, initargs=(fn,)) as pool:
-            futures = deque()
-            for task in tasks:
-                try:
-                    futures.append(pool.submit(_run_task, task))
-                except BrokenProcessPool as exc:    # a worker died already
-                    futures.append(Future())
-                    futures[-1].set_exception(exc)
-            # each future leaves the deque as its result is handed out
-            yield map(partial(_result, fn), tasks, iter(futures.popleft, None))
-    else:
+    tasks = iter(tasks)
+    window = list(islice(tasks, _AHEAD * workers + 1)) if workers > 1 and _task_fn is None else []
+    if not window:
         yield map(fn, tasks)
+        return
+    method = "fork" if fork_is_safe() else "spawn"
+    with ProcessPoolExecutor(min(workers, len(window)),
+                             mp_context=multiprocessing.get_context(method),
+                             initializer=_adopt, initargs=(fn,)) as pool:
+        def submit(task):
+            """A call that returns the task's result."""
+            try:
+                return partial(_result, fn, task, pool.submit(_run_task, task))
+            except BrokenProcessPool:           # a worker died already
+                return partial(fn, task)
+
+        pending = deque(map(submit, window))
+
+        def results():
+            while pending:                  # a call leaves as its result is handed out
+                yield pending.popleft()()
+                pending.extend(map(submit, islice(tasks, 1)))
+
+        try:
+            yield results()
+        finally:
+            pool.shutdown(cancel_futures=True)

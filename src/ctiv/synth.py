@@ -129,8 +129,8 @@ def latent_receipt_coefficients(cor_wz: float, cor_weta: float) -> tuple[float, 
     Chooses P(W=1)=1/2 and unit latent-noise variance. With q the
     standard normal quantile of 1/2 + cor_wz/2: t = q, a = 2q, and the
     confounder loading b = cor_weta / (2 * phi(q)) with c mopping up the
-    rest of the variance. Infeasible targets (b >= 1) raise, as does a
-    target so near 1 that 1/2 + cor_wz/2 rounds to 1.
+    rest of the variance. Targets outside (0, 1), infeasible (b >= 1) or so
+    near 1 that 1/2 + cor_wz/2 rounds to 1 raise.
 
     The quantile and density are the standard library's
     ``statistics.NormalDist``, whose quantile is Wichura's AS241. The
@@ -139,10 +139,11 @@ def latent_receipt_coefficients(cor_wz: float, cor_weta: float) -> tuple[float, 
     """
     from statistics import NormalDist  # here: ~5 ms to import, and ctiv.cli starts on numpy alone
 
+    if not 0.0 < cor_wz < 1.0:                 # also a nan target
+        raise InputError(f"target Cor(W,Z)={cor_wz} must lie in (0, 1)")
     p = 0.5 + cor_wz / 2.0
-    if not 0.0 < p < 1.0:                      # also a nan target
-        raise InputError(
-            f"target Cor(W,Z)={cor_wz} is too close to 1 to calibrate")
+    if p == 1.0:
+        raise InputError(f"target Cor(W,Z)={cor_wz} is too close to 1 to calibrate")
     normal = NormalDist()
     q = normal.inv_cdf(p)
     b = cor_weta / (2.0 * normal.pdf(q))

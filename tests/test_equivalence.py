@@ -8,10 +8,11 @@
   prices a subtree and one that collapses top-down, kept below verbatim;
   and ``prune_at_alpha``, which builds the path only up to alpha, against
   the pick from the whole path.
-- The chunked numpy CSV reader against the per-cell parser: the same
-  values bit for bit, or the same error. With the share size patched
-  small, tiny files are cut into byte pieces that forked workers parse,
-  and must read exactly as in one process.
+- The numpy CSV reader, which parses byte pieces of the text, against the
+  per-cell parser: the same values bit for bit, or the same error. With
+  the piece size patched small, tiny files are cut into many pieces,
+  which this process or forked workers parse, and must read exactly as
+  in one piece.
 - The chunked CSV writer against the per-row ``csv.writer`` loop, and
   its output with several shares against its output with one.
 - The one leaf router, behind ``assign_leaves`` and ``holdout_loss``,
@@ -22,6 +23,7 @@
   the ``isin`` positions ``fit_ctiv`` once took from that pair.
 """
 
+import collections
 import contextlib
 import csv
 import itertools
@@ -502,6 +504,25 @@ def reference(read):
         return outcome(read)
 
 
+@contextlib.contextmanager
+def pieces_of(share_bytes, cpus=1):
+    """CSV text read in pieces of about ``share_bytes``, shared among up to
+    ``cpus`` processes where it is at least twice that."""
+    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", share_bytes), \
+            mock.patch.object(ctiv.parallel, "usable_cpus", return_value=cpus):
+        yield
+
+
+def many_shares(cpus=3):
+    """CSV text of at least 128 bytes shared among up to ``cpus``
+    processes: every byte piece of a read, of about 64 bytes, and every
+    piece of a write go to forked workers."""
+    return pieces_of(64, cpus)
+
+
+SHARE_BYTES = [1, 7, 64, 1 << 20]
+
+
 def reads(path):
     return [
         lambda: load_csv(path, ColumnSchema(feature_cols=("x1", "x2"))),
@@ -511,12 +532,12 @@ def reads(path):
 
 
 @SETTINGS
-@given(csv_texts(), st.sampled_from([1, 2, 8192]))
-def test_fast_reader_matches_per_cell_parser(text, chunk):
+@given(csv_texts(), st.sampled_from(SHARE_BYTES))
+def test_fast_reader_matches_per_cell_parser(text, share_bytes):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
+        with pieces_of(share_bytes):
             for read in reads(path):
                 assert outcome(read) == reference(read)
 
@@ -576,27 +597,16 @@ def test_regular_csv_takes_the_numpy_path(tmp_path):
     assert np.signbit(load_csv(path, schema).covariates[0, 0])
 
 
-@contextlib.contextmanager
-def many_shares(cpus=3):
-    """CSV text over 64 bytes shared among up to ``cpus`` processes: every
-    byte piece of a read, of about 64 bytes, and every piece of a write go
-    to forked workers."""
-    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", 64), \
-            mock.patch.object(ctiv.parallel, "usable_cpus", return_value=cpus):
-        yield
-
-
 @SHARE_SETTINGS
-@given(csv_texts(), st.sampled_from([1, 2, 8192]))
-def test_reader_reads_the_same_with_several_shares(text, chunk):
+@given(csv_texts(), st.sampled_from(SHARE_BYTES[:3]))
+def test_reader_reads_the_same_with_several_shares(text, share_bytes):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
-            for read in reads(path):
-                expected = outcome(read)
-                with many_shares():
-                    assert outcome(read) == expected
+        for read in reads(path):
+            expected = outcome(read)
+            with pieces_of(share_bytes, cpus=3):
+                assert outcome(read) == expected
 
 
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
@@ -630,12 +640,12 @@ LATE_FAULTS = {
 }
 
 
-def data_pieces(path, **open_args):
-    """``_data_pieces`` of ``path``, read as ``read_csv_columns`` reads it."""
-    with path.open(newline="", encoding="utf-8", **open_args) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return ctiv.dataset._data_pieces(path, fh, reader.line_num)
+def data_pieces(path):
+    """The ``(start, stop)`` of each piece of ``path``'s data rows, as
+    ``read_csv_columns`` cuts them."""
+    with path.open("rb") as fb:
+        _, pieces = ctiv.dataset._read_header(path, ctiv.dataset._pieces(fb))
+        return [(start, stop) for start, stop, _ in pieces]
 
 
 @pytest.mark.parametrize("case", sorted(LATE_FAULTS))
@@ -644,24 +654,22 @@ def test_fault_in_a_later_share_reads_as_the_per_cell_parser(tmp_path, case):
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     with many_shares():
-        # the header is UTF-8; a bad byte in the first block read would
-        # otherwise fail the header read before the pieces are known
-        pieces = data_pieces(path, errors="replace")
+        pieces = data_pieces(path)
         assert len(pieces) > 3 and fault_at >= pieces[1][0]
         for read in reads(path):
             assert outcome(read) == reference(read)
 
 
 @pytest.mark.parametrize("header", [HEADER.encode(), b'y,w,z,x1,x2,"lab\nel"'])
-@pytest.mark.parametrize("chunk", [1, 8192])
-def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, chunk):
-    # the pieces do not depend on the lines one process reads at a time
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, cpus):
+    # in one process or shared, every piece of the data rows is regular
     text, _ = late_fault_csv(b"1,1,0,2,3,a\r\n", header)
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     schema = ColumnSchema(feature_cols=("x1", "x2"))
     expected = reference(lambda: load_csv(path, schema))
-    with many_shares(), mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
+    with many_shares(cpus):
         pieces = data_pieces(path)
         assert len(pieces) > 3
         assert pieces[0][0] == len(header) + 1
@@ -671,28 +679,33 @@ def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, chunk
             assert outcome(lambda: load_csv(path, schema)) == expected
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("share_bytes", [1, 7, 64, 1 << 20])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "mixed"])
+@pytest.mark.parametrize("share_bytes", SHARE_BYTES)
 def test_pieces_start_at_line_starts(tmp_path, end, share_bytes):
     # the pieces tile the data rows, the first from the header's end and
-    # every other just after a \n, so none parts a CRLF; text without a
-    # \n is one piece
+    # every other just after a line end, and none parts a CRLF; read under
+    # 8 bytes at a time, the text is cut at every line end
+    ends = ["\n", "\r\n", "\r"] if end == "mixed" else [end]
     lines = [HEADER] + [f"{i / 3!r},{i % 2},1,{-i},{i * i},{'ab'[i % 2] * i}"
                         for i in range(40)]
-    text = end.join(lines).encode() + end.encode()
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines)).encode()
     path = tmp_path / "data.csv"
     path.write_bytes(text)
-    with mock.patch.object(ctiv.dataset, "_SHARE_BYTES", share_bytes):
+    with pieces_of(share_bytes):
         pieces = data_pieces(path)
     starts = [start for start, _ in pieces]
-    assert starts[0] == len(HEADER + end)
+    assert starts[0] == len(HEADER + ends[0])
     assert [stop for _, stop in pieces] == starts[1:] + [len(text)]
-    assert all(text[start - 1:start] == b"\n" for start in starts[1:])
-    if end == "\r":
-        assert len(pieces) == 1
-    elif share_bytes < 8:
+    assert all(text[start - 1:start] in (b"\n", b"\r") for start in starts)
+    assert not any(text[start - 1:start + 1] == b"\r\n" for start in starts)
+    if share_bytes < 8:
         assert len(pieces) == 40        # one piece a line
     assert b"".join(text[start:stop] for start, stop in pieces) == text[starts[0]:]
+    for read in reads(path):
+        expected = reference(read)
+        for cpus in (1, 3):
+            with pieces_of(share_bytes, cpus):
+                assert outcome(read) == expected
 
 
 @pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
@@ -711,27 +724,67 @@ def test_shared_text_is_parsed_in_workers_only(tmp_path):
 
     with many_shares(), mock.patch.multiple(
             ctiv.dataset, _parse_piece=parse_piece,
-            _streamed_rows=mock.Mock(side_effect=AssertionError("read in one process"))):
+            _reference_rows=mock.Mock(side_effect=AssertionError("per-cell parser used"))):
         assert len(data_pieces(path)) > 3
         assert outcome(lambda: load_csv(path, schema)) == expected
     assert ran_here == []
 
 
-def test_text_of_one_piece_is_read_in_one_process(tmp_path, monkeypatch):
-    # CR-only text has no \n to cut at: a lone worker would parse it all
-    # while this process waits, and hand every row back through the pool
+def test_cr_only_text_is_cut_at_cr_and_shared(tmp_path, monkeypatch):
+    # CR-only text has no \n to cut at: it is cut after a CR, which no \n
+    # follows, and its pieces go to the workers as LF text's do
     pools = []
     real = ctiv.parallel.ProcessPoolExecutor
     monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
                         lambda n, **kw: pools.append(n) or real(n, **kw))
     text, _ = late_fault_csv(b"1,1,0,2,3,a\n")
+    text = text.replace(b"\n", b"\r")
     path = tmp_path / "data.csv"
-    path.write_bytes(text.replace(b"\n", b"\r"))
+    path.write_bytes(text)
     with many_shares():
-        assert len(data_pieces(path)) == 1
+        pieces = data_pieces(path)
+        assert len(pieces) > 3
+        assert all(text[stop - 1:stop] == b"\r" for _, stop in pieces)
         for read in reads(path):
             assert outcome(read) == reference(read)
-    assert pools == []
+    assert pools == ([3] * 6 if ctiv.parallel.fork_is_safe() else [])
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_rows_before_an_irregular_last_piece_are_parsed_once(tmp_path, cpus):
+    # the per-cell parser reads on from the irregular piece's first byte,
+    # in one process or after the workers' pieces: numpy and the per-cell
+    # parser between them see each earlier row once
+    rows = [f"{i / 4!r},{i % 2},{i // 2 % 2},{i / 7!r},{-i},a\n" for i in range(60)]
+    rows[-1] = '1,1,0,"2",3,a\n'
+    path = tmp_path / "data.csv"
+    path.write_bytes((HEADER + "\n" + "".join(rows)).encode())
+    schema = ColumnSchema(feature_cols=("x1", "x2"))
+    expected = reference(lambda: load_csv(path, schema))
+    seen = tmp_path / "seen"            # appended to by forked workers too
+    real_numpy, real_reference = ctiv.dataset._numpy_rows, ctiv.dataset._reference_rows
+
+    def note(first_cells):
+        with seen.open("a") as fh:
+            fh.write("".join(cell + "\n" for cell in first_cells))
+
+    def numpy_rows(lines, *args, **kwargs):
+        note(line.split(",")[0] for line in lines)
+        return real_numpy(lines, *args, **kwargs)
+
+    def reference_rows(rows, *args):
+        return real_reference((note([row[0]]) or row for row in rows), *args)
+
+    with many_shares(cpus), mock.patch.multiple(
+            ctiv.dataset, _numpy_rows=numpy_rows, _reference_rows=reference_rows):
+        pieces = data_pieces(path)
+        assert outcome(lambda: load_csv(path, schema)) == expected
+    last = pieces[-1][0] - len(HEADER) - 1
+    ends = itertools.accumulate(map(len, rows))
+    earlier = [row.split(",")[0] for row, end in zip(rows, ends) if end <= last]
+    assert len(pieces) > 3 and len(earlier) > 50
+    counts = collections.Counter(seen.read_text().split())
+    assert all(counts[cell] == 1 for cell in earlier)
 
 
 @pytest.mark.parametrize("text", [
@@ -751,20 +804,22 @@ def test_unterminated_and_header_only_files_with_several_shares(tmp_path, text):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
 def test_piped_csv_reads_as_the_file(tmp_path):
     # a fault sends the rest of a pipe, which cannot be read twice, to the
-    # per-cell parser; with 8-line chunks, after numpy has read the first rows
+    # per-cell parser; in pieces of about 64 bytes, after numpy has read the
+    # first rows, while the file's pieces go to workers
     cases = {**LATE_FAULTS, "regular": late_fault_csv(b"1,1,0,2,3,a\n"),
              "quoted number": late_fault_csv(b'1,1,0,"7",3,a\n')}
     path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
     os.mkfifo(fifo)
     schema = ColumnSchema(feature_cols=("x1", "x2"))
-    for (case, (text, _)), chunk in itertools.product(sorted(cases.items()), [8, 8192]):
+    for (case, (text, _)), share_bytes in itertools.product(sorted(cases.items()),
+                                                            [64, 1 << 20]):
         path.write_bytes(text)
-        with many_shares(), mock.patch.object(ctiv.dataset, "_READ_LINES", chunk):
+        with pieces_of(share_bytes, cpus=3):
             expected = outcome(lambda: load_csv(path, schema))
             writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
             try:
                 got = str(outcome(lambda: load_csv(fifo, schema)))
-                assert got.replace(str(fifo), str(path)) == str(expected), (case, chunk)
+                assert got.replace(str(fifo), str(path)) == str(expected), (case, share_bytes)
             finally:
                 writer.wait(30)
         if case == "quoted number":

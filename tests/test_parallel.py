@@ -1,11 +1,14 @@
 """The process fan-out shared by the CSV reader and writer and the sweep."""
 
+import collections
 import gc
 import multiprocessing
 import operator
 import os
 import sys
 import threading
+import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -39,9 +42,15 @@ def test_fan_out_raises_a_task_error_at_its_result():
 
 
 @needs_fork
-def test_fan_out_sends_a_lone_task_to_a_worker():
-    # the CSV code parses its own share while the worker parses the other
-    with fan_out(lambda _: os.getpid(), [0], 2) as pids:
+def test_fan_out_sends_a_lone_task_to_a_worker(tmp_path):
+    # fit_ctiv grows its pooled tree while a worker grows the holdout tree,
+    # which so starts on entering the block, before its result is read
+    started = tmp_path / "started"
+    with fan_out(lambda _: started.touch() or os.getpid(), [0], 2) as pids:
+        deadline = time.monotonic() + 60
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists()
         assert os.getpid() not in set(pids)
 
 
@@ -72,6 +81,40 @@ def test_fan_out_drops_each_result_once_read():
         gc.collect()
         assert first() is None
         assert [result.task for result in results] == [1, 2]
+
+
+def traced_peak(tasks, workers):
+    """The most memory Python allocated in this process while ``fan_out``
+    ran ``operator.neg`` over ``tasks``."""
+    tracemalloc.start()
+    try:
+        with fan_out(operator.neg, tasks, workers) as results:
+            collections.deque(results, maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@needs_fork
+def test_fan_out_holds_a_window_of_tasks_not_all_of_them():
+    # a submitted task holds about 2 KiB of future and queue entry, so
+    # submitting them all peaks ten times higher at 10,000 tasks than at
+    # 1,000 (traced, a task takes about 0.3 ms: hence no more)
+    traced_peak(range(10), 2)           # the pool's one-time allocations
+    few = traced_peak(range(1_000), 2)
+    assert traced_peak(range(10_000), 2) < few + 64 * 1024
+    drawn = []
+
+    def tasks():
+        for i in range(100):
+            drawn.append(i)
+            yield i
+
+    with fan_out(operator.neg, tasks(), 2) as results:
+        assert len(drawn) == 9          # the first task and 4 per worker
+        assert [next(results), next(results)] == [0, -1]
+        assert len(drawn) == 10         # one more per result handed out
+        assert list(results) == [-i for i in range(2, 100)]
 
 
 def test_one_worker_runs_each_task_in_process_when_its_result_is_read():

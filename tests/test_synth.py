@@ -212,10 +212,10 @@ def test_cor_wz_too_close_to_one_raises():
     assert 0.5 + 0.9999999999999999 / 2.0 == 1.0
     with pytest.raises(InputError, match="too close to 1"):
         latent_receipt_coefficients(0.9999999999999999, 0.5)
-    with pytest.raises(InputError, match="too close to 1"):
-        latent_receipt_coefficients(math.nan, 0.5)
-    with pytest.raises(InputError, match="too close to 1"):    # the quantile of 0 is -inf
-        latent_receipt_coefficients(-1.0, 0.5)
+    # a target outside (0, 1) is no calibration problem
+    for target in (-1.0, 1.5, math.nan):
+        with pytest.raises(InputError, match=rf"Cor\(W,Z\)={target} must lie in \(0, 1\)"):
+            latent_receipt_coefficients(target, 0.5)
     with pytest.raises(InputError, match="too close to 1"):
         generate(design_spec(2, 50, seed=0, target_cor_wz=0.9999999999999999))
 
