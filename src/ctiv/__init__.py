@@ -19,7 +19,6 @@ from .bench import (
     run_sweep,
 )
 from .dataset import (
-    ColumnSchema,
     Dataset,
     holdout_split,
     load_csv,
@@ -63,7 +62,6 @@ __all__ = [
     "AssignmentRegime",
     "BenchResult",
     "CausalTree",
-    "ColumnSchema",
     "CtivError",
     "Dataset",
     "DesignSpec",

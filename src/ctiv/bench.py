@@ -58,9 +58,8 @@ def evaluate_mse(tree: CausalTree, test_covariates: np.ndarray,
     if truth.shape != (np.asarray(test_covariates).shape[0],):
         raise InputError("true_cate must align with test rows")
     ids = tree.assign_leaves(test_covariates)
-    leaves = tree.leaves()  # sorted by leaf id
-    leaf_ids = np.array([est.leaf_id for est in leaves])
-    leaf_effects = np.array([est.cace_hat for est in leaves], dtype=np.float64)
+    leaf_ids = np.array([est.leaf_id for est in tree.estimates])     # ascending
+    leaf_effects = np.array([est.cace_hat for est in tree.estimates], dtype=np.float64)
     effects = leaf_effects[np.searchsorted(leaf_ids, ids)]
     usable = np.isfinite(effects)
     n_excluded = int((~usable).sum())
@@ -121,7 +120,7 @@ def run_cell(label: str, n: int, rep: int, base_seed: int = 0,
         mse_ct=ct_eval.mse,
         mse_ctiv=iv_eval.mse,
         relative_gap_pct=relative_gap(ct_eval.mse, iv_eval.mse),
-        n_weak_leaves=sum(est.weak_instrument for est in iv_tree.leaves()),
+        n_weak_leaves=sum(est.weak_instrument for est in iv_tree.estimates),
         n_excluded_ct=ct_eval.n_excluded,
         n_excluded_ctiv=iv_eval.n_excluded,
     )

@@ -23,14 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import DESIGN_LABELS, format_summary, results_csv, run_sweep
-from .dataset import (
-    ColumnSchema,
-    check_split,
-    holdout_split,
-    load_csv,
-    read_csv_columns,
-    save_csv,
-)
+from .dataset import check_split, holdout_split, load_csv, read_csv_columns, save_csv
 from .effects import WEAK_F_THRESHOLD
 from .errors import CtivError, EstimationError, InputError, ValidationError
 from .synth import DESIGN_IDS, SCENARIOS, design_spec, generate
@@ -97,14 +90,6 @@ def _distinct(items: list, what: str) -> list:
     return items
 
 
-def _schema_from_args(args) -> ColumnSchema:
-    features = None
-    if args.features:
-        features = tuple(c.strip() for c in args.features.split(",") if c.strip())
-    return ColumnSchema(y_col=args.y_col, w_col=args.w_col, z_col=args.z_col,
-                        feature_cols=features)
-
-
 def _add_growth_options(p) -> None:
     """The options fit and bench share, with GrowthConfig's defaults."""
     p.add_argument("--max-depth", type=int, default=GrowthConfig.max_depth)
@@ -149,15 +134,18 @@ def _cmd_fit(args) -> int:
         trim_lo=args.trim_lo,
         trim_hi=args.trim_hi,
     )
-    ds = load_csv(args.input, _schema_from_args(args))
+    features = None
+    if args.features:
+        features = [c.strip() for c in args.features.split(",") if c.strip()]
+    ds = load_csv(args.input, y_col=args.y_col, w_col=args.w_col, z_col=args.z_col,
+                  feature_cols=features)
     split = holdout_split(ds, fractions, seed=args.seed)
     tree = fit_ctiv(ds, cfg, split, args.seed)
     out = Path(args.out_dir)
     _write(out / "tree.json", export_json(tree))
     _write(out / "tree.dot", export_dot(tree))
-    leaves = tree.leaves()
     report = "node_id,n,itt_hat,pi_c_hat,cace_hat,cace_se,first_stage_f\n"
-    for est in leaves:
+    for est in tree.estimates:
         report += (f"{est.leaf_id},{est.n},{est.itt_hat!r},{est.pi_c_hat!r},"
                    f"{est.cace_hat!r},{est.cace_se!r},{est.first_stage_f!r}\n")
     _write(out / "leaf_report.csv", report)
@@ -179,10 +167,10 @@ def _cmd_fit(args) -> int:
     print(f"fitted {args.regime} tree: {tree.root.n_leaves()} leaves, "
           f"alpha={tree.alpha:.6g}, trimmed {tree.n_trimmed}/{tree.n_input}")
     print(f"overall CACE (complier-weighted): {tree.overall_cace:.4f}")
-    weak = [est.leaf_id for est in leaves if est.weak_instrument]
+    weak = [est.leaf_id for est in tree.estimates if est.weak_instrument]
     if weak:
         print(f"weak-instrument leaves (first-stage F < {WEAK_F_THRESHOLD:g}): {weak}")
-    for est in leaves:
+    for est in tree.estimates:
         print(f"  node {est.leaf_id}: n={est.n} itt={est.itt_hat:.4f} "
               f"pi_c={est.pi_c_hat:.4f} cace={est.cace_hat:.4f} "
               f"se={est.cace_se:.4f} F={est.first_stage_f:.1f}")

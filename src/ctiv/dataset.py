@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -77,31 +77,6 @@ class Dataset:
             return self
         return Dataset(self.covariates[idx], self.z[idx], self.w[idx],
                        self.y[idx], self.feature_names)
-
-    def equals(self, other: "Dataset") -> bool:
-        """Exact field-wise equality, dtypes included."""
-        return (
-            self.feature_names == other.feature_names
-            and self.covariates.dtype == other.covariates.dtype
-            and np.array_equal(self.covariates, other.covariates)
-            and np.array_equal(self.z, other.z)
-            and np.array_equal(self.w, other.w)
-            and np.array_equal(self.y, other.y)
-        )
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Maps CSV columns onto dataset roles.
-
-    ``feature_cols=None`` means every column that is not y/w/z is a
-    feature, in file order.
-    """
-
-    y_col: str = "y"
-    w_col: str = "w"
-    z_col: str = "z"
-    feature_cols: tuple[str, ...] | None = None
 
 
 def _parse_cell(raw: str, column: str, row_number: int) -> float:
@@ -272,12 +247,12 @@ def read_csv_columns(path: str | Path,
     one of them twice). ``binary`` are positions in
     that list whose cells must be 0 or 1. Regular text is parsed by numpy,
     in the pieces ``_pieces`` cuts: forked workers parse those of a regular
-    file of at least twice ``_SHARE_BYTES``, each reading its own span (see
-    ``parallel.fan_out``), and this process those of other text, a pipe
-    among them. From the first piece that is irregular or not UTF-8 on,
-    this process parses the rows cell by cell, reading on from that
-    piece's first byte, so no row is parsed twice and a pipe reads as a
-    file does. A line that is not UTF-8 raises ValidationError once the
+    file of at least twice ``_SHARE_BYTES`` and more than one piece, each
+    reading its own span (see ``parallel.fan_out``), and this process those
+    of other text, a pipe among them. From the first piece that is
+    irregular or not UTF-8 on, this process parses the rows cell by cell,
+    reading on from that piece's first byte, so no row is parsed twice and
+    a pipe reads as a file does. A line that is not UTF-8 raises ValidationError once the
     rows before it are parsed. Then the first non-finite cell in row order
     raises ValidationError. Row numbers in error messages are 1-based over
     data rows. One leading byte-order mark is skipped.
@@ -292,8 +267,12 @@ def read_csv_columns(path: str | Path,
                 raise SchemaError(f"{path}: the header names column '{twice[0]}' more than once")
             parse = partial(_numpy_rows, width=len(header),
                             cols=[header.index(c) for c in columns], binary=binary)
-            # a pipe's size reads as 0, or as the little it buffers
-            shares = fork_workers(os.fstat(fb.fileno()).st_size // _SHARE_BYTES)
+            # a pipe's size reads as 0, or as the little it buffers; text of
+            # one piece, which ends at the end of the file, stays in this process
+            size = os.fstat(fb.fileno()).st_size
+            first = next(pieces, None)
+            shares = fork_workers(size // _SHARE_BYTES) if first and first[1] < size else 1
+            pieces = chain([first] if first else [], pieces)
             tasks = pieces if shares == 1 else ((start, stop, None) for start, stop, _ in pieces)
             blocks, part = [], None
             with fan_out(partial(_parse_piece, parse, path), tasks, shares) as parts:
@@ -319,17 +298,22 @@ def read_csv_columns(path: str | Path,
     return columns, data
 
 
-def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
+def load_csv(path: str | Path, y_col: str = "y", w_col: str = "w", z_col: str = "z",
+             feature_cols: Sequence[str] | None = None) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset; a leading
     byte-order mark is skipped.
 
+    ``y_col``, ``w_col`` and ``z_col`` name the outcome, receipt and
+    assignment columns, three distinct ones. ``feature_cols=None`` makes
+    every other column a feature, in file order; else the features are the
+    columns named, in that order, none of them twice or a role column.
     Row numbers in error messages are 1-based over data rows (the header
     is row 0).
     """
     path = Path(path)
 
     def choose(header: list[str]) -> list[str]:
-        roles = (("y", schema.y_col), ("w", schema.w_col), ("z", schema.z_col))
+        roles = (("y", y_col), ("w", w_col), ("z", z_col))
         for i, (role, col) in enumerate(roles):
             if col not in header:
                 raise SchemaError(f"{path}: missing required {role} column '{col}'")
@@ -337,20 +321,21 @@ def load_csv(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset
                 if col == taken:
                     raise SchemaError(f"{path}: the {other} and {role} roles "
                                       f"both name column '{col}'")
-        if schema.feature_cols is None:
-            reserved = {col for _, col in roles}
-            feature_cols = [c for c in header if c not in reserved]
+        if feature_cols is None:
+            features = [c for c in header if c not in (y_col, w_col, z_col)]
         else:
-            feature_cols = list(schema.feature_cols)
-            for col in feature_cols:
+            features = list(feature_cols)
+            for i, col in enumerate(features):
                 if col not in header:
                     raise SchemaError(f"{path}: missing feature column '{col}'")
+                if col in features[:i]:
+                    raise SchemaError(f"{path}: feature column '{col}' is named twice")
             for role, col in roles:
-                if col in feature_cols:
+                if col in features:
                     raise SchemaError(f"{path}: feature column '{col}' is the {role} column")
-        if not feature_cols:
+        if not features:
             raise SchemaError(f"{path}: no feature columns remain")
-        return [schema.y_col, schema.w_col, schema.z_col, *feature_cols]
+        return [y_col, w_col, z_col, *features]
 
     columns, data = read_csv_columns(path, choose, binary=(1, 2))
     if data.shape[0] == 0:
@@ -423,10 +408,10 @@ def check_split(fractions: tuple[float, ...], seed: int) -> None:
         raise InputError("train fraction must be positive")
 
 
-def holdout_split(ds: Dataset | int, fractions: tuple[float, ...],
+def holdout_split(ds: Dataset, fractions: tuple[float, ...],
                   seed: int) -> np.ndarray:
-    """Random partition of all rows into train and validation, as a
-    read-only boolean mask over the rows that is True for train.
+    """Random partition of the rows of ``ds`` into train and validation,
+    as a read-only boolean mask over its rows that is True for train.
 
     ``fractions`` is (train, validation), summing to 1 (see
     ``check_split``). Validation gets floor((1 - train) * N) rows and
@@ -435,7 +420,7 @@ def holdout_split(ds: Dataset | int, fractions: tuple[float, ...],
     get at least one unit.
     """
     check_split(fractions, seed)
-    n = ds if isinstance(ds, int) else ds.n_units
+    n = ds.n_units
     f_tr = fractions[0]
     n_va = int(np.floor((1.0 - f_tr) * n))
     n_tr = n - n_va

@@ -14,6 +14,7 @@ formulas with one weighted Wald estimator).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,19 +155,17 @@ def _tsls_se_and_f(y: np.ndarray, w: np.ndarray, z: np.ndarray,
     return float(np.sqrt(max(cov[1, 1], 0.0))), first_stage_f
 
 
-def overall_cace(leaves: list[LeafEstimate]) -> float:
-    """Complier-weighted average of leaf CACEs.
+def overall_cace(leaves: Iterable[LeafEstimate]) -> float:
+    """Complier-weighted average of the CACEs of the leaves that pass the
+    compliers check; a leaf that fails it, whose CACE is NaN, is left out.
 
-    Weights are the rounded complier counts pi_c * n per leaf. Leaves
-    must all pass the compliers check before aggregation. Its only
-    EstimationError is nothing to aggregate: no leaves, or no compliers.
+    Weights are the rounded complier counts pi_c * n per leaf. Its only
+    error is EstimationError when nothing is left to aggregate: no leaf
+    passes the check, or none has a complier once rounded.
     """
+    leaves = [leaf for leaf in leaves if leaf.compliers_ok]
     if not leaves:
         raise EstimationError("no leaves to aggregate")
-    for leaf in leaves:
-        if not leaf.compliers_ok:
-            raise InputError(
-                f"leaf {leaf.leaf_id} failed the compliers check; exclude it first")
     weights = np.array([round(leaf.pi_c_hat * leaf.n) for leaf in leaves], dtype=np.float64)
     total = weights.sum()
     if total <= 0:

@@ -28,6 +28,9 @@ from .errors import EstimationError, InputError, require_binary
 PROB_CLAMP = 1e-12
 # the largest x whose exp(x) is finite; math.exp raises above it
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+# fit_logistic's stopping rule: gradient max-norm, and Newton steps
+_TOL = 1e-8
+_MAX_ITER = 100
 
 
 def expit(x: np.ndarray) -> np.ndarray:
@@ -94,14 +97,14 @@ def check_ridge(ridge_lambda: float) -> None:
 
 
 def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
-                 ridge_lambda: float, tol: float = 1e-8,
-                 max_iter: int = 100) -> PropensityModel:
+                 ridge_lambda: float) -> PropensityModel:
     """Maximise the ridge-penalised Bernoulli log-likelihood.
 
     Newton steps with step halving whenever a full step would lower the
     objective. Convergence is declared when the gradient max-norm drops
-    below ``tol``. One-class labels are only admissible with a positive
-    ridge penalty; otherwise the optimum runs off to infinity.
+    below ``_TOL``; the fit stops unconverged after ``_MAX_ITER`` steps.
+    One-class labels are only admissible with a positive ridge penalty;
+    otherwise the optimum runs off to infinity.
     """
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -132,8 +135,8 @@ def fit_logistic(covariates: np.ndarray, labels: np.ndarray,
             # the link once per iterate: gradient and Hessian weights share p
             p = expit(x_aug @ beta)
             grad = _gradient(p, beta, x_aug, lab, ridge_lambda)
-            converged = bool(np.abs(grad).max() < tol)
-            if converged or iterations >= max_iter:
+            converged = bool(np.abs(grad).max() < _TOL)
+            if converged or iterations >= _MAX_ITER:
                 break
             weights = p * (1.0 - p)
             hess = (x_aug * weights[:, None]).T @ x_aug + np.diag(penalty_diag)

@@ -38,33 +38,34 @@ class RegimeKind(str, Enum):
         return w if self is RegimeKind.CT else z
 
 
-def transformed_outcome(y, d, e):
-    """y * (d - e) / ((1 - e) * e): y/e when d=1, -y/(1-e) when d=0.
+def transformed_outcome(y: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """y * (d - e) / ((1 - e) * e), unit by unit: y/e where d=1, -y/(1-e)
+    where d=0.
 
-    Accepts scalars or aligned arrays. e must lie strictly inside (0, 1).
+    ``y``, ``d`` and ``e`` are aligned 1-D arrays, one entry per unit, and
+    e must lie strictly inside (0, 1).
     """
     y = np.asarray(y, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     e = require_probabilities(e, "e")
-    if len({y.shape, d.shape, e.shape} - {()}) > 1:
+    if y.ndim != 1 or d.shape != y.shape or e.shape != y.shape:
         raise InputError("y, d and e must be aligned")
     require_binary(d, "d")
-    out = y * (d - e) / ((1.0 - e) * e)
-    return float(out) if out.ndim == 0 else out
+    return y * (d - e) / ((1.0 - e) * e)
 
 
-def leaf_weighted_itt(y: np.ndarray, d: np.ndarray, e) -> float:
+def leaf_weighted_itt(y: np.ndarray, d: np.ndarray, e: np.ndarray) -> float:
     """Inverse-probability weighted arm contrast within one leaf.
 
     (sum y*d/e / sum d/e) - (sum y*(1-d)/(1-e) / sum (1-d)/(1-e)).
-    ``e`` is one probability per unit, or one for all. Under a constant e
-    this reduces exactly to the difference of raw arm means. Both arms
-    must be nonempty.
+    ``y``, ``d`` and ``e`` are aligned 1-D arrays, one entry per unit;
+    where e is one share repeated, this reduces exactly to the difference
+    of raw arm means. Both arms must be nonempty.
     """
     y = np.asarray(y, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    if y.shape != d.shape or e.shape not in ((), y.shape):
+    if y.ndim != 1 or d.shape != y.shape or e.shape != y.shape:
         raise InputError("y, d and e must be aligned")
     require_binary(d, "d")
     require_probabilities(e, "e")

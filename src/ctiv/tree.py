@@ -509,9 +509,6 @@ class CausalTree:
     min_arm_count: int
     overall_cace: float = float("nan")
 
-    def leaves(self) -> list[LeafEstimate]:
-        return list(self.estimates)
-
     def assign_leaves(self, covariates: np.ndarray) -> np.ndarray:
         """Leaf node_id for every row of a covariate matrix."""
         x = np.asarray(covariates, dtype=np.float64)
@@ -622,7 +619,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
                       x[rows] if adjust else None)
         for leaf, rows in _leaf_rows(final, x))
     try:
-        overall = overall_cace([est for est in estimates if est.compliers_ok])
+        overall = overall_cace(estimates)
     except EstimationError:             # nothing to aggregate
         overall = float("nan")
     return CausalTree(

@@ -138,7 +138,7 @@ def test_full_compliance_collapse(capsys, unadjusted_tree_payload):
     # iv-unconfounded adjusts its TSLS; its leaves are compared unadjusted
     payloads = [json.loads(export_json(trees[RegimeKind.CT]))["tree"],
                 unadjusted_tree_payload(iv_tree, ds)]
-    gap = max(abs(est.cace_hat - est.itt_hat) for est in iv_tree.leaves())
+    gap = max(abs(est.cace_hat - est.itt_hat) for est in iv_tree.estimates)
     multi = iv_tree.root.n_leaves() >= 2
     ok = payloads[0] == payloads[1] and gap < 1e-10 and multi
     report(capsys, ok, "full compliance: receipt and assignment trees collapse",
@@ -155,7 +155,7 @@ def test_constant_propensity_reduction(capsys):
         if d.min() == d.max():
             continue
         y = rng.normal(size=n) * float(rng.uniform(0.5, 3.0))
-        e = float(rng.uniform(0.05, 0.95))
+        e = np.full(n, rng.uniform(0.05, 0.95))
         plain = y[d == 1].mean() - y[d == 0].mean()
         worst = max(worst, abs(leaf_weighted_itt(y, d, e) - plain))
     ok = worst <= 1e-12
@@ -238,7 +238,7 @@ def test_tree_structure_properties(capsys):
     min_leaf = math.ceil(0.05 * tree.n_omega)
     constraints_ok = all(
         est.n >= min_leaf and est.n1 >= 10 and est.n0 >= 10
-        for est in tree.leaves())
+        for est in tree.estimates)
 
     # every pruning step only merges leaves, never redraws boundaries
     train = sample.dataset.subset(np.flatnonzero(split))

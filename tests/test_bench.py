@@ -80,7 +80,7 @@ def test_receipt_split_leaves_have_their_itt_as_cace(label):
     sample = generate(ctiv.bench._spec_for(label, 1000, 70))
     split = holdout_split(sample.dataset, (0.5, 0.5), seed=70)
     cfg = GrowthConfig(regime=RegimeKind.CT, max_depth=3, alpha_override=0.0)
-    leaves = fit_ctiv(sample.dataset, cfg, split, seed=70).leaves()
+    leaves = fit_ctiv(sample.dataset, cfg, split, seed=70).estimates
     assert len(leaves) > 1
     for est in leaves:
         assert est.pi_c_hat == 1.0 and est.compliers_ok

@@ -480,7 +480,7 @@ def test_library_and_cli_split_one_train_fraction_alike(tmp_path, capsys):
     # size validation from the train fraction alone
     data = tmp_path / "d.csv"
     ds = write_trial_csv(data, n=3000, full_compliance=False)
-    in_train = holdout_split(3000, (0.42, 0.58), seed=5)
+    in_train = holdout_split(ds, (0.42, 0.58), seed=5)
     assert int((~in_train).sum()) == 1740
     code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "iv-randomized",
                        "--train-frac", "0.42", "--seed", "5", "--out-dir", str(tmp_path / "o"))
@@ -500,6 +500,20 @@ def test_fit_feature_that_is_the_outcome_exit_data(tmp_path, capsys):
     assert code == EXIT_DATA
     assert json.loads(err) == {"error": "SchemaError",
                                "message": f"{data}: feature column 'y' is the y column"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("features", ["x1,x1", "x2,x1, x1"])
+def test_fit_feature_named_twice_exit_data(tmp_path, capsys, features):
+    # once refused only by the dataset, in a message naming neither the
+    # file nor the column
+    data = tmp_path / "d.csv"
+    write_trial_csv(data, n=200)
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "ct",
+                       "--features", features, "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "SchemaError",
+                               "message": f"{data}: feature column 'x1' is named twice"}
     assert not (tmp_path / "o").exists()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 import ctiv.dataset
 from ctiv import (
-    ColumnSchema,
     Dataset,
     design_spec,
     generate,
@@ -15,6 +14,7 @@ from ctiv import (
     trim_by_propensity,
 )
 from ctiv.errors import InputError, SchemaError, ValidationError
+from datasets import same_dataset, units
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -65,9 +65,8 @@ def test_load_missing_column(tmp_path):
 
 def test_load_custom_mapping_and_feature_subset(tmp_path):
     path = write(tmp_path, "outcome,treat,assign,a,b,c\n1,1,1,0.1,0.2,0.3\n2,0,0,0.4,0.5,0.6\n")
-    schema = ColumnSchema(y_col="outcome", w_col="treat", z_col="assign",
-                          feature_cols=("c", "a"))
-    ds = load_csv(path, schema)
+    ds = load_csv(path, y_col="outcome", w_col="treat", z_col="assign",
+                  feature_cols=("c", "a"))
     assert ds.feature_names == ("c", "a")
     assert np.array_equal(ds.covariates[0], [0.3, 0.1])
 
@@ -76,10 +75,9 @@ def test_load_custom_mapping_and_feature_subset(tmp_path):
 def test_load_rejects_a_feature_that_is_the_outcome_or_an_arm(tmp_path, role, column):
     # the outcome as a covariate would grow the tree on y itself
     path = write(tmp_path, "outcome,treat,assign,a\n1,1,1,0.1\n2,0,0,0.4\n")
-    schema = ColumnSchema(y_col="outcome", w_col="treat", z_col="assign",
-                          feature_cols=("a", column))
     with pytest.raises(SchemaError, match=f"feature column '{column}' is the {role} column"):
-        load_csv(path, schema)
+        load_csv(path, y_col="outcome", w_col="treat", z_col="assign",
+                 feature_cols=("a", column))
 
 
 @pytest.mark.parametrize("roles, message", [
@@ -91,7 +89,7 @@ def test_load_rejects_two_roles_naming_one_column(tmp_path, roles, message):
     # one column would play two roles, say the assignment as receipt
     path = write(tmp_path, "y,w,z,a\n1,1,1,0.1\n2,0,0,0.4\n")
     with pytest.raises(SchemaError, match=message):
-        load_csv(path, ColumnSchema(**roles))
+        load_csv(path, **roles)
 
 
 @pytest.mark.parametrize("header, column", [
@@ -106,7 +104,7 @@ def test_load_rejects_a_column_the_header_names_more_than_once(tmp_path, header,
 
 def test_load_reads_past_a_repeated_column_it_does_not_read(tmp_path):
     path = write(tmp_path, "y,w,z,a,b,b\n1,1,1,0.5,x,y\n2,0,0,0.25,x,y\n")
-    assert load_csv(path, ColumnSchema(feature_cols=("a",))).feature_names == ("a",)
+    assert load_csv(path, feature_cols=("a",)).feature_names == ("a",)
 
 
 def test_load_categorical_outcome_levels(tmp_path):
@@ -129,7 +127,7 @@ def test_round_trip_bit_identical(tmp_path):
     p2 = tmp_path / "two.csv"
     save_csv(ds, p1)
     again = load_csv(p1)
-    assert ds.equals(again)
+    assert same_dataset(ds, again)
     save_csv(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -150,8 +148,8 @@ def test_byte_order_mark_reads_as_the_plain_file(tmp_path, monkeypatch, n):
     if n > 50 and ctiv.parallel.fork_is_safe():
         assert ctiv.parallel.fork_workers(
             bom.stat().st_size // ctiv.dataset._SHARE_BYTES) == 2
-    assert load_csv(plain).equals(ds)
-    assert load_csv(bom).equals(ds)
+    assert same_dataset(load_csv(plain), ds)
+    assert same_dataset(load_csv(bom), ds)
 
 
 def test_byte_order_mark_before_a_quoted_header_cell(tmp_path):
@@ -159,7 +157,7 @@ def test_byte_order_mark_before_a_quoted_header_cell(tmp_path):
     plain = load_csv(write(tmp_path, text, "plain.csv"))
     bom = load_csv(write(tmp_path, "\ufeff" + text, "bom.csv"))
     assert bom.feature_names == ('x"1',)
-    assert bom.equals(plain)
+    assert same_dataset(bom, plain)
     # one mark is skipped, as a decoder of UTF-8 with a signature would
     with pytest.raises(SchemaError, match="missing required y column"):
         load_csv(write(tmp_path, "\ufeff\ufeff" + text, "two.csv"))
@@ -207,7 +205,7 @@ def test_load_rejects_a_header_cell_over_the_field_limit(tmp_path):
 def test_load_rejects_a_missing_feature_or_no_features(tmp_path):
     path = write(tmp_path, "y,w,z,x1\n1,1,0,2\n")
     with pytest.raises(SchemaError, match="missing feature column 'x2'"):
-        load_csv(path, ColumnSchema(feature_cols=("x1", "x2")))
+        load_csv(path, feature_cols=("x1", "x2"))
     with pytest.raises(SchemaError, match="no feature columns remain"):
         load_csv(write(tmp_path, "y,w,z\n1,1,0\n", "roles.csv"))
 
@@ -225,7 +223,7 @@ def test_dataset_arrays_immutable():
 
 def test_holdout_sizes_and_disjointness():
     # a training mask: every unit is in train or, where False, validation
-    in_train = holdout_split(100, (0.75, 0.25), seed=0)
+    in_train = holdout_split(units(100), (0.75, 0.25), seed=0)
     assert in_train.dtype == bool and in_train.shape == (100,)
     assert int(in_train.sum()) == 75
     with pytest.raises(ValueError):
@@ -233,39 +231,39 @@ def test_holdout_sizes_and_disjointness():
 
 
 def test_holdout_remainder_goes_to_train():
-    in_train = holdout_split(103, (0.75, 0.25), seed=1)
+    in_train = holdout_split(units(103), (0.75, 0.25), seed=1)
     assert int((~in_train).sum()) == 25
     assert int(in_train.sum()) == 78
 
 
 def test_holdout_determinism():
-    a = holdout_split(50, (0.6, 0.4), seed=9)
-    b = holdout_split(50, (0.6, 0.4), seed=9)
+    a = holdout_split(units(50), (0.6, 0.4), seed=9)
+    b = holdout_split(units(50), (0.6, 0.4), seed=9)
     assert np.array_equal(a, b)
-    c = holdout_split(50, (0.6, 0.4), seed=10)
+    c = holdout_split(units(50), (0.6, 0.4), seed=10)
     assert not np.array_equal(a, c)
 
 
 def test_holdout_tiny_sample_errors():
     with pytest.raises(InputError, match="yields no units"):
-        holdout_split(3, (0.75, 0.25), seed=0)
+        holdout_split(units(3), (0.75, 0.25), seed=0)
 
 
 def test_holdout_zero_test_fraction_ok():
     # a trailing 0.0 is the only third fraction a split still takes
-    in_train = holdout_split(10, (0.5, 0.5, 0.0), seed=0)
+    in_train = holdout_split(units(10), (0.5, 0.5, 0.0), seed=0)
     assert int(in_train.sum()) == 5
-    assert np.array_equal(in_train, holdout_split(10, (0.5, 0.5), seed=0))
+    assert np.array_equal(in_train, holdout_split(units(10), (0.5, 0.5), seed=0))
 
 
 def test_holdout_bad_fractions():
     for fractions in [(0.5, 0.6), (0.5, 0.6, 0.0), (1.2, -0.2)]:
         with pytest.raises(InputError, match="nonnegative and sum to 1"):
-            holdout_split(10, fractions, seed=0)
+            holdout_split(units(10), fractions, seed=0)
     # a split has no test part: a nonzero third fraction is refused
     for fractions in [(0.5, 0.25, 0.25), (0.5, 0.5, 1e-12)]:
         with pytest.raises(InputError, match="third fraction must be 0"):
-            holdout_split(10, fractions, seed=0)
+            holdout_split(units(10), fractions, seed=0)
 
 
 @pytest.mark.parametrize("fractions", [0.5, (0.5,), [[0.5, 0.5]], ("0.5", "0.5"),
@@ -273,7 +271,7 @@ def test_holdout_bad_fractions():
 def test_holdout_fractions_that_are_not_two_numbers(fractions):
     # all but the last once ended in a TypeError or ValueError, not an InputError
     with pytest.raises(InputError, match="two numbers"):
-        holdout_split(100, fractions, seed=0)
+        holdout_split(units(100), fractions, seed=0)
 
 
 @pytest.mark.parametrize("fractions", [(float("nan"), 0.5),
@@ -282,9 +280,9 @@ def test_holdout_fractions_that_are_not_two_numbers(fractions):
 def test_holdout_non_finite_fractions(fractions):
     # NaN passes every comparison: it used to give an empty train part
     with pytest.raises(InputError, match="finite"):
-        holdout_split(100, fractions, seed=0)
+        holdout_split(units(100), fractions, seed=0)
     with pytest.raises(InputError, match="train fraction must be positive"):
-        holdout_split(10, (0.0, 1.0), seed=0)
+        holdout_split(units(10), (0.0, 1.0), seed=0)
 
 
 def test_holdout_property_random_fractions():
@@ -292,7 +290,7 @@ def test_holdout_property_random_fractions():
     for _ in range(50):
         n = int(rng.integers(10, 500))
         f_tr = float(rng.uniform(0.2, 0.95))
-        in_train = holdout_split(n, (f_tr, 1.0 - f_tr), seed=int(rng.integers(1 << 30)))
+        in_train = holdout_split(units(n), (f_tr, 1.0 - f_tr), seed=int(rng.integers(1 << 30)))
         assert in_train.shape == (n,)
         assert int((~in_train).sum()) == int(np.floor((1.0 - f_tr) * n))
 
@@ -344,7 +342,7 @@ def test_trim_idempotent():
     e = rng.uniform(0.01, 0.99, 20)
     trimmed, kept = trim_by_propensity(ds, e, 0.1, 0.9)
     again, kept2 = trim_by_propensity(trimmed, e[kept], 0.1, 0.9)
-    assert trimmed.equals(again)
+    assert same_dataset(trimmed, again)
     assert list(kept2) == list(range(len(kept)))
 
 

@@ -243,9 +243,14 @@ def test_overall_cace_brackets_leaf_values():
         assert min(values) - 1e-12 <= total <= max(values) + 1e-12
 
 
-def test_overall_cace_rejects_flagged_leaf():
-    with pytest.raises(InputError):
-        overall_cace([leaf(), leaf(leaf_id=3, ok=False)])
+def test_overall_cace_skips_a_leaf_without_compliers():
+    # a leaf that fails the compliers check has a NaN CACE and no weight
+    kept = [leaf(leaf_id=2, n=100, pi_c=0.3, cace=0.2),
+            leaf(leaf_id=5, n=50, pi_c=0.2, cace=0.4)]
+    flagged = leaf(leaf_id=3, n=80, pi_c=-0.1, ok=False)
+    assert overall_cace([kept[0], flagged, kept[1]]) == overall_cace(kept)
+    with pytest.raises(EstimationError, match="no leaves to aggregate"):
+        overall_cace([flagged])
 
 
 def test_overall_cace_of_no_leaves_errors():

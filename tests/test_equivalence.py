@@ -47,7 +47,6 @@ import ctiv.parallel
 import ctiv.tree
 from ctiv import (
     CausalTree,
-    ColumnSchema,
     Dataset,
     GrowthConfig,
     LeafEstimate,
@@ -68,6 +67,7 @@ from ctiv.dataset import read_csv_columns
 from ctiv.errors import CtivError, EstimationError, InputError, ValidationError
 from ctiv.transform import leaf_weighted_itt, transformed_outcome
 from ctiv.tree import TreeNode, _stable_order, holdout_loss
+from datasets import same_dataset, units
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -525,7 +525,7 @@ SHARE_BYTES = [1, 7, 64, 1 << 20]
 
 def reads(path):
     return [
-        lambda: load_csv(path, ColumnSchema(feature_cols=("x1", "x2"))),
+        lambda: load_csv(path, feature_cols=("x1", "x2")),
         lambda: load_csv(path),     # label is a feature: non-numeric
         lambda: read_csv_columns(path, lambda header: ["x2", "x1"]),
     ]
@@ -589,12 +589,12 @@ def test_regular_csv_takes_the_numpy_path(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("y,w,z,x1,label\r\n1.5,1,0,-0.0,a#b\r\n2,0,1,3e-5,c\n-1,1,1,7,d",
                     encoding="utf-8")
-    schema = ColumnSchema(feature_cols=("x1",))
-    expected = reference(lambda: load_csv(path, schema))
+    features = ("x1",)
+    expected = reference(lambda: load_csv(path, feature_cols=features))
     with mock.patch.object(ctiv.dataset, "_reference_rows",
                            side_effect=AssertionError("per-cell parser used")):
-        assert outcome(lambda: load_csv(path, schema)) == expected
-    assert np.signbit(load_csv(path, schema).covariates[0, 0])
+        assert outcome(lambda: load_csv(path, feature_cols=features)) == expected
+    assert np.signbit(load_csv(path, feature_cols=features).covariates[0, 0])
 
 
 @SHARE_SETTINGS
@@ -667,8 +667,8 @@ def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, cpus)
     text, _ = late_fault_csv(b"1,1,0,2,3,a\r\n", header)
     path = tmp_path / "data.csv"
     path.write_bytes(text)
-    schema = ColumnSchema(feature_cols=("x1", "x2"))
-    expected = reference(lambda: load_csv(path, schema))
+    features = ("x1", "x2")
+    expected = reference(lambda: load_csv(path, feature_cols=features))
     with many_shares(cpus):
         pieces = data_pieces(path)
         assert len(pieces) > 3
@@ -676,7 +676,7 @@ def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, cpus)
         assert all(text[start - 1:start] == b"\n" for start, _ in pieces)
         with mock.patch.object(ctiv.dataset, "_reference_rows",
                                side_effect=AssertionError("per-cell parser used")):
-            assert outcome(lambda: load_csv(path, schema)) == expected
+            assert outcome(lambda: load_csv(path, feature_cols=features)) == expected
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "mixed"])
@@ -713,8 +713,8 @@ def test_shared_text_is_parsed_in_workers_only(tmp_path):
     text, _ = late_fault_csv(b"1,1,0,2,3,a\n")
     path = tmp_path / "data.csv"
     path.write_bytes(text)
-    schema = ColumnSchema(feature_cols=("x1", "x2"))
-    expected = outcome(lambda: load_csv(path, schema))
+    features = ("x1", "x2")
+    expected = outcome(lambda: load_csv(path, feature_cols=features))
     this, ran_here, real = os.getpid(), [], ctiv.dataset._parse_piece
 
     def parse_piece(*args):
@@ -726,7 +726,7 @@ def test_shared_text_is_parsed_in_workers_only(tmp_path):
             ctiv.dataset, _parse_piece=parse_piece,
             _reference_rows=mock.Mock(side_effect=AssertionError("per-cell parser used"))):
         assert len(data_pieces(path)) > 3
-        assert outcome(lambda: load_csv(path, schema)) == expected
+        assert outcome(lambda: load_csv(path, feature_cols=features)) == expected
     assert ran_here == []
 
 
@@ -750,6 +750,20 @@ def test_cr_only_text_is_cut_at_cr_and_shared(tmp_path, monkeypatch):
     assert pools == ([3] * 6 if ctiv.parallel.fork_is_safe() else [])
 
 
+def test_text_of_one_piece_is_read_in_this_process(tmp_path, monkeypatch):
+    # a file of at least twice _SHARE_BYTES whose one data row has no line
+    # end is one piece: no pool is started for it, whatever the CPU count
+    monkeypatch.setattr(ctiv.parallel, "ProcessPoolExecutor",
+                        mock.Mock(side_effect=AssertionError("pool started")))
+    header = ",".join(["y", "w", "z", *(f"x{i}" for i in range(1, 59))])
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n" + ",".join(["1"] * 61), encoding="utf-8")
+    with many_shares():
+        assert path.stat().st_size >= 2 * 64 and len(data_pieces(path)) == 1
+        ds = load_csv(path)
+    assert ds.covariates.shape == (1, 58)
+
+
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_rows_before_an_irregular_last_piece_are_parsed_once(tmp_path, cpus):
     # the per-cell parser reads on from the irregular piece's first byte,
@@ -759,8 +773,8 @@ def test_rows_before_an_irregular_last_piece_are_parsed_once(tmp_path, cpus):
     rows[-1] = '1,1,0,"2",3,a\n'
     path = tmp_path / "data.csv"
     path.write_bytes((HEADER + "\n" + "".join(rows)).encode())
-    schema = ColumnSchema(feature_cols=("x1", "x2"))
-    expected = reference(lambda: load_csv(path, schema))
+    features = ("x1", "x2")
+    expected = reference(lambda: load_csv(path, feature_cols=features))
     seen = tmp_path / "seen"            # appended to by forked workers too
     real_numpy, real_reference = ctiv.dataset._numpy_rows, ctiv.dataset._reference_rows
 
@@ -778,7 +792,7 @@ def test_rows_before_an_irregular_last_piece_are_parsed_once(tmp_path, cpus):
     with many_shares(cpus), mock.patch.multiple(
             ctiv.dataset, _numpy_rows=numpy_rows, _reference_rows=reference_rows):
         pieces = data_pieces(path)
-        assert outcome(lambda: load_csv(path, schema)) == expected
+        assert outcome(lambda: load_csv(path, feature_cols=features)) == expected
     last = pieces[-1][0] - len(HEADER) - 1
     ends = itertools.accumulate(map(len, rows))
     earlier = [row.split(",")[0] for row, end in zip(rows, ends) if end <= last]
@@ -810,20 +824,20 @@ def test_piped_csv_reads_as_the_file(tmp_path):
              "quoted number": late_fault_csv(b'1,1,0,"7",3,a\n')}
     path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
     os.mkfifo(fifo)
-    schema = ColumnSchema(feature_cols=("x1", "x2"))
+    features = ("x1", "x2")
     for (case, (text, _)), share_bytes in itertools.product(sorted(cases.items()),
                                                             [64, 1 << 20]):
         path.write_bytes(text)
         with pieces_of(share_bytes, cpus=3):
-            expected = outcome(lambda: load_csv(path, schema))
+            expected = outcome(lambda: load_csv(path, feature_cols=features))
             writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
             try:
-                got = str(outcome(lambda: load_csv(fifo, schema)))
+                got = str(outcome(lambda: load_csv(fifo, feature_cols=features)))
                 assert got.replace(str(fifo), str(path)) == str(expected), (case, share_bytes)
             finally:
                 writer.wait(30)
         if case == "quoted number":
-            assert load_csv(path, schema).covariates[57, 0] == 7.0
+            assert load_csv(path, feature_cols=features).covariates[57, 0] == 7.0
 
 
 def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
@@ -850,9 +864,9 @@ def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
     # pieces of about 64 bytes to three
     with many_shares(), mock.patch.object(ctiv.dataset, "_WRITE_ROWS", 50):
         save_csv(ds, tmp_path / "good.csv")
-        assert load_csv(tmp_path / "good.csv").equals(ds)
+        assert same_dataset(load_csv(tmp_path / "good.csv"), ds)
         with pytest.raises(ValidationError, match="data row 58"):
-            load_csv(bad, ColumnSchema(feature_cols=("x1", "x2")))
+            load_csv(bad, feature_cols=("x1", "x2"))
         with mock.patch.object(ctiv.dataset, "_format_rows", rows_failing_in_workers), \
                 pytest.raises(OSError, match="disk full"):
             save_csv(ds, tmp_path / "failed.csv")
@@ -872,7 +886,7 @@ def test_two_cpus_fork_one_write_worker_and_two_read_workers(tmp_path, monkeypat
     save_csv(ds, tmp_path / "one.csv")
     with many_shares(cpus=2):
         save_csv(ds, tmp_path / "two.csv")
-        assert load_csv(tmp_path / "two.csv").equals(ds)
+        assert same_dataset(load_csv(tmp_path / "two.csv"), ds)
     assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert pools == [1, 2]
 
@@ -1058,7 +1072,7 @@ def test_split_masks_match_set_operations(n, f_tr, seed, data):
     # the mask holds the train part of the index pair, and its positions
     # among any kept rows are the ``isin`` positions fit_ctiv once computed
     try:
-        in_train = holdout_split(n, (f_tr, 1.0 - f_tr), seed)
+        in_train = holdout_split(units(n), (f_tr, 1.0 - f_tr), seed)
     except InputError:
         reject()
     tr, va = reference_split(n, f_tr, seed)

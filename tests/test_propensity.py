@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+import ctiv.propensity
 from ctiv import estimate_constant_p, fit_logistic
 from ctiv.errors import EstimationError, InputError, ValidationError
 from ctiv.propensity import loglik_gradient, penalized_loglik
@@ -264,28 +265,30 @@ def assert_same_fit(model, ref):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("tol, max_iter", [(1e-8, 100), (1e-8, 2), (1e-8, 0), (0.0, 12)])
-def test_fit_keeps_the_bits_of_the_first_solver(seed, tol, max_iter):
+def test_fit_keeps_the_bits_of_the_first_solver(monkeypatch, seed, tol, max_iter):
     rng = np.random.default_rng(seed)
     n, k = int(rng.integers(50, 3000)), int(rng.integers(1, 6))
     x = rng.normal(size=(n, k))
     labels = (rng.random(n) < expit(0.3 + 1.5 * x[:, 0])).astype(int)
     lam = [0.0, 1e-6, 0.3, 5.0][seed]
-    model = fit_logistic(x, labels, ridge_lambda=lam, tol=tol, max_iter=max_iter)
+    monkeypatch.setattr(ctiv.propensity, "_TOL", tol)
+    monkeypatch.setattr(ctiv.propensity, "_MAX_ITER", max_iter)
+    model = fit_logistic(x, labels, ridge_lambda=lam)
     assert_same_fit(model, reference_fit(x, labels, lam, tol, max_iter))
 
 
 def test_exhausted_step_halving_keeps_the_last_scale(monkeypatch):
     # a step straight downhill is refused at every one of the 50 scales;
     # beta then moves by the step at the final scale, 2**-50
-    import ctiv.propensity
     monkeypatch.setattr(np.linalg, "solve", lambda hess, grad: -1e3 * grad)
+    monkeypatch.setattr(ctiv.propensity, "_MAX_ITER", 3)
     rng = np.random.default_rng(31)
     x = rng.normal(size=(400, 2))
     labels = (rng.random(400) < expit(x[:, 0])).astype(int)
     calls = []
     monkeypatch.setattr(ctiv.propensity, "penalized_loglik",
                         lambda *a: calls.append(a) or penalized_loglik(*a))
-    model = fit_logistic(x, labels, ridge_lambda=1e-6, max_iter=3)
+    model = fit_logistic(x, labels, ridge_lambda=1e-6)
     assert model.iterations == 3 and not model.converged
     # the start, then 50 refused candidates and the step taken, three times
     assert len(calls) == 1 + 3 * 51
@@ -294,7 +297,6 @@ def test_exhausted_step_halving_keeps_the_last_scale(monkeypatch):
 
 
 def test_fit_evaluates_the_link_once_per_iterate(monkeypatch):
-    import ctiv.propensity
     calls = []
     link = ctiv.propensity.expit
     monkeypatch.setattr(ctiv.propensity, "expit",

@@ -1,9 +1,14 @@
-"""README's library Quickstart runs against the current API."""
+"""README's library Quickstart runs against the current API, and that API
+holds no name that only the tests use."""
 
+import inspect
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import ctiv
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_quickstart_runs(capsys):
@@ -82,3 +87,31 @@ def test_readme_and_the_error_classes_agree():
     named = set(re.findall(r"\w+Error\b", README.read_text(encoding="utf-8")))
     assert named - classes <= {"UsageError", "OSError", "MemoryError"}
     assert classes - named == set()
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only the tests reach is a second form the package need not
+    # keep. A use counts in the package's modules, the name's own
+    # definition aside, in README or in the benchmark harness
+    package = [p.read_text(encoding="utf-8") for p in (ROOT / "src" / "ctiv").glob("*.py")
+               if p.name != "__init__.py"]
+    elsewhere = [README.read_text(encoding="utf-8"),
+                 *(p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py"))]
+    unused = []
+    for name in ctiv.__all__:
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^(?:def |class ){name}\b|^{name}\s*[:=]", re.MULTILINE)
+        uses = sum(len(word.findall(text)) - len(definition.findall(text)) for text in package)
+        if uses < 1 and not any(word.search(text) for text in elsewhere):
+            unused.append(name)
+    assert unused == []
+
+
+def test_the_test_only_forms_left_the_package():
+    assert not hasattr(ctiv, "ColumnSchema") and not hasattr(ctiv.dataset, "ColumnSchema")
+    assert not hasattr(ctiv.Dataset, "equals")
+    assert not hasattr(ctiv.CausalTree, "leaves")
+    assert list(inspect.signature(ctiv.fit_logistic).parameters) == [
+        "covariates", "labels", "ridge_lambda"]
+    assert list(inspect.signature(ctiv.load_csv).parameters) == [
+        "path", "y_col", "w_col", "z_col", "feature_cols"]

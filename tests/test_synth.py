@@ -18,6 +18,7 @@ from ctiv.synth import (
     DIRECT_EFFECT_COEF,
     latent_receipt_coefficients,
 )
+from datasets import same_dataset
 
 
 def by_norm(cor_wz, cor_weta):
@@ -117,7 +118,7 @@ def test_potential_outcomes_consistent():
 def test_reproducible_and_seed_sensitive():
     a = generate(design_spec(4, 500, seed=47))
     b = generate(design_spec(4, 500, seed=47))
-    assert a.dataset.equals(b.dataset)
+    assert same_dataset(a.dataset, b.dataset)
     assert np.array_equal(a.true_cate, b.true_cate)
     c = generate(design_spec(4, 500, seed=48))
     assert not np.array_equal(a.dataset.y, c.dataset.y)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from ctiv import leaf_weighted_itt, transformed_outcome
-from ctiv.errors import EstimationError, ValidationError
+from ctiv.errors import EstimationError, InputError, ValidationError
 
 
 def test_transform_closed_forms():
-    assert transformed_outcome(2.0, 1, 0.5) == pytest.approx(4.0, abs=1e-15)
-    assert transformed_outcome(3.0, 0, 0.5) == pytest.approx(-6.0, abs=1e-15)
-    assert transformed_outcome(1.0, 1, 0.25) == pytest.approx(4.0, abs=1e-15)
+    star = transformed_outcome(np.array([2.0, 3.0, 1.0]), np.array([1, 0, 1]),
+                               np.array([0.5, 0.5, 0.25]))
+    assert star.tolist() == [4.0, -6.0, 4.0]
 
 
 def test_transform_equals_simple_form():
@@ -28,29 +28,40 @@ def test_transform_equals_simple_form():
 
 def test_transform_domain_error():
     with pytest.raises(ValidationError, match="strictly inside"):
-        transformed_outcome(1.0, 1, 0.0)
+        transformed_outcome(np.ones(1), np.ones(1), np.zeros(1))
     with pytest.raises(ValidationError, match="strictly inside"):
-        transformed_outcome(1.0, 0, 1.0)
+        transformed_outcome(np.ones(1), np.zeros(1), np.ones(1))
 
 
 @pytest.mark.parametrize("estimator", [transformed_outcome, leaf_weighted_itt])
 def test_non_binary_indicator_is_validation_error(estimator):
     with pytest.raises(ValidationError, match="d must be 0/1"):
-        estimator(np.ones(4), np.array([0.0, 1.0, 0.5, 1.0]), 0.5)
+        estimator(np.ones(4), np.array([0.0, 1.0, 0.5, 1.0]), np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("estimator", [transformed_outcome, leaf_weighted_itt])
+@pytest.mark.parametrize("y, d, e", [
+    (1.0, 1, 0.5),                                          # scalars
+    (np.array([1.0, 2.0]), np.array([1, 0]), 0.5),          # one e for all units
+    (np.ones((2, 1)), np.array([[1], [0]]), np.full((2, 1), 0.5))])  # not 1-D
+def test_inputs_are_aligned_1d_arrays(estimator, y, d, e):
+    with pytest.raises(InputError, match="y, d and e must be aligned"):
+        estimator(y, d, e)
 
 
 def test_weighted_itt_constant_e_is_mean_difference():
     y = np.array([3.0, 1.0, 2.0, 2.0])
     d = np.array([1, 1, 0, 0])
-    assert leaf_weighted_itt(y, d, 0.5) == pytest.approx(0.0, abs=1e-15)
+    e = np.full(4, 0.5)
+    assert leaf_weighted_itt(y, d, e) == pytest.approx(0.0, abs=1e-15)
     y2 = np.array([3.0, 3.0, 2.0, 2.0])
-    assert leaf_weighted_itt(y2, d, 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert leaf_weighted_itt(y2, d, e) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_weighted_itt_equal_outcomes_balanced():
     y = np.full(6, 5.0)
     d = np.array([1, 0, 1, 0, 1, 0])
-    assert leaf_weighted_itt(y, d, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert leaf_weighted_itt(y, d, np.full(6, 0.5)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_weighted_itt_hand_value():
@@ -91,7 +102,7 @@ def test_weighted_itt_scale_equivariance():
 
 def test_weighted_itt_empty_arm():
     with pytest.raises(EstimationError, match="each arm"):
-        leaf_weighted_itt(np.ones(4), np.ones(4), 0.5)
+        leaf_weighted_itt(np.ones(4), np.ones(4), np.full(4, 0.5))
 
 
 def test_weighted_itt_unbiased_constant_effect():

@@ -94,7 +94,7 @@ def oracle_best_split(ds, min_leaf, min_arm):
                 if n_side < min_leaf or min(n1, n_side - n1) < min_arm:
                     ok = False
                     break
-                tau = leaf_weighted_itt(ds.y[mask], d[mask], 0.5)
+                tau = leaf_weighted_itt(ds.y[mask], d[mask], np.full(n_side, 0.5))
                 sides.append(n_side * tau * tau)
             if ok:
                 gain = sides[0] + sides[1]
@@ -124,7 +124,7 @@ def test_grow_matches_exhaustive_enumeration():
         root = grow(ds, half(ds), cfg)
         min_leaf = max(1, math.ceil(0.1 * n))
         gain, j, thr = oracle_best_split(ds, min_leaf, 2)
-        parent = n * leaf_weighted_itt(y, d.astype(float), 0.5) ** 2
+        parent = n * leaf_weighted_itt(y, d.astype(float), np.full(n, 0.5)) ** 2
         if gain <= parent:
             assert root.is_leaf
             continue
@@ -492,8 +492,8 @@ def test_a_rescaled_outcome_gives_the_rescaled_tree(scale):
     assert base.root.n_leaves() == 2
     assert splits(tree.root) == splits(base.root)
     assert tree.alpha / scale / scale == pytest.approx(base.alpha, rel=1e-12)
-    assert [leaf.cace_hat / scale for leaf in tree.leaves()] == \
-        pytest.approx([leaf.cace_hat for leaf in base.leaves()], rel=1e-12)
+    assert [leaf.cace_hat / scale for leaf in tree.estimates] == \
+        pytest.approx([leaf.cace_hat for leaf in base.estimates], rel=1e-12)
 
 
 def test_outcomes_whose_squares_overflow_are_refused():
@@ -536,7 +536,7 @@ def test_full_tree_node_numbering():
 
     walk(tree.root)
     assert sorted(ids) == [1, 2, 3, 4, 5, 6, 7]
-    assert sorted(est.leaf_id for est in tree.leaves()) == [4, 5, 6, 7]
+    assert sorted(est.leaf_id for est in tree.estimates) == [4, 5, 6, 7]
     for node_id, est in tree.leaf_map.items():
         assert est.leaf_id == node_id
 
@@ -587,7 +587,7 @@ def test_fit_full_compliance_regimes_agree_exactly(unadjusted_tree_payload):
     iv_tree = trees[RegimeKind.IV_UNCONFOUNDED]
     assert json.loads(export_json(iv_tree))["tree"] != ct_payload
     assert unadjusted_tree_payload(iv_tree, ds) == ct_payload
-    for est in trees[RegimeKind.IV_UNCONFOUNDED].leaves():
+    for est in trees[RegimeKind.IV_UNCONFOUNDED].estimates:
         assert est.pi_c_hat == 1.0
         assert abs(est.cace_hat - est.itt_hat) == 0.0
 
