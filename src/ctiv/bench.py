@@ -152,8 +152,8 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     A sweep of more than ``MAX_CELLS`` (100,000) cells is refused before
     any cell is listed: it bounds the cell list, not the few cells handed
     to the workers at a time.
-    Cells run in ``parallel.usable_cpus()`` processes, at most one per
-    cell (see ``parallel.fan_out``); a lone cell runs in this process.
+    Cells run in ``parallel.fork_workers(len(cells))`` forked processes
+    (see ``parallel.fan_out``), or all in this process where that is 1.
     Per-cell seeds make the results identical at any count.
     ``progress(label, n, rep)`` is called as each cell finishes, in cell
     order, only when the cells run in this process.
@@ -182,7 +182,7 @@ def run_sweep(designs: list[str], sizes: list[int], n_seeds: int,
     results: list[BenchResult] = []
     failures: list[dict] = []
     # a lone cell runs here: a worker would only add a start-up
-    workers = parallel.usable_cpus() if len(cells) > 1 else 1
+    workers = parallel.fork_workers(len(cells))
     with parallel.fan_out(_run_cell_args, cells, workers) as outcomes:
         for args, outcome in zip(cells, outcomes):
             (results if isinstance(outcome, BenchResult) else failures).append(outcome)

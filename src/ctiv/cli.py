@@ -7,10 +7,11 @@ Exit codes: 0 success, 1 usage problems, 2 data/validation problems
 Failures print a one-line JSON object to stderr so callers can parse
 them. Every command writes its fully resolved configuration next to its
 outputs; re-running the same invocation reproduces the outputs byte for
-byte, and nothing time-dependent is ever written. One host dependence remains: BLAS sums in an order that follows
-its thread count, one per CPU by default, so the last digits of
-``tree.json`` and ``leaf_report.csv`` can differ between CPU counts
-unless ``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) is set.
+byte, and nothing time-dependent is ever written. One host dependence
+remains: BLAS sums in an order that follows its thread count, one per
+CPU by default, so the last digits of ``tree.json`` and
+``leaf_report.csv`` can differ between CPU counts unless
+``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) is set.
 """
 
 from __future__ import annotations

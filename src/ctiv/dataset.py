@@ -366,18 +366,25 @@ def save_csv(ds: Dataset, path: str | Path,
     writes each piece in order.
     """
     path = Path(path)
-    extras = extra_columns or {}
+    header = ["y", "w", "z", *ds.feature_names]
+    extras = {name: np.asarray(col) for name, col in (extra_columns or {}).items()}
+    # each check keeps a file that load_csv would refuse from being written
     for name, col in extras.items():
-        if len(col) != ds.n_units:
-            raise InputError(f"extra column '{name}' has wrong length")
+        if name in header:
+            raise InputError(f"extra column '{name}' repeats a column name")
+        if col.shape != (ds.n_units,):
+            raise InputError(f"extra column '{name}' has wrong length: shape {col.shape}, "
+                             f"not ({ds.n_units},)")
+        if col.dtype.kind not in "biuf" or not np.isfinite(col).all():
+            raise InputError(f"extra column '{name}' must hold finite numbers")
     # .tolist() gives Python ints for the arms and Python floats, whose str
     # is their repr; numpy 2 writes repr(np.float64(0.1)) as 'np.float64(0.1)'
     columns = [ds.y, ds.w, ds.z, *ds.covariates.T]
     columns += [np.asarray(col, dtype=np.float64) for col in extras.values()]
-    header = ["y", "w", "z", *ds.feature_names, *extras.keys()]
+    header += extras.keys()
     n = ds.n_units
     pieces = [(start, min(start + _WRITE_ROWS, n)) for start in range(0, n, _WRITE_ROWS)]
-    workers = fork_workers(n * len(columns) * _CELL_BYTES // _SHARE_BYTES)
+    workers = n * len(columns) * _CELL_BYTES // _SHARE_BYTES
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         with fan_out(partial(_format_rows, columns), pieces, workers) as texts:

@@ -1,4 +1,4 @@
-"""Fan tasks out to worker processes, one per usable CPU.
+"""Fan tasks out to forked worker processes, one per usable CPU.
 
 A forked worker starts with a copy of the caller's memory, so the task
 function reaches it without being pickled: a closure over large arrays
@@ -7,10 +7,9 @@ A process forks only where ``fork`` is the platform's own safe choice
 and no other Python thread is alive, since a thread holding a lock at
 the fork would leave that lock held forever in the child. (A BLAS
 library's own thread pool is not counted: OpenBLAS, for one, resets it
-around a fork.) Elsewhere the workers are spawned, and the task function
-and tasks must pickle; callers whose function is costly to pickle ask
-``fork_workers`` how many workers to use, which is one where forking is
-unsafe, and so stay in one process there.
+around a fork.) Elsewhere, and inside a worker, every task runs in this
+process. ``fork_workers`` states that rule and ``fan_out`` applies it,
+so a caller passes ``fan_out`` only how many workers its work could use.
 """
 
 from __future__ import annotations
@@ -39,24 +38,24 @@ def usable_cpus() -> int:
 def fork_is_safe() -> bool:
     """Whether this process may fork now: the platform offers ``fork``, it
     is not macOS (where system frameworks crash in a forked child, so
-    CPython spawns there by default), and this is the only live Python
-    thread."""
+    CPython does not fork there by default), and this is the only live
+    Python thread."""
     return (sys.platform != "darwin"
             and "fork" in multiprocessing.get_all_start_methods()
             and threading.active_count() == 1)
 
 
+# the function a worker's tasks run; set only in workers, where it so
+# marks a process that must not fork again
+_task_fn = None
+
+
 def fork_workers(wanted: int) -> int:
-    """Workers for a task function that must not be pickled: ``wanted``
-    clipped to [1, usable CPUs] where forking is safe, else 1."""
-    if not fork_is_safe():
+    """Forked workers for work that could use ``wanted``: ``wanted`` clipped
+    to [1, usable CPUs] where forking is safe outside a worker, else 1."""
+    if not fork_is_safe() or _task_fn is not None:
         return 1
     return max(1, min(usable_cpus(), wanted))
-
-
-# the function a worker's tasks run; set only in workers, which inherit
-# it at a fork or unpickle it once at a spawn
-_task_fn = None
 
 
 def _adopt(fn: Callable) -> None:
@@ -86,27 +85,26 @@ _AHEAD = 4
 def fan_out(fn: Callable, tasks: Iterable, workers: int) -> Iterator[Iterator]:
     """Yield an iterator over ``fn(task)`` for each task, in task order.
 
-    With ``workers`` > 1, up to ``workers`` processes (no more than there
-    are tasks), forked where that is safe and spawned elsewhere, take the
-    next task as they finish one. Entering the block submits the first
-    task and ``_AHEAD`` more per worker, so a lone task still goes to a
-    worker while the caller does other work; each result handed out draws
-    one more task. Leaving the block cancels the tasks no worker has
-    started and waits for the rest. A task's exception is raised when the
-    iterator reaches its result, and results are not kept here once handed
-    out. A worker that dies breaks the pool: every task not finished by
-    then runs in this process when the iterator reaches it. With one
-    worker, or inside a worker of another ``fan_out`` (which so never
-    starts grandchildren), each task runs here when the iterator reaches it.
+    Where ``fork_workers(workers)`` is more than 1, that many forked
+    processes (no more than there are tasks) take the next task as they
+    finish one. Entering the block submits the first task and ``_AHEAD``
+    more per worker, so a lone task still goes to a worker while the
+    caller does other work; each result handed out draws one more task.
+    Leaving the block cancels the tasks no worker has started and waits
+    for the rest. A task's exception is raised when the iterator reaches
+    its result, and results are not kept here once handed out. A worker
+    that dies breaks the pool: every task not finished by then runs in
+    this process when the iterator reaches it, as every task does where
+    ``fork_workers(workers)`` is 1 (which a worker's ``fan_out`` gets).
     """
     tasks = iter(tasks)
-    window = list(islice(tasks, _AHEAD * workers + 1)) if workers > 1 and _task_fn is None else []
+    workers = fork_workers(workers)
+    window = list(islice(tasks, _AHEAD * workers + 1)) if workers > 1 else []
     if not window:
         yield map(fn, tasks)
         return
-    method = "fork" if fork_is_safe() else "spawn"
     with ProcessPoolExecutor(min(workers, len(window)),
-                             mp_context=multiprocessing.get_context(method),
+                             mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(fn,)) as pool:
         def submit(task):
             """A call that returns the task's result."""

@@ -74,12 +74,6 @@ def penalized_loglik(beta: np.ndarray, x_aug: np.ndarray, labels: np.ndarray,
     return ll - 0.5 * ridge_lambda * float(beta[1:] @ beta[1:])
 
 
-def loglik_gradient(beta: np.ndarray, x_aug: np.ndarray, labels: np.ndarray,
-                    ridge_lambda: float) -> np.ndarray:
-    """Gradient of the penalised log-likelihood."""
-    return _gradient(expit(x_aug @ beta), beta, x_aug, labels, ridge_lambda)
-
-
 def _gradient(p: np.ndarray, beta: np.ndarray, x_aug: np.ndarray,
               labels: np.ndarray, ridge_lambda: float) -> np.ndarray:
     # the gradient at beta, given p = expit(x_aug @ beta)

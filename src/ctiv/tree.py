@@ -29,7 +29,7 @@ import numpy as np
 from .dataset import Dataset, check_trim_bounds, trim_by_propensity
 from .effects import LeafEstimate, estimate_leaf, overall_cace
 from .errors import EstimationError, InputError, ValidationError, require_probabilities
-from .parallel import fan_out, fork_workers
+from .parallel import fan_out
 from .propensity import (
     PropensityModel,
     check_ridge,
@@ -547,12 +547,11 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
     7. estimate each leaf's effects on train+validation.
 
     Step 6's growth does not need alpha. Above ``_OVERLAP_ROWS`` pooled
-    rows, with more than one usable CPU and where forking is safe, steps
-    3-5 run in a forked worker (see ``parallel.fan_out``, which also keeps
-    them in this process inside another worker) while this process grows
-    step 6's tree. Only alpha comes back, and a float pickles exactly, so
-    the tree is the same at any CPU count; an error in steps 3-5 wins over
-    one from step 6's growth, as when they run first.
+    rows, steps 3-5 run in a forked worker where ``parallel.fan_out``
+    starts one, while this process grows step 6's tree. Only alpha comes
+    back, and a float pickles exactly, so the tree is the same at any CPU
+    count; an error in steps 3-5 wins over one from step 6's growth, as
+    when they run first.
 
     ``split`` is the training mask ``holdout_split`` returns: a boolean
     array over the units of ``ds``, True for train; every other unit
@@ -602,7 +601,7 @@ def fit_ctiv(ds: Dataset, cfg: GrowthConfig, split: np.ndarray,
 
     # steps 3-5 run when their result is read, here or in a worker; read in
     # finally, their error wins over the pooled grow's, as if they ran first
-    workers = fork_workers(2 if omega_ds.n_units > _OVERLAP_ROWS else 1)
+    workers = 2 if omega_ds.n_units > _OVERLAP_ROWS else 1
     tasks = [None] if cfg.alpha_override is None else []
     with fan_out(holdout_alpha, tasks, workers) as alphas:
         try:

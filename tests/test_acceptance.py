@@ -28,7 +28,7 @@ from ctiv import (
     prune_path,
     run_sweep,
 )
-from ctiv.propensity import loglik_gradient, penalized_loglik
+from ctiv.propensity import _gradient, expit, penalized_loglik
 from leaf_reference import tsls_leaf
 
 SIZES = (500, 1000, 5000)
@@ -187,7 +187,7 @@ def test_logistic_gradient_against_finite_differences(capsys):
         labels = rng.integers(0, 2, n).astype(float)
         beta = rng.normal(scale=0.5, size=k + 1)
         lam = float(rng.choice([0.0, 1e-6, 1e-2]))
-        grad = loglik_gradient(beta, x_aug, labels, lam)
+        grad = _gradient(expit(x_aug @ beta), beta, x_aug, labels, lam)
         h = 1e-6
         num = np.empty_like(beta)
         for j in range(beta.size):

@@ -794,18 +794,22 @@ def test_bench_bytes_do_not_depend_on_workers(tmp_path, capsys, monkeypatch):
 
 
 def round_trip(capsys):
-    """simulate, fit and predict on 25,000 rows in the working directory:
-    every file's bytes, by path."""
+    """simulate, fit and predict on 25,000 rows, then a sweep of two cells,
+    in the working directory: every file's bytes, by path, and the
+    sweep's progress lines."""
     features = ",".join(f"x{i}" for i in range(1, 11))
     for argv in (("simulate", "--design", "2", "--n", "25000", "--seed", "4",
                   "--out", "sample.csv"),
                  ("fit", "--input", "sample.csv", "--regime", "iv-randomized",
                   "--features", features, "--out-dir", "fit"),
                  ("predict", "--tree", "fit/tree.json", "--input", "sample.csv",
-                  "--output", "predict.csv")):
-        code, _, err = run(capsys, *argv)
+                  "--output", "predict.csv"),
+                 ("bench", "--designs", "1", "--sizes", "300", "--seeds", "2",
+                  "--out-dir", "bench")):
+        code, stdout, err = run(capsys, *argv)
         assert code == EXIT_OK, err
-    return {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+    files = {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+    return files, stdout.count("done design")
 
 
 @pytest.mark.skipif(not ctiv.parallel.fork_is_safe(), reason="cannot fork here")
@@ -820,9 +824,11 @@ def test_commands_beside_another_thread_start_no_process(tmp_path, capsys, monke
     monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 2)
     (tmp_path / "forked").mkdir()
     monkeypatch.chdir(tmp_path / "forked")
-    forked = round_trip(capsys)
-    # simulate's writer, fit's reader and holdout tree, predict's reader
-    assert ctiv.tree._OVERLAP_ROWS < 25_000 and pools == [2, 2, 1, 2]
+    forked, forked_progress = round_trip(capsys)
+    # simulate's writer, fit's reader and holdout tree, predict's reader,
+    # the sweep's cells; only a sweep run here prints progress lines
+    assert ctiv.tree._OVERLAP_ROWS < 25_000 and pools == [2, 2, 1, 2, 2]
+    assert forked_progress == 0
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker process was started")
@@ -835,11 +841,12 @@ def test_commands_beside_another_thread_start_no_process(tmp_path, capsys, monke
     thread.start()
     try:
         assert not ctiv.parallel.fork_is_safe()
-        alone = round_trip(capsys)
+        alone, alone_progress = round_trip(capsys)
     finally:
         stop.set()
         thread.join(60)
     assert not thread.is_alive()
+    assert alone_progress == 2
     assert list(alone) == list(forked)
     assert alone == forked
 

@@ -196,6 +196,21 @@ def test_save_refuses_an_extra_column_of_another_length(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("name, column, message", [
+    ("x", [1.0, 2.0], "extra column 'x' repeats a column name"),
+    ("y", [1.0, 2.0], "extra column 'y' repeats a column name"),
+    ("truth", [[0.0, 0.0], [0.0, 0.0]],
+     r"extra column 'truth' has wrong length: shape \(2, 2\), not \(2,\)"),
+    ("truth", ["a", "b"], "extra column 'truth' must hold finite numbers"),
+    ("truth", [1.0, np.nan], "extra column 'truth' must hold finite numbers"),
+], ids=["feature", "role", "2-D", "text", "NaN"])
+def test_save_refuses_an_extra_column_that_would_not_read_back(tmp_path, name, column, message):
+    # each would write a file that load_csv refuses, or fail outside CtivError
+    with pytest.raises(InputError, match=message):
+        save_csv(Dataset(**UNITS), tmp_path / "out.csv", extra_columns={name: column})
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_load_rejects_a_header_cell_over_the_field_limit(tmp_path):
     path = write(tmp_path, "y,w,z," + "x" * 200_000 + "\n1,1,0,2\n")
     with pytest.raises(ValidationError, match="header row: field larger than field limit"):

@@ -1,4 +1,5 @@
-"""The process fan-out shared by the CSV reader and writer and the sweep."""
+"""The process fan-out shared by the CSV reader and writer, the fit and
+the sweep."""
 
 import collections
 import gc
@@ -17,6 +18,13 @@ import ctiv.parallel
 from ctiv.parallel import fan_out, fork_is_safe, fork_workers, usable_cpus
 
 needs_fork = pytest.mark.skipif(not fork_is_safe(), reason="cannot fork here")
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    # fan_out clips its workers to the usable CPUs: here there are two on
+    # any host, one CPU and taskset -c 0 among them
+    monkeypatch.setattr(ctiv.parallel, "usable_cpus", lambda: 2)
 
 
 @needs_fork
@@ -134,20 +142,31 @@ def started_pools(monkeypatch):
     return started
 
 
-def test_fan_out_spawns_while_another_thread_lives(monkeypatch):
+@needs_fork
+def test_fan_out_starts_no_more_workers_than_usable_cpus(monkeypatch):
     started = started_pools(monkeypatch)
+    with fan_out(operator.neg, range(20), 5) as results:
+        assert list(results) == [-i for i in range(20)]
+    assert started == [("fork", 2)]
+
+
+def test_fan_out_runs_each_task_here_while_another_thread_lives(monkeypatch):
+    # a thread holding a lock at a fork would leave it held in the child
+    started = started_pools(monkeypatch)
+    seen = []
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
         assert not fork_is_safe()
-        with fan_out(operator.neg, [1, 2, 3], 2) as results:
-            assert list(results) == [-1, -2, -3]
+        with fan_out(lambda i: seen.append(i) or (-i, os.getpid()), [1, 2, 3], 2) as results:
+            assert seen == []
+            assert list(results) == [(-i, os.getpid()) for i in (1, 2, 3)]
     finally:
         release.set()
         thread.join(60)
     assert not thread.is_alive()
-    assert started == [("spawn", 2)]
+    assert seen == [1, 2, 3] and started == []
 
 
 @pytest.mark.parametrize("platform, methods", [

@@ -10,7 +10,13 @@ from scipy.special import expit
 import ctiv.propensity
 from ctiv import estimate_constant_p, fit_logistic
 from ctiv.errors import EstimationError, InputError, ValidationError
-from ctiv.propensity import loglik_gradient, penalized_loglik
+from ctiv.propensity import _gradient, penalized_loglik
+
+
+def gradient(beta, x_aug, labels, lam):
+    """The penalised log-likelihood's gradient at ``beta``, as
+    ``fit_logistic`` takes it."""
+    return _gradient(ctiv.propensity.expit(x_aug @ beta), beta, x_aug, labels, lam)
 
 
 def test_balanced_no_signal_gives_zeros():
@@ -53,7 +59,7 @@ def test_fit_matches_independent_optimizer():
     ref = minimize(
         lambda b: -penalized_loglik(b, x_aug, labels.astype(float), lam),
         np.zeros(k + 1),
-        jac=lambda b: -loglik_gradient(b, x_aug, labels.astype(float), lam),
+        jac=lambda b: -gradient(b, x_aug, labels.astype(float), lam),
         method="BFGS",
         options={"gtol": 1e-10, "maxiter": 500},
     )
@@ -70,7 +76,7 @@ def test_gradient_matches_finite_differences():
         labels = rng.integers(0, 2, n).astype(float)
         lam = float(rng.uniform(0, 0.5))
         beta = rng.normal(scale=0.8, size=k + 1)
-        grad = loglik_gradient(beta, x_aug, labels, lam)
+        grad = gradient(beta, x_aug, labels, lam)
         h = 1e-6
         for j in range(k + 1):
             step = np.zeros(k + 1)
