@@ -22,6 +22,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bench import DESIGN_LABELS, format_summary, results_csv, run_sweep
 from .dataset import check_split, holdout_split, load_csv, read_csv_columns, save_csv
@@ -186,6 +188,11 @@ def _add_predict_parser(sub) -> None:
 
 
 def _cmd_predict(args) -> int:
+    """Write each input row's leaf and its estimates. The header must name
+    every feature the tree was fitted on, but only the columns its splits
+    test are parsed, so a bad cell, or a repeated header name, in another
+    column is no error; a tree of one leaf parses none and only counts the
+    rows and their cells."""
     try:
         # one leading byte-order mark is skipped, as in a CSV
         text = Path(args.tree).read_text(encoding="utf-8-sig")
@@ -193,6 +200,7 @@ def _cmd_predict(args) -> int:
         raise ValidationError(f"{args.tree}: not UTF-8 text ({exc.reason})") from None
     tree = load_json(text)
     names = list(tree.feature_names)
+    used = tree.split_features()
 
     def choose(header: list[str]) -> list[str]:
         missing = [c for c in names if c not in header]
@@ -200,9 +208,13 @@ def _cmd_predict(args) -> int:
             raise InputError(
                 f"{args.input}: missing feature columns {missing}; the tree "
                 f"expects {len(names)} features {names}")
-        return names
+        return [names[f] for f in used]
 
-    _, x = read_csv_columns(args.input, choose)
+    _, columns = read_csv_columns(args.input, choose)
+    # assign_leaves reads no other column: those stay zeros, column-major
+    # so that their pages are never touched
+    x = np.zeros((columns.shape[0], len(names)), order="F")
+    x[:, used] = columns
     line = {est.leaf_id: f"{est.leaf_id},{est.itt_hat!r},{est.cace_hat!r},{est.cace_se!r}\n"
             for est in tree.estimates}
     text = "leaf_id,itt_hat,cace_hat,cace_se\n"

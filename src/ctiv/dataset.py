@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -106,29 +107,37 @@ _SHARE_BYTES = 1 << 20
 _CELL_BYTES = 20
 
 
-def _pieces(fb, at: int = 0) -> Iterator[tuple[int, int, bytes]]:
+def _pieces(fb, at: int = 0) -> Iterator[tuple[int, int, tuple]]:
     """The bytes of the binary stream ``fb`` from its offset ``at`` on, as
-    pieces ``(start, stop, data)`` that tile them. ``fb`` is read
-    ``_SHARE_BYTES`` at a time, and a piece ends after the last ``\\n`` of a
-    read, else after its last ``\\r`` that a byte follows in it, else after
-    a ``\\r`` that ended the read before; a read with none of these grows
-    the piece. So every piece but the last ends where csv sees a line end
-    too, and none parts a CRLF."""
+    pieces ``(start, stop, parts)`` that tile them. ``parts`` are the
+    bytes-like objects whose concatenation is the piece, joined only where
+    the piece is parsed (see ``_joined``). ``fb`` is read ``_SHARE_BYTES``
+    at a time, and a piece ends after the last ``\\n`` of a read, else after
+    its last ``\\r`` that a byte follows in it, else after a ``\\r`` that
+    ended the read before; a read with none of these grows the piece. So
+    every piece but the last ends where csv sees a line end too, and none
+    parts a CRLF."""
     held = []                           # bytes read but in no piece: none is a \n
     while block := fb.read(_SHARE_BYTES):
         cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
         if cut or held and held[-1].endswith(b"\r"):
-            data = b"".join([*held, memoryview(block)[:cut]])
-            yield at, at + len(data), data
-            at, held = at + len(data), [block[cut:]]
+            parts = (*held, memoryview(block)[:cut])
+            stop = at + sum(map(len, parts))
+            yield at, stop, parts
+            at, held = stop, [block[cut:]]
         else:
             held.append(block)
-    if data := b"".join(held):
-        yield at, at + len(data), data
+    if size := sum(map(len, held)):
+        yield at, at + size, tuple(held)
 
 
-def _read_header(path: Path, pieces: Iterator[tuple[int, int, bytes]]
-                 ) -> tuple[list[str], Iterator[tuple[int, int, bytes]]]:
+def _joined(parts: tuple):
+    """The bytes of a piece's ``parts``, copied only if there are several."""
+    return parts[0] if len(parts) == 1 else b"".join(parts)
+
+
+def _read_header(path: Path, pieces: Iterator[tuple[int, int, tuple]]
+                 ) -> tuple[list[str], Iterator[tuple[int, int, tuple]]]:
     """The stripped header row at the start of ``pieces`` (see
     ``_pieces``), and the pieces of the data rows after it. One leading
     byte-order mark is skipped: it is not part of the first cell."""
@@ -143,33 +152,38 @@ def _read_header(path: Path, pieces: Iterator[tuple[int, int, bytes]]
     except csv.Error as exc:
         raise ValidationError(f"{path}: header row: {exc}") from None
     (start, stop, data), used = held
-    rest = [(start + used, stop, data[used:])] if used < len(data) else []
+    rest = [(start + used, stop, (memoryview(data)[used:],))] if used < len(data) else []
     return [h.strip() for h in header], chain(rest, pieces)
 
 
-def _lines(pieces: Iterable[tuple[int, int, bytes]], held: list) -> Iterator[str]:
-    """The lines of ``pieces``, each decoded as it is reached: a line that
-    is not UTF-8 raises UnicodeDecodeError after the lines before it.
-    ``held`` is set to the piece of the last line yielded and its bytes up
-    to that line's end."""
-    for piece in pieces:
-        used = 0
-        for line in piece[2].splitlines(keepends=True):
-            used += len(line)
-            held[:] = piece, used
-            yield line.decode("utf-8")
+# a line and its end, as bytes.splitlines(keepends=True) cuts them
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|[\r\n])|[^\r\n]+")
 
 
-def _numpy_rows(lines, width: int, cols: list[int],
+def _lines(pieces: Iterable[tuple[int, int, tuple]], held: list) -> Iterator[str]:
+    """The lines of ``pieces``, each cut and decoded as it is reached: a
+    line that is not UTF-8 raises UnicodeDecodeError after the lines before
+    it. ``held`` is set to the piece of the last line yielded, as
+    ``(start, stop, data)`` with its parts joined, and its bytes up to that
+    line's end."""
+    for start, stop, parts in pieces:
+        data = _joined(parts)
+        for line in _LINE.finditer(data):
+            held[:] = (start, stop, data), line.end()
+            yield line.group().decode("utf-8")
+
+
+def _numpy_rows(lines: list[str], text: str, width: int, cols: list[int],
                 binary: tuple[int, ...]) -> np.ndarray | None:
-    """A piece's data lines parsed by numpy, or None if they are irregular.
+    """A piece's data ``lines``, which make up its ``text``, parsed by
+    numpy, or None if they are irregular.
 
     Regular lines have no quote, exactly ``width - 1`` commas per line, no
     line longer than csv's field limit and no blank line, and its 0/1
     columns hold only 0 and 1. Any other lines, and any ValueError, are left
     to the per-cell parser, which also words every error message.
     """
-    if ('"' in "".join(lines)
+    if ('"' in text
             or set(map(str.count, lines, repeat(","))) != {width - 1}
             or any(map(_BLANK_LINES.__contains__, lines))
             or max(map(len, lines)) > csv.field_size_limit()):
@@ -219,20 +233,20 @@ def _reference_rows(rows: Iterator[list[str]], path: Path, header: list[str],
     return np.asarray(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
 
 
-def _parse_piece(parse: Callable, path: Path, piece: tuple[int, int, bytes | None]):
-    """``parse`` of the lines of ``piece``, a ``(start, stop, data)`` of
-    ``_pieces`` whose data, where None, is read here from ``path``; or
-    ``piece`` itself if they are irregular or not UTF-8."""
-    start, stop, data = piece
-    if data is None:
+def _parse_piece(parse: Callable, path: Path, piece: tuple[int, int, tuple | None]):
+    """``parse`` of the lines and text of ``piece``, a ``(start, stop,
+    parts)`` of ``_pieces`` whose parts, where None, are read here from
+    ``path``; or ``piece`` itself if they are irregular or not UTF-8."""
+    start, stop, parts = piece
+    if parts is None:
         with path.open("rb") as fb:
             fb.seek(start)
-            data = fb.read(stop - start)
+            parts = (fb.read(stop - start),)
     try:
-        text = data.decode("utf-8")
+        text = str(_joined(parts), "utf-8")
     except UnicodeDecodeError:
         return piece
-    block = parse(io.StringIO(text, newline="").readlines())
+    block = parse(io.StringIO(text, newline="").readlines(), text)
     return piece if block is None else block
 
 
@@ -244,18 +258,25 @@ def read_csv_columns(path: str | Path,
 
     ``choose`` gets the stripped header and returns the column names to
     read, raising if the header does not fit (SchemaError if it names
-    one of them twice). ``binary`` are positions in
-    that list whose cells must be 0 or 1. Regular text is parsed by numpy,
-    in the pieces ``_pieces`` cuts: forked workers parse those of a regular
-    file of at least twice ``_SHARE_BYTES`` and more than one piece, each
-    reading its own span (see ``parallel.fan_out``), and this process those
-    of other text, a pipe among them. From the first piece that is
-    irregular or not UTF-8 on, this process parses the rows cell by cell,
-    reading on from that piece's first byte, so no row is parsed twice and
-    a pipe reads as a file does. A line that is not UTF-8 raises ValidationError once the
-    rows before it are parsed. Then the first non-finite cell in row order
-    raises ValidationError. Row numbers in error messages are 1-based over
-    data rows. One leading byte-order mark is skipped.
+    one of them twice). Only those columns are parsed: a cell of another
+    column is never converted, and a header name repeated outside them is
+    no error. ``choose`` may return no name; every row's cells are still
+    counted, and the matrix has shape (rows, 0). ``binary`` are positions
+    in that list whose cells must be 0 or 1.
+
+    Regular text is parsed by numpy, in the pieces ``_pieces`` cuts:
+    forked workers parse those of a regular file of at least twice
+    ``_SHARE_BYTES`` and more than one piece, each reading its own span
+    (see ``parallel.fan_out``), and this process those of other text, a
+    pipe among them. A shared file is read here only to be cut, and of its
+    bytes this process copies the header row's alone. From the first
+    piece that is irregular or not UTF-8 on, this process parses the rows
+    cell by cell, reading on from that piece's first byte, so no row is
+    parsed twice and a pipe reads as a file does. A line that is not UTF-8
+    raises ValidationError once the rows before it are parsed. Then the
+    first non-finite cell in row order raises ValidationError. Row numbers
+    in error messages are 1-based over data rows. One leading byte-order
+    mark is skipped.
     """
     path = Path(path)
     try:

@@ -520,6 +520,11 @@ class CausalTree:
             out[rows] = leaf.node_id
         return out
 
+    def split_features(self) -> list[int]:
+        """The positions in ``feature_names`` that some split tests, in
+        ascending order: the only columns ``assign_leaves`` reads."""
+        return sorted({node.feature for node in _preorder(self.root) if not node.is_leaf})
+
     @property
     def leaf_map(self) -> dict[int, LeafEstimate]:
         return {est.leaf_id: est for est in self.estimates}

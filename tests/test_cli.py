@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import ctiv.dataset
 import ctiv.errors
+import ctiv.parallel
 from ctiv import (Dataset, GrowthConfig, design_spec, export_json, fit_ctiv, generate,
                   holdout_split, load_json, save_csv)
 from ctiv.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main
@@ -868,14 +869,17 @@ def test_version_flag(capsys):
 
 
 def _one_feature_tree(tmp_path, capsys):
+    """A tree.json fitted on x1 alone that splits on it, so predict reads
+    x1: unpruned, since the holdout's pick here is the bare root."""
     data = tmp_path / "d1.csv"
     run(capsys, "simulate", "--design", "1", "--n", "800", "--seed", "2",
         "--out", str(data))
     fit_dir = tmp_path / "fit"
     code, _, err = run(capsys, "fit", "--input", str(data), "--regime",
-                       "iv-randomized", "--features", "x1",
+                       "iv-randomized", "--features", "x1", "--alpha", "0",
                        "--out-dir", str(fit_dir), "--seed", "2")
     assert code == EXIT_OK, err
+    assert load_json((fit_dir / "tree.json").read_text()).split_features() == [0]
     return fit_dir / "tree.json"
 
 
@@ -1003,6 +1007,111 @@ def test_predict_reports_bad_cell(tmp_path, capsys):
     assert json.loads(err) == {
         "error": "ValidationError",
         "message": "blank value for column 'x1' at data row 2"}
+
+
+def _split_tree(tmp_path, capsys, *options):
+    """The path of a 2,000-row design-2 sample, the path of the tree.json
+    fitted on its x1..x10 with ``options``, and that tree."""
+    data = tmp_path / "d2.csv"
+    run(capsys, "simulate", "--design", "2", "--n", "2000", "--seed", "5",
+        "--out", str(data))
+    fit_dir = tmp_path / "fit"
+    code, _, err = run(capsys, "fit", "--input", str(data), "--regime", "iv-randomized",
+                       "--features", ",".join(f"x{i}" for i in range(1, 11)),
+                       "--seed", "5", "--out-dir", str(fit_dir), *options)
+    assert code == EXIT_OK, err
+    return data, fit_dir / "tree.json", load_json((fit_dir / "tree.json").read_text())
+
+
+def _with_cells(source, target, cells, header=None):
+    """``source``'s CSV text with ``cells`` ({(data row, column): text})
+    put in, and its header row replaced by ``header`` if given."""
+    lines = source.read_bytes().decode().split("\r\n")
+    names = lines[0].split(",")
+    for (row, column), text in cells.items():
+        line = lines[row].split(",")
+        line[names.index(column)] = text
+        lines[row] = ",".join(line)
+    if header is not None:
+        lines[0] = ",".join(header)
+    target.write_bytes("\r\n".join(lines).encode())
+
+
+def _predict(capsys, tree, data, shared):
+    """``predict`` of ``data``, in this process or in pieces of 16 KiB
+    shared among up to 3 processes; the exit code, stderr and output."""
+    out = data.with_suffix(".out")
+    with contextlib.ExitStack() as stack:
+        if shared:
+            stack.enter_context(mock.patch.object(ctiv.dataset, "_SHARE_BYTES", 1 << 14))
+            stack.enter_context(mock.patch.object(ctiv.parallel, "usable_cpus",
+                                                  return_value=3))
+        code, _, err = run(capsys, "predict", "--tree", str(tree), "--input", str(data),
+                           "--output", str(out))
+    return code, err, out.read_bytes() if out.exists() else None
+
+
+JUNK = ["abc", "nan", ""]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_predict_reads_only_the_columns_its_splits_test(tmp_path, capsys, shared):
+    data, tree_path, tree = _split_tree(tmp_path, capsys, "--max-depth", "2", "--alpha", "0")
+    split = [tree.feature_names[f] for f in tree.split_features()]
+    unsplit = [name for name in tree.feature_names if name not in split]
+    assert split and unsplit
+    # text, nan and blank cells early and late in every column no split
+    # tests, and a header naming one of them twice, where true_cate was
+    cells = {(row, column): JUNK[(row + i) % 3]
+             for i, column in enumerate(unsplit) for row in (1, 2, 3, 1500, 2000)}
+    header = data.read_bytes().split(b"\r\n", 1)[0].decode().split(",")
+    junk = tmp_path / "junk.csv"
+    _with_cells(data, junk, cells, [*header[:-1], unsplit[0]])
+    assert data.stat().st_size >= 2 * (1 << 14)
+    clean = _predict(capsys, tree_path, data, shared)
+    assert clean[:2] == (EXIT_OK, "")
+    assert _predict(capsys, tree_path, junk, shared) == clean
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("text, message", [
+    ("abc", "non-numeric value 'abc' for column '{column}' at data row 1500"),
+    ("nan", "{path}: non-finite value nan for column '{column}' at data row 1500"),
+    ("", "blank value for column '{column}' at data row 1500"),
+])
+def test_predict_refuses_a_bad_cell_in_a_split_column(tmp_path, capsys, shared, text,
+                                                      message):
+    data, tree_path, tree = _split_tree(tmp_path, capsys, "--max-depth", "2", "--alpha", "0")
+    column = tree.feature_names[tree.split_features()[-1]]
+    bad = tmp_path / "bad.csv"
+    _with_cells(data, bad, {(1500, column): text})
+    code, err, out = _predict(capsys, tree_path, bad, shared)
+    assert code == EXIT_DATA and out is None
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": message.format(path=bad, column=column)}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_predict_with_a_one_leaf_tree_reads_no_column(tmp_path, capsys, shared):
+    data, tree_path, tree = _split_tree(tmp_path, capsys, "--alpha", "1e300")
+    assert tree.split_features() == [] and tree.root.is_leaf
+    cells = {(row, f"x{i}"): JUNK[(row + i) % 3] for i in range(1, 11) for row in range(1, 2001)}
+    junk = tmp_path / "junk.csv"
+    _with_cells(data, junk, cells)
+    code, err, out = _predict(capsys, tree_path, junk, shared)
+    assert (code, err) == (EXIT_OK, "")
+    root = tree.estimates[0]
+    row = f"1,{root.itt_hat!r},{root.cace_hat!r},{root.cace_se!r}\n"
+    assert out.decode() == "leaf_id,itt_hat,cace_hat,cace_se\n" + row * 2000
+    # every row's cells are still counted
+    lines = junk.read_bytes().split(b"\r\n")
+    lines[1700] = b",".join(lines[1700].split(b",")[:6])
+    short = tmp_path / "short.csv"
+    short.write_bytes(b"\r\n".join(lines))
+    code, err, out = _predict(capsys, tree_path, short, shared)
+    assert code == EXIT_DATA and out is None
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": f"{short}: data row 1700 has 6 cells, expected 14"}
 
 
 def _late_byte_csv(path):

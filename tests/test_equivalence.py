@@ -523,11 +523,18 @@ def many_shares(cpus=3):
 SHARE_BYTES = [1, 7, 64, 1 << 20]
 
 
+def no_column(path):
+    """A read of ``path`` that names no column: it counts the rows and
+    their cells, and gives one empty row per data row."""
+    return lambda: read_csv_columns(path, lambda header: [])
+
+
 def reads(path):
     return [
         lambda: load_csv(path, feature_cols=("x1", "x2")),
         lambda: load_csv(path),     # label is a feature: non-numeric
         lambda: read_csv_columns(path, lambda header: ["x2", "x1"]),
+        no_column(path),
     ]
 
 
@@ -677,6 +684,7 @@ def test_regular_csv_takes_the_numpy_path_in_every_share(tmp_path, header, cpus)
         with mock.patch.object(ctiv.dataset, "_reference_rows",
                                side_effect=AssertionError("per-cell parser used")):
             assert outcome(lambda: load_csv(path, feature_cols=features)) == expected
+            assert outcome(no_column(path)) == ([], (60, 0), b"")
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "mixed"])
@@ -747,7 +755,8 @@ def test_cr_only_text_is_cut_at_cr_and_shared(tmp_path, monkeypatch):
         assert all(text[stop - 1:stop] == b"\r" for _, stop in pieces)
         for read in reads(path):
             assert outcome(read) == reference(read)
-    assert pools == ([3] * 6 if ctiv.parallel.fork_is_safe() else [])
+    # a pool of 3 for each read and one for its reference
+    assert pools == ([3] * 2 * len(reads(path)) if ctiv.parallel.fork_is_safe() else [])
 
 
 def test_text_of_one_piece_is_read_in_this_process(tmp_path, monkeypatch):
@@ -825,14 +834,15 @@ def test_piped_csv_reads_as_the_file(tmp_path):
     path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
     os.mkfifo(fifo)
     features = ("x1", "x2")
-    for (case, (text, _)), share_bytes in itertools.product(sorted(cases.items()),
-                                                            [64, 1 << 20]):
+    for (case, (text, _)), share_bytes, read in itertools.product(
+            sorted(cases.items()), [64, 1 << 20],
+            [lambda p: lambda: load_csv(p, feature_cols=features), no_column]):
         path.write_bytes(text)
         with pieces_of(share_bytes, cpus=3):
-            expected = outcome(lambda: load_csv(path, feature_cols=features))
+            expected = outcome(read(path))
             writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
             try:
-                got = str(outcome(lambda: load_csv(fifo, feature_cols=features)))
+                got = str(outcome(read(fifo)))
                 assert got.replace(str(fifo), str(path)) == str(expected), (case, share_bytes)
             finally:
                 writer.wait(30)
