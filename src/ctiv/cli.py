@@ -28,7 +28,7 @@ from . import __version__
 from .bench import DESIGN_LABELS, format_summary, results_csv, run_sweep
 from .dataset import check_split, holdout_split, load_csv, read_csv_columns, save_csv
 from .effects import WEAK_F_THRESHOLD
-from .errors import CtivError, EstimationError, InputError, ValidationError
+from .errors import CtivError, EstimationError, InputError, reading
 from .synth import DESIGN_IDS, SCENARIOS, design_spec, generate
 from .transform import RegimeKind
 from .tree import GrowthConfig, export_dot, export_json, fit_ctiv, load_json
@@ -192,22 +192,19 @@ def _cmd_predict(args) -> int:
     every feature the tree was fitted on, but only the columns its splits
     test are parsed, so a bad cell, or a repeated header name, in another
     column is no error; a tree of one leaf parses none and only counts the
-    rows and their cells."""
-    try:
+    rows and their cells. An error in reading either file starts with its
+    path."""
+    with reading(args.tree):
         # one leading byte-order mark is skipped, as in a CSV
-        text = Path(args.tree).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{args.tree}: not UTF-8 text ({exc.reason})") from None
-    tree = load_json(text)
+        tree = load_json(Path(args.tree).read_text(encoding="utf-8-sig"))
     names = list(tree.feature_names)
     used = tree.split_features()
 
     def choose(header: list[str]) -> list[str]:
         missing = [c for c in names if c not in header]
         if missing:
-            raise InputError(
-                f"{args.input}: missing feature columns {missing}; the tree "
-                f"expects {len(names)} features {names}")
+            raise InputError(f"missing feature columns {missing}; the tree "
+                             f"expects {len(names)} features {names}")
         return [names[f] for f in used]
 
     _, columns = read_csv_columns(args.input, choose)

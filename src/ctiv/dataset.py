@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, SchemaError, ValidationError, require_binary
+from .errors import InputError, SchemaError, ValidationError, reading, require_binary
 from .parallel import fan_out, fork_workers
 
 
@@ -136,7 +136,7 @@ def _joined(parts: tuple):
     return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
-def _read_header(path: Path, pieces: Iterator[tuple[int, int, tuple]]
+def _read_header(pieces: Iterator[tuple[int, int, tuple]]
                  ) -> tuple[list[str], Iterator[tuple[int, int, tuple]]]:
     """The stripped header row at the start of ``pieces`` (see
     ``_pieces``), and the pieces of the data rows after it. One leading
@@ -148,9 +148,9 @@ def _read_header(path: Path, pieces: Iterator[tuple[int, int, tuple]]
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError(f"{path}: empty file, no header row") from None
+        raise SchemaError("empty file, no header row") from None
     except csv.Error as exc:
-        raise ValidationError(f"{path}: header row: {exc}") from None
+        raise ValidationError(f"header row: {exc}") from None
     (start, stop, data), used = held
     rest = [(start + used, stop, (memoryview(data)[used:],))] if used < len(data) else []
     return [h.strip() for h in header], chain(rest, pieces)
@@ -173,15 +173,14 @@ def _lines(pieces: Iterable[tuple[int, int, tuple]], held: list) -> Iterator[str
             yield line.group().decode("utf-8")
 
 
-def _numpy_rows(lines: list[str], text: str, width: int, cols: list[int],
-                binary: tuple[int, ...]) -> np.ndarray | None:
+def _numpy_rows(lines: list[str], text: str, width: int, cols: list[int]) -> np.ndarray | None:
     """A piece's data ``lines``, which make up its ``text``, parsed by
     numpy, or None if they are irregular.
 
     Regular lines have no quote, exactly ``width - 1`` commas per line, no
-    line longer than csv's field limit and no blank line, and its 0/1
-    columns hold only 0 and 1. Any other lines, and any ValueError, are left
-    to the per-cell parser, which also words every error message.
+    line longer than csv's field limit and no blank line. Any other lines,
+    and any ValueError, are left to the per-cell parser, which also words
+    every error message about the text.
     """
     if ('"' in text
             or set(map(str.count, lines, repeat(","))) != {width - 1}
@@ -191,45 +190,26 @@ def _numpy_rows(lines: list[str], text: str, width: int, cols: list[int],
     # comments=None: numpy would cut text at '#'. The blank lines numpy
     # would skip, csv.reader reports as rows of 0 cells (excluded above).
     try:
-        block = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                           usecols=cols, ndmin=2)
+        return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                          usecols=cols, ndmin=2)
     except ValueError:
         return None
-    flags = block[:, list(binary)]
-    if not ((flags == 0.0) | (flags == 1.0)).all():
-        return None
-    return block
 
 
-def _reference_rows(rows: Iterator[list[str]], path: Path, header: list[str],
-                    columns: list[str], binary: tuple[int, ...],
-                    done: int) -> np.ndarray:
+def _reference_rows(rows: Iterator[list[str]], header: list[str],
+                    columns: list[str], done: int) -> np.ndarray:
     """Per-cell parse of the data rows ``rows`` yields, numbered from
-    ``done + 1``; the reference for values and errors.
-
-    A row's 0/1 columns are checked as soon as the last of them is parsed.
-    """
+    ``done + 1``; the reference for values and for the text's errors."""
     idx = [header.index(c) for c in columns]
-    check_at = max(binary, default=-1)
     parsed = []
     try:
         for i, row in enumerate(rows, start=done + 1):
             if len(row) != len(header):
-                raise ValidationError(f"{path}: data row {i} has {len(row)} "
+                raise ValidationError(f"data row {i} has {len(row)} "
                                       f"cells, expected {len(header)}")
-            values = []
-            for k, (j, name) in enumerate(zip(idx, columns)):
-                values.append(_parse_cell(row[j], name, i))
-                if k == check_at:
-                    for b in binary:
-                        if values[b] not in (0.0, 1.0):
-                            raise ValidationError(
-                                f"{path}: column '{columns[b]}' must be 0/1 "
-                                f"but data row {i} has {values[b]:g}")
-            parsed.append(values)
+            parsed.append([_parse_cell(row[j], name, i) for j, name in zip(idx, columns)])
     except csv.Error as exc:            # e.g. a cell over csv's field size limit
-        raise ValidationError(
-            f"{path}: data row {done + len(parsed) + 1}: {exc}") from None
+        raise ValidationError(f"data row {done + len(parsed) + 1}: {exc}") from None
     return np.asarray(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
 
 
@@ -251,8 +231,7 @@ def _parse_piece(parse: Callable, path: Path, piece: tuple[int, int, tuple | Non
 
 
 def read_csv_columns(path: str | Path,
-                     choose: Callable[[list[str]], list[str]],
-                     binary: tuple[int, ...] = ()) -> tuple[list[str], np.ndarray]:
+                     choose: Callable[[list[str]], list[str]]) -> tuple[list[str], np.ndarray]:
     """The columns ``choose(header)`` names, as a float matrix with one row
     per data row.
 
@@ -261,8 +240,7 @@ def read_csv_columns(path: str | Path,
     one of them twice). Only those columns are parsed: a cell of another
     column is never converted, and a header name repeated outside them is
     no error. ``choose`` may return no name; every row's cells are still
-    counted, and the matrix has shape (rows, 0). ``binary`` are positions
-    in that list whose cells must be 0 or 1.
+    counted, and the matrix has shape (rows, 0).
 
     Regular text is parsed by numpy, in the pieces ``_pieces`` cuts:
     forked workers parse those of a regular file of at least twice
@@ -272,50 +250,47 @@ def read_csv_columns(path: str | Path,
     bytes this process copies the header row's alone. From the first
     piece that is irregular or not UTF-8 on, this process parses the rows
     cell by cell, reading on from that piece's first byte, so no row is
-    parsed twice and a pipe reads as a file does. A line that is not UTF-8
-    raises ValidationError once the rows before it are parsed. Then the
-    first non-finite cell in row order raises ValidationError. Row numbers
-    in error messages are 1-based over data rows. One leading byte-order
-    mark is skipped.
+    parsed twice and a pipe reads as a file does. Every error, ``choose``'s
+    too, starts with ``path``. The text's errors come first, in row order (a
+    line not UTF-8, a row of the wrong length, a blank or non-numeric
+    cell), then the first non-finite cell. Row numbers in error messages
+    are 1-based over data rows. One leading byte-order mark is skipped.
     """
     path = Path(path)
-    try:
-        with path.open("rb") as fb:
-            header, pieces = _read_header(path, _pieces(fb))
-            columns = choose(header)
-            twice = [name for name in columns if header.count(name) > 1]
-            if twice:
-                raise SchemaError(f"{path}: the header names column '{twice[0]}' more than once")
-            parse = partial(_numpy_rows, width=len(header),
-                            cols=[header.index(c) for c in columns], binary=binary)
-            # a pipe's size reads as 0, or as the little it buffers; text of
-            # one piece, which ends at the end of the file, stays in this process
-            size = os.fstat(fb.fileno()).st_size
-            first = next(pieces, None)
-            shares = fork_workers(size // _SHARE_BYTES) if first and first[1] < size else 1
-            pieces = chain([first] if first else [], pieces)
-            tasks = pieces if shares == 1 else ((start, stop, None) for start, stop, _ in pieces)
-            blocks, part = [], None
-            with fan_out(partial(_parse_piece, parse, path), tasks, shares) as parts:
-                for part in parts:
-                    if isinstance(part, tuple):     # the first irregular piece
-                        break
-                    # copied as handed over: the pool's result thread unpickles into
-                    # its own malloc arena, which so holds a piece or two, not them all
-                    blocks.append(part.copy())
-            if isinstance(part, tuple):
-                # read on from its first byte here, a worker's span from the file
-                pieces = _pieces(fb, fb.seek(part[0])) if part[2] is None else chain([part], pieces)
-                blocks.append(_reference_rows(csv.reader(_lines(pieces, [])), path, header,
-                                              columns, binary, sum(map(len, blocks))))
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    data = np.concatenate([np.empty((0, len(columns))), *blocks])
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValidationError(f"{path}: non-finite value {float(data[row, col])!r} for "
-                              f"column '{columns[col]}' at data row {row + 1}")
+    with reading(path), path.open("rb") as fb:
+        header, pieces = _read_header(_pieces(fb))
+        columns = choose(header)
+        twice = [name for name in columns if header.count(name) > 1]
+        if twice:
+            raise SchemaError(f"the header names column '{twice[0]}' more than once")
+        parse = partial(_numpy_rows, width=len(header),
+                        cols=[header.index(c) for c in columns])
+        # a pipe's size reads as 0, or as the little it buffers; text of
+        # one piece, which ends at the end of the file, stays in this process
+        size = os.fstat(fb.fileno()).st_size
+        first = next(pieces, None)
+        shares = fork_workers(size // _SHARE_BYTES) if first and first[1] < size else 1
+        pieces = chain([first] if first else [], pieces)
+        tasks = pieces if shares == 1 else ((start, stop, None) for start, stop, _ in pieces)
+        blocks, part = [], None
+        with fan_out(partial(_parse_piece, parse, path), tasks, shares) as parts:
+            for part in parts:
+                if isinstance(part, tuple):     # the first irregular piece
+                    break
+                # copied as handed over: the pool's result thread unpickles into
+                # its own malloc arena, which so holds a piece or two, not them all
+                blocks.append(part.copy())
+        if isinstance(part, tuple):
+            # read on from its first byte here, a worker's span from the file
+            pieces = _pieces(fb, fb.seek(part[0])) if part[2] is None else chain([part], pieces)
+            blocks.append(_reference_rows(csv.reader(_lines(pieces, [])), header,
+                                          columns, sum(map(len, blocks))))
+        data = np.concatenate([np.empty((0, len(columns))), *blocks])
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            row, col = bad[0]
+            raise ValidationError(f"non-finite value {float(data[row, col])!r} for "
+                                  f"column '{columns[col]}' at data row {row + 1}")
     return columns, data
 
 
@@ -328,8 +303,11 @@ def load_csv(path: str | Path, y_col: str = "y", w_col: str = "w", z_col: str = 
     assignment columns, three distinct ones. ``feature_cols=None`` makes
     every other column a feature, in file order; else the features are the
     columns named, in that order, none of them twice or a role column.
-    Row numbers in error messages are 1-based over data rows (the header
-    is row 0).
+
+    Every error starts with ``path``: first those of ``read_csv_columns``,
+    then a file without data rows, then the first ``w`` or ``z`` cell other
+    than 0 or 1 in row order. Row numbers in error messages are 1-based
+    over data rows (the header is row 0).
     """
     path = Path(path)
 
@@ -337,30 +315,36 @@ def load_csv(path: str | Path, y_col: str = "y", w_col: str = "w", z_col: str = 
         roles = (("y", y_col), ("w", w_col), ("z", z_col))
         for i, (role, col) in enumerate(roles):
             if col not in header:
-                raise SchemaError(f"{path}: missing required {role} column '{col}'")
+                raise SchemaError(f"missing required {role} column '{col}'")
             for other, taken in roles[:i]:
                 if col == taken:
-                    raise SchemaError(f"{path}: the {other} and {role} roles "
-                                      f"both name column '{col}'")
+                    raise SchemaError(f"the {other} and {role} roles both name column '{col}'")
         if feature_cols is None:
             features = [c for c in header if c not in (y_col, w_col, z_col)]
         else:
             features = list(feature_cols)
             for i, col in enumerate(features):
                 if col not in header:
-                    raise SchemaError(f"{path}: missing feature column '{col}'")
+                    raise SchemaError(f"missing feature column '{col}'")
                 if col in features[:i]:
-                    raise SchemaError(f"{path}: feature column '{col}' is named twice")
+                    raise SchemaError(f"feature column '{col}' is named twice")
             for role, col in roles:
                 if col in features:
-                    raise SchemaError(f"{path}: feature column '{col}' is the {role} column")
+                    raise SchemaError(f"feature column '{col}' is the {role} column")
         if not features:
-            raise SchemaError(f"{path}: no feature columns remain")
+            raise SchemaError("no feature columns remain")
         return [y_col, w_col, z_col, *features]
 
-    columns, data = read_csv_columns(path, choose, binary=(1, 2))
-    if data.shape[0] == 0:
-        raise ValidationError(f"{path}: no data rows")
+    columns, data = read_csv_columns(path, choose)
+    with reading(path):
+        if data.shape[0] == 0:
+            raise ValidationError("no data rows")
+        flags = data[:, 1:3]
+        bad = np.argwhere((flags != 0.0) & (flags != 1.0))
+        if bad.size:
+            row, col = bad[0]
+            raise ValidationError(f"column '{columns[col + 1]}' must be 0/1 "
+                                  f"but data row {row + 1} has {flags[row, col]:g}")
     return Dataset(
         covariates=np.ascontiguousarray(data[:, 3:]),
         z=data[:, 2].astype(np.int8),

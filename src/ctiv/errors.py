@@ -4,9 +4,12 @@ One class per thing a user can fix: an argument (InputError), the CSV
 header or column flags (SchemaError), the data's values (ValidationError),
 or data that cannot identify the estimate (EstimationError). The CLI
 exits 3 on EstimationError and 2 on every other CtivError.
-``require_binary`` is the package's one 0/1 check, ``require_probabilities``
-its one check for values strictly inside (0, 1); both raise ValidationError.
+``require_binary`` checks that values are 0 or 1, ``require_probabilities``
+that they lie strictly inside (0, 1); both raise ValidationError.
+``reading`` is the one place an error names the file it came from.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -48,3 +51,15 @@ def require_probabilities(values, name: str) -> np.ndarray:
     if not ((arr > 0.0) & (arr < 1.0)).all():
         raise ValidationError(f"{name} must lie strictly inside (0, 1)")
     return arr
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Name ``path`` at the start of every error raised inside: a CtivError
+    keeps its class, and text that is not UTF-8 raises ValidationError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except CtivError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

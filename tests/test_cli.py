@@ -751,7 +751,7 @@ def test_predict_feature_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "predict", "--tree", str(fit_dir / "tree.json"),
                        "--input", str(wrong), "--output", str(tmp_path / "p.csv"))
     assert code == EXIT_DATA
-    assert "x1" in json.loads(err)["message"]
+    assert names_one_file(err, wrong).startswith(f"{wrong}: missing feature columns ['x1']")
 
 
 def test_bench_small_run(tmp_path, capsys):
@@ -947,7 +947,7 @@ def test_predict_leaf_without_an_estimate_exit_data(tmp_path, capsys):
     code, _, err = run(capsys, "predict", "--tree", str(tree), "--input", str(data),
                        "--output", str(tmp_path / "p.csv"))
     assert code == EXIT_DATA
-    assert json.loads(err) == {"error": "ValidationError", "message": message}
+    assert json.loads(err) == {"error": "ValidationError", "message": f"{tree}: {message}"}
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -993,7 +993,7 @@ def test_predict_tree_nested_too_deeply_exit_data(tmp_path, capsys):
     assert code == EXIT_DATA
     assert err.count("\n") == 1 and "Traceback" not in err
     assert json.loads(err) == {"error": "ValidationError",
-                               "message": "JSON nested too deeply to load"}
+                               "message": f"{tree}: JSON nested too deeply to load"}
     assert not out.exists()
 
 
@@ -1006,7 +1006,73 @@ def test_predict_reports_bad_cell(tmp_path, capsys):
     assert code == EXIT_DATA
     assert json.loads(err) == {
         "error": "ValidationError",
-        "message": "blank value for column 'x1' at data row 2"}
+        "message": f"{bad}: blank value for column 'x1' at data row 2"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"format": "ctiv-tree"}',
+    '{"format": "ctiv-tree", "version": 2}',
+    '{"format": "ctiv-tree", "version": 1',
+    "[]",
+    '{"format": "ctiv-tree", "version": 1}',
+])
+def test_predict_names_the_tree_json_in_every_error(tmp_path, capsys, text):
+    with pytest.raises(ValidationError) as raised:
+        load_json(text)
+    tree, data = tmp_path / "tree.json", tmp_path / "x.csv"
+    tree.write_text(text)
+    data.write_text("x1\n0.5\n")
+    code, _, err = run(capsys, "predict", "--tree", str(tree),
+                       "--input", str(data), "--output", str(tmp_path / "p.csv"))
+    assert code == EXIT_DATA
+    assert json.loads(err) == {"error": "ValidationError", "message": f"{tree}: {raised.value}"}
+
+
+def names_one_file(err, *paths):
+    """The message of the JSON error line ``err``, once it starts with one
+    of ``paths`` and names none of them anywhere else."""
+    message = json.loads(err)["message"]
+    assert any(message.startswith(f"{path}: ") for path in paths), message
+    assert sum(message.count(str(path)) for path in paths) == 1, message
+    return message
+
+
+_X1_ROWS = b"".join(f"{i / 8!r},a\n".encode() for i in range(30))
+# one of each error predict's read of a CSV can end in, for a tree that
+# splits on x1; the text's faults lie past its first 128 bytes
+PREDICT_READ_ERRORS = {
+    "blank cell": b"x1,label\n" + _X1_ROWS + b",b\n",
+    "non-numeric cell": b"x1,label\n" + _X1_ROWS + b"abc,b\n",
+    "short row": b"x1,label\n" + _X1_ROWS + b"0.5\n",
+    "long row": b"x1,label\n" + _X1_ROWS + b"0.5,b,7\n",
+    "empty file": b"",
+    "missing column": b"x2,label\n" + _X1_ROWS,
+    "repeated column": b"x1,x1\n" + _X1_ROWS.replace(b"a", b"1"),
+    "non-UTF-8 text": b"x1,label\n" + _X1_ROWS + b"0.5,\xff\n",
+    "non-finite cell": b"x1,label\n" + _X1_ROWS + b"inf,b\n",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("case", sorted(PREDICT_READ_ERRORS))
+def test_predict_names_the_csv_in_every_read_error(tmp_path, capsys, case):
+    tree = _one_feature_tree(tmp_path, capsys)
+    path, fifo = tmp_path / "bad.csv", tmp_path / "pipe.csv"
+    path.write_bytes(PREDICT_READ_ERRORS[case])
+    os.mkfifo(fifo)
+    argv = ["predict", "--tree", str(tree), "--output", str(tmp_path / "p.csv")]
+    code, err = main_quietly(*argv, "--input", str(path))
+    assert code == EXIT_DATA and not (tmp_path / "p.csv").exists()
+    message = names_one_file(err, path, tree)
+    assert message.startswith(f"{path}: ")
+    # in pieces of about 64 bytes, shared among forked workers, and piped
+    assert fuzz_main(*argv, "--input", str(path)) == (code, err)
+    writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
+    try:
+        assert main_quietly(*argv, "--input", str(fifo)) == (
+            code, err.replace(str(path), str(fifo)))
+    finally:
+        writer.wait(30)
 
 
 def _split_tree(tmp_path, capsys, *options):
@@ -1076,7 +1142,7 @@ def test_predict_reads_only_the_columns_its_splits_test(tmp_path, capsys, shared
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("text, message", [
     ("abc", "non-numeric value 'abc' for column '{column}' at data row 1500"),
-    ("nan", "{path}: non-finite value nan for column '{column}' at data row 1500"),
+    ("nan", "non-finite value nan for column '{column}' at data row 1500"),
     ("", "blank value for column '{column}' at data row 1500"),
 ])
 def test_predict_refuses_a_bad_cell_in_a_split_column(tmp_path, capsys, shared, text,
@@ -1088,7 +1154,7 @@ def test_predict_refuses_a_bad_cell_in_a_split_column(tmp_path, capsys, shared, 
     code, err, out = _predict(capsys, tree_path, bad, shared)
     assert code == EXIT_DATA and out is None
     assert json.loads(err) == {"error": "ValidationError",
-                               "message": message.format(path=bad, column=column)}
+                               "message": f"{bad}: " + message.format(column=column)}
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -1330,9 +1396,11 @@ def test_predict_on_malformed_csv_or_tree_exits_cleanly(fitted, data):
         tree.write_bytes(data.draw(st.one_of(st.just(tree_text.encode()),
                                              tree_edits(tree_text))))
         path.write_bytes(edited(csv_bytes, data.draw(byte_edits(CSV_BYTES))))
-        assert_clean_exit(*fuzz_main("predict", "--tree", str(tree),
-                                     "--input", str(path),
-                                     "--output", str(Path(d) / "p.csv")))
+        code, err = fuzz_main("predict", "--tree", str(tree), "--input", str(path),
+                              "--output", str(Path(d) / "p.csv"))
+        assert_clean_exit(code, err)
+        if code != EXIT_OK:
+            names_one_file(err, tree, path)
 
 
 # --- tree.json, key by key: each key dropped or set to each value ---
@@ -1386,6 +1454,7 @@ def test_predict_on_a_tree_json_with_a_key_dropped_or_retyped(path, value):
             assert code == EXIT_DATA
             assert err.count("\n") == 1
             assert issubclass(getattr(ctiv.errors, json.loads(err)["error"]), CtivError)
+            names_one_file(err, tree, data)
 
 
 @pytest.mark.parametrize("depth, code", [(62, EXIT_OK), (63, EXIT_DATA)])
@@ -1412,8 +1481,9 @@ def test_predict_on_a_chained_tree_json_as_deep_as_leaf_ids_reach(tmp_path, dept
     assert got == code, err
     if code == EXIT_DATA:
         assert err.count("\n") == 1
-        assert json.loads(err) == {"error": "ValidationError",
-                                   "message": f"node {2 ** 63} lies deeper than 62 levels"}
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": f"{tree}: node {2 ** 63} lies deeper than 62 levels"}
 
 
 # --- generated CSVs through fit: a clean refusal or a sound tree ---

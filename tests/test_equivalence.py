@@ -651,7 +651,7 @@ def data_pieces(path):
     """The ``(start, stop)`` of each piece of ``path``'s data rows, as
     ``read_csv_columns`` cuts them."""
     with path.open("rb") as fb:
-        _, pieces = ctiv.dataset._read_header(path, ctiv.dataset._pieces(fb))
+        _, pieces = ctiv.dataset._read_header(ctiv.dataset._pieces(fb))
         return [(start, stop) for start, stop, _ in pieces]
 
 
@@ -824,6 +824,17 @@ def test_unterminated_and_header_only_files_with_several_shares(tmp_path, text):
             assert outcome(read) == expected
 
 
+def piped(read, path, fifo):
+    """``outcome(read)``, a read of the named pipe ``fifo``, while a shell
+    writes the file ``path`` into it; as text with the pipe's name put back
+    to the file's, to compare with ``str(outcome(...))`` of the file."""
+    writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
+    try:
+        return str(outcome(read)).replace(str(fifo), str(path))
+    finally:
+        writer.wait(30)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
 def test_piped_csv_reads_as_the_file(tmp_path):
     # a fault sends the rest of a pipe, which cannot be read twice, to the
@@ -840,14 +851,92 @@ def test_piped_csv_reads_as_the_file(tmp_path):
         path.write_bytes(text)
         with pieces_of(share_bytes, cpus=3):
             expected = outcome(read(path))
-            writer = subprocess.Popen(["sh", "-c", f'cat "{path}" > "{fifo}"'])
-            try:
-                got = str(outcome(read(fifo)))
-                assert got.replace(str(fifo), str(path)) == str(expected), (case, share_bytes)
-            finally:
-                writer.wait(30)
+            assert piped(read(fifo), path, fifo) == str(expected), (case, share_bytes)
         if case == "quoted number":
             assert load_csv(path, feature_cols=features).covariates[57, 0] == 7.0
+
+
+# one of each error a read can end in; load_csv with x1 and x2 as its
+# features raises it, and the text's faults lie past its first pieces
+READ_ERRORS = {
+    "blank cell": late_fault_csv(b"1,1,0,,3,a\n")[0],
+    "non-numeric cell": late_fault_csv(b"1,1,0,x,3,a\n")[0],
+    "short row": late_fault_csv(b"1,1,0,2,3\n")[0],
+    "long row": LATE_FAULTS["irregular row"][0],
+    "empty file": b"",
+    "missing column": late_fault_csv(b"1,1,0,2,3,a\n", b"y,w,q,x1,x2,label")[0],
+    "repeated column": late_fault_csv(b"1,1,0,2,3,a\n", b"y,w,z,x1,x2,x1")[0],
+    "non-UTF-8 header": late_fault_csv(b"1,1,0,2,3,a\n", b"y,w,z,x1,x2,l\xe9bel")[0],
+    "non-UTF-8 line": LATE_FAULTS["non-UTF-8 byte"][0],
+    "non-finite cell": late_fault_csv(b"1,1,0,inf,3,a\n")[0],
+    "bad flag": LATE_FAULTS["non-0/1 arm"][0],
+    "no data rows": f"{HEADER}\n".encode(),
+}
+
+
+def named_once(result, path):
+    """Whether ``result``, an ``outcome``, is an error whose message starts
+    with ``path`` and names it nowhere else."""
+    return (len(result) == 2 and result[1].startswith(f"{path}: ")
+            and result[1].count(str(path)) == 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("case", sorted(READ_ERRORS))
+def test_every_read_error_starts_with_the_path_once(tmp_path, case):
+    path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
+    path.write_bytes(READ_ERRORS[case])
+    os.mkfifo(fifo)
+    # and a read whose y and z roles name one column, whatever the header
+    for read, pipe_read in zip([*reads(path), lambda: load_csv(path, z_col="y")],
+                               [*reads(fifo), lambda: load_csv(fifo, z_col="y")]):
+        for shares in (pieces_of(1 << 20), many_shares()):
+            with shares:
+                result = outcome(read)
+                assert piped(pipe_read, path, fifo) == str(result), case
+            assert len(result) != 2 or named_once(result, path), (case, result)
+    assert named_once(outcome(reads(path)[0]), path)
+    assert named_once(outcome(lambda: load_csv(path, z_col="y")), path)
+
+
+# rows put in at data row R of 60 regular ones, and load_csv's error: a
+# text error or a non-finite cell in a later row comes before a bad flag
+FLAG_ORDER = {
+    "bad flag, then a blank cell": ([b"1,2,0,2,3,a\n", b"1,1,0,,3,a\n"],
+                                    "blank value for column 'x1' at data row {next}"),
+    "bad flag, then inf": ([b"1,1,2,2,3,a\n", b"1,1,0,inf,3,a\n"],
+                           "non-finite value inf for column 'x1' at data row {next}"),
+    "nan flag": ([b"1,nan,0,2,3,a\n"], "non-finite value nan for column 'w' at data row {at}"),
+    "w of 2": ([b"1,2,0,2,3,a\n"], "column 'w' must be 0/1 but data row {at} has 2"),
+    "z of 0.5": ([b"1,1,0.5,2,3,a\n"], "column 'z' must be 0/1 but data row {at} has 0.5"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("at", [1, 57])
+@pytest.mark.parametrize("case", sorted(FLAG_ORDER))
+def test_flags_are_checked_after_the_text_and_non_finite_cells(tmp_path, case, at):
+    rows, message = FLAG_ORDER[case]
+    text, _ = late_fault_csv(b"1,1,0,2,3,a\n")
+    lines = text.splitlines(keepends=True)
+    lines[at:at + len(rows)] = rows
+    path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
+    path.write_bytes(b"".join(lines))
+    os.mkfifo(fifo)
+
+    def read(p=path):
+        return load_csv(p, feature_cols=("x1", "x2"))
+
+    expected = ("ValidationError", f"{path}: " + message.format(at=at, next=at + 1))
+    assert reference(read) == expected
+    # numpy parses every row but a blank cell's: a bad flag is no reason
+    # to hand the rest of the text to the per-cell parser
+    per_cell = contextlib.nullcontext() if b",," in rows[-1] else mock.patch.object(
+        ctiv.dataset, "_reference_rows", side_effect=AssertionError("per-cell parser used"))
+    for shares in (pieces_of(1 << 20), many_shares()):
+        with shares, per_cell:
+            assert outcome(read) == expected
+            assert piped(lambda: read(fifo), path, fifo) == str(expected)
 
 
 def test_shares_leave_no_temporary_file(tmp_path, monkeypatch):
